@@ -15,14 +15,9 @@ workload:
   classified, bucketed for causality, and the replica hooks fire: the
   honest full-record cost, recorded but not gated.
 
-Both variants run under ``REPRO_ACCEL=0``: the pure backend shares one
-send path, so on/off is a recorder-cost ratio.  Under the compiled
-backend, installing *any* tracer forfeits the C fast path by design, so
-an accel ratio would measure backend forfeiture, not recorder overhead
-(see ``bench_e20_accel.py`` for what that fast path is worth).
-
-The grid lives in the E21 registry entry; this script re-runs it per
-variant, combines the rows, and asserts the headline:
+Both variants share the one send path, so on/off is a recorder-cost
+ratio.  The grid lives in the E21 registry entry; this script runs it,
+combines the rows, and asserts the headline:
 
 * the broadcast storm sustains **>= 0.90x** of its recorder-off rate
   with a recorder attached (overhead <= 10%).
@@ -37,60 +32,31 @@ Also runnable as a CI smoke check without pytest:
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, sections
 
 from repro.analysis import format_table
 from repro.analysis.profiling import write_bench_json
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: The acceptance bar: recorder-on rate / recorder-off rate on the
 #: broadcast storm (<= 10% overhead).
 STORM_RECORDER_FLOOR = 0.90
 
-#: Re-runs the E21 registry grid in a subprocess pinned to the pure
-#: backend and prints the aggregated rows as JSON.  A subprocess is the
-#: only honest way to pin a backend: the choice is made at import time.
-_GRID_SCRIPT = (
-    "import json, sys;"
-    "from repro.experiments import run_sections;"
-    "import repro._core as c;"
-    "rows = run_sections('E21', quick=(sys.argv[1] == 'quick'))['main'];"
-    "print(json.dumps({'backend': c.BACKEND, 'rows': rows}))"
-)
-
 
 def run_grid(quick: bool = False, passes: int = 2) -> dict:
-    """Run the E21 grid on the pure backend; returns
+    """Run the E21 grid; returns
     ``{workload: {"unit": ..., "off": rate, "recorder": rate}}``.
 
     The grid is run ``passes`` times and each cell takes its best rate:
     the on/off ratio is the gated number, so per-cell noise must not
     masquerade as recorder overhead.
     """
-    env = dict(os.environ)
-    env["REPRO_ACCEL"] = "0"
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
     rates: dict = {}
     for _ in range(max(1, passes)):
-        result = subprocess.run(
-            [sys.executable, "-c", _GRID_SCRIPT, "quick" if quick else "full"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO_ROOT,
-        )
-        if result.returncode != 0:
-            raise RuntimeError(f"E21 grid run failed:\n{result.stderr}")
-        payload = json.loads(result.stdout.splitlines()[-1])
-        assert payload["backend"] == "pure"
-        for workload, variant, _backend, unit, rate in payload["rows"]:
+        for workload, variant, _backend, unit, rate in sections(
+            "E21", quick=quick
+        )["main"]:
             entry = rates.setdefault(workload, {"unit": unit})
             entry[variant] = max(entry.get(variant, 0.0), rate)
     return rates
@@ -144,7 +110,7 @@ def test_e21_recorder_overhead():
     """The gated headline: <= 10% storm overhead with a recorder on."""
     results = combine(run_grid(quick=True))
     emit(
-        "E21: flight-recorder overhead, recorder-on vs off (quick, pure)",
+        "E21: flight-recorder overhead, recorder-on vs off (quick)",
         format_table(HEADERS, rows_of(results)),
     )
     check_headline(results)
@@ -165,7 +131,7 @@ def main(argv) -> int:
     args = parser.parse_args(argv)
 
     results = combine(run_grid(quick=args.quick))
-    print("E21: flight-recorder overhead, recorder-on vs recorder-off (pure)")
+    print("E21: flight-recorder overhead, recorder-on vs recorder-off")
     print(format_table(HEADERS, rows_of(results)))
     if args.output:
         write_bench_json(

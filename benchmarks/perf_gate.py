@@ -3,11 +3,9 @@
 Wall-clock rates are machine-dependent, so the gate never compares them
 across machines.  What it *does* compare are the dimensionless ratios a
 ``BENCH_*.json`` record carries per workload.  Each gated bench has its
-own tracked ratios and committed baseline (see :data:`GATES`):
+own tracked ratios and committed baseline (see :data:`GATES`); today
+there is one:
 
-* ``E20_accel`` — ``pure_wins_speedup`` (optimized/reference inside the
-  pure backend) and ``backend_speedup`` (compiled/pure on the optimized
-  variant, present only when the extension was built);
 * ``E21_obsoverhead`` — ``recorder_on_ratio`` (flight-recorder-on /
   recorder-off rate per workload; the broadcast storm is the <= 10%
   overhead headline).
@@ -19,9 +17,8 @@ regression when it falls below ``baseline * (1 - tolerance)``.  Ratios
 baseline should be refreshed (rerun the bench script and copy the
 record over the baseline) when they hold.
 
-Usage (what CI runs after the bench scripts' ``--quick`` passes)::
+Usage (what CI runs after the bench script's ``--quick`` pass)::
 
-    PYTHONPATH=src python benchmarks/perf_gate.py --current BENCH_E20_accel.json
     PYTHONPATH=src python benchmarks/perf_gate.py --current BENCH_E21_obsoverhead.json
 
 The gate (tracked ratios + default baseline) is selected by the current
@@ -42,35 +39,28 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 
 #: Fraction a ratio may fall below its baseline before the gate fails.
-#: Sized for single-core CI runners: per-run ratio noise observed on the
-#: E20 workloads is ~15-25%, so 35% flags real regressions (a dropped
-#: memo, an unbound fast path) without tripping on scheduler jitter.
+#: Sized for single-core CI runners: per-run ratio noise observed on
+#: sub-second workloads is ~15-25%, so 35% flags real regressions (a
+#: dropped memo, a lost fast delivery) without tripping on scheduler
+#: jitter.
 DEFAULT_TOLERANCE = 0.35
 
 #: Gated bench records: tracked per-workload ratio fields plus the
 #: committed baseline, keyed by the record's ``bench`` name.
 GATES = {
-    "E20_accel": {
-        "ratios": ("pure_wins_speedup", "backend_speedup"),
-        "baseline": BASELINE_DIR / "BENCH_E20_accel.json",
-    },
     "E21_obsoverhead": {
         "ratios": ("recorder_on_ratio",),
         "baseline": BASELINE_DIR / "BENCH_E21_obsoverhead.json",
     },
 }
 
-#: Backwards-compatible aliases (the pre-E21 single-gate module API).
-TRACKED_RATIOS = GATES["E20_accel"]["ratios"]
-DEFAULT_BASELINE = GATES["E20_accel"]["baseline"]
-
 
 def compare(current: dict, baseline: dict, tolerance: float, ratios) -> list:
     """All (workload, ratio, current, baseline, floor, ok) comparisons.
 
-    Workloads or ratios missing from the *current* record (e.g. no
-    compiled backend on this runner) are skipped; ratios missing from
-    the *baseline* have no band to enforce and are skipped too.
+    Workloads or ratios missing from the *current* record are skipped;
+    ratios missing from the *baseline* have no band to enforce and are
+    skipped too.
     """
     rows = []
     for workload, base_entry in sorted(baseline["results"].items()):
@@ -97,7 +87,7 @@ def compare(current: dict, baseline: dict, tolerance: float, ratios) -> list:
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--current", default="BENCH_E20_accel.json",
+        "--current", required=True,
         help="record produced by this run (a bench script's --output)",
     )
     parser.add_argument(

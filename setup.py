@@ -1,24 +1,9 @@
 """Setup shim for offline environments without PEP 660 editable-wheel
-support, plus the *optional* compiled simulation backend.
+support.  The package is pure Python: nothing is compiled."""
 
-The extension (``repro._core._accel``) is a pure accelerator: the
-pure-Python backend in ``repro._core.pure`` is the reference
-implementation and the package is fully functional without a C
-toolchain.  ``optional=True`` makes a failed compile a warning, not an
-install failure; ``python -m repro._core.build`` builds it in place
-explicitly (and is what CI uses).
-"""
-
-from setuptools import Extension, find_packages, setup
+from setuptools import find_packages, setup
 
 setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
-    ext_modules=[
-        Extension(
-            "repro._core._accel",
-            sources=["src/repro/_core/_accel.c"],
-            optional=True,
-        )
-    ],
 )

@@ -1,37 +1,17 @@
-"""Pluggable hot-path backend for the simulation core.
+"""The simulation hot path, collected in one dependency-free module.
 
-Two interchangeable implementations of the measured hot spots (event
-loop drain, zero-rule envelope delivery, payload sizing, canonical
-serialization + HMAC signing) live behind this package:
+:mod:`repro._core.pure` holds the measured hot spots of the repository —
+the event-loop drain, zero-rule envelope delivery, payload sizing,
+canonical serialization and HMAC signing — as small functions with no
+intra-repository imports.  This package re-exports them so consumers
+(``repro.sim.events``, ``repro.sim.network``, ``repro.crypto.keys``)
+import from one place.
 
-* :mod:`repro._core.pure` — the pure-Python reference.  Always present,
-  always the executable specification.
-* ``repro._core._accel`` — an optional hand-written CPython extension
-  (built by ``python -m repro._core.build`` or ``pip install -e .``;
-  see setup.py).  Must be byte-for-byte equivalent: same event order,
-  same canonical bytes, same sizes — the golden trace digests and
-  ``tests/test_core_backend.py`` enforce it.
-
-Selection happens once, at import time:
-
-* ``REPRO_ACCEL=0`` — force the pure backend even if the extension is
-  importable (the escape hatch, and how CI measures the pure baseline).
-* ``REPRO_ACCEL=1`` — require the compiled backend; raise with build
-  instructions if it is missing (so CI accel jobs fail loudly instead
-  of silently measuring the wrong thing).
-* unset / anything else — auto-detect: use the extension when it
-  imports, fall back to pure otherwise.
-
-Consumers import the *functions* from here (``canonical_bytes``,
-``payload_size``, ``payload_size_cached``) and check :data:`HAVE_ACCEL`
-/ :data:`BACKEND` for the class-level wiring (``repro.sim.events``
-binds its ``Simulator`` alias, ``repro.sim.network`` its fast send).
+There is exactly one implementation; :data:`BACKEND` is the name the
+benchmark harness (``benchmarks/e2e/run.py``) checks and reports for it.
 """
 
 from __future__ import annotations
-
-import os
-from typing import Optional
 
 from . import pure
 from .pure import (
@@ -40,20 +20,20 @@ from .pure import (
     CanonicalMemo,
     SimulationError,
     SimulationTimeout,
+    canonical_bytes,
     hmac_sha256,
     make_deliver,
+    payload_size,
+    payload_size_cached,
 )
 
 __all__ = [
-    "ACCEL_ENV_VAR",
     "BACKEND",
     "FIRED",
-    "HAVE_ACCEL",
     "SIZE_MEMO_LIMIT",
     "CanonicalMemo",
     "SimulationError",
     "SimulationTimeout",
-    "accel",
     "canonical_bytes",
     "hmac_sha256",
     "make_deliver",
@@ -62,55 +42,5 @@ __all__ = [
     "pure",
 ]
 
-#: The import-time override knob (``0`` force-pure, ``1`` require-accel).
-ACCEL_ENV_VAR = "REPRO_ACCEL"
-
-_BUILD_HINT = (
-    "build it with `python -m repro._core.build` (needs a C toolchain "
-    "and CPython headers) or unset REPRO_ACCEL to fall back to the "
-    "pure-Python backend"
-)
-
-
-def _load_accel() -> Optional[object]:
-    setting = os.environ.get(ACCEL_ENV_VAR, "").strip()
-    if setting == "0":
-        return None
-    try:
-        from . import _accel  # type: ignore[attr-defined]
-    except ImportError as exc:
-        if setting == "1":
-            raise ImportError(
-                f"REPRO_ACCEL=1 but the compiled backend is not "
-                f"importable ({exc}); {_BUILD_HINT}"
-            ) from exc
-        return None
-    _accel.register(
-        fired=FIRED,
-        simulation_error=SimulationError,
-        simulation_timeout=SimulationTimeout,
-        payload_size_fallback=pure.payload_size,
-        size_memo_limit=SIZE_MEMO_LIMIT,
-    )
-    return _accel
-
-
-#: The compiled extension module, or ``None`` when running pure.  Parity
-#: tests reach through this to compare both implementations in-process.
-accel = _load_accel()
-
-#: Whether the compiled extension is loaded (it may be loaded but not
-#: selected only via explicit per-object construction in tests).
-HAVE_ACCEL = accel is not None
-
-#: Which implementation the repository-wide aliases below point at.
-BACKEND = "accel" if accel is not None else "pure"
-
-if accel is not None:
-    canonical_bytes = accel.canonical_bytes
-    payload_size = accel.payload_size
-    payload_size_cached = accel.payload_size_cached
-else:
-    canonical_bytes = pure.canonical_bytes
-    payload_size = pure.payload_size
-    payload_size_cached = pure.payload_size_cached
+#: Name of the hot-path implementation (also E21's ``backend`` column).
+BACKEND = "pure"

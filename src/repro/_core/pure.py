@@ -1,25 +1,17 @@
-"""Pure-Python reference implementation of the simulation hot path.
+"""The simulation hot path: event loop, delivery, sizing, canonical bytes.
 
-This module is one half of the pluggable backend layer in
-:mod:`repro._core` (the other half is the optional compiled extension
-``repro._core._accel``).  It collects the *measured* hot spots of the
-repository — the event-loop drain from :mod:`repro.sim.events`, the
-zero-rule envelope delivery and payload sizing from
-:mod:`repro.sim.network`, and canonical serialization + HMAC signing
-from :mod:`repro.crypto.keys` — behind small, tight functions with no
-intra-repository imports, so either backend can implement the same
-contract.
+This module collects the *measured* hot spots of the repository — the
+event-loop drain used by :mod:`repro.sim.events`, the zero-rule envelope
+delivery and payload sizing used by :mod:`repro.sim.network`, and
+canonical serialization + HMAC signing used by :mod:`repro.crypto.keys` —
+as small, tight functions with no intra-repository imports.
 
-The contract is *byte-for-byte equivalence*: both backends must execute
-events in identical ``(time, seq)`` order, produce identical
-``canonical_bytes`` serializations and identical structural payload
-sizes.  The golden trace digests in ``tests/golden/`` pin this down for
-whole scenario runs, and ``tests/test_core_backend.py`` pins it for the
-primitives.
-
-Everything here is deliberately boring Python: this file is the
-executable specification the compiled backend is checked against, and
-the fallback every environment without a C toolchain runs in production.
+Two outputs of this file are formats other artifacts depend on:
+``canonical_bytes`` is what signatures, state digests, WAL records and
+checkpoint files are computed over, and ``payload_size`` is the byte
+model behind every bandwidth metric.  Both are pinned to literal vectors
+in ``tests/golden/canonical_vectors.json``; event order is pinned for
+whole scenario runs by the golden trace digests in ``tests/golden/``.
 """
 
 from __future__ import annotations
@@ -60,9 +52,7 @@ class SimulationTimeout(SimulationError):
 #: Stamped into an entry's callback slot once it has been executed, so a
 #: late ``cancel()`` on a handle whose event already fired is a no-op
 #: instead of corrupting the cancelled-entry accounting (the entry is no
-#: longer in the queue, so it must not count toward compaction).  Shared
-#: by both backends: a handle created under one must cancel correctly
-#: under the other.
+#: longer in the queue, so it must not count toward compaction).
 FIRED: Any = object()
 
 
@@ -108,7 +98,7 @@ def drain(sim: Any) -> None:
 
     The common case, with no per-event bound checks and no peek-then-pop
     double touch.  Mutates ``sim._now`` / ``sim._events_processed`` /
-    ``sim._cancelled`` exactly like the historical inline loop.
+    ``sim._cancelled`` exactly like :func:`step`.
     """
     queue = sim._queue
     heappop = heapq.heappop
@@ -370,12 +360,20 @@ class CanonicalMemo:
     layer replays identical batch objects across pipeline stages.  This
     memo collapses those into one serialization.
 
+    Only **hashable** payloads are memoized.  An identity hit returns
+    bytes computed earlier, which is sound only if the object cannot have
+    changed since — and ``hash(payload)`` succeeding is Python's own
+    statement of that: tuples, frozensets and frozen dataclasses of
+    hashables all the way down, which is every payload
+    :mod:`repro.core.payloads` builds.  Anything holding a list, dict or
+    set is canonicalized afresh on every call, so mutating a payload
+    after signing it can never verify against the stale bytes.
+
     Safe lifetime, same discipline as the network's size memo: entries
     hold a strong reference to their payload and a hit requires
     ``entry[0] is payload``, so a recycled ``id()`` can never alias a
-    stale serialization.  Identity (not equality) keying is deliberate —
-    payloads are arbitrary, possibly unhashable objects, and an ``is``
-    check is the only probe that can never run user ``__eq__`` code.
+    stale serialization.  The lookup is by identity (not equality) so a
+    probe never runs user ``__eq__`` code.
 
     The memo is bounded FIFO: at ``limit`` entries the oldest is evicted
     (insertion order), so an unbounded stream of fresh payloads cannot
@@ -401,15 +399,20 @@ class CanonicalMemo:
         return len(self._memo)
 
     def get(self, payload: Any) -> bytes:
-        """Canonical serialization of ``payload`` (memoized by identity)."""
+        """Canonical serialization of ``payload`` (memoized by identity
+        when the payload is hashable, recomputed otherwise)."""
         memo = self._memo
         entry = memo.get(id(payload))
         if entry is not None and entry[0] is payload:
             self.hits += 1
             return entry[1]
         data = self._canonical(payload)
+        self.misses += 1
+        try:
+            hash(payload)
+        except TypeError:
+            return data  # mutable somewhere inside: never serve it stale
         if len(memo) >= self._limit:
             del memo[next(iter(memo))]
         memo[id(payload)] = (payload, data)
-        self.misses += 1
         return data

@@ -17,8 +17,9 @@ and recordable*:
 Wall-clock numbers are hardware-dependent by nature; everything else in
 this repository is deterministic.  Keep the two apart: determinism is
 asserted by trace digests (:mod:`repro.sim.digest`), speed is *recorded*
-here and only ever asserted as a ratio against a reference implementation
-measured in the same process (see ``benchmarks/bench_e16_simcore.py``).
+here.  Whether a change made the repository faster is answered by running
+the end-to-end benchmark (``BENCHMARK.json`` / ``benchmarks/e2e``) on the
+parent commit and on the change, not by these micro-workloads.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
     "SUPPORTED_BENCH_SCHEMAS",
     "E16_QUICK_PARAMS",
     "E16_FULL_PARAMS",
-    "E20_QUICK_SIZES",
-    "E20_FULL_SIZES",
     "E21_QUICK_SIZES",
     "E21_FULL_SIZES",
     "E21_SCENARIOS",
@@ -58,11 +57,6 @@ __all__ = [
     "event_churn",
     "timer_churn",
     "broadcast_storm",
-    "cert_storm",
-    "reference_sim_net",
-    "crypto_verify_rate",
-    "smr_wall_rate",
-    "fuzz_seed_rate",
     "simcore_snapshot",
 ]
 
@@ -232,16 +226,14 @@ def write_bench_json(
 
 
 # ---------------------------------------------------------------------------
-# Canonical micro-workloads (E16).  Parameterized by core factories so
-# ``benchmarks/bench_e16_simcore.py`` can drive its embedded legacy copy of
-# the pre-optimization core through the identical code.
+# Canonical micro-workloads (E16).
 # ---------------------------------------------------------------------------
 
 
 #: E16 workload sizes as ``(event_churn, timer_churn, storm_n, storm_rounds)``.
-#: Single source of truth: ``benchmarks/bench_e16_simcore.py`` and
+#: Single source of truth: the E16 registry entry and
 #: :func:`simcore_snapshot` must measure the same workloads or their
-#: ``BENCH_E16_simcore.json`` records stop being comparable.
+#: recorded rates stop being comparable.
 E16_QUICK_PARAMS = (60_000, 40_000, 12, 120)
 E16_FULL_PARAMS = (250_000, 200_000, 16, 600)
 
@@ -251,12 +243,12 @@ def _default_sim_net():
     return sim, Network(sim, delay_model=SynchronousDelay(1.0))
 
 
-def event_churn(n_events: int, sim_factory: Callable[[], Any] = Simulator) -> float:
+def event_churn(n_events: int) -> float:
     """Self-rescheduling callback chain: pure event-loop overhead.
 
     Returns sustained events/sec.
     """
-    sim = sim_factory()
+    sim = Simulator()
     count = [0]
 
     def tick() -> None:
@@ -276,13 +268,13 @@ def _noop() -> None:
     return None
 
 
-def timer_churn(n_timers: int, sim_factory: Callable[[], Any] = Simulator) -> float:
+def timer_churn(n_timers: int) -> float:
     """Arm-then-cancel storms — the per-slot SMR pacemaker pattern.
 
     Returns schedule+cancel operations/sec (heap compaction keeps the
-    queue from bloating; the legacy core pays for every tombstone).
+    queue from bloating).
     """
-    sim = sim_factory()
+    sim = Simulator()
     batch = 1000
     start = time.perf_counter()
     for _ in range(max(1, n_timers // batch)):
@@ -325,162 +317,6 @@ def broadcast_storm(
     expected = n * n * rounds
     assert sim.events_processed >= expected, "storm did not run fully"
     return sim.events_processed / wall
-
-
-# ---------------------------------------------------------------------------
-# E20 workloads: the backend x workload accelerator grid.  Each returns a
-# wall-clock rate; each takes a ``reference`` knob that pins the
-# pre-optimization path (``fast_paths=False`` networks / legacy crypto
-# via ``crypto_reference_mode``) so the reported speedups are ratios
-# measured on the same machine, never absolute folklore.
-# ---------------------------------------------------------------------------
-
-
-#: E20 workload sizes, keyed by workload name.  ``benchmarks/
-#: bench_e20_accel.py`` and the E20 registry entry share these so the
-#: BENCH_E20 trajectory and the experiment CLI always measure the same
-#: thing.
-E20_QUICK_SIZES: Dict[str, Tuple[int, ...]] = {
-    "broadcast_storm": (12, 200),  # (n, rounds)
-    "cert_broadcast": (12, 200),  # (n, rounds)
-    "timer_churn": (40_000,),  # (n_timers,)
-    "smr_throughput": (4, 16),  # (clients, requests_per_client)
-    "fuzz_seeds": (24,),  # (budget,)
-    "crypto_verify": (300,),  # (batches,)
-}
-E20_FULL_SIZES: Dict[str, Tuple[int, ...]] = {
-    "broadcast_storm": (16, 600),
-    "cert_broadcast": (16, 600),
-    "timer_churn": (200_000,),
-    "smr_throughput": (6, 32),
-    "fuzz_seeds": (96,),
-    "crypto_verify": (1500,),
-}
-
-
-def reference_sim_net():
-    """A :func:`broadcast_storm` factory pinned to the pre-optimization
-    network paths (the E20 ``reference`` variant)."""
-    sim = Simulator()
-    return sim, Network(
-        sim, delay_model=SynchronousDelay(1.0), fast_paths=False
-    )
-
-
-def cert_storm(n: int, rounds: int, reference: bool = False) -> float:
-    """Broadcast storm with *reused* quorum-cert payloads — the
-    retransmission pattern real protocols exhibit (the same signed
-    certificate object is re-broadcast every round).  Exercises the
-    identity-keyed payload-size memo and the prebound delivery path;
-    ``reference=True`` pins the pre-optimization network paths
-    (``fast_paths=False``).  Returns events/sec.
-    """
-    from ..crypto.keys import KeyRegistry
-
-    registry = KeyRegistry.for_processes(range(n))
-    sim = Simulator()
-    net = Network(
-        sim,
-        delay_model=SynchronousDelay(1.0),
-        fast_paths=not reference,
-    )
-    payloads = []
-    for src in range(n):
-        proposal = ("commit", 7, f"value-{src}" * 8)
-        cert = tuple(registry.signer(pid).sign(proposal) for pid in range(n))
-        payloads.append(("cert", proposal, cert))
-
-    def handler(src: int, payload: Any) -> None:
-        return None
-
-    for pid in range(n):
-        net.register(pid, handler)
-    remaining = [rounds]
-
-    def pump() -> None:
-        if remaining[0] <= 0:
-            return
-        remaining[0] -= 1
-        for src in range(n):
-            net.broadcast(src, payloads[src])
-        sim.schedule(1.0, pump)
-
-    sim.schedule(0.0, pump)
-    start = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - start
-    assert sim.events_processed >= n * n * rounds, "storm did not run fully"
-    return sim.events_processed / wall
-
-
-def crypto_verify_rate(batches: int, reference: bool = False) -> float:
-    """Quorum-certificate verification: ``verify_all`` over 3-signature
-    certificates drawn from a 32-payload pool, ``batches`` passes over
-    the pool.  ``reference=True`` disables the canonicalization memo and
-    batched hashing (per-signature serialization, the legacy loop).
-    Returns signature verifications/sec.
-    """
-    from ..crypto.keys import KeyRegistry, crypto_reference_mode
-    from contextlib import nullcontext
-
-    with crypto_reference_mode() if reference else nullcontext():
-        registry = KeyRegistry.for_processes(range(4))
-        pool = [("decide", f"v{i}", i) for i in range(32)]
-        certs = [
-            [registry.signer(pid).sign(payload) for pid in range(3)]
-            for payload in pool
-        ]
-        verified = 0
-        start = time.perf_counter()
-        for _ in range(batches):
-            for payload, cert in zip(pool, certs):
-                assert registry.verify_all(cert, payload)
-                verified += len(cert)
-        wall = time.perf_counter() - start
-    return verified / wall
-
-
-def smr_wall_rate(
-    clients: int, requests_per_client: int, reference: bool = False
-) -> float:
-    """Wall-clock commands/sec of a closed-loop fbft SMR run (simulated
-    ops/sec is E15's deterministic metric; this measures how fast the
-    whole engine *executes*).  ``reference=True`` pins legacy crypto.
-    """
-    from contextlib import nullcontext
-
-    from ..crypto.keys import crypto_reference_mode
-    from .metrics import run_smr_throughput
-
-    with crypto_reference_mode() if reference else nullcontext():
-        start = time.perf_counter()
-        result = run_smr_throughput(
-            backend="fbft",
-            clients=clients,
-            requests_per_client=requests_per_client,
-        )
-        wall = time.perf_counter() - start
-    return result.completed / wall
-
-
-def fuzz_seed_rate(budget: int, reference: bool = False) -> float:
-    """Fault-schedule fuzzing seeds/sec: one campaign round-tripping
-    ``budget`` scenario executions through the coverage-guided harness.
-    ``reference=True`` pins legacy crypto for every registry the
-    scenarios build.
-    """
-    from contextlib import nullcontext
-
-    from ..crypto.keys import crypto_reference_mode
-    from ..fuzz.campaign import CampaignConfig, run_campaign
-
-    with crypto_reference_mode() if reference else nullcontext():
-        config = CampaignConfig(budget=budget, round_size=8)
-        start = time.perf_counter()
-        report = run_campaign(config)
-        wall = time.perf_counter() - start
-    assert report.executed == budget, "campaign stopped early"
-    return report.executed / wall
 
 
 # ---------------------------------------------------------------------------

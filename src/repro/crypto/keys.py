@@ -13,15 +13,13 @@ It is *not* cryptographically meaningful outside the simulation and is not
 intended to be; see DESIGN.md's substitution table.
 
 The two hot primitives — canonical serialization and the HMAC digest —
-live in the pluggable backend layer (:mod:`repro._core`): the pure-Python
-reference always exists, and the optional compiled extension serializes
-byte-identically.  On top of either backend the registry layers two
-pure-Python wins:
+live with the rest of the hot path in :mod:`repro._core`.  On top of them
+the registry avoids repeated work in two ways:
 
 * a bounded :class:`repro._core.CanonicalMemo` keyed on payload
-  *identity* (safe lifetime: entries pin their payload, hits require an
-  ``is`` check), so signing and re-verifying the same payload object
-  serializes it once;
+  *identity* (hashable payloads only, so a hit can never be stale;
+  entries pin their payload, hits require an ``is`` check), so signing
+  and re-verifying the same payload object serializes it once;
 * batched :meth:`KeyRegistry.verify_all`, which canonicalizes and hashes
   the payload once per certificate instead of once per signature.
 """
@@ -31,9 +29,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from .._core import CanonicalMemo, canonical_bytes, hmac_sha256
 
@@ -42,7 +39,6 @@ __all__ = [
     "Signature",
     "Signer",
     "canonical_bytes",
-    "crypto_reference_mode",
 ]
 
 ProcessId = int
@@ -74,9 +70,9 @@ class Signer:
     ) -> None:
         self._pid = pid
         self._secret = secret
-        #: The registry's canonical serializer (its memo when enabled),
-        #: so a leader that signs a payload and immediately verifies
-        #: relayed signatures over it serializes the object once.
+        #: The registry's canonical serializer (its memo), so a leader
+        #: that signs a payload and immediately verifies relayed
+        #: signatures over it serializes the object once.
         self._canonical = canonical
 
     @property
@@ -114,13 +110,11 @@ class KeyRegistry:
     or, as before this cap, periodically dropping the whole cache, which
     threw away exactly the hot certificate entries the memo exists for.
 
-    On top of that sit the canonicalization fast paths (both optional,
-    for apples-to-apples reference measurements in E20):
-
-    * ``canonical_memo`` — serialize a payload *object* once across
-      sign/verify/verify_all (bounded, identity-keyed, safe lifetime);
-    * ``batch_verify`` — :meth:`verify_all` canonicalizes and hashes the
-      payload once per call instead of once per signature.
+    Canonicalization is shared the same way: one payload *object* is
+    serialized once across sign/verify/verify_all (``CanonicalMemo``:
+    bounded, identity-keyed, hashable payloads only), and
+    :meth:`verify_all` canonicalizes and hashes the payload once per call
+    instead of once per signature.
     """
 
     #: Entries kept before least-recently-used eviction kicks in.
@@ -129,18 +123,7 @@ class KeyRegistry:
     #: Bound of the canonical-serialization memo (payload objects pinned).
     CANONICAL_MEMO_LIMIT = 256
 
-    #: Constructor defaults, overridable per instance and flipped
-    #: globally by :func:`crypto_reference_mode` for E20 reference rows.
-    DEFAULT_CANONICAL_MEMO = True
-    DEFAULT_BATCH_VERIFY = True
-
-    def __init__(
-        self,
-        domain: bytes = b"repro-fbft",
-        *,
-        canonical_memo: Optional[bool] = None,
-        batch_verify: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, domain: bytes = b"repro-fbft") -> None:
         self._domain = domain
         self._secrets: Dict[ProcessId, bytes] = {}
         #: (signer, signature digest) -> sha256 of the canonical payload
@@ -152,23 +135,12 @@ class KeyRegistry:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        #: Batched verify_all invocations (hit-counter coverage for E20).
+        #: :meth:`verify_all` invocations.
         self.batch_verifies = 0
-        if canonical_memo is None:
-            canonical_memo = type(self).DEFAULT_CANONICAL_MEMO
-        if batch_verify is None:
-            batch_verify = type(self).DEFAULT_BATCH_VERIFY
-        self._canonical_memo: Optional[CanonicalMemo] = (
-            CanonicalMemo(self.CANONICAL_MEMO_LIMIT, canonical_bytes)
-            if canonical_memo
-            else None
+        self._canonical_memo = CanonicalMemo(
+            self.CANONICAL_MEMO_LIMIT, canonical_bytes
         )
-        self._canonical: Callable[[Any], bytes] = (
-            self._canonical_memo.get
-            if self._canonical_memo is not None
-            else canonical_bytes
-        )
-        self._batch_verify = bool(batch_verify)
+        self._canonical: Callable[[Any], bytes] = self._canonical_memo.get
 
     @classmethod
     def for_processes(
@@ -194,15 +166,13 @@ class KeyRegistry:
 
     @property
     def canonical_hits(self) -> int:
-        """Canonical-memo hits (0 when the memo is disabled)."""
-        memo = self._canonical_memo
-        return memo.hits if memo is not None else 0
+        """Canonical-memo hits."""
+        return self._canonical_memo.hits
 
     @property
     def canonical_misses(self) -> int:
-        """Canonical-memo misses (0 when the memo is disabled)."""
-        memo = self._canonical_memo
-        return memo.misses if memo is not None else 0
+        """Canonical-memo misses."""
+        return self._canonical_memo.misses
 
     def signer(self, pid: ProcessId) -> Signer:
         """Return the signing capability of ``pid`` (private: owner only)."""
@@ -259,10 +229,8 @@ class KeyRegistry:
         Batched: the payload is canonicalized and hashed **once per
         call**, not once per signature — a certificate's 2f+1 signatures
         share one serialization.  Short-circuits on the first failure,
-        exactly like the ``all()`` loop it replaces.
+        exactly like ``all(self.verify(sig, payload) for sig in ...)``.
         """
-        if not self._batch_verify:
-            return all(self.verify(sig, payload) for sig in signatures)
         self.batch_verifies += 1
         message: Optional[bytes] = None
         msg_hash: Optional[bytes] = None
@@ -276,27 +244,3 @@ class KeyRegistry:
             if not self._verify_message(signature, secret, message, msg_hash):
                 return False
         return True
-
-
-@contextmanager
-def crypto_reference_mode() -> Iterator[None]:
-    """Disable the canonical memo and batched verification for registries
-    constructed inside the context.
-
-    This is the measuring stick for E20's ``reference`` rows: the
-    reference workloads must run the pre-optimization crypto path
-    (per-signature canonicalization, no identity memo) without keeping a
-    forked copy of the registry around.  Results are value-identical
-    either way — only the constant factor changes.
-    """
-    previous = (
-        KeyRegistry.DEFAULT_CANONICAL_MEMO,
-        KeyRegistry.DEFAULT_BATCH_VERIFY,
-    )
-    KeyRegistry.DEFAULT_CANONICAL_MEMO = False
-    KeyRegistry.DEFAULT_BATCH_VERIFY = False
-    try:
-        yield
-    finally:
-        KeyRegistry.DEFAULT_CANONICAL_MEMO = previous[0]
-        KeyRegistry.DEFAULT_BATCH_VERIFY = previous[1]

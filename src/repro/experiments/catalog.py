@@ -30,19 +30,12 @@ from ..analysis import (
 from ..analysis.profiling import (
     E16_FULL_PARAMS,
     E16_QUICK_PARAMS,
-    E20_FULL_SIZES,
-    E20_QUICK_SIZES,
     E21_FULL_SIZES,
     E21_QUICK_SIZES,
     broadcast_storm,
-    cert_storm,
-    crypto_verify_rate,
     event_churn,
-    fuzz_seed_rate,
     recorder_sim_net,
-    reference_sim_net,
     scenario_obs_rate,
-    smr_wall_rate,
     timer_churn,
 )
 from ..baselines.fab import FaBConfig, FaBProcess
@@ -1320,7 +1313,7 @@ register(
         id="E16",
         name="simcore",
         title="events/sec of the simulation core on three canonical workloads",
-        paper_ref="perf due diligence (see benchmarks/bench_e16_simcore.py)",
+        paper_ref="perf due diligence (rates only; not a paper figure)",
         driver=e16_driver,
         grid=grid(
             workload=("event_churn", "timer_churn", "broadcast_storm"),
@@ -1331,117 +1324,6 @@ register(
             quick=(True,),
         ),
         columns={"main": ("workload", "events/sec")},
-        cacheable=False,
-        deterministic=False,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# E20 — accelerator grid: backend x workload wall-clock rates
-# ---------------------------------------------------------------------------
-
-
-def e20_driver(params: Dict[str, Any], seed: int) -> TaskResult:
-    """One (workload, variant) cell of the accelerator grid.
-
-    The backend axis is ambient: the same grid run under
-    ``REPRO_ACCEL=0`` and ``REPRO_ACCEL=1`` (see
-    ``benchmarks/bench_e20_accel.py``) yields the backend column.  The
-    ``reference`` variant pins the pre-optimization paths — legacy
-    crypto via ``crypto_reference_mode`` and ``fast_paths=False``
-    networks — so optimized/reference is a pure-Python-wins ratio
-    measured on one machine.  ``timer_churn`` touches neither crypto
-    nor the network fast paths, so its variants coincide by design.
-    """
-    from .. import _core
-
-    workload = params["workload"]
-    reference = params["variant"] == "reference"
-    sizes = (E20_QUICK_SIZES if params["quick"] else E20_FULL_SIZES)[workload]
-    # Sub-second cells (storms, churn) take best-of-3: on a busy machine
-    # a single run can be 30% off; the wall-clock-heavy cells (SMR,
-    # fuzz) amortize noise over seconds and best-of-2 suffices.
-    if workload == "broadcast_storm":
-        n, rounds = sizes
-        if reference:
-            rate = max(
-                broadcast_storm(n, rounds, sim_net_factory=reference_sim_net)
-                for _ in range(3)
-            )
-        else:
-            rate = max(broadcast_storm(n, rounds) for _ in range(3))
-        unit = "events/sec"
-    elif workload == "cert_broadcast":
-        n, rounds = sizes
-        rate = max(cert_storm(n, rounds, reference=reference) for _ in range(3))
-        unit = "events/sec"
-    elif workload == "timer_churn":
-        (timers,) = sizes
-        rate = max(timer_churn(timers) for _ in range(3))
-        unit = "ops/sec"
-    elif workload == "smr_throughput":
-        clients, requests = sizes
-        rate = max(
-            smr_wall_rate(clients, requests, reference=reference)
-            for _ in range(2)
-        )
-        unit = "cmds/sec"
-    elif workload == "fuzz_seeds":
-        (budget,) = sizes
-        rate = max(fuzz_seed_rate(budget, reference=reference) for _ in range(2))
-        unit = "seeds/sec"
-    else:
-        (batches,) = sizes
-        rate = max(
-            crypto_verify_rate(batches, reference=reference) for _ in range(2)
-        )
-        unit = "verifies/sec"
-    # Rates are hardware-dependent: as in E16, the digest covers the
-    # cell identity only, so serial-vs-parallel checks stay meaningful.
-    return TaskResult(
-        rows=[
-            (
-                "main",
-                [workload, params["variant"], _core.BACKEND, unit, round(rate)],
-            )
-        ],
-        digest=_stable_digest(["E20", workload, params["variant"]]),
-    )
-
-
-register(
-    ExperimentSpec(
-        id="E20",
-        name="accel",
-        title="hot-path backend grid: optimized vs reference, per workload",
-        paper_ref="perf due diligence (see benchmarks/bench_e20_accel.py)",
-        driver=e20_driver,
-        grid=grid(
-            workload=(
-                "broadcast_storm",
-                "cert_broadcast",
-                "timer_churn",
-                "smr_throughput",
-                "fuzz_seeds",
-                "crypto_verify",
-            ),
-            variant=("reference", "optimized"),
-            quick=(False,),
-        ),
-        quick_grid=grid(
-            workload=(
-                "broadcast_storm",
-                "cert_broadcast",
-                "timer_churn",
-                "smr_throughput",
-                "fuzz_seeds",
-                "crypto_verify",
-            ),
-            variant=("reference", "optimized"),
-            quick=(True,),
-        ),
-        columns={"main": ("workload", "variant", "backend", "unit", "rate")},
         cacheable=False,
         deterministic=False,
     )

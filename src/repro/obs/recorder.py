@@ -380,7 +380,7 @@ class FlightRecorder:
         """The JSON-lines dump: header object, then one event per line.
 
         Contains no wall-clock timestamps or machine identity, so two
-        runs of the same schedule (e.g. pure vs accel backend) produce
+        runs of the same schedule (on any machine) produce
         byte-identical dumps — exactly what ``postmortem diff`` needs.
         """
         lines = [json.dumps(self.header(), sort_keys=True, default=str)]

@@ -12,7 +12,7 @@ The diagnosis workflow this package closes:
    cut of events that produced the conflicting decisions
    (``python -m repro.postmortem explain``);
 4. **diff** — compare two dumps, e.g. a failing fuzz seed vs its
-   shrunk reproducer, or a pure- vs accel-backend run
+   shrunk reproducer, or the same schedule before and after a change
    (``python -m repro.postmortem diff``).
 """
 

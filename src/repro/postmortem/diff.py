@@ -3,8 +3,9 @@
 Event ids are assignment order and may differ between runs that
 interleave differently, so the diff compares **normalized** events —
 ``(time, phase, kind, pid, peer, slot, view, detail)`` — in record
-order.  Two runs of the same deterministic schedule (pure vs accel
-backend, or a re-run of a fuzz reproducer) diff empty; a failing seed
+order.  Two runs of the same deterministic schedule (a re-run of a fuzz
+reproducer, or the same scenario on two commits that should not have
+changed behaviour) diff empty; a failing seed
 vs its shrunk form shows exactly where the executions part ways.
 """
 

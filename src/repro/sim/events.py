@@ -13,20 +13,13 @@ sequence number, so two runs with the same inputs produce the same event
 order, byte for byte.
 
 The queue is the hottest data structure in the repository — every message
-of every run passes through it — so its implementation lives in the
-pluggable backend layer :mod:`repro._core`, which provides two
-byte-for-byte interchangeable cores selected at import time:
+of every run passes through it — so its loops live with the rest of the
+measured hot path in :mod:`repro._core.pure`, and its structure is chosen
+for constant factor:
 
-* the pure-Python reference (:mod:`repro._core.pure`): each queued event
-  is a plain ``[time, seq, callback]`` list (lists compare element-wise
-  in C), cancellation overwrites the callback slot with ``None`` in
-  place, and the drain/run loops live behind small tight functions;
-* the optional compiled extension (``repro._core._accel``,
-  ``REPRO_ACCEL=0|1`` override): the same entries and the same order,
-  with the heap, the drain loop and the bound checks in C.
-
-Shared structural choices, whichever backend runs:
-
+* each queued event is a plain ``[time, seq, callback]`` list (lists
+  compare element-wise in C), and cancellation overwrites the callback
+  slot with ``None`` in place;
 * :meth:`Simulator.post` schedules a bare callback with no handle and no
   label at all: the network's delivery hot path goes through it;
 * handles (:class:`EventHandle`) are ``__slots__`` objects created only
@@ -40,7 +33,7 @@ Shared structural choices, whichever backend runs:
 
 None of this changes the execution order: events still fire in strict
 ``(time, seq)`` order, and the golden-trace digests in
-``tests/golden/scenario_digests.json`` pin that down — for both backends.
+``tests/golden/scenario_digests.json`` pin that down.
 """
 
 from __future__ import annotations
@@ -48,14 +41,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional, Union
 
-from .. import _core
 from .._core import FIRED as _FIRED
 from .._core import SimulationError, SimulationTimeout
 from .._core import pure as _pure
 
 __all__ = [
     "EventHandle",
-    "PurePySimulator",
     "Simulator",
     "SimulationError",
     "SimulationTimeout",
@@ -100,10 +91,10 @@ class EventHandle:
             self._sim._note_cancel()
 
 
-class PurePySimulator:
-    """A deterministic discrete-event simulator (pure-Python backend).
+class Simulator:
+    """A deterministic discrete-event simulator.
 
-    >>> sim = PurePySimulator()
+    >>> sim = Simulator()
     >>> fired = []
     >>> _ = sim.schedule(2.0, lambda: fired.append(sim.now))
     >>> _ = sim.schedule(1.0, lambda: fired.append(sim.now))
@@ -219,7 +210,7 @@ class PurePySimulator:
         self._compactions += 1
 
     # ------------------------------------------------------------------
-    # Execution (delegated to the backend loop functions)
+    # Execution (the loops live in repro._core.pure)
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
@@ -255,121 +246,6 @@ class PurePySimulator:
         simulated ``timeout`` passes without the predicate holding.
         """
         return _pure.run_pred(self, predicate, timeout, max_events)
-
-
-if _core.HAVE_ACCEL:
-
-    class AccelSimulator:
-        """The same simulator, with the heap and the loops in C.
-
-        Public surface and semantics are identical to
-        :class:`PurePySimulator` — same entry representation (plain
-        ``[time, seq, callback]`` lists, so :class:`EventHandle` works
-        unchanged), same ``(time, seq)`` order, same exception types and
-        messages.  The hot state (heap, sequence counter, clock,
-        compaction accounting) lives in a ``repro._core._accel.SimCore``
-        so the drain loop never re-enters the interpreter between
-        callbacks.
-        """
-
-        _COMPACT_MIN = 64
-
-        def __init__(self) -> None:
-            core = _core.accel.SimCore(self._COMPACT_MIN)
-            #: The C core; ``repro.sim.network`` detects this attribute
-            #: and routes its fast-path sends through it.
-            self._simcore = core
-            # Bind the C methods as instance attributes: `sim.post(...)`
-            # and handle cancellation reach C without a Python frame.
-            self.post = core.post
-            self._note_cancel = core.note_cancel
-
-        # -- clock / introspection ---------------------------------------
-
-        @property
-        def now(self) -> float:
-            return self._simcore.now
-
-        @property
-        def _now(self) -> float:
-            # The network hot path reads `sim._now` directly; keep the
-            # private spelling alive on the accel backend too.
-            return self._simcore.now
-
-        @property
-        def events_processed(self) -> int:
-            return self._simcore.events_processed
-
-        @property
-        def pending_events(self) -> int:
-            return self._simcore.pending_events
-
-        @property
-        def queue_depth(self) -> int:
-            return self._simcore.queue_depth
-
-        @property
-        def compactions(self) -> int:
-            return self._simcore.compactions
-
-        # -- scheduling ---------------------------------------------------
-
-        def schedule(
-            self,
-            delay: float,
-            callback: Callable[[], None],
-            label: Label = "",
-        ) -> EventHandle:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule in the past: delay={delay}"
-                )
-            core = self._simcore
-            return EventHandle(core.push(core.now + delay, callback), label, self)
-
-        def schedule_at(
-            self,
-            time: float,
-            callback: Callable[[], None],
-            label: Label = "",
-        ) -> EventHandle:
-            return EventHandle(self._simcore.push(time, callback), label, self)
-
-        # -- execution ----------------------------------------------------
-
-        def _compact(self) -> None:
-            self._simcore.compact()
-
-        def step(self) -> bool:
-            return self._simcore.step()
-
-        def run(
-            self,
-            until: Optional[float] = None,
-            max_events: Optional[int] = None,
-        ) -> None:
-            if until is None and max_events is None:
-                self._simcore.drain()
-            else:
-                self._simcore.run_bounded(until, max_events)
-
-        def run_until(
-            self,
-            predicate: Callable[[], bool],
-            timeout: float = 1_000_000.0,
-            max_events: int = 10_000_000,
-        ) -> float:
-            return self._simcore.run_pred(predicate, timeout, max_events)
-
-    __all__.append("AccelSimulator")
-
-
-#: The repository-wide simulator implementation, selected at import time
-#: by :mod:`repro._core` (``REPRO_ACCEL=0|1`` overrides auto-detection).
-if _core.BACKEND == "accel":
-    Simulator = AccelSimulator  # type: ignore[assignment]
-else:
-    Simulator = PurePySimulator  # type: ignore[assignment,misc]
 
 
 def run_simulation(setup: Callable[[Simulator], Any], until: float) -> Any:

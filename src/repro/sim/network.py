@@ -32,23 +32,18 @@ declarative fault primitives (used by the scenario engine in
   and released when the partition heals, re-timed by the delay model.
 
 The transport itself is the hottest code in the repository: every message
-of every experiment passes through :meth:`Network.send`.  When no rules,
-interceptor, partition, tracer, send hook or delivery log are active,
-sends take a zero-overhead fast path — no rule loop, no envelope
-re-timing, no per-delivery label, and the delivery callback is posted
-straight onto the simulator with :func:`functools.partial` instead of a
-fresh closure.  Envelopes are ``NamedTuple`` instances (constructed in
-C), the registered-pid tuple used by :meth:`Network.broadcast` is cached
-across calls, payload sizes are memoized by object identity through the
-bounded memo in :mod:`repro._core`, and the per-delivery log is opt-in
+of every experiment passes through :meth:`Network.send`, which sizes the
+payload and hands it to the one send path, ``_send_general``.  That path
+tests a single ``_slow`` flag for all re-timing machinery (rules,
+interceptor, partition); when it is clear and the payload is not traced
+or logged, the delivery is posted straight onto the simulator with
+:func:`functools.partial` over a prebound callback — no rule loop, no
+envelope re-timing, no per-delivery label or closure.  Envelopes are
+``NamedTuple`` instances (constructed in C), the registered-pid tuple
+used by :meth:`Network.broadcast` is cached across calls, payload sizes
+are memoized by object identity through the bounded memo in
+:mod:`repro._core`, and the per-delivery log is opt-in
 (``record_deliveries=True``) because nothing outside the tests reads it.
-
-The sizing, fast delivery and (on the compiled backend) the entire
-fast-path send live in the pluggable backend layer :mod:`repro._core`:
-when the simulator carries a C core and nothing slow is active, the send
-itself runs in the extension (``NetCore.send``) and the pure path is
-never entered.  Both paths produce identical envelopes, identical stats
-and identical delivery order — the golden trace digests pin it.
 """
 
 from __future__ import annotations
@@ -209,10 +204,8 @@ class Envelope(NamedTuple):
 Interceptor = Callable[[Envelope], Optional[float]]
 
 
-# payload_size is implemented by the backend layer (repro._core.pure is
-# the reference; the compiled extension must match it byte for byte) and
-# re-exported here because the digest, analysis and test layers import it
-# from this module.
+# payload_size lives in repro._core.pure and is re-exported here because
+# the digest, analysis and test layers import it from this module.
 
 
 @dataclass(frozen=True)
@@ -311,14 +304,13 @@ class Network:
         delay_model: Optional[DelayModel] = None,
         interceptor: Optional[Interceptor] = None,
         record_deliveries: bool = False,
-        fast_paths: bool = True,
     ) -> None:
         self.sim = sim
         self._post = sim.post  # bound once: called on every send
         self.stats = NetworkStats()
         self._handlers: Dict[ProcessId, Callable[[ProcessId, Any], None]] = {}
-        #: Bound once — the zero-rule delivery callback from the backend
-        #: layer; ``partial(self._deliver_ref, ...)`` posts it per send.
+        #: Bound once — the zero-rule delivery callback;
+        #: ``partial(self._deliver_ref, ...)`` posts it per send.
         self._deliver_ref = _core.make_deliver(self._handlers, self.stats)
         self._delivery_log: Optional[List[Envelope]] = (
             [] if record_deliveries else None
@@ -330,24 +322,13 @@ class Network:
         self._rule_index: Dict[str, Tuple[DelayRule, ...]] = {}
         self._partition: Optional[Tuple[FrozenSet[ProcessId], ...]] = None
         self._held: List[Envelope] = []
-        #: ``fast_paths=False`` is the measurement baseline for E20: it
-        #: pins the reference delivery path (per-delivery envelope
-        #: scheduling, uncached payload sizing, no compiled net core) so
-        #: the optimized paths have something honest to be compared
-        #: against.  Production code never passes it.
-        self._fast_paths = fast_paths
         #: id(payload) -> (payload, size).  The strong reference keeps the
         #: id valid for the lifetime of the entry (safe keying: see
         #: ``repro._core.pure.payload_size_cached``).
         self._size_memo: Dict[int, Tuple[Any, int]] = {}
-        #: The backend's bounded identity-keyed size memo.
-        self._size_fn: Callable[[Any], int]
-        if fast_paths:
-            self._size_fn = partial(
-                _core.payload_size_cached, self._size_memo, self.stats
-            )
-        else:
-            self._size_fn = _core.payload_size
+        self._size_fn: Callable[[Any], int] = partial(
+            _core.payload_size_cached, self._size_memo, self.stats
+        )
         self._pid_cache: Optional[Tuple[ProcessId, ...]] = None
         #: With a fixed-delay model the per-send model call is replaced by
         #: one float addition (set by the ``delay_model`` setter).
@@ -363,19 +344,9 @@ class Network:
         #: exposing ``wants(payload_type) -> bool`` only pay the traced
         #: path for types they care about; ``None`` means trace all.
         self._tracer_wants: Optional[Dict[type, bool]] = None
-        #: Compiled fast-path send (``repro._core._accel.NetCore``), built
-        #: only when the simulator carries a C core; ``_rebind_send``
-        #: routes ``self._send`` to it while nothing slow is active.
-        self._netcore: Optional[Any] = None
-        simcore = getattr(sim, "_simcore", None) if fast_paths else None
-        if simcore is not None and _core.accel is not None:
-            self._netcore = _core.accel.NetCore(
-                simcore, self._handlers, self.stats, Envelope
-            )
-        self._send: Callable[..., Envelope] = self._send_general
         self._interceptor = interceptor
         self.delay_model = delay_model or SynchronousDelay()
-        self._refresh_path()
+        self._refresh_slow()
 
     @property
     def delay_model(self) -> DelayModel:
@@ -391,8 +362,6 @@ class Network:
             self._fixed_delay = delta
         else:
             self._fixed_delay = None
-        if self._netcore is not None:
-            self._netcore.set_delay(self._fixed_delay, model)
 
     @property
     def interceptor(self) -> Optional[Interceptor]:
@@ -401,36 +370,14 @@ class Network:
     @interceptor.setter
     def interceptor(self, interceptor: Optional[Interceptor]) -> None:
         self._interceptor = interceptor
-        self._refresh_path()
+        self._refresh_slow()
 
-    def _refresh_path(self) -> None:
+    def _refresh_slow(self) -> None:
         self._slow = bool(
             self._delay_rules
             or self._interceptor is not None
             or self._partition is not None
         )
-        self._rebind_send()
-
-    def _rebind_send(self) -> None:
-        """Route ``self._send`` to the compiled fast path when eligible.
-
-        Eligible means: a C net core exists and nothing that needs the
-        general path is active — no re-timing machinery (``_slow``), no
-        tracer, no send hooks, no delivery log.  Every mutator of those
-        conditions calls back here, so the dispatch is one attribute
-        read per send instead of four condition tests.
-        """
-        core = self._netcore
-        if (
-            core is not None
-            and not self._slow
-            and self._tracer is None
-            and not self._send_hooks
-            and self._delivery_log is None
-        ):
-            self._send = core.send
-        else:
-            self._send = self._send_general
 
     # ------------------------------------------------------------------
     # Registration
@@ -459,7 +406,6 @@ class Network:
     def add_send_hook(self, hook: Callable[[Envelope], None]) -> None:
         """Observe every send (used by the trace recorder)."""
         self._send_hooks.append(hook)
-        self._rebind_send()
 
     def install_tracer(self, tracer: Optional[Any]) -> None:
         """Install (or remove, with ``None``) a causal tracer.
@@ -478,7 +424,6 @@ class Network:
         self._tracer_wants = (
             {} if callable(getattr(tracer, "wants", None)) else None
         )
-        self._rebind_send()
 
     # ------------------------------------------------------------------
     # Declarative fault primitives: delay rules and partitions
@@ -492,14 +437,14 @@ class Network:
         """
         self._delay_rules[rule.name] = rule
         self._rule_index.clear()
-        self._refresh_path()
+        self._refresh_slow()
         return rule
 
     def clear_delay_rule(self, name: str) -> None:
         """Remove the named rule.  Unknown names are a no-op."""
         self._delay_rules.pop(name, None)
         self._rule_index.clear()
-        self._refresh_path()
+        self._refresh_slow()
 
     @property
     def delay_rules(self) -> Tuple[DelayRule, ...]:
@@ -536,7 +481,7 @@ class Network:
                 raise ValueError(f"process in multiple partition groups: {frozen}")
             seen |= group
         self._partition = frozen
-        self._refresh_path()
+        self._refresh_slow()
 
     def heal_partition(self) -> None:
         """Remove the partition and release held messages.
@@ -548,7 +493,7 @@ class Network:
         bypasses their contract.
         """
         self._partition = None
-        self._refresh_path()
+        self._refresh_slow()
         held, self._held = self._held, []
         now = self.sim.now
         for envelope in held:
@@ -590,15 +535,14 @@ class Network:
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> Envelope:
         """Send ``payload`` from ``src`` to ``dst``; returns the envelope."""
-        return self._send(src, dst, payload, self._size_fn(payload))
+        return self._send_general(src, dst, payload, self._size_fn(payload))
 
     def _send_general(
         self, src: ProcessId, dst: ProcessId, payload: Any, size: int
     ) -> Envelope:
-        """The pure-Python transport path; ``size`` is pre-computed so
-        broadcasts account the payload once instead of probing the memo
-        per recipient.  ``self._send`` points here unless the compiled
-        fast path is bound (see :meth:`_rebind_send`)."""
+        """The one transport path; ``size`` is pre-computed so broadcasts
+        account the payload once instead of probing the memo per
+        recipient."""
         if dst not in self._handlers:
             raise ValueError(f"unknown destination process {dst}")
         now = self.sim._now
@@ -642,7 +586,7 @@ class Network:
             stats.messages_held += 1
             self._held.append(envelope)
             return envelope
-        if not traced and self._delivery_log is None and self._fast_paths:
+        if not traced and self._delivery_log is None:
             self._post(deliver, partial(self._deliver_ref, dst, src, payload))
         else:
             # Tracing needs the envelope at delivery; the schedule keeps
@@ -686,7 +630,7 @@ class Network:
         tuple — nothing here is per-recipient except the send itself.
         """
         size = self._size_fn(payload)
-        send = self._send
+        send = self._send_general
         if include_self:
             return [send(src, dst, payload, size) for dst in self.process_ids]
         return [

@@ -1,13 +1,16 @@
 """Unit tests for the simulated signature scheme."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.crypto.keys import (
-    KeyRegistry,
-    Signature,
-    canonical_bytes,
-    crypto_reference_mode,
-)
+from repro.core.messages import Ack, Propose
+from repro.crypto.keys import KeyRegistry, Signature, canonical_bytes
+from repro.sim.network import payload_size
+from repro.smr.replica import Batch
+
+VECTORS_PATH = Path(__file__).parent / "golden" / "canonical_vectors.json"
 
 
 @pytest.fixture
@@ -201,9 +204,9 @@ class TestCanonicalBytes:
 
 
 class TestCanonicalMemo:
-    """The bounded identity-keyed serialization memo (this PR's
-    pure-Python crypto win #1): one canonical_bytes walk per payload
-    object across sign / verify / verify_all."""
+    """The bounded identity-keyed serialization memo: one
+    canonical_bytes walk per (hashable) payload object across sign /
+    verify / verify_all."""
 
     def test_sign_then_verify_serializes_once(self, registry):
         payload = ("propose", "x", 1)
@@ -232,23 +235,38 @@ class TestCanonicalMemo:
             signer.sign(("payload", i))
         assert len(registry._canonical_memo) == KeyRegistry.CANONICAL_MEMO_LIMIT
 
-    def test_memo_can_be_disabled(self):
-        registry = KeyRegistry.for_processes(range(2), )
-        plain = KeyRegistry(canonical_memo=False)
-        plain.add_process(0)
-        payload = ("x", 1)
-        sig = plain.signer(0).sign(payload)
-        assert plain.verify(sig, payload)
-        assert plain.canonical_hits == 0
-        assert plain.canonical_misses == 0
-        # Same digests with and without the memo: pure caching, no
-        # semantic difference.
-        assert sig.digest == registry.signer(0).sign(payload).digest
+    @pytest.mark.parametrize(
+        "make, mutate",
+        [
+            (lambda: ["transfer", "alice", 10],
+             lambda p: p.__setitem__(2, 10_000)),
+            (lambda: {"op": "transfer", "amount": 10},
+             lambda p: p.__setitem__("amount", 10_000)),
+            (lambda: ("transfer", ["alice", 10]),
+             lambda p: p[1].__setitem__(1, 10_000)),
+        ],
+        ids=["list", "dict", "tuple-containing-list"],
+    )
+    def test_payload_mutated_after_signing_fails_verification(
+        self, registry, make, mutate
+    ):
+        """An identity hit must never serve bytes computed before the
+        payload changed: a payload that *can* change is not memoized."""
+        payload = make()
+        sig = registry.signer(0).sign(payload)
+        assert registry.verify(sig, payload)
+        assert registry.verify_all([sig], payload)
+        mutate(payload)
+        assert not registry.verify(sig, payload)
+        assert not registry.verify_all([sig], payload)
+        assert registry.canonical_hits == 0
+        # An honest signature over the new contents still verifies.
+        assert registry.verify(registry.signer(0).sign(payload), payload)
 
 
 class TestBatchedVerifyAll:
-    """verify_all (pure-Python crypto win #2): canonicalize and hash the
-    payload once per certificate, not once per signature."""
+    """verify_all: canonicalize and hash the payload once per
+    certificate, not once per signature."""
 
     def test_batch_canonicalizes_once(self, registry):
         payload = ("certack", "x", 2)
@@ -263,28 +281,24 @@ class TestBatchedVerifyAll:
         assert registry.verify_all(sigs, payload)
         assert registry.cache_hits == hits_before + len(sigs)
 
-    def test_batch_matches_legacy_loop(self):
+    def test_batch_matches_legacy_loop(self, registry):
         """Batched and per-signature verification must agree on every
         outcome: all-valid, one-invalid, unknown signer, empty set."""
         payload = ("decide", "v", 9)
         other = ("decide", "w", 9)
-
-        def outcomes(registry):
-            sigs = [registry.signer(pid).sign(payload) for pid in range(3)]
-            bad = sigs + [registry.signer(3).sign(other)]
-            unknown = sigs + [Signature(signer=99, digest=b"x" * 32)]
-            return (
-                registry.verify_all(sigs, payload),
-                registry.verify_all(bad, payload),
-                registry.verify_all(unknown, payload),
-                registry.verify_all([], payload),
-                registry.verify_all(sigs, other),
-            )
-
-        batched = outcomes(KeyRegistry.for_processes(range(4)))
-        with crypto_reference_mode():
-            legacy = outcomes(KeyRegistry.for_processes(range(4)))
-        assert batched == legacy == (True, False, True and False, True, False)
+        sigs = [registry.signer(pid).sign(payload) for pid in range(3)]
+        bad = sigs + [registry.signer(3).sign(other)]
+        unknown = sigs + [Signature(signer=99, digest=b"x" * 32)]
+        cases = [
+            (sigs, payload, True),
+            (bad, payload, False),
+            (unknown, payload, False),
+            ([], payload, True),
+            (sigs, other, False),
+        ]
+        for signatures, over, expected in cases:
+            loop = all(registry.verify(s, over) for s in signatures)
+            assert registry.verify_all(signatures, over) == loop == expected
 
     def test_short_circuits_on_first_failure(self, registry):
         payload = ("p", 1)
@@ -295,22 +309,100 @@ class TestBatchedVerifyAll:
         # Only the failing signature was HMAC-checked.
         assert registry.cache_misses == misses_before + 1
 
-    def test_reference_mode_disables_both_fast_paths(self):
-        with crypto_reference_mode():
-            registry = KeyRegistry.for_processes(range(3))
-            payload = ("x", 1)
-            sigs = [registry.signer(pid).sign(payload) for pid in range(3)]
-            assert registry.verify_all(sigs, payload)
-            assert registry.batch_verifies == 0
-            assert registry.canonical_hits == 0
-        # Defaults restored on exit.
-        fresh = KeyRegistry.for_processes(range(1))
-        fresh.signer(0).sign(("y",))
-        assert fresh.canonical_misses == 1
 
-    def test_explicit_kwargs_beat_reference_mode(self):
-        with crypto_reference_mode():
-            registry = KeyRegistry(canonical_memo=True, batch_verify=True)
-            registry.add_process(0)
-            registry.signer(0).sign(("z",))
-            assert registry.canonical_misses == 1
+# ---------------------------------------------------------------------------
+# The canonical wire/disk format, pinned to literals
+# ---------------------------------------------------------------------------
+
+
+class _Blob:
+    """An object payload sized via the ``__dict__`` fallback path."""
+
+    def __init__(self):
+        self.a = 1
+        self.b = "two"
+
+    def __repr__(self):
+        return "_Blob()"  # the TypeError text embeds it: keep it stable
+
+
+_TAU = Signature(signer=0, digest=b"\x07" * 32)
+
+#: name -> value; the committed vector file holds name -> expected output.
+VECTOR_CORPUS = {
+    "none": None,
+    "true": True,
+    "false": False,
+    "int-0": 0,
+    "int-1": 1,
+    "int-neg-1": -1,
+    "int-1e40": 10**40,
+    "int-neg-1e40": -(10**40),
+    "float-0": 0.0,
+    "float-neg-0": -0.0,
+    "float-1.5": 1.5,
+    "float-neg-2.75": -2.75,
+    "float-1e300": 1e300,
+    "float-denormal": 5e-324,
+    "str-empty": "",
+    "str-ascii": "hello",
+    "str-unicode": "héllo wörld ☃",
+    "bytes-empty": b"",
+    "bytes-raw": b"\x00\xff raw",
+    "tuple-empty": (),
+    "tuple-mixed": (1, "a", None),
+    "list-nested": [1, [2, [3]]],
+    "set-ints": {1, 2, 3},
+    "frozenset-strs": frozenset({"a", "b"}),
+    "dict-unsorted": {"b": 2, "a": 1},
+    "dict-nested": {("k", 1): [True, None], "nested": {"x": b"y"}},
+    "signature": Signature(signer=3, digest=b"\x01" * 32),
+    "tuple-with-signature": (
+        "msg", Signature(signer=0, digest=b"d"), {7: (8.5, "x")}
+    ),
+    "propose": Propose(value="x", view=1, cert=None, tau=_TAU),
+    "ack": Ack("x", 1),
+    "batch": Batch(entries=((4, 0, ("set", "k", 1)), (5, 2, ("get", "k")))),
+    # Not canonicalizable (the vector pins the TypeError text), but
+    # sized: bytearray by length, _Blob via __dict__, complex via repr.
+    "bytearray": bytearray(b"mutable"),
+    "blob": _Blob(),
+    "complex": complex(1, 2),
+}
+
+
+def _vector_of(value):
+    try:
+        canonical = {"canonical": canonical_bytes(value).hex()}
+    except TypeError as exc:
+        canonical = {"error": str(exc)}
+    return {**canonical, "size": payload_size(value)}
+
+
+def write_canonical_vectors():
+    """Regenerate ``tests/golden/canonical_vectors.json`` (see
+    :func:`test_canonical_vector`)."""
+    vectors = {
+        name: _vector_of(value) for name, value in VECTOR_CORPUS.items()
+    }
+    VECTORS_PATH.write_text(
+        json.dumps(vectors, indent=1) + "\n", encoding="utf-8"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_CORPUS))
+def test_canonical_vector(name):
+    """``canonical_bytes`` and ``payload_size`` against committed literals.
+
+    Signatures, ``state_digest``, ``FileWAL`` records and checkpoint
+    files are all computed over ``canonical_bytes``, and every bandwidth
+    metric over ``payload_size`` — so a change to either output is a
+    wire/disk format change, not a refactor.  If one is intended,
+    regenerate the vectors and review the diff::
+
+        PYTHONPATH=src python -c "from tests.test_crypto import \\
+            write_canonical_vectors as w; w()"
+    """
+    vectors = json.loads(VECTORS_PATH.read_text(encoding="utf-8"))
+    assert sorted(vectors) == sorted(VECTOR_CORPUS)
+    assert _vector_of(VECTOR_CORPUS[name]) == vectors[name]

@@ -60,7 +60,8 @@ class TestRegistryCompleteness:
             assert exp_id in documented, f"{exp_id} registered but not in EXPERIMENTS.md"
 
     def test_registry_covers_e1_to_e21(self):
-        assert experiment_ids() == [f"E{i}" for i in range(1, 22)]
+        # Id 20 is retired (see EXPERIMENTS.md) and not reused.
+        assert experiment_ids() == [f"E{i}" for i in range(1, 22) if i != 20]
 
     def test_lookup_by_id_and_name(self):
         assert get_experiment("E1") is get_experiment("resilience")
@@ -71,21 +72,20 @@ class TestRegistryCompleteness:
     def test_benchmarks_delegate_to_registry_entries(self):
         """Every bench_e*.py must fetch its rows from its registry entry
         (no duplicated sweep loops): it references the conftest
-        ``sections`` helper (or, for E16's legacy measuring stick,
-        ``run_sections``) with its own experiment id."""
+        ``sections`` helper with its own experiment id."""
         bench_dir = REPO_ROOT / "benchmarks"
         scripts = sorted(bench_dir.glob("bench_e*.py"))
-        assert len(scripts) == 21
+        assert len(scripts) == 20
         for script in scripts:
             exp_id = "E" + re.match(r"bench_e(\d+)_", script.name).group(1)
             text = script.read_text(encoding="utf-8")
             delegates = re.search(
-                rf"""(sections|run_sections)\(\s*['"]{exp_id}['"]""", text
+                rf"""\bsections\(\s*['"]{exp_id}['"]""", text
             )
             assert delegates, f"{script.name} does not delegate to {exp_id}"
             # The old hand-rolled sweeps built process lists in the
             # benchmark itself; wrappers must not.
-            assert "Cluster(" not in text or exp_id == "E16", script.name
+            assert "Cluster(" not in text, script.name
 
     def test_specs_have_sections_and_grids(self):
         for spec in all_experiments():
@@ -322,7 +322,7 @@ class TestLegacyCompat:
     def test_experiments_mapping_iterates_registry_names(self):
         names = list(EXPERIMENTS)
         assert "resilience" in names and "throughput" in names
-        assert len(names) == 21
+        assert len(names) == 20
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,8 @@ nothing about the execution (the committed golden digests).
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-import pytest
-
-from repro import _core
 from repro.core.messages import Ack, Propose
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import (
@@ -29,11 +23,6 @@ from repro.scenarios.runner import run_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "scenario_digests.json"
-
-needs_accel = pytest.mark.skipif(
-    not _core.HAVE_ACCEL, reason="compiled backend not built/loaded"
-)
-
 
 def _record(name: str):
     recorder = FlightRecorder()
@@ -180,44 +169,6 @@ class TestDemotionCausalChain:
             "chain in the flight record"
         )
 
-    def test_demotion_chain_on_the_other_backend(self):
-        """Same chain, opposite backend (subprocess: import-time choice).
-
-        The in-process test covers whichever backend this suite runs
-        under; this probe pins the other one so the chain is verified
-        under both regardless of the ambient REPRO_ACCEL.
-        """
-        other = "0" if _core.BACKEND == "accel" else "1"
-        if other == "1" and not _core.HAVE_ACCEL:
-            pytest.skip("compiled backend not built")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        env["REPRO_ACCEL"] = other
-        code = (
-            "import json\n"
-            "from repro.obs.recorder import FlightRecorder\n"
-            "from repro.scenarios.library import get_scenario\n"
-            "from repro.scenarios.runner import run_scenario\n"
-            "from tests.test_recorder import _demotion_chain_ok\n"
-            "rec = FlightRecorder()\n"
-            "res = run_scenario(get_scenario('slow-leader'), recorder=rec)\n"
-            "print(json.dumps({'ok': res.ok, 'chain': _demotion_chain_ok(rec),\n"
-            "                  'digest': res.trace_digest}))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        payload = json.loads(result.stdout.splitlines()[-1])
-        golden = json.loads(GOLDEN_PATH.read_text())
-        assert payload["ok"]
-        assert payload["chain"]
-        assert payload["digest"] == golden["slow-leader"]
-
 
 # ---------------------------------------------------------------------------
 # Digest safety: recording must not perturb the execution
@@ -227,8 +178,7 @@ class TestDemotionCausalChain:
 class TestRecorderDigestSafety:
     def test_all_golden_digests_unchanged_with_recorder_attached(self):
         """Every canonical scenario, recorder on, against the committed
-        goldens — byte-identical.  CI runs this suite under both
-        backends, so the sweep covers pure and accel."""
+        goldens — byte-identical."""
         golden = json.loads(GOLDEN_PATH.read_text())
         mismatches = {}
         for name in SCENARIOS:

@@ -414,3 +414,110 @@ class TestCompactionStorms:
         sim._compact()
         assert sim.compactions == before + 2
         assert sim.queue_depth == 1
+
+
+class TestFullWorkloadTrace:
+    """One mixed schedule/post/cancel/compact workload with everything
+    observable pinned to literals: firing order, clock values *and types*
+    (int times stay ints), counters, and the exact text of every error."""
+
+    def test_trace_is_exactly_this(self):
+        trace = []
+        sim = Simulator()
+        trace.append(("t0", sim.now, type(sim.now).__name__))
+
+        def fire(tag):
+            trace.append((tag, sim.now, type(sim.now).__name__))
+
+        # Int and float times interleaved; ties broken by sequence.
+        sim.schedule(2, lambda: fire("int-2"))
+        sim.schedule(2.0, lambda: fire("float-2"))
+        sim.schedule_at(1, lambda: fire("at-1"))
+        sim.post(3, lambda: fire("post-3"))
+        doomed = [sim.schedule(5.0, lambda: fire("doomed")) for _ in range(100)]
+        keeper = sim.schedule(4.0, lambda: fire("keeper"), label="keep")
+        for handle in doomed:
+            handle.cancel()
+            handle.cancel()  # idempotent
+        trace.append(("depth", sim.queue_depth, sim.pending_events))
+        sim._compact()
+        trace.append(
+            ("compacted", sim.queue_depth, sim.pending_events, sim.compactions)
+        )
+
+        def nest():
+            fire("nest")
+            sim.post(sim.now, lambda: fire("nest-child"))
+
+        sim.schedule_at(6, nest)
+        sim.run(until=4.5)
+        trace.append(("bounded", sim.now, type(sim.now).__name__))
+        assert not keeper.cancelled
+        sim.run()
+        trace.append(
+            ("drained", sim.now, type(sim.now).__name__, sim.events_processed)
+        )
+        assert trace == [
+            ("t0", 0.0, "float"),
+            ("depth", 41, 5),
+            ("compacted", 5, 5, 2),
+            ("at-1", 1, "int"),
+            ("int-2", 2.0, "float"),
+            ("float-2", 2.0, "float"),
+            ("post-3", 3, "int"),
+            ("keeper", 4.0, "float"),
+            ("bounded", 4.5, "float"),
+            ("nest", 6, "int"),
+            ("nest-child", 6, "int"),
+            ("drained", 6, "int", 7),
+        ]
+
+        for trigger, message in [
+            (lambda: sim.schedule(-1.0, lambda: None),
+             "cannot schedule in the past: delay=-1.0"),
+            (lambda: sim.schedule_at(0, lambda: None),
+             "cannot schedule in the past: time=0 < now=6"),
+            (lambda: sim.post(0.5, lambda: None),
+             "cannot schedule in the past: time=0.5 < now=6"),
+        ]:
+            with pytest.raises(SimulationError) as err:
+                trigger()
+            assert str(err.value) == message
+
+    def test_bound_and_timeout_messages(self):
+        sim = Simulator()
+        for i in range(10):
+            sim.schedule(float(i), lambda: None)
+        with pytest.raises(SimulationError) as err:
+            sim.run(max_events=3)
+        assert str(err.value) == "exceeded max_events=3 at time 2.0"
+
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationTimeout) as err:
+            sim.run_until(lambda: False, timeout=5.0, max_events=100)
+        assert str(err.value) == (
+            "predicate not satisfied by time 1.0 (1 events executed)"
+        )
+
+        sim = Simulator()
+        box = []
+        sim.schedule(2.5, lambda: box.append(1))
+        at = sim.run_until(lambda: bool(box), timeout=10.0)
+        assert at == 2.5 and type(at) is float
+
+    def test_callback_exception_consumes_the_event_and_queue_continues(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, lambda: fired.append("before"))
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, lambda: fired.append("after"))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert fired == ["before"]
+        sim.run()
+        assert fired == ["before", "after"]

@@ -1,16 +1,20 @@
 """Unit tests for the simulated network and delay models."""
 
 import math
+import sys
 
 import pytest
 
+from repro._core import SIZE_MEMO_LIMIT, payload_size_cached
 from repro.sim.events import Simulator
 from repro.sim.network import (
     Network,
+    NetworkStats,
     PartialSynchronyDelay,
     RandomDelay,
     RoundSynchronousDelay,
     SynchronousDelay,
+    payload_size,
 )
 
 
@@ -134,8 +138,19 @@ class TestNetwork:
 
     def test_unknown_destination_rejected(self):
         sim, net, _ = make_network()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown destination process 99"):
             net.send(0, 99, "x")
+
+    def test_delay_model_returning_invalid_delay_rejected(self):
+        class BadModel:
+            def delay(self, src, dst, send_time):
+                return -1.0
+
+        sim, net, _ = make_network(BadModel())
+        with pytest.raises(
+            ValueError, match="delay model returned invalid delay -1.0"
+        ):
+            net.send(0, 0, "x")
 
     def test_duplicate_registration_rejected(self):
         sim, net, _ = make_network()
@@ -225,8 +240,6 @@ class TestPayloadSizeMemo:
         assert net.stats.size_cache_hits == 2
 
     def test_bytes_accounting_matches_unmemoized_walk(self):
-        from repro.sim.network import payload_size
-
         sim, net, _ = make_network()
         a = ("client-request", "k1", 1)
         b = ("replica-gossip", "k2", 2)
@@ -235,6 +248,109 @@ class TestPayloadSizeMemo:
         net.broadcast(0, a)
         expected = 4 * (2 * payload_size(a) + payload_size(b))
         assert net.stats.bytes_sent == expected
+
+
+class TestSizeMemoSafety:
+    """The identity-keyed payload-size memo must survive CPython id reuse."""
+
+    def test_stale_entry_with_aliased_id_cannot_hit(self):
+        """The regression the safe keying exists for: an entry whose id()
+        key aliases a *different* live object (as happens when a memo
+        without strong references outlives its payload) must miss."""
+        memo, stats = {}, NetworkStats()
+        stale_payload = ("old",)
+        fresh_payload = ("this", "is", "new")
+        memo[id(fresh_payload)] = (stale_payload, 999_999)
+        assert payload_size_cached(memo, stats, fresh_payload) == payload_size(
+            fresh_payload
+        )
+        assert stats.size_cache_hits == 0
+        assert stats.size_cache_misses == 1
+        # The stale entry was overwritten with a correct one.
+        assert memo[id(fresh_payload)][0] is fresh_payload
+
+    def test_id_reuse_under_churn_stays_correct(self):
+        """Drive real id reuse: same-shape tuples die every iteration, so
+        CPython's allocator hands later payloads the ids of evicted dead
+        ones.  Sizes must stay correct throughout, and (on CPython) the
+        hazard must actually have occurred for the test to mean anything."""
+        memo, stats = {}, NetworkStats()
+        seen_ids = set()
+        reused = 0
+        for i in range(4000):
+            payload = ("key", "v" * (i % 3), i % 2 == 0)
+            if id(payload) in seen_ids:
+                reused += 1
+            assert payload_size_cached(memo, stats, payload) == payload_size(
+                payload
+            )
+            seen_ids.add(id(payload))
+            del payload
+        assert len(memo) <= SIZE_MEMO_LIMIT
+        if sys.implementation.name == "cpython":
+            assert reused > 0, "workload never recycled an id"
+
+    def test_eviction_is_oldest_first_not_wholesale(self):
+        memo, stats = {}, NetworkStats()
+        payloads = [("p", i) for i in range(SIZE_MEMO_LIMIT + 1)]
+        for payload in payloads:
+            payload_size_cached(memo, stats, payload)
+        assert len(memo) == SIZE_MEMO_LIMIT
+        # Only the oldest entry fell out; the rest still hit.
+        hits_before = stats.size_cache_hits
+        for payload in payloads[1:]:
+            payload_size_cached(memo, stats, payload)
+        assert stats.size_cache_hits == hits_before + len(payloads) - 1
+
+
+class TestSendDeliverTrace:
+    """Sends, a broadcast, an unregister and a memo hit with every
+    observable pinned to literals: envelopes, per-inbox delivery order and
+    clock types, stats counters, and the simulator's event count."""
+
+    @pytest.mark.parametrize(
+        "delay_model, at",
+        [(SynchronousDelay(1.0), 1.0), (RoundSynchronousDelay(2.0), 2.0)],
+        ids=["fixed", "model"],
+    )
+    def test_trace_is_exactly_this(self, delay_model, at):
+        sim = Simulator()
+        net = Network(sim, delay_model=delay_model)
+        inboxes = {pid: [] for pid in range(4)}
+        for pid in range(4):
+            net.register(
+                pid,
+                lambda src, payload, pid=pid: inboxes[pid].append(
+                    (src, payload, sim.now, type(sim.now).__name__)
+                ),
+            )
+        req = ("req", "value", 7)
+        gossip = ("gossip", 2)
+        envelopes = [net.send(0, dst, req) for dst in range(4)]
+        envelopes += net.broadcast(1, gossip, include_self=False)
+        net.unregister(3)
+        net.send(0, 2, req)  # memo hit
+        sim.run()
+
+        assert [tuple(env) for env in envelopes] == [
+            (0, dst, req, 0.0, at, None) for dst in range(4)
+        ] + [(1, dst, gossip, 0.0, at, None) for dst in (0, 2, 3)]
+        assert inboxes == {
+            0: [(0, req, at, "float"), (1, gossip, at, "float")],
+            1: [(0, req, at, "float")],
+            2: [(0, req, at, "float"), (1, gossip, at, "float"),
+                (0, req, at, "float")],
+            3: [],  # unregistered while its messages were in flight
+        }
+        stats = net.stats
+        assert (
+            stats.messages_sent,
+            stats.messages_delivered,
+            stats.bytes_sent,
+            stats.size_cache_hits,
+            stats.size_cache_misses,
+        ) == (8, 6, 151, 4, 2)
+        assert (sim.events_processed, sim.now) == (8, at)
 
 
 class TestRegistrationCache:
