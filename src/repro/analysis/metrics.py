@@ -74,8 +74,8 @@ class CommonCaseResult:
     delays: Optional[int]
     messages: int
     messages_by_type: Dict[str, int]
-    #: Estimated bytes put on the wire up to the decision (see
-    #: :func:`repro.sim.network.payload_size`).
+    #: Estimated bytes put on the wire up to the decision (the sizes the
+    #: network accounted per send, :attr:`repro.sim.network.Envelope.size`).
     bytes_sent: int = 0
 
 
@@ -98,8 +98,6 @@ def run_common_case(
     if result.decided and isinstance(model, RoundSynchronousDelay):
         delays = message_delays(result.decision_time, delta)
     # Count only messages sent up to the decision (pacemakers keep running).
-    from ..sim.network import payload_size
-
     if result.decided:
         messages = sum(
             1
@@ -115,7 +113,7 @@ def run_common_case(
             continue
         name = type(env.payload).__name__
         by_type[name] = by_type.get(name, 0) + 1
-        bytes_sent += payload_size(env.payload)
+        bytes_sent += env.size
     return CommonCaseResult(
         decided=result.decided,
         value=result.decision_value,
@@ -306,7 +304,6 @@ def run_catchup(
     reported number is exactly reproducible.
     """
     from ..core.config import DurabilityConfig, ReplicationConfig
-    from ..sim.network import payload_size
     from ..smr.client import SMRClient
     from ..smr.kvstore import KVStore
     from ..smr.replica import SMRReplica
@@ -366,7 +363,7 @@ def run_catchup(
             continue
         if type(env.payload).__name__ in ("CatchupRequest", "CatchupReply"):
             catchup_messages += 1
-            catchup_bytes += payload_size(env.payload)
+            catchup_bytes += env.size
     reference = max(survivors, key=lambda r: r.executed_upto)
     digests_equal = state_digest(victim.state_machine.snapshot()) == state_digest(
         reference.state_machine.snapshot()

@@ -3,27 +3,33 @@
 The simulation core is allowed to get faster, never different: every
 optimization must leave the executions the paper reasons about
 byte-for-byte identical.  :func:`trace_digest` condenses a finished run —
-every send (endpoints, payload type, structural size, send and delivery
+every send (endpoints, payload type, accounted size, send and delivery
 times), every decision, and the final event-loop counters — into one
 SHA-256 hex digest.  Two runs of the same scenario must produce the same
 digest; the golden digests recorded against the pre-optimization core
 (``tests/golden/scenario_digests.json``) pin the fast path to the slow
 path's executions forever.
 
-The digest deliberately hashes payload *type names and structural sizes*
-rather than ``repr`` of payloads: reprs of sets and frozensets depend on
+The digest deliberately hashes payload *type names and sizes* rather
+than ``repr`` of payloads: reprs of sets and frozensets depend on
 ``PYTHONHASHSEED`` across interpreter processes, while type names, sizes
 and times are stable everywhere.  Decision values are hashed via ``repr``
 — decided values in this codebase are strings, tuples and ``Batch``
 dataclasses, all with order-stable reprs.
+
+The size is ``Envelope.size``: the structural size the network charged to
+``NetworkStats.bytes_sent`` when the message was sent, not a
+``payload_size`` walk after the run.  The two are equal because payloads
+are immutable once sent (frozen dataclasses over tuples and primitives —
+a message on the wire cannot change).  A digest that moves when nothing
+else did therefore means some payload *was* mutated between send and end
+of run: an aliasing bug, not a stale golden.
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import TYPE_CHECKING
-
-from .network import payload_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from .events import Simulator
@@ -51,7 +57,7 @@ def trace_digest(
         update(
             (
                 f"s|{env.src}|{env.dst}|{type(env.payload).__name__}"
-                f"|{payload_size(env.payload)}"
+                f"|{env.size}"
                 f"|{env.send_time!r}|{env.deliver_time!r}\n"
             ).encode()
         )

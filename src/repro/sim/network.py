@@ -42,7 +42,8 @@ envelope re-timing, no per-delivery label or closure.  Envelopes are
 ``NamedTuple`` instances (constructed in C), the registered-pid tuple
 used by :meth:`Network.broadcast` is cached across calls, payload sizes
 are memoized by object identity through the bounded memo in
-:mod:`repro._core`, and the per-delivery log is opt-in
+:mod:`repro._core` and kept on the envelope (so nothing downstream sizes
+a payload twice), and the per-delivery log is opt-in
 (``record_deliveries=True``) because nothing outside the tests reads it.
 """
 
@@ -185,6 +186,11 @@ class Envelope(NamedTuple):
     A ``NamedTuple`` rather than a dataclass: envelopes are created once
     per send on the hot path, and C-level tuple construction is several
     times cheaper than a frozen dataclass ``__init__``.
+
+    An envelope is also the *record* of its send: the send hooks (the
+    trace recorder) keep it, so everything the digest and the byte
+    metrics need — endpoints, times and the accounted ``size`` — is read
+    back from it after the run, never recomputed from the payload.
     """
 
     src: ProcessId
@@ -192,6 +198,9 @@ class Envelope(NamedTuple):
     payload: Any
     send_time: float
     deliver_time: float
+    #: Structural size of ``payload`` as charged to
+    #: ``NetworkStats.bytes_sent``; required, so no envelope lacks it.
+    size: int
     #: Causal-trace id of the send event (see :mod:`repro.obs.tracing`);
     #: defaulted so the field is invisible to untraced runs — positional
     #: construction, payload-keyed digests and sizes are all unchanged.
@@ -498,14 +507,7 @@ class Network:
         now = self.sim.now
         for envelope in held:
             delay = self._delay_model.delay(envelope.src, envelope.dst, now)
-            released = Envelope(
-                envelope.src,
-                envelope.dst,
-                envelope.payload,
-                envelope.send_time,
-                now + delay,
-                envelope.trace,
-            )
+            released = envelope._replace(deliver_time=now + delay)
             self._schedule_delivery(self._retime(released))
 
     @property
@@ -554,7 +556,7 @@ class Network:
             if not 0.0 <= delay < _INF:  # also rejects NaN (comparisons False)
                 raise ValueError(f"delay model returned invalid delay {delay}")
             deliver = now + delay
-        envelope = Envelope(src, dst, payload, now, deliver)
+        envelope = Envelope(src, dst, payload, now, deliver, size)
         # Zero-rule fast path: with no delay rules, no interceptor and no
         # partition active (``_slow`` is maintained by their mutators), the
         # envelope is final — skip the rule loop, the re-timing

@@ -37,7 +37,13 @@ class Decision:
 
 
 class TraceRecorder:
-    """Records message sends and decisions for later analysis."""
+    """Records message sends and decisions for later analysis.
+
+    ``sends`` holds the network's own envelopes, in send order, each
+    carrying the size the network accounted for it — so
+    ``sum(e.size for e in sends) == network.stats.bytes_sent`` and the
+    trace digest formats that size rather than sizing payloads again.
+    """
 
     def __init__(self, network: Optional[Network] = None) -> None:
         self.sends: List[Envelope] = []

@@ -69,6 +69,9 @@ class SMRClient(Process):
         self.on_complete = on_complete
         self._next_request_id = 0
         self.outcomes: Dict[int, CommandOutcome] = {}
+        #: Outcomes with ``completed_at`` set; counted where that happens
+        #: because run loops ask "are we done?" after every event.
+        self._completed = 0
         self._reply_votes: Dict[int, Dict[Tuple[Any, int], Set[int]]] = {}
         self._workload: List[Command] = []
         self._inflight: Set[int] = set()
@@ -147,6 +150,7 @@ class SMRClient(Process):
         senders.add(sender)
         if len(senders) >= one_correct(self.f):
             outcome.completed_at = self.now
+            self._completed += 1
             outcome.result = payload.result
             outcome.slot = payload.slot
             self.ctx.cancel_timer(("retry", payload.request_id))
@@ -159,13 +163,15 @@ class SMRClient(Process):
     # ------------------------------------------------------------------
     @property
     def completed_count(self) -> int:
-        return sum(1 for o in self.outcomes.values() if o.completed)
+        return self._completed
 
     @property
     def all_completed(self) -> bool:
-        return bool(self.outcomes) and all(
-            o.completed for o in self.outcomes.values()
-        ) and not self._workload
+        return (
+            bool(self.outcomes)
+            and self._completed == len(self.outcomes)
+            and not self._workload
+        )
 
     def latencies(self) -> List[float]:
         return [

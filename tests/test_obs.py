@@ -254,7 +254,8 @@ class TestCausalTracer:
 
         tracer = CausalTracer(capacity=2)
         envelope = Envelope(
-            src=0, dst=1, payload="ping", send_time=0.0, deliver_time=1.0
+            src=0, dst=1, payload="ping", send_time=0.0, deliver_time=1.0,
+            size=5,
         )
         envelope = tracer.on_send(envelope)  # id 1, evicted below
         tracer.begin_delivery(envelope)  # id 2 (deliver), id 3 (span)
@@ -272,7 +273,10 @@ class TestCausalTracer:
 
         tracer = CausalTracer()
         first = tracer.on_send(
-            Envelope(src=0, dst=1, payload="a", send_time=0.0, deliver_time=1.0)
+            Envelope(
+                src=0, dst=1, payload="a", send_time=0.0, deliver_time=1.0,
+                size=2,
+            )
         )
         tracer.begin_delivery(first)
         text = tracer.render_timeline(limit=1)

@@ -332,9 +332,11 @@ class TestSendDeliverTrace:
         net.send(0, 2, req)  # memo hit
         sim.run()
 
+        # ("req", "value", 7) is 2 + 4 + 6 + 8 bytes, ("gossip", 2) is
+        # 2 + 7 + 8: the accounted size rides on the envelope.
         assert [tuple(env) for env in envelopes] == [
-            (0, dst, req, 0.0, at, None) for dst in range(4)
-        ] + [(1, dst, gossip, 0.0, at, None) for dst in (0, 2, 3)]
+            (0, dst, req, 0.0, at, 20, None) for dst in range(4)
+        ] + [(1, dst, gossip, 0.0, at, 17, None) for dst in (0, 2, 3)]
         assert inboxes == {
             0: [(0, req, at, "float"), (1, gossip, at, "float")],
             1: [(0, req, at, "float")],

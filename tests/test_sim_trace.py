@@ -146,6 +146,6 @@ class TestMessageAccounting:
         from repro.sim.network import Envelope
 
         trace = TraceRecorder()
-        trace.sends.append(Envelope(0, 1, "x", 0.0, 1.0))
-        trace.sends.append(Envelope(0, 1, 7, 0.0, 1.0))
+        trace.sends.append(Envelope(0, 1, "x", 0.0, 1.0, 2))
+        trace.sends.append(Envelope(0, 1, 7, 0.0, 1.0, 8))
         assert trace.messages_by_type() == {"str": 1, "int": 1}
