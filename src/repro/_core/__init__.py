@@ -16,29 +16,27 @@ from __future__ import annotations
 from . import pure
 from .pure import (
     FIRED,
-    SIZE_MEMO_LIMIT,
-    CanonicalMemo,
+    MEMO_LIMIT,
+    IdentityMemo,
     SimulationError,
     SimulationTimeout,
     canonical_bytes,
     hmac_sha256,
     make_deliver,
     payload_size,
-    payload_size_cached,
 )
 
 __all__ = [
     "BACKEND",
     "FIRED",
-    "SIZE_MEMO_LIMIT",
-    "CanonicalMemo",
+    "MEMO_LIMIT",
+    "IdentityMemo",
     "SimulationError",
     "SimulationTimeout",
     "canonical_bytes",
     "hmac_sha256",
     "make_deliver",
     "payload_size",
-    "payload_size_cached",
     "pure",
 ]
 

@@ -17,6 +17,7 @@ whole scenario runs by the golden trace digests in ``tests/golden/``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import heapq
 import hmac as _hmac
@@ -24,8 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "FIRED",
-    "SIZE_MEMO_LIMIT",
-    "CanonicalMemo",
+    "MEMO_LIMIT",
+    "IdentityMemo",
     "SimulationError",
     "SimulationTimeout",
     "canonical_bytes",
@@ -34,7 +35,6 @@ __all__ = [
     "hmac_sha256",
     "make_deliver",
     "payload_size",
-    "payload_size_cached",
     "run_bounded",
     "run_pred",
     "step",
@@ -193,12 +193,120 @@ def run_pred(
 
 
 # ---------------------------------------------------------------------------
+# The identity memo shared by both structural walks
+# ---------------------------------------------------------------------------
+
+#: Entries an :class:`IdentityMemo` keeps (and so objects it pins) before
+#: oldest-first eviction.  Sized from the measured working set of the two
+#: SMR benchmark workloads, where a slot's ``Batch`` has to outlive every
+#: single-use wrapper, request and reply minted until the slot's last
+#: message: walk calls per command stop falling here (sizes 56.6 / 49.4 /
+#: 43.0 / 43.0 and bytes 22.5 / 15.7 / 15.7 / 15.7 at 64 / 256 / 512 /
+#: 1024 entries on ``smr_steady``; 113.5 / 96.2 / 91.6 / 91.6 and 73.5 /
+#: 64.4 / 64.3 / 64.3 on ``smr_durable_faults``) while peak RSS is still
+#: within 0.4 MiB of the 256-entry figure on every benchmark workload;
+#: past it, entries only pin memory.
+MEMO_LIMIT = 512
+
+
+class IdentityMemo:
+    """Bounded identity-keyed memo of one structural walk's results.
+
+    A proposed value rides in Θ(n) distinct messages per slot and is
+    signed or verified over Θ(n²) times, and because the simulated
+    network passes references it is the *same object* in all of them.
+    :func:`payload_size` and :func:`canonical_bytes` therefore consult
+    the memo their owner hands them (``Network`` for sizes,
+    ``KeyRegistry`` for bytes) at every frozen-dataclass node they
+    reach, not just at the top of the walk: a ``Batch`` embedded in a
+    freshly minted ``SlotMessage(slot, Ack(batch, view))`` is a hit even
+    though the wrappers around it are new.  :meth:`get` is the owners'
+    entry point and additionally memoizes the top-level payload whatever
+    its type; ``hits`` / ``misses`` count those top-level lookups only.
+
+    Three properties make an identity hit safe:
+
+    * **strong reference** — every entry pins its object, so CPython
+      cannot recycle the cached ``id()`` while the entry is alive;
+    * **``is``-checked hit** — a lookup additionally requires
+      ``entry[0] is obj``, so even an entry that aliases the id of a
+      different object can never be served (and the lookup never runs
+      user ``__eq__`` code);
+    * **admission by proof** — an object is stored only if the walk that
+      produced its result met nothing below it but primitives, tuples,
+      frozensets and frozen dataclasses.  The walks bump
+      :attr:`mutable_seen` whenever they step on anything else (a list,
+      dict, set, bytearray, a plain object, a dataclass that is not
+      frozen), so "the counter did not move across this subtree" is the
+      proof, and it costs the walk nothing extra.  Whatever holds
+      something mutable is recomputed on every call: mutating a payload
+      after it was signed or sent can never be answered from the stale
+      result.  (The proof covers what the walk *reads*: a frozen
+      dataclass is trusted to expose its fields through
+      ``signing_fields()``, not immutable copies of mutable ones.)
+
+    Eviction is oldest-first (dict insertion order), one entry at a
+    time, so a stream of fresh objects can neither grow the memo nor
+    flush the entries still in use wholesale.
+    """
+
+    __slots__ = ("_walk", "entries", "hits", "misses", "mutable_seen")
+
+    def __init__(self, walk: Callable[[Any, "IdentityMemo"], Any]) -> None:
+        self._walk = walk
+        #: ``id(obj) -> (obj, result)``.
+        self.entries: Dict[int, Tuple[Any, Any]] = {}
+        self.hits = 0
+        self.misses = 0
+        #: Mutable nodes the walks have stepped on so far (monotone).
+        self.mutable_seen = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, payload: Any) -> Any:
+        """The walk's result for ``payload``, computed at most once while
+        the payload stays resident (and afresh each time if it could
+        have changed)."""
+        entry = self.entries.get(id(payload))
+        if entry is not None and entry[0] is payload:
+            self.hits += 1
+            return entry[1]
+        self.misses += 1
+        seen = self.mutable_seen
+        result = self._walk(payload, self)
+        if self.mutable_seen == seen:
+            self.admit(payload, result)
+        return result
+
+    def admit(self, obj: Any, result: Any) -> None:
+        """Store ``result`` for ``obj``; the caller holds the proof."""
+        entries = self.entries
+        key = id(obj)
+        # Re-admitting a resident object (a top-level dataclass is
+        # admitted by its walk and again by ``get``) overwrites in place.
+        if len(entries) >= MEMO_LIMIT and key not in entries:
+            del entries[next(iter(entries))]
+        entries[key] = (obj, result)
+
+
+@functools.lru_cache(maxsize=None)
+def _dataclass_shape(cls: type) -> Optional[Tuple[Tuple[str, ...], bool]]:
+    """``(field names, frozen?)`` of a dataclass type, ``None`` for any
+    other type — resolved once per class rather than once per node."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return names, cls.__dataclass_params__.frozen
+
+
+# ---------------------------------------------------------------------------
 # Envelope payload sizing + zero-rule delivery
 # (the hot half of repro.sim.network.Network)
 # ---------------------------------------------------------------------------
 
 
-def payload_size(payload: Any) -> int:
+def payload_size(payload: Any, memo: Optional[IdentityMemo] = None) -> int:
     """Deterministic structural size estimate of a payload, in bytes.
 
     The simulation never serializes messages, so "bytes on the wire" is a
@@ -207,69 +315,56 @@ def payload_size(payload: Any) -> int:
     overhead plus the recursive cost of their fields.  The estimate is
     stable across runs and platforms, which is what the bandwidth-style
     metrics (``NetworkStats.bytes_sent``) need.
+
+    Without ``memo`` this is a pure function.  With one (see
+    :class:`IdentityMemo`) a frozen-dataclass node already sized is not
+    walked again, and the walk records the proof that admits new ones.
     """
     if payload is None or isinstance(payload, bool):
         return 1
-    if isinstance(payload, int):
-        return 8
-    if isinstance(payload, float):
+    if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, str):
         return len(payload.encode("utf-8")) + 1
-    if isinstance(payload, (bytes, bytearray)):
+    if isinstance(payload, bytes):
         return len(payload)
-    if isinstance(payload, (tuple, list, set, frozenset)):
-        return 2 + sum(payload_size(item) for item in payload)
+    if isinstance(payload, (tuple, frozenset)):
+        size = 2
+        for item in payload:
+            size += payload_size(item, memo)
+        return size
+    shape = _dataclass_shape(type(payload))
+    if shape is not None and shape[1]:
+        if memo is not None:
+            entry = memo.entries.get(id(payload))
+            if entry is not None and entry[0] is payload:
+                return entry[1]
+            seen = memo.mutable_seen
+        size = 2
+        for name in shape[0]:
+            size += payload_size(getattr(payload, name), memo)
+        if memo is not None and memo.mutable_seen == seen:
+            memo.admit(payload, size)
+        return size
+    # Everything from here on can change under a live reference.
+    if memo is not None:
+        memo.mutable_seen += 1
+    if isinstance(payload, bytearray):
+        return len(payload)
+    if isinstance(payload, (list, set)):
+        return 2 + sum(payload_size(item, memo) for item in payload)
     if isinstance(payload, dict):
         return 2 + sum(
-            payload_size(k) + payload_size(v) for k, v in payload.items()
+            payload_size(k, memo) + payload_size(v, memo)
+            for k, v in payload.items()
         )
-    if dataclasses.is_dataclass(payload):
+    if shape is not None:
         return 2 + sum(
-            payload_size(getattr(payload, f.name))
-            for f in dataclasses.fields(payload)
+            payload_size(getattr(payload, name), memo) for name in shape[0]
         )
     if hasattr(payload, "__dict__"):
-        return 2 + sum(payload_size(v) for v in vars(payload).values())
+        return 2 + sum(payload_size(v, memo) for v in vars(payload).values())
     return len(repr(payload))
-
-
-#: Entries kept in the payload-size memo before eviction.  Broadcasts
-#: repopulate it in one miss per distinct payload, so a small bound keeps
-#: the strong references negligible.
-SIZE_MEMO_LIMIT = 16
-
-
-def payload_size_cached(
-    memo: Dict[int, Tuple[Any, int]], stats: Any, payload: Any
-) -> int:
-    """Bounded identity-keyed payload-size memo with safe keying.
-
-    CPython reuses ``id()`` values as soon as an object is garbage
-    collected, so a bare ``{id: size}`` mapping can alias a brand-new
-    payload to a stale size.  Two properties make this memo safe:
-
-    * every entry keeps a **strong reference** to its payload, so the
-      cached id cannot be reused while the entry is alive;
-    * a hit additionally requires ``entry[0] is payload`` — even a
-      stale entry (whose payload since died *after* eviction elsewhere)
-      can never be returned for a different object.
-
-    Eviction is oldest-first (dict insertion order) one entry at a time,
-    not a wholesale clear: interleaved broadcasts of a few distinct
-    payloads (client request + replica gossip in the same tick) keep
-    their entries instead of thrashing the whole memo.
-    """
-    entry = memo.get(id(payload))
-    if entry is not None and entry[0] is payload:
-        stats.size_cache_hits += 1
-        return entry[1]
-    size = payload_size(payload)
-    if len(memo) >= SIZE_MEMO_LIMIT:
-        del memo[next(iter(memo))]
-    memo[id(payload)] = (payload, size)
-    stats.size_cache_misses += 1
-    return size
 
 
 def make_deliver(
@@ -300,7 +395,7 @@ def make_deliver(
 # ---------------------------------------------------------------------------
 
 
-def canonical_bytes(obj: Any) -> bytes:
+def canonical_bytes(obj: Any, memo: Optional[IdentityMemo] = None) -> bytes:
     """Deterministically serialize a message payload for signing.
 
     Supports the value types protocol messages are built from: ``None``,
@@ -308,6 +403,10 @@ def canonical_bytes(obj: Any) -> bytes:
     (sorted by serialization), dicts (sorted by key serialization), and any
     object exposing ``signing_fields()`` (the protocol dataclasses).
     Type tags prevent cross-type collisions such as ``1`` vs ``"1"``.
+
+    Without ``memo`` this is a pure function.  With one (see
+    :class:`IdentityMemo`) a frozen-dataclass node already serialized is
+    not walked again, and the walk records the proof that admits new ones.
     """
     if obj is None:
         return b"N"
@@ -325,94 +424,46 @@ def canonical_bytes(obj: Any) -> bytes:
     if isinstance(obj, bytes):
         return b"Y" + len(obj).to_bytes(4, "big") + obj
     if isinstance(obj, (tuple, list)):
-        parts = [canonical_bytes(item) for item in obj]
+        if memo is not None and isinstance(obj, list):
+            memo.mutable_seen += 1
+        parts = [canonical_bytes(item, memo) for item in obj]
         body = b"".join(parts)
         return b"T" + len(parts).to_bytes(4, "big") + body
     if isinstance(obj, (set, frozenset)):
-        parts = sorted(canonical_bytes(item) for item in obj)
+        if memo is not None and isinstance(obj, set):
+            memo.mutable_seen += 1
+        parts = sorted(canonical_bytes(item, memo) for item in obj)
         body = b"".join(parts)
         return b"E" + len(parts).to_bytes(4, "big") + body
     if isinstance(obj, dict):
+        if memo is not None:
+            memo.mutable_seen += 1
         items = sorted(
-            (canonical_bytes(k), canonical_bytes(v)) for k, v in obj.items()
+            (canonical_bytes(k, memo), canonical_bytes(v, memo))
+            for k, v in obj.items()
         )
         body = b"".join(k + v for k, v in items)
         return b"D" + len(items).to_bytes(4, "big") + body
+    if memo is not None:
+        entry = memo.entries.get(id(obj))
+        if entry is not None and entry[0] is obj:
+            return entry[1]
+        seen = memo.mutable_seen
     fields = getattr(obj, "signing_fields", None)
     if callable(fields):
         tag = type(obj).__name__.encode()
-        body = canonical_bytes(fields())
-        return b"O" + len(tag).to_bytes(2, "big") + tag + body
+        body = canonical_bytes(fields(), memo)
+        data = b"O" + len(tag).to_bytes(2, "big") + tag + body
+        if memo is not None:
+            shape = _dataclass_shape(type(obj))
+            if shape is None or not shape[1]:
+                memo.mutable_seen += 1  # attributes can be reassigned
+            elif memo.mutable_seen == seen:
+                memo.admit(obj, data)
+        return data
     raise TypeError(f"cannot canonicalize {type(obj).__name__}: {obj!r}")
 
 
 def hmac_sha256(secret: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 digest — the simulated signature primitive."""
     return _hmac.new(secret, message, hashlib.sha256).digest()
-
-
-class CanonicalMemo:
-    """Bounded ``canonical_bytes`` memo keyed on payload identity.
-
-    Protocols canonicalize the *same payload object* many times in a row:
-    ``verify_all`` checks a certificate's 2f+1 signatures over one
-    payload, a leader signs what it immediately re-verifies, and the SMR
-    layer replays identical batch objects across pipeline stages.  This
-    memo collapses those into one serialization.
-
-    Only **hashable** payloads are memoized.  An identity hit returns
-    bytes computed earlier, which is sound only if the object cannot have
-    changed since — and ``hash(payload)`` succeeding is Python's own
-    statement of that: tuples, frozensets and frozen dataclasses of
-    hashables all the way down, which is every payload
-    :mod:`repro.core.payloads` builds.  Anything holding a list, dict or
-    set is canonicalized afresh on every call, so mutating a payload
-    after signing it can never verify against the stale bytes.
-
-    Safe lifetime, same discipline as the network's size memo: entries
-    hold a strong reference to their payload and a hit requires
-    ``entry[0] is payload``, so a recycled ``id()`` can never alias a
-    stale serialization.  The lookup is by identity (not equality) so a
-    probe never runs user ``__eq__`` code.
-
-    The memo is bounded FIFO: at ``limit`` entries the oldest is evicted
-    (insertion order), so an unbounded stream of fresh payloads cannot
-    grow it or pin dead objects alive.
-    """
-
-    __slots__ = ("_canonical", "_limit", "_memo", "hits", "misses")
-
-    def __init__(
-        self,
-        limit: int = 256,
-        canonical: Callable[[Any], bytes] = canonical_bytes,
-    ) -> None:
-        if limit < 1:
-            raise ValueError("CanonicalMemo limit must be >= 1")
-        self._limit = limit
-        self._canonical = canonical
-        self._memo: Dict[int, Tuple[Any, bytes]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def get(self, payload: Any) -> bytes:
-        """Canonical serialization of ``payload`` (memoized by identity
-        when the payload is hashable, recomputed otherwise)."""
-        memo = self._memo
-        entry = memo.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            self.hits += 1
-            return entry[1]
-        data = self._canonical(payload)
-        self.misses += 1
-        try:
-            hash(payload)
-        except TypeError:
-            return data  # mutable somewhere inside: never serve it stale
-        if len(memo) >= self._limit:
-            del memo[next(iter(memo))]
-        memo[id(payload)] = (payload, data)
-        return data

@@ -16,10 +16,12 @@ The two hot primitives — canonical serialization and the HMAC digest —
 live with the rest of the hot path in :mod:`repro._core`.  On top of them
 the registry avoids repeated work in two ways:
 
-* a bounded :class:`repro._core.CanonicalMemo` keyed on payload
-  *identity* (hashable payloads only, so a hit can never be stale;
-  entries pin their payload, hits require an ``is`` check), so signing
-  and re-verifying the same payload object serializes it once;
+* a bounded :class:`repro._core.IdentityMemo` keyed on object
+  *identity* and consulted at every frozen-dataclass node of the walk
+  (entries pin their object, hits require an ``is`` check, and only
+  objects the walk proved immutable are stored, so a hit can never be
+  stale): a value signed inside many different payloads is serialized
+  once;
 * batched :meth:`KeyRegistry.verify_all`, which canonicalizes and hashes
   the payload once per certificate instead of once per signature.
 """
@@ -32,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from .._core import CanonicalMemo, canonical_bytes, hmac_sha256
+from .._core import IdentityMemo, canonical_bytes, hmac_sha256, pure
 
 __all__ = [
     "KeyRegistry",
@@ -110,18 +112,16 @@ class KeyRegistry:
     or, as before this cap, periodically dropping the whole cache, which
     threw away exactly the hot certificate entries the memo exists for.
 
-    Canonicalization is shared the same way: one payload *object* is
-    serialized once across sign/verify/verify_all (``CanonicalMemo``:
-    bounded, identity-keyed, hashable payloads only), and
-    :meth:`verify_all` canonicalizes and hashes the payload once per call
-    instead of once per signature.
+    Canonicalization is shared the same way: one *object* — a payload,
+    or a value embedded in many payloads — is serialized once across
+    sign/verify/verify_all (``IdentityMemo``: bounded, identity-keyed,
+    provably immutable objects only), and :meth:`verify_all`
+    canonicalizes and hashes the payload once per call instead of once
+    per signature.
     """
 
     #: Entries kept before least-recently-used eviction kicks in.
     CACHE_LIMIT = 1 << 16
-
-    #: Bound of the canonical-serialization memo (payload objects pinned).
-    CANONICAL_MEMO_LIMIT = 256
 
     def __init__(self, domain: bytes = b"repro-fbft") -> None:
         self._domain = domain
@@ -137,9 +137,9 @@ class KeyRegistry:
         self.cache_evictions = 0
         #: :meth:`verify_all` invocations.
         self.batch_verifies = 0
-        self._canonical_memo = CanonicalMemo(
-            self.CANONICAL_MEMO_LIMIT, canonical_bytes
-        )
+        #: Read off the module, like ``Network``'s size memo, so a test
+        #: instrumenting ``pure.canonical_bytes`` sees every call.
+        self._canonical_memo = IdentityMemo(pure.canonical_bytes)
         self._canonical: Callable[[Any], bytes] = self._canonical_memo.get
 
     @classmethod
@@ -166,12 +166,13 @@ class KeyRegistry:
 
     @property
     def canonical_hits(self) -> int:
-        """Canonical-memo hits."""
+        """Top-level canonical-memo hits (one lookup per sign / verify /
+        verify_all); hits on nodes inside a walk do not count."""
         return self._canonical_memo.hits
 
     @property
     def canonical_misses(self) -> int:
-        """Canonical-memo misses."""
+        """Top-level canonical-memo lookups that had to serialize."""
         return self._canonical_memo.misses
 
     def signer(self, pid: ProcessId) -> Signer:

@@ -41,9 +41,10 @@ or logged, the delivery is posted straight onto the simulator with
 envelope re-timing, no per-delivery label or closure.  Envelopes are
 ``NamedTuple`` instances (constructed in C), the registered-pid tuple
 used by :meth:`Network.broadcast` is cached across calls, payload sizes
-are memoized by object identity through the bounded memo in
-:mod:`repro._core` and kept on the envelope (so nothing downstream sizes
-a payload twice), and the per-delivery log is opt-in
+are memoized by object identity — per node of the walk, so a value
+embedded in many messages is sized once — through the network's bounded
+:class:`repro._core.IdentityMemo` and kept on the envelope (so nothing
+downstream sizes a payload twice), and the per-delivery log is opt-in
 (``record_deliveries=True``) because nothing outside the tests reads it.
 """
 
@@ -283,15 +284,22 @@ class NetworkStats:
     messages_delivered: int = 0
     bytes_sent: int = 0
     messages_held: int = 0
-    #: Payload-size memo effectiveness (see ``_core.payload_size_cached``).
-    size_cache_hits: int = 0
-    size_cache_misses: int = 0
+    #: The owning network's payload-size memo, whose counters the two
+    #: properties below report.
+    size_memo: _core.IdentityMemo = field(
+        kw_only=True, repr=False, compare=False
+    )
 
+    @property
+    def size_cache_hits(self) -> int:
+        """Top-level size lookups (one per ``send`` / ``broadcast``)
+        answered from the memo; hits on nodes inside a walk do not count."""
+        return self.size_memo.hits
 
-#: Entries kept in the payload-size memo before oldest-first eviction
-#: (see ``repro._core.pure.payload_size_cached`` for the safe-keying
-#: contract).  Kept as a module name for the memo tests.
-_SIZE_MEMO_LIMIT = _core.SIZE_MEMO_LIMIT
+    @property
+    def size_cache_misses(self) -> int:
+        """Top-level size lookups that had to walk the payload."""
+        return self.size_memo.misses
 
 
 class Network:
@@ -316,7 +324,13 @@ class Network:
     ) -> None:
         self.sim = sim
         self._post = sim.post  # bound once: called on every send
-        self.stats = NetworkStats()
+        #: Sizes per object, not per message embedding it.  The walk is
+        #: read off the module here, not imported by name, so that a test
+        #: instrumenting ``pure.payload_size`` sees the top-level call as
+        #: well as the recursion.
+        self._size_memo = _core.IdentityMemo(_core.pure.payload_size)
+        self._size_fn: Callable[[Any], int] = self._size_memo.get
+        self.stats = NetworkStats(size_memo=self._size_memo)
         self._handlers: Dict[ProcessId, Callable[[ProcessId, Any], None]] = {}
         #: Bound once — the zero-rule delivery callback;
         #: ``partial(self._deliver_ref, ...)`` posts it per send.
@@ -331,13 +345,6 @@ class Network:
         self._rule_index: Dict[str, Tuple[DelayRule, ...]] = {}
         self._partition: Optional[Tuple[FrozenSet[ProcessId], ...]] = None
         self._held: List[Envelope] = []
-        #: id(payload) -> (payload, size).  The strong reference keeps the
-        #: id valid for the lifetime of the entry (safe keying: see
-        #: ``repro._core.pure.payload_size_cached``).
-        self._size_memo: Dict[int, Tuple[Any, int]] = {}
-        self._size_fn: Callable[[Any], int] = partial(
-            _core.payload_size_cached, self._size_memo, self.stats
-        )
         self._pid_cache: Optional[Tuple[ProcessId, ...]] = None
         #: With a fixed-delay model the per-send model call is replaced by
         #: one float addition (set by the ``delay_model`` setter).

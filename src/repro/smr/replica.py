@@ -271,9 +271,17 @@ class SMRReplica(Process):
         self._checkpoints = CheckpointManager(interval)
         self._catchup = CatchupManager()
         self._instances: Dict[int, Any] = {}
+        #: How many of ``_instances`` run for a slot not yet decided;
+        #: kept where instances are created and decisions adopted, so the
+        #: pipeline-depth check never scans the (never-pruned) map.
+        self._undecided_instances = 0
         self._pending: List[Request] = []
         self._seen_requests: Set[RequestKey] = set()
         self._decided: Dict[int, Any] = {}
+        #: Decided slots above ``_executed_upto`` (adopted out of order,
+        #: waiting for a gap to fill): the only part of the (never-pruned)
+        #: log a proposal flush has to look at.
+        self._decided_unexecuted: Set[int] = set()
         self._decide_gossip: Dict[int, Dict[Any, Set[int]]] = {}
         self._executed_upto = -1  # highest contiguously applied slot
         self._results: Dict[RequestKey, Tuple[Any, int]] = {}
@@ -375,7 +383,7 @@ class SMRReplica(Process):
     @property
     def inflight_instances(self) -> int:
         """Consensus instances currently running for undecided slots."""
-        return sum(1 for slot in self._instances if slot not in self._decided)
+        return self._undecided_instances
 
     @property
     def durable(self) -> bool:
@@ -527,8 +535,9 @@ class SMRReplica(Process):
         # A slot adopted out of order (e.g. via gossip) is decided but not
         # yet executed, so its requests are still in _pending; re-proposing
         # them would burn a whole consensus instance on duplicates.
-        for slot, value in self._decided.items():
-            if slot > self._executed_upto and isinstance(value, Batch):
+        for slot in self._decided_unexecuted:
+            value = self._decided[slot]
+            if isinstance(value, Batch):
                 assigned.update(value.keys)
         return [
             r for r in self._pending if (r.client, r.request_id) not in assigned
@@ -647,6 +656,7 @@ class SMRReplica(Process):
         if self.storage is not None or self._recorder is not None:
             self._hook_view_changes(slot, instance)
         self._instances[slot] = instance
+        self._undecided_instances += 1
         mon = self._monitor
         if mon is not None:
             mon.note_slot_opened(slot, self.now)
@@ -709,10 +719,14 @@ class SMRReplica(Process):
                     self.pid, slot, "decide", self.now, parent=decide_id
                 )
         self._decided[slot] = value
+        if slot > self._executed_upto:
+            self._decided_unexecuted.add(slot)
         self._assigned.pop(slot, None)
         instance = self._instances.get(slot)
-        if instance is not None and hasattr(instance, "pacemaker"):
-            instance.pacemaker.stop()
+        if instance is not None:
+            self._undecided_instances -= 1
+            if hasattr(instance, "pacemaker"):
+                instance.pacemaker.stop()
         mon = self._monitor
         if mon is not None:
             latency = mon.note_slot_decided(slot, self.now)
@@ -752,6 +766,7 @@ class SMRReplica(Process):
             slot = self._executed_upto + 1
             value = self._decided[slot]
             self._executed_upto = slot
+            self._decided_unexecuted.discard(slot)
             self._execute(slot, value)
             if self.storage is not None and self._checkpoints.boundary(slot):
                 self._initiate_checkpoint(slot)
@@ -1120,6 +1135,11 @@ class SMRReplica(Process):
         # no-duplicate-execution oracle, which judges one timeline).
         self.applied_keys.clear()
         self._executed_upto = max(self._executed_upto, checkpoint.slot)
+        self._decided_unexecuted = {
+            slot
+            for slot in self._decided_unexecuted
+            if slot > self._executed_upto
+        }
         self._make_stable(checkpoint)
         self._execute_ready()
 
@@ -1181,9 +1201,11 @@ class SMRReplica(Process):
     def _rebuild_from_storage(self) -> None:
         # -- drop every piece of volatile state
         self._instances.clear()
+        self._undecided_instances = 0
         self._pending.clear()
         self._seen_requests.clear()
         self._decided.clear()
+        self._decided_unexecuted.clear()
         self._decide_gossip.clear()
         self._results.clear()
         self._executed_requests.clear()
@@ -1209,4 +1231,5 @@ class SMRReplica(Process):
         for slot, value in self.storage.wal.decides():
             if slot > self._executed_upto and slot not in self._decided:
                 self._decided[slot] = value
+                self._decided_unexecuted.add(slot)
         self._execute_ready()

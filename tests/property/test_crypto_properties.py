@@ -1,8 +1,12 @@
 """Property-based tests for canonical serialization and signatures."""
 
+from dataclasses import dataclass
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._core import MEMO_LIMIT, IdentityMemo, payload_size
 from repro.crypto.keys import KeyRegistry, Signature, canonical_bytes
 
 REGISTRY = KeyRegistry.for_processes(range(8))
@@ -89,3 +93,114 @@ class TestSignatures:
         assert not REGISTRY.verify(
             Signature(signer=claimed, digest=sig.digest), payload
         )
+
+
+@dataclass(frozen=True)
+class Node:
+    """A frozen value both walks accept, like the protocol dataclasses."""
+
+    children: tuple
+
+    def signing_fields(self):
+        return (self.children,)
+
+
+# Values as messages embed them: frozen nodes and tuples, and — so that
+# admission has something to refuse — lists, at any depth.
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(lambda xs: Node(tuple(xs))),
+    ),
+    max_leaves=10,
+)
+#: How one top-level payload wraps pool members: (as a Node?, indices).
+shapes = st.lists(
+    st.tuples(st.booleans(), st.lists(st.integers(0, 99), max_size=4)),
+    min_size=1,
+    max_size=8,
+)
+both_walks = pytest.mark.parametrize(
+    "walk", [payload_size, canonical_bytes], ids=["size", "bytes"]
+)
+
+
+def _holds_a_list(value):
+    if isinstance(value, Node):
+        value = value.children
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    return isinstance(value, list) or (
+        isinstance(value, tuple) and any(_holds_a_list(v) for v in value)
+    )
+
+
+def _churn(memo):
+    """Push every resident entry out with fresh single-use payloads."""
+    for i in range(MEMO_LIMIT):
+        memo.get(("filler", i))
+
+
+class TestIdentityMemo:
+    """The memo both walks share must be invisible: whatever is shared,
+    evicted or mutated, a memoized walk answers what the pure one does."""
+
+    @both_walks
+    @given(
+        pool=st.lists(values, min_size=1, max_size=5),
+        shapes=shapes,
+        lookups=st.lists(st.integers(-1, 99), max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_pure_walk_under_sharing_and_churn(
+        self, walk, pool, shapes, lookups
+    ):
+        # The *same* pool objects sit inside many top-level payloads.
+        payloads = []
+        for as_node, indices in shapes:
+            members = tuple(pool[i % len(pool)] for i in indices)
+            payloads.append(Node(members) if as_node else ("msg",) + members)
+        memo = IdentityMemo(walk)
+        for lookup in lookups:
+            if lookup < 0:
+                _churn(memo)
+                continue
+            payload = payloads[lookup % len(payloads)]
+            assert memo.get(payload) == walk(payload)
+            assert len(memo) <= MEMO_LIMIT
+        # What stayed resident is right, and provably could not change.
+        for obj, result in memo.entries.values():
+            assert walk(obj) == result
+            assert not _holds_a_list(obj)
+
+    @both_walks
+    @given(
+        items=st.lists(scalars, max_size=3),
+        extra=st.integers(),  # any element changes bytes; not every one changes size
+        wraps=st.lists(st.booleans(), min_size=1, max_size=4),
+        shared=values,
+        churn_between=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mutating_a_list_below_a_seen_node_changes_the_result(
+        self, walk, items, extra, wraps, shared, churn_between
+    ):
+        target = list(items)
+        holder = target
+        for as_node in wraps:  # bury the list under frozen wrappers
+            holder = Node((shared, holder)) if as_node else (shared, holder)
+        payloads = [("ack", holder, view) for view in range(3)]
+        payloads.append(Node((holder, shared)))
+        memo = IdentityMemo(walk)
+        before = [memo.get(payload) for payload in payloads]
+        assert before == [walk(payload) for payload in payloads]
+        # Nothing above the list was admitted, however frozen it looks.
+        assert not any(_holds_a_list(obj) for obj, _ in memo.entries.values())
+        if churn_between:
+            _churn(memo)
+        target.append(extra)
+        after = [memo.get(payload) for payload in payloads]
+        assert after == [walk(payload) for payload in payloads]
+        assert all(new != old for new, old in zip(after, before))

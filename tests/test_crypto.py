@@ -1,10 +1,12 @@
 """Unit tests for the simulated signature scheme."""
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from repro._core import MEMO_LIMIT
 from repro.core.messages import Ack, Propose
 from repro.crypto.keys import KeyRegistry, Signature, canonical_bytes
 from repro.sim.network import payload_size
@@ -203,9 +205,32 @@ class TestCanonicalBytes:
         assert canonical_bytes(Ack("x", 1)) != canonical_bytes(Ack("x", 2))
 
 
+class _PlainPayload:
+    """Hashable (by identity) yet freely mutable: ``hash()`` succeeding
+    proves nothing about it."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def signing_fields(self):
+        return (self.x,)
+
+
+@dataclass(eq=False)
+class _UnfrozenPayload:
+    x: int
+
+    def signing_fields(self):
+        return (self.x,)
+
+
+def _set_x(payload):
+    payload.x = 10_000
+
+
 class TestCanonicalMemo:
     """The bounded identity-keyed serialization memo: one
-    canonical_bytes walk per (hashable) payload object across sign /
+    canonical_bytes walk per (provably immutable) object across sign /
     verify / verify_all."""
 
     def test_sign_then_verify_serializes_once(self, registry):
@@ -231,9 +256,9 @@ class TestCanonicalMemo:
     def test_memo_is_bounded(self):
         registry = KeyRegistry.for_processes(range(1))
         signer = registry.signer(0)
-        for i in range(KeyRegistry.CANONICAL_MEMO_LIMIT + 50):
+        for i in range(MEMO_LIMIT + 50):
             signer.sign(("payload", i))
-        assert len(registry._canonical_memo) == KeyRegistry.CANONICAL_MEMO_LIMIT
+        assert len(registry._canonical_memo) == MEMO_LIMIT
 
     @pytest.mark.parametrize(
         "make, mutate",
@@ -244,8 +269,22 @@ class TestCanonicalMemo:
              lambda p: p.__setitem__("amount", 10_000)),
             (lambda: ("transfer", ["alice", 10]),
              lambda p: p[1].__setitem__(1, 10_000)),
+            (lambda: _PlainPayload(10), _set_x),
+            (lambda: _UnfrozenPayload(10), _set_x),
+            (lambda: ("transfer", _PlainPayload(10)),
+             lambda p: _set_x(p[1])),
+            (lambda: ("transfer", _UnfrozenPayload(10)),
+             lambda p: _set_x(p[1])),
         ],
-        ids=["list", "dict", "tuple-containing-list"],
+        ids=[
+            "list",
+            "dict",
+            "tuple-containing-list",
+            "plain-object",
+            "unfrozen-dataclass",
+            "tuple-containing-plain-object",
+            "tuple-containing-unfrozen-dataclass",
+        ],
     )
     def test_payload_mutated_after_signing_fails_verification(
         self, registry, make, mutate

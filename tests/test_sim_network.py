@@ -2,14 +2,14 @@
 
 import math
 import sys
+from dataclasses import dataclass
 
 import pytest
 
-from repro._core import SIZE_MEMO_LIMIT, payload_size_cached
+from repro._core import MEMO_LIMIT, IdentityMemo, canonical_bytes
 from repro.sim.events import Simulator
 from repro.sim.network import (
     Network,
-    NetworkStats,
     PartialSynchronyDelay,
     RandomDelay,
     RoundSynchronousDelay,
@@ -250,57 +250,141 @@ class TestPayloadSizeMemo:
         assert net.stats.bytes_sent == expected
 
 
-class TestSizeMemoSafety:
-    """The identity-keyed payload-size memo must survive CPython id reuse."""
+@dataclass(frozen=True)
+class _Value:
+    """A frozen value embedded in other payloads (a stand-in for the SMR
+    layer's ``Batch``; ``signing_fields`` lets both walks take it)."""
 
-    def test_stale_entry_with_aliased_id_cannot_hit(self):
+    entries: tuple
+
+    def signing_fields(self):
+        return (self.entries,)
+
+
+both_walks = pytest.mark.parametrize(
+    "walk", [payload_size, canonical_bytes], ids=["size", "bytes"]
+)
+
+
+class TestSizeMemoSafety:
+    """The identity memo both walks share (``Network``'s for sizes,
+    ``KeyRegistry``'s for bytes) must survive CPython id reuse, at the
+    top of a walk and at the nodes inside it."""
+
+    @both_walks
+    def test_stale_entry_with_aliased_id_cannot_hit(self, walk):
         """The regression the safe keying exists for: an entry whose id()
         key aliases a *different* live object (as happens when a memo
         without strong references outlives its payload) must miss."""
-        memo, stats = {}, NetworkStats()
+        memo = IdentityMemo(walk)
         stale_payload = ("old",)
         fresh_payload = ("this", "is", "new")
-        memo[id(fresh_payload)] = (stale_payload, 999_999)
-        assert payload_size_cached(memo, stats, fresh_payload) == payload_size(
-            fresh_payload
-        )
-        assert stats.size_cache_hits == 0
-        assert stats.size_cache_misses == 1
+        memo.entries[id(fresh_payload)] = (stale_payload, 999_999)
+        assert memo.get(fresh_payload) == walk(fresh_payload)
+        assert (memo.hits, memo.misses) == (0, 1)
         # The stale entry was overwritten with a correct one.
-        assert memo[id(fresh_payload)][0] is fresh_payload
+        assert memo.entries[id(fresh_payload)][0] is fresh_payload
 
-    def test_id_reuse_under_churn_stays_correct(self):
+    @both_walks
+    def test_stale_node_entry_with_aliased_id_cannot_hit(self, walk):
+        """Same hazard one level down: the aliased entry sits on a node
+        *inside* the payload being walked."""
+        memo = IdentityMemo(walk)
+        value = _Value((1, "two"))
+        memo.entries[id(value)] = (_Value(("stale",) * 9), 999_999)
+        payload = ("ack", value, 3)
+        assert memo.get(payload) == walk(payload)
+        assert memo.entries[id(value)] == (value, walk(value))
+
+    @both_walks
+    def test_id_reuse_under_churn_stays_correct(self, walk):
         """Drive real id reuse: same-shape tuples die every iteration, so
         CPython's allocator hands later payloads the ids of evicted dead
-        ones.  Sizes must stay correct throughout, and (on CPython) the
+        ones.  Results must stay correct throughout, and (on CPython) the
         hazard must actually have occurred for the test to mean anything."""
-        memo, stats = {}, NetworkStats()
+        memo = IdentityMemo(walk)
         seen_ids = set()
         reused = 0
-        for i in range(4000):
+        for i in range(40 * MEMO_LIMIT):
             payload = ("key", "v" * (i % 3), i % 2 == 0)
             if id(payload) in seen_ids:
                 reused += 1
-            assert payload_size_cached(memo, stats, payload) == payload_size(
-                payload
-            )
+            assert memo.get(payload) == walk(payload)
             seen_ids.add(id(payload))
             del payload
-        assert len(memo) <= SIZE_MEMO_LIMIT
+        assert len(memo) <= MEMO_LIMIT
         if sys.implementation.name == "cpython":
             assert reused > 0, "workload never recycled an id"
 
-    def test_eviction_is_oldest_first_not_wholesale(self):
-        memo, stats = {}, NetworkStats()
-        payloads = [("p", i) for i in range(SIZE_MEMO_LIMIT + 1)]
+    @both_walks
+    def test_a_dead_nodes_recycled_id_never_serves_a_live_one(self, walk):
+        """Node-level id reuse: every iteration mints a fresh value inside
+        a fresh wrapper and drops both, so once the memo evicts them the
+        allocator recycles their ids for later, *different* values."""
+        memo = IdentityMemo(walk)
+        seen_ids = set()
+        reused = 0
+        for i in range(40 * MEMO_LIMIT):
+            value = _Value(("cmd", "k" * (i % 5), i))
+            if id(value) in seen_ids:
+                reused += 1
+            payload = ("ack", value, i % 3)
+            assert memo.get(payload) == walk(payload)
+            assert memo.entries[id(value)][0] is value  # admitted as a node
+            seen_ids.add(id(value))
+            del value, payload
+        assert len(memo) <= MEMO_LIMIT
+        if sys.implementation.name == "cpython":
+            assert reused > 0, "workload never recycled a node id"
+
+    @both_walks
+    def test_eviction_is_oldest_first_not_wholesale(self, walk):
+        memo = IdentityMemo(walk)
+        payloads = [("p", i) for i in range(MEMO_LIMIT + 1)]
         for payload in payloads:
-            payload_size_cached(memo, stats, payload)
-        assert len(memo) == SIZE_MEMO_LIMIT
+            memo.get(payload)
+        assert len(memo) == MEMO_LIMIT
         # Only the oldest entry fell out; the rest still hit.
-        hits_before = stats.size_cache_hits
+        assert id(payloads[0]) not in memo.entries
+        hits_before = memo.hits
         for payload in payloads[1:]:
-            payload_size_cached(memo, stats, payload)
-        assert stats.size_cache_hits == hits_before + len(payloads) - 1
+            memo.get(payload)
+        assert memo.hits == hits_before + len(payloads) - 1
+
+    @both_walks
+    def test_a_shared_node_is_walked_once_across_fresh_wrappers(self, walk):
+        memo = IdentityMemo(walk)
+        value = _Value(tuple(("set", f"k{i}", i) for i in range(8)))
+        for view in range(5):
+            payload = ("ack", value, view)  # minted fresh, like a message
+            assert memo.get(payload) == walk(payload)
+        # Every top-level lookup missed; the value inside was a node hit.
+        assert (memo.hits, memo.misses) == (0, 5)
+        assert memo.entries[id(value)] == (value, walk(value))
+
+    @both_walks
+    def test_payload_holding_something_mutable_is_never_admitted(self, walk):
+        memo = IdentityMemo(walk)
+        inner = ["x" * 10]
+        value = _Value((1, inner))  # frozen, but not all the way down
+        payload = ("ack", value)
+        before = memo.get(payload)
+        assert before == walk(payload)
+        assert not memo.entries
+        inner.append("x" * 12)
+        assert memo.get(payload) == walk(payload) != before
+        assert (memo.hits, memo.misses) == (0, 2)
+
+    def test_mutated_list_is_re_walked_on_the_next_send(self):
+        """The size memo used to admit anything, a list included, and
+        accounted the second send at the first one's 26 bytes."""
+        sim, net, _ = make_network()
+        payload = ["x" * 11, "y" * 11]
+        net.send(0, 1, payload)
+        payload.append("x" * 12)
+        net.send(0, 1, payload)
+        assert net.stats.bytes_sent == 26 + 39
+        assert (net.stats.size_cache_hits, net.stats.size_cache_misses) == (0, 2)
 
 
 class TestSendDeliverTrace:
