@@ -239,16 +239,17 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def network_send_hook(self):
-        """A :meth:`Network.add_send_hook` callback counting sends by
-        payload type under ``net.sent.<TypeName>``."""
+        """A :meth:`Network.add_send_hook` callback (one call per
+        fan-out) counting sends by payload type under
+        ``net.sent.<TypeName>``."""
         counters = self._counters
 
-        def hook(envelope: Any) -> None:
-            name = "net.sent." + type(envelope.payload).__name__
+        def hook(envelopes: Any) -> None:
+            name = "net.sent." + type(envelopes[0].payload).__name__
             metric = counters.get(name)
             if metric is None:
                 metric = counters[name] = Counter(name)
-            metric.value += 1
+            metric.value += len(envelopes)
 
         return hook
 

@@ -10,7 +10,7 @@ found in the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..baselines.fab import FaBConfig, FaBProcess
 from ..baselines.optimistic import OptimisticConfig, OptimisticProcess
@@ -198,6 +198,22 @@ class ScenarioAdapter:
         )
 
 
+def fan_outs(sends: Iterable[Any]) -> Iterator[Any]:
+    """The first envelope of each fan-out in a trace's ``sends``.
+
+    The network records a fan-out as consecutive envelopes carrying the
+    same payload object from the same source; what a post-run oracle
+    derives from ``(src, payload)`` alone it derives once per fan-out,
+    not once per recipient.
+    """
+    payload = src = None
+    for envelope in sends:
+        if envelope.payload is payload and envelope.src == src:
+            continue
+        payload, src = envelope.payload, envelope.src
+        yield envelope
+
+
 # ----------------------------------------------------------------------
 # This paper's protocol
 # ----------------------------------------------------------------------
@@ -312,7 +328,8 @@ class FbftAdapter(ScenarioAdapter):
             return None  # the naive scheme has its own validator
         honest = set(built.honest_pids)
         errors: List[str] = []
-        for envelope in sends:
+        # A fan-out carries one proposal: audit it once, not per copy.
+        for envelope in fan_outs(sends):
             payload = envelope.payload
             if not isinstance(payload, Propose) or envelope.src not in honest:
                 continue

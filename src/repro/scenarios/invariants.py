@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..sim.runner import Cluster
 from ..sim.trace import message_delays
-from .adapters import BuiltScenario
+from .adapters import BuiltScenario, fan_outs
 from .spec import Recover, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -127,7 +127,8 @@ def _quorum_shortfall(built: BuiltScenario, cluster: Cluster) -> Optional[float]
     if config is None:
         return None
     tallies: Dict[Tuple[str, Any, str], Tuple[set, int]] = {}
-    for envelope in cluster.trace.sends:
+    # A fan-out is one vote by one sender, however many it reached.
+    for envelope in fan_outs(cluster.trace.sends):
         payload = envelope.payload
         attr = _QUORUM_ATTRS.get(type(payload).__name__)
         if attr is None:

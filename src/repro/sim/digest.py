@@ -24,12 +24,24 @@ are immutable once sent (frozen dataclasses over tuples and primitives —
 a message on the wire cannot change).  A digest that moves when nothing
 else did therefore means some payload *was* mutated between send and end
 of run: an aliasing bug, not a stale golden.
+
+The byte stream hashed is *defined* as one line per recorded send,
+``s|src|dst|type|size|send_time|deliver_time``, then one per decision,
+then the counters.  It is *produced* per fan-out: the network records a
+broadcast as consecutive envelopes built from the same ``src``,
+``payload``, ``size`` and ``send_time`` objects, so everything but
+``dst`` and ``deliver_time`` is formatted once per such run, and SHA-256
+is fed one chunk per run.  Runs are found by object identity — the same
+objects cannot format differently, so grouping can never change a byte,
+whatever a hand-built trace contains — and chunks are per run, never per
+trace: the digest streams, and a long run does not cost its trace's
+size again in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from .events import Simulator
@@ -37,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from .trace import TraceRecorder
 
 __all__ = ["trace_digest", "cluster_digest"]
+
+#: Identical to no recorded field: the first envelope always opens a run.
+_NO_SEND = object()
 
 
 def trace_digest(
@@ -53,14 +68,29 @@ def trace_digest(
     """
     h = hashlib.sha256()
     update = h.update
+    # One line per send; ``head``/``tail`` are the parts a fan-out's
+    # envelopes share (see the module docstring), ``lines`` its chunk.
+    src = payload = size = send_time = _NO_SEND
+    head = tail = ""
+    lines: List[str] = []
     for env in trace.sends:
-        update(
-            (
-                f"s|{env.src}|{env.dst}|{type(env.payload).__name__}"
-                f"|{env.size}"
-                f"|{env.send_time!r}|{env.deliver_time!r}\n"
-            ).encode()
-        )
+        if (
+            env.payload is not payload
+            or env.send_time is not send_time
+            or env.src is not src
+            or env.size is not size
+        ):
+            if lines:
+                update("".join(lines).encode())
+                lines = []
+            src, payload, size, send_time = (
+                env.src, env.payload, env.size, env.send_time
+            )
+            head = f"s|{src}|"
+            tail = f"|{type(payload).__name__}|{size}|{send_time!r}|"
+        lines.append(f"{head}{env.dst}{tail}{env.deliver_time!r}\n")
+    if lines:
+        update("".join(lines).encode())
     for decision in trace.decisions:
         update(
             f"d|{decision.pid}|{decision.value!r}|{decision.time!r}\n".encode()

@@ -20,8 +20,9 @@ for constant factor:
 * each queued event is a plain ``[time, seq, callback]`` list (lists
   compare element-wise in C), and cancellation overwrites the callback
   slot with ``None`` in place;
-* :meth:`Simulator.post` schedules a bare callback with no handle and no
-  label at all: the network's delivery hot path goes through it;
+* :meth:`Simulator.post_many` schedules bare callbacks with no handle
+  and no label at all, a whole network fan-out per call: the delivery
+  hot path goes through it;
 * handles (:class:`EventHandle`) are ``__slots__`` objects created only
   by :meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`, and labels
   are kept lazily — a callable label is only rendered if someone reads
@@ -39,7 +40,7 @@ None of this changes the execution order: events still fire in strict
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from .._core import FIRED as _FIRED
 from .._core import SimulationError, SimulationTimeout
@@ -179,19 +180,33 @@ class Simulator:
         return EventHandle(entry, label, self)
 
     def post(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule with no handle and no label: the delivery hot path.
+        """Schedule with no handle and no label.
 
         Identical ordering semantics to :meth:`schedule_at`; the only
         difference is that nothing is allocated beyond the queue entry, so
         the event cannot be cancelled or labelled afterwards.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: time={time} < now={self._now}"
-            )
+        self.post_many(((time, callback),))
+
+    def post_many(
+        self, events: Iterable[Tuple[float, Callable[[], None]]]
+    ) -> None:
+        """:meth:`post` each ``(time, callback)`` in order — the delivery
+        hot path: a network fan-out queues all its deliveries in one call,
+        under the consecutive sequence numbers separate posts would get."""
+        now = self._now
+        queue = self._queue
         seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, [time, seq, callback])
+        push = heapq.heappush
+        for time, callback in events:
+            if time < now:
+                self._seq = seq
+                raise SimulationError(
+                    f"cannot schedule in the past: time={time} < now={now}"
+                )
+            push(queue, [time, seq, callback])
+            seq += 1
+        self._seq = seq
 
     # ------------------------------------------------------------------
     # Cancellation accounting / compaction

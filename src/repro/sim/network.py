@@ -31,21 +31,37 @@ declarative fault primitives (used by the scenario engine in
   the current partition are *held* (never dropped: channels stay reliable)
   and released when the partition heals, re-timed by the delay model.
 
-The transport itself is the hottest code in the repository: every message
-of every experiment passes through :meth:`Network.send`, which sizes the
-payload and hands it to the one send path, ``_send_general``.  That path
-tests a single ``_slow`` flag for all re-timing machinery (rules,
-interceptor, partition); when it is clear and the payload is not traced
-or logged, the delivery is posted straight onto the simulator with
-:func:`functools.partial` over a prebound callback — no rule loop, no
-envelope re-timing, no per-delivery label or closure.  Envelopes are
-``NamedTuple`` instances (constructed in C), the registered-pid tuple
-used by :meth:`Network.broadcast` is cached across calls, payload sizes
-are memoized by object identity — per node of the walk, so a value
-embedded in many messages is sized once — through the network's bounded
-:class:`repro._core.IdentityMemo` and kept on the envelope (so nothing
-downstream sizes a payload twice), and the per-delivery log is opt-in
-(``record_deliveries=True``) because nothing outside the tests reads it.
+The transport itself is the hottest code in the repository, and the
+protocols it carries are all-to-all, so its unit of work is the
+**fan-out**: one payload from one source to ``k`` recipients.
+:meth:`Network.send` is a fan-out of one, :meth:`Network.broadcast` a
+fan-out over the cached sorted pid tuple, and both go through the one
+send path, ``_send_general``.
+
+Done **once per fan-out**: the destination check, the payload's size
+(memoized by object identity — per node of the walk, so a value embedded
+in many messages is sized once — through the network's bounded
+:class:`repro._core.IdentityMemo`), the clock read, the single ``_slow``
+flag that stands for all re-timing machinery (rules, interceptor,
+partition), the tracer's per-type verdict, the ``NetworkStats`` update
+(``messages_sent += k``, ``bytes_sent += k * size``), one call of each
+send hook with the whole sequence of envelopes, and one
+:meth:`Simulator.post_many` that queues every delivery.
+
+Left **per recipient**, in recipient order: the delay model's draw (so a
+seeded model draws exactly as ``k`` separate sends would), the
+:class:`Envelope` — a ``NamedTuple``, constructed in C, that carries the
+accounted size so nothing downstream sizes a payload twice — any rule /
+interceptor re-timing and tracer stamp, the partition test (held
+recipients are held individually, the others posted), and the queue
+entry: :func:`functools.partial` over a prebound callback, no label, no
+closure, under the same consecutive ``(time, seq)`` keys separate sends
+would get.  A fan-out is therefore indistinguishable from its ``k``
+sends in every envelope, delivery, counter and digest; it is also
+atomic — nothing is accounted, hooked or queued until every envelope
+exists, so a bad destination or delay cannot leave half a broadcast
+behind.  The per-delivery log is opt-in (``record_deliveries=True``)
+because nothing outside the tests reads it.
 """
 
 from __future__ import annotations
@@ -323,7 +339,7 @@ class Network:
         record_deliveries: bool = False,
     ) -> None:
         self.sim = sim
-        self._post = sim.post  # bound once: called on every send
+        self._post_many = sim.post_many  # bound once: called on every fan-out
         #: Sizes per object, not per message embedding it.  The walk is
         #: read off the module here, not imported by name, so that a test
         #: instrumenting ``pure.payload_size`` sees the top-level call as
@@ -338,7 +354,7 @@ class Network:
         self._delivery_log: Optional[List[Envelope]] = (
             [] if record_deliveries else None
         )
-        self._send_hooks: List[Callable[[Envelope], None]] = []
+        self._send_hooks: List[Callable[[Sequence[Envelope]], None]] = []
         self._delay_rules: Dict[str, DelayRule] = {}
         #: payload type name -> rules that could match it, in installation
         #: order (rule applications do not commute); lazily rebuilt.
@@ -419,8 +435,19 @@ class Network:
             pids = self._pid_cache = tuple(sorted(self._handlers))
         return pids
 
-    def add_send_hook(self, hook: Callable[[Envelope], None]) -> None:
-        """Observe every send (used by the trace recorder)."""
+    def add_send_hook(
+        self, hook: Callable[[Sequence[Envelope]], None]
+    ) -> None:
+        """Observe every send (used by the trace recorder).
+
+        ``hook`` is called once per fan-out — one :meth:`send` or one
+        :meth:`broadcast` — with the non-empty sequence of its envelopes
+        in recipient order.  They share ``src``, ``payload`` (the same
+        object), ``send_time`` and ``size`` and differ in ``dst``,
+        ``deliver_time`` and ``trace``; anything that depends only on
+        the shared fields is the hook's to do once.  A fan-out with no
+        recipients calls no hook.
+        """
         self._send_hooks.append(hook)
 
     def install_tracer(self, tracer: Optional[Any]) -> None:
@@ -544,34 +571,60 @@ class Network:
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> Envelope:
         """Send ``payload`` from ``src`` to ``dst``; returns the envelope."""
-        return self._send_general(src, dst, payload, self._size_fn(payload))
+        return self._send_general(src, (dst,), payload)[0]
+
+    def broadcast(
+        self, src: ProcessId, payload: Any, include_self: bool = True
+    ) -> List[Envelope]:
+        """Send ``payload`` from ``src`` to every registered process, in
+        pid order: one fan-out over the cached sorted pid tuple."""
+        dsts: Sequence[ProcessId] = self.process_ids
+        if not include_self:
+            dsts = [dst for dst in dsts if dst != src]
+        return self._send_general(src, dsts, payload)
 
     def _send_general(
-        self, src: ProcessId, dst: ProcessId, payload: Any, size: int
-    ) -> Envelope:
-        """The one transport path; ``size`` is pre-computed so broadcasts
-        account the payload once instead of probing the memo per
-        recipient."""
-        if dst not in self._handlers:
-            raise ValueError(f"unknown destination process {dst}")
+        self, src: ProcessId, dsts: Sequence[ProcessId], payload: Any
+    ) -> List[Envelope]:
+        """The one transport path: ``payload`` from ``src`` to each of
+        ``dsts``, in order — exactly ``len(dsts)`` sends, with everything
+        that is constant across the recipients done once (see the module
+        docstring for what is per fan-out and what per recipient).
+
+        Atomic: nothing is accounted, hooked, held or queued until every
+        envelope of the fan-out exists, so a bad destination or an
+        invalid delay leaves no half-sent broadcast behind.
+        """
+        if dsts is not self._pid_cache:  # the cache *is* the registry's keys
+            handlers = self._handlers
+            for dst in dsts:
+                if dst not in handlers:
+                    raise ValueError(f"unknown destination process {dst}")
+        if not dsts:
+            return []
+        size = self._size_fn(payload)
         now = self.sim._now
         fixed = self._fixed_delay
         if fixed is not None:
-            deliver = now + fixed
+            arrival = now + fixed
+            envelopes = [
+                Envelope(src, dst, payload, now, arrival, size) for dst in dsts
+            ]
         else:
-            delay = self._delay_model.delay(src, dst, now)
-            if not 0.0 <= delay < _INF:  # also rejects NaN (comparisons False)
-                raise ValueError(f"delay model returned invalid delay {delay}")
-            deliver = now + delay
-        envelope = Envelope(src, dst, payload, now, deliver, size)
-        # Zero-rule fast path: with no delay rules, no interceptor and no
-        # partition active (``_slow`` is maintained by their mutators), the
-        # envelope is final — skip the rule loop, the re-timing
-        # reconstruction and the partition check entirely.
-        slow = self._slow
-        if slow:
-            envelope = self._retime(envelope)
-            deliver = envelope.deliver_time
+            delay_of = self._delay_model.delay
+            envelopes = []
+            for dst in dsts:
+                delay = delay_of(src, dst, now)
+                if not 0.0 <= delay < _INF:  # also rejects NaN (comparisons False)
+                    raise ValueError(f"delay model returned invalid delay {delay}")
+                envelopes.append(
+                    Envelope(src, dst, payload, now, now + delay, size)
+                )
+        # With no delay rules, no interceptor and no partition active
+        # (``_slow`` is maintained by their mutators) the envelopes are
+        # final — no rule loop, no re-timing, no partition check.
+        if self._slow:
+            envelopes = [self._retime(envelope) for envelope in envelopes]
         tracer = self._tracer
         traced = tracer is not None
         if traced:
@@ -583,25 +636,35 @@ class Network:
                     verdict = wants[ptype] = bool(tracer.wants(ptype))
                 traced = verdict
             if traced:
-                envelope = tracer.on_send(envelope)
+                envelopes = [tracer.on_send(envelope) for envelope in envelopes]
         stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        hooks = self._send_hooks
-        if hooks:
-            for hook in hooks:
-                hook(envelope)
-        if slow and self._crosses_partition(src, dst):
-            stats.messages_held += 1
-            self._held.append(envelope)
-            return envelope
-        if not traced and self._delivery_log is None:
-            self._post(deliver, partial(self._deliver_ref, dst, src, payload))
+        k = len(envelopes)
+        stats.messages_sent += k
+        stats.bytes_sent += k * size
+        for hook in self._send_hooks:
+            hook(envelopes)
+        posted = envelopes
+        if self._partition is not None:
+            posted = []
+            for envelope in envelopes:
+                if self._crosses_partition(src, envelope.dst):
+                    stats.messages_held += 1
+                    self._held.append(envelope)
+                else:
+                    posted.append(envelope)
+        if traced or self._delivery_log is not None:
+            # Tracing and the log need the envelope at delivery; the
+            # queue keys are the same either way, so digests match.
+            deliver = self._deliver
+            events = [(e.deliver_time, partial(deliver, e)) for e in posted]
         else:
-            # Tracing needs the envelope at delivery; the schedule keeps
-            # the same (time, insertion-order) pair, so digests match.
-            self._schedule_delivery(envelope)
-        return envelope
+            deliver = self._deliver_ref
+            events = [
+                (e.deliver_time, partial(deliver, e.dst, src, payload))
+                for e in posted
+            ]
+        self._post_many(events)
+        return envelopes
 
     def _retime(self, envelope: Envelope) -> Envelope:
         """Apply delay rules, then the interceptor, to an envelope."""
@@ -628,25 +691,6 @@ class Network:
 
     def _schedule_delivery(self, envelope: Envelope) -> None:
         self.sim.post(envelope.deliver_time, partial(self._deliver, envelope))
-
-    def broadcast(
-        self, src: ProcessId, payload: Any, include_self: bool = True
-    ) -> List[Envelope]:
-        """Send ``payload`` from ``src`` to every registered process.
-
-        The payload's structural size is resolved once for the whole
-        broadcast, and the destination list is the cached sorted pid
-        tuple — nothing here is per-recipient except the send itself.
-        """
-        size = self._size_fn(payload)
-        send = self._send_general
-        if include_self:
-            return [send(src, dst, payload, size) for dst in self.process_ids]
-        return [
-            send(src, dst, payload, size)
-            for dst in self.process_ids
-            if dst != src
-        ]
 
     # ------------------------------------------------------------------
     # Delivery

@@ -129,9 +129,10 @@ class Cluster:
             self.start()
         from .events import SimulationTimeout
 
+        awaited = self.trace.await_decisions(pids)
         try:
             decision_time = self.sim.run_until(
-                lambda: self.trace.all_decided(pids),
+                lambda: not awaited,
                 timeout=timeout,
                 max_events=max_events,
             )

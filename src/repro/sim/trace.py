@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .network import Envelope, Network, ProcessId
 
@@ -43,6 +43,16 @@ class TraceRecorder:
     carrying the size the network accounted for it — so
     ``sum(e.size for e in sends) == network.stats.bytes_sent`` and the
     trace digest formats that size rather than sizing payloads again.
+
+    The recorder is a per-fan-out send hook (see
+    :meth:`Network.add_send_hook`): a broadcast to ``k`` recipients costs
+    it one ``extend`` and one type-count bump, and leaves ``k``
+    consecutive envelopes built from the same ``src``, ``payload``,
+    ``send_time`` and ``size`` objects — which is what lets the digest
+    and the post-run oracles do their per-payload work once per fan-out
+    as well.  Decisions are recorded one by one; a caller waiting for a
+    set of processes to decide (:meth:`await_decisions`) is handed a set
+    that shrinks as they do.
     """
 
     def __init__(self, network: Optional[Network] = None) -> None:
@@ -50,14 +60,18 @@ class TraceRecorder:
         self.decisions: List[Decision] = []
         self._decided_by: Dict[ProcessId, Decision] = {}
         self._type_counts: Dict[str, int] = {}
+        #: The pids :meth:`await_decisions` is waiting on that have not
+        #: decided yet; :meth:`record_decision` shrinks it.
+        self._awaited: Set[ProcessId] = set()
         if network is not None:
             network.add_send_hook(self._record_send)
 
-    def _record_send(self, envelope: Envelope) -> None:
-        self.sends.append(envelope)
-        name = type(envelope.payload).__name__
+    def _record_send(self, envelopes: Sequence[Envelope]) -> None:
+        """The network's send hook: one call per fan-out (one payload)."""
+        self.sends.extend(envelopes)
+        name = type(envelopes[0].payload).__name__
         counts = self._type_counts
-        counts[name] = counts.get(name, 0) + 1
+        counts[name] = counts.get(name, 0) + len(envelopes)
 
     # ------------------------------------------------------------------
     # Decision bookkeeping
@@ -76,6 +90,7 @@ class TraceRecorder:
         decision = Decision(pid=pid, value=value, time=time)
         self._decided_by[pid] = decision
         self.decisions.append(decision)
+        self._awaited.discard(pid)
 
     def decision_of(self, pid: ProcessId) -> Optional[Decision]:
         return self._decided_by.get(pid)
@@ -90,6 +105,14 @@ class TraceRecorder:
 
     def all_decided(self, pids) -> bool:
         return all(pid in self._decided_by for pid in pids)
+
+    def await_decisions(self, pids: Iterable[ProcessId]) -> Set[ProcessId]:
+        """The live set of ``pids`` still undecided: each is removed as
+        its decision is recorded, so "has everyone decided?" is ``not
+        awaited`` rather than an :meth:`all_decided` scan per event.  One
+        waiter at a time — a later call replaces the set being shrunk."""
+        self._awaited = {pid for pid in pids if pid not in self._decided_by}
+        return self._awaited
 
     def check_agreement(self, correct_pids) -> Any:
         """Assert all ``correct_pids`` that decided agree; return the value."""
@@ -131,10 +154,10 @@ class TraceRecorder:
     def messages_by_type(self) -> Dict[str, int]:
         """Histogram of payload class names across all sends.
 
-        Maintained incrementally by the send hook — analysis code calls
-        this per run, and rescanning every send made it O(sends) per
-        call.  Direct appends to :attr:`sends` (no network hook) are
-        still counted, lazily.
+        Maintained incrementally by the send hook (one bump per
+        fan-out) — analysis code calls this per run, and rescanning every
+        send made it O(sends) per call.  Direct appends to :attr:`sends`
+        (no network hook) are still counted, lazily.
         """
         if sum(self._type_counts.values()) != len(self.sends):
             counts: Dict[str, int] = {}

@@ -1,4 +1,5 @@
-"""A run pays for a send once, for "are we done?" once, and for a value once.
+"""A run pays for a send once, for "are we done?" once, for a value once —
+and for a broadcast once, not once per recipient.
 
 Three costs used to grow without being protocol work: the end-of-run
 trace digest re-sized every recorded send, the SMR stop predicate
@@ -10,16 +11,28 @@ fact is established — ``Envelope.size`` at send time,
 on the first visit to the object (``IdentityMemo``) — and the replica's
 own "which slots are in flight / decided but not executed" questions are
 answered from state kept where it changes instead of scans of the whole
-log.  These tests hold those seams to deterministic, zero-tolerance
-counts over the canonical library.
+log.  The transport, the trace recorder, the digest and the post-run
+oracles in turn treat one payload going to ``k`` recipients as one
+fan-out, and ``run_until_decided`` waits on a shrinking set.  These tests
+hold those seams to deterministic, zero-tolerance counts over the
+canonical library, and the fan-out to being indistinguishable from its
+``k`` sends.
 """
 
 import dataclasses
+import hashlib
+import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._core import MEMO_LIMIT, pure
-from repro.obs.recorder import FlightRecorder
+from repro.core.messages import Ack
+from repro.core.protocol import DecidingProcess
+from repro.obs.recorder import FlightRecorder, TeeTracer
 from repro.obs.tracing import CausalTracer
 from repro.scenarios import runner
 from repro.scenarios.adapters import ADAPTERS, PacedSMRClient
@@ -27,7 +40,18 @@ from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.spec import Crash
 from repro.sim import Cluster, trace_digest
 from repro.sim.events import Simulator
-from repro.sim.network import Network, SynchronousDelay, payload_size
+from repro.sim.network import (
+    DelayRule,
+    Envelope,
+    Network,
+    PartialSynchronyDelay,
+    RandomDelay,
+    RoundSynchronousDelay,
+    SynchronousDelay,
+    payload_size,
+)
+from repro.sim.process import Process
+from repro.sim.trace import TraceRecorder
 from repro.smr import NOOP, SMRClient
 from repro.smr.replica import Batch, Reply, SMRReplica
 
@@ -186,7 +210,7 @@ class TestRecordedSendSize:
         for pid in (0, 1):
             net.register(pid, lambda src, payload: None)
         recorded = []
-        net.add_send_hook(recorded.append)
+        net.add_send_hook(recorded.extend)
         net.start_partition([{0}, {1}])
         payload = ("held", 7)
         sent = net.send(0, 1, payload)
@@ -418,3 +442,520 @@ class TestReplicaSlotBookkeeping:
         replica._adopt_decision(1, NOOP)
         assert replica._decided_unexecuted == {5}
         _assert_bookkeeping_equals_a_scan(replica)
+
+
+# ---------------------------------------------------------------------------
+# Fan out once: a broadcast is its k sends
+# ---------------------------------------------------------------------------
+
+DELAY_MODELS = {
+    "synchronous": lambda seed: SynchronousDelay(1.0),
+    "round": lambda seed: RoundSynchronousDelay(1.0),
+    "random": lambda seed: RandomDelay(0.25, 2.0, seed=seed),
+    # GST in mid-script: draws before it, the fixed bound after.
+    "partial-synchrony": lambda seed: PartialSynchronyDelay(
+        delta=1.0, gst=2.0, pre_gst_max=6.0, seed=seed
+    ),
+}
+FEATURES = ("rule", "interceptor", "partition", "log", "tracer")
+HEAL_AT = 2.5
+
+#: Plain values (the flight recorder ignores them, the causal tracer
+#: stamps them) and protocol messages (both stamp them; the rule below
+#: re-times them).  Each is one object, sent many times.
+PAYLOADS = ("ping", ("tuple", 7), Ack("v", 1), Ack("w", 2))
+
+#: (time, src, payload index, include_self) — a step is one broadcast.
+SCRIPT = (
+    (0.0, 0, 2, True), (0.0, 1, 2, True), (0.0, 1, 0, False),
+    (0.5, 2, 1, True), (1.0, 0, 3, False), (2.0, 3, 2, True),
+    (2.0, 3, 2, True), (3.0, 1, 3, True), (3.25, 2, 0, True),
+)
+
+
+def _scripted_run(fan_out, model, n, features, script, seed=11):
+    """Play ``script`` on a fresh network — each step as one broadcast
+    (``fan_out``) or as its sends, one by one — and report everything an
+    observer could tell the two apart by."""
+    sim = Simulator()
+    net = Network(
+        sim,
+        delay_model=DELAY_MODELS[model](seed),
+        interceptor=(
+            (lambda env: env.deliver_time + 0.125 if env.dst == 1 else None)
+            if "interceptor" in features
+            else None
+        ),
+        record_deliveries="log" in features,
+    )
+    deliveries = []
+    for pid in range(n):
+        net.register(
+            pid,
+            lambda src, payload, pid=pid: deliveries.append(
+                (sim.now, pid, src, payload)
+            ),
+        )
+    trace = TraceRecorder(net)
+    observers = ()
+    if "tracer" in features:
+        observers = (CausalTracer(), FlightRecorder())
+        net.install_tracer(TeeTracer(*observers))
+    if "rule" in features:
+        net.set_delay_rule(
+            DelayRule("late-acks", extra_delay=0.75, payload_types=("Ack",), dst={0})
+        )
+    held_at_heal = []
+    if "partition" in features:
+        net.start_partition([{0}, set(range(1, n))])
+
+        def heal():
+            held_at_heal.extend(net.held_messages)
+            net.heal_partition()
+
+        sim.schedule_at(HEAL_AT, heal)
+    returned = []
+
+    def step(src, payload, include_self):
+        if fan_out:
+            envelopes = net.broadcast(src, payload, include_self=include_self)
+        else:
+            envelopes = [
+                net.send(src, dst, payload)
+                for dst in net.process_ids
+                if include_self or dst != src
+            ]
+        returned.append(envelopes)
+
+    for at, src, index, include_self in script:
+        sim.schedule_at(
+            at, lambda a=(src % n, PAYLOADS[index], include_self): step(*a)
+        )
+    sim.run()
+    return {
+        "returned": returned,
+        "deliveries": deliveries,
+        "stats": net.stats,
+        "sends": trace.sends,
+        "by_type": trace.messages_by_type(),
+        "digest": trace_digest(trace, sim, net.stats),
+        "log": net.delivery_log if "log" in features else None,
+        "held_at_heal": held_at_heal,
+        "observed": [list(observer.events) for observer in observers],
+        "clock": (sim.now, sim.events_processed),
+    }
+
+
+class TestFanOutEqualsSends:
+    @pytest.mark.parametrize(
+        "features", [(), *((f,) for f in FEATURES), FEATURES], ids="+".join
+    )
+    @pytest.mark.parametrize("model", sorted(DELAY_MODELS))
+    def test_a_broadcast_is_indistinguishable_from_its_sends(self, model, features):
+        together = _scripted_run(True, model, 4, features, SCRIPT)
+        apart = _scripted_run(False, model, 4, features, SCRIPT)
+        assert together == apart
+        sent = together["stats"].messages_sent
+        assert sent == len(together["sends"]) == sum(map(len, together["returned"]))
+        assert len(together["deliveries"]) == sent  # held ones were released
+        if "partition" in features:
+            assert 0 < together["stats"].messages_held == len(together["held_at_heal"])
+        if "tracer" in features:
+            assert all(env.trace is not None for env in together["sends"])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(DELAY_MODELS)),
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 5),
+        features=st.sets(st.sampled_from(FEATURES)),
+        script=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0]),
+                st.integers(0, 4),
+                st.integers(0, len(PAYLOADS) - 1),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_any_script_any_machinery(self, model, seed, n, features, script):
+        script = sorted(script, key=lambda step: step[0])
+        together = _scripted_run(True, model, n, features, script, seed)
+        apart = _scripted_run(False, model, n, features, script, seed)
+        assert together == apart
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_the_send_path_is_entered_once_per_send_or_broadcast(
+        self, run_observed, monkeypatch, name
+    ):
+        calls = {"send": 0, "broadcast": 0, "_send_general": 0}
+        fanned = [0]
+
+        def counting(method):
+            real = getattr(Network, method)
+
+            def wrapper(self, *args, **kwargs):
+                calls[method] += 1
+                result = real(self, *args, **kwargs)
+                if method == "_send_general":
+                    fanned[0] += len(result)
+                return result
+
+            monkeypatch.setattr(Network, method, wrapper)
+
+        for method in calls:
+            counting(method)
+        result, cluster = run_observed(name)
+        assert calls["broadcast"] > 0
+        assert calls["_send_general"] == calls["send"] + calls["broadcast"]
+        assert fanned[0] == result.messages_sent > calls["_send_general"]
+
+
+class _Hooked:
+    """A network of ``n`` silent processes with a recording send hook."""
+
+    def __init__(self, n, delay_model=None):
+        self.sim = Simulator()
+        self.net = Network(self.sim, delay_model=delay_model or SynchronousDelay(1.0))
+        for pid in range(n):
+            self.net.register(pid, lambda src, payload: None)
+        self.hooked = []
+        self.net.add_send_hook(self.hooked.append)
+
+    def assert_untouched(self):
+        stats = self.net.stats
+        assert (stats.messages_sent, stats.bytes_sent, stats.messages_held) == (0, 0, 0)
+        assert stats.size_cache_hits + stats.size_cache_misses == 0
+        assert self.hooked == [] and self.sim.pending_events == 0
+        assert self.net.held_messages == ()
+
+
+class TestFanOutEdgeCases:
+    def test_an_unknown_destination_sends_nothing_at_all(self):
+        world = _Hooked(3)
+        with pytest.raises(ValueError, match="unknown destination process 9"):
+            world.net.send(0, 9, "lost")
+        world.assert_untouched()
+        # Not even the recipients that precede the bad one.
+        with pytest.raises(ValueError, match="unknown destination process 9"):
+            world.net._send_general(0, (1, 2, 9), "lost")
+        world.assert_untouched()
+
+    def test_an_invalid_delay_mid_fan_out_sends_nothing_at_all(self):
+        class ThirdIsBroken:
+            def delay(self, src, dst, send_time):
+                return math.nan if dst == 2 else 1.0
+
+        world = _Hooked(4, ThirdIsBroken())
+        with pytest.raises(ValueError, match="invalid delay"):
+            world.net.broadcast(0, "half")
+        assert world.net.stats.messages_sent == 0
+        assert world.hooked == [] and world.sim.pending_events == 0
+
+    def test_a_fan_out_with_no_recipients_is_nothing(self):
+        world = _Hooked(1)
+        assert world.net.broadcast(0, "alone", include_self=False) == []
+        world.assert_untouched()
+        assert world.net.broadcast(0, "self") == world.hooked[0]  # k = 1 works
+
+    def test_held_recipients_are_held_one_by_one(self):
+        world = _Hooked(5)
+        net = world.net
+        net.start_partition([{0, 1}, {2, 3}])  # 4 is the implicit group
+        envelopes = net.broadcast(0, "split")
+        assert world.hooked == [envelopes]  # one call, all five
+        assert [env.dst for env in envelopes] == [0, 1, 2, 3, 4]
+        assert [env.dst for env in net.held_messages] == [2, 3, 4]
+        assert net.stats.messages_held == 3
+        assert net.stats.messages_sent == 5
+        assert world.sim.pending_events == 2
+        net.heal_partition()
+        assert net.held_messages == () and world.sim.pending_events == 5
+        assert net.stats.messages_held == 3  # a count of holds, not a gauge
+
+
+class TestOraclesTallyAFanOutOnce:
+    FBFT = sorted(n for n, spec in SCENARIOS.items() if spec.protocol == "fbft")
+
+    @pytest.fixture
+    def audited(self, run_observed, monkeypatch):
+        """Run a scenario; hand back what the certificate audit was given
+        and every certificate it validated."""
+        from repro.scenarios import adapters
+
+        validated, given = [], []
+        real_valid = adapters.progress_certificate_valid
+        real_eval = runner.evaluate_invariants
+
+        def valid(cert, *args):
+            validated.append(cert)
+            return real_valid(cert, *args)
+
+        def evaluate(spec, built, cluster, *rest):
+            given.append((built, cluster))
+            return real_eval(spec, built, cluster, *rest)
+
+        monkeypatch.setattr(adapters, "progress_certificate_valid", valid)
+        monkeypatch.setattr(runner, "evaluate_invariants", evaluate)
+
+        def run(name):
+            result, _ = run_observed(name)
+            built, cluster = given.pop()
+            return result, built, cluster, validated
+
+        return run
+
+    @pytest.mark.parametrize("name", FBFT)
+    def test_each_honest_proposal_is_audited_once(self, audited, name):
+        result, built, cluster, validated = audited(name)
+        (verdict,) = [v for v in result.verdicts if v.name == "certificates"]
+        assert verdict.passed and verdict.detail == "all traced certificates valid"
+        honest = set(built.honest_pids)
+        proposals = [
+            env
+            for env in cluster.trace.sends
+            if type(env.payload).__name__ == "Propose"
+            and env.payload.view > 1
+            and env.src in honest
+        ]
+        distinct = {id(env.payload): env.payload for env in proposals}
+        assert sorted(map(id, validated)) == sorted(
+            id(p.cert) for p in distinct.values()
+        )
+        if proposals:  # a proposal reaches everyone: n envelopes, one audit
+            assert len(validated) * built.config.n == len(proposals)
+
+    def test_a_bad_certificate_is_reported_once_not_once_per_copy(self, audited):
+        _, built, cluster, _ = audited("silent-leader")
+        sends = cluster.trace.sends
+        first = next(
+            i for i, env in enumerate(sends)
+            if type(env.payload).__name__ == "Propose" and env.payload.view > 1
+        )
+        good = sends[first].payload
+        copies = [env for env in sends if env.payload is good]
+        assert len(copies) == built.config.n
+        bare = dataclasses.replace(
+            good, cert=dataclasses.replace(good.cert, signatures=())
+        )
+        forged = [env._replace(payload=bare) for env in copies]
+        errors = built.adapter.certificate_errors(built, sends + forged)
+        assert errors == [
+            f"invalid progress certificate on proposal "
+            f"({bare.value!r}, view {bare.view}) from {copies[0].src}"
+        ]
+        # The same proposal object from another (honest) sender is
+        # another proposal.
+        other = next(p for p in built.honest_pids if p != copies[0].src)
+        relayed = [env._replace(src=other) for env in forged]
+        assert len(built.adapter.certificate_errors(built, forged + relayed)) == 2
+
+    def test_quorum_shortfall_counts_senders_not_payload_objects(self, audited):
+        from types import SimpleNamespace
+
+        from repro.scenarios import invariants
+
+        _, built, _, _ = audited("fast-path-clean")
+        quorum = built.config.fast_quorum
+        ack = Ack("v", 1)  # one object relayed by every sender but one
+        sends = [
+            Envelope(src, dst, ack, 0.0, 1.0, 5)
+            for src in range(quorum - 1)
+            for dst in range(built.config.n)
+        ]
+        cluster = SimpleNamespace(trace=SimpleNamespace(sends=sends))
+        assert invariants._quorum_shortfall(built, cluster) == 1.0
+        sends += [Envelope(quorum - 1, 0, ack, 0.0, 1.0, 5)]
+        assert invariants._quorum_shortfall(built, cluster) is None
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_quorum_shortfall_equals_a_per_envelope_tally(self, audited, name):
+        from repro.scenarios import invariants
+
+        _, built, cluster, _ = audited(name)
+        margin = invariants._quorum_shortfall(built, cluster)
+        if built.config is None:
+            assert margin is None
+            return
+        tallies = {}
+        for env in cluster.trace.sends:
+            kind = type(env.payload).__name__
+            threshold = getattr(
+                built.config, invariants._QUORUM_ATTRS.get(kind, ""), None
+            )
+            view = getattr(env.payload, "view", getattr(env.payload, "ballot", None))
+            if threshold is None or view is None:
+                continue
+            key = (kind, view, repr(getattr(env.payload, "value", None)))
+            tallies.setdefault(key, (set(), threshold))[0].add(env.src)
+        short = [t - len(s) for s, t in tallies.values() if len(s) < t]
+        assert margin == (float(min(short)) if short else None)
+
+
+# ---------------------------------------------------------------------------
+# Digest once per fan-out: the same bytes as one line per envelope
+# ---------------------------------------------------------------------------
+
+
+def _digest_as_defined(trace, sim, stats):
+    """The digest's written definition: one formatted line per recorded
+    send, per decision, and for the final counters, hashed in order."""
+    h = hashlib.sha256()
+    for env in trace.sends:
+        h.update(
+            (
+                f"s|{env.src}|{env.dst}|{type(env.payload).__name__}"
+                f"|{env.size}"
+                f"|{env.send_time!r}|{env.deliver_time!r}\n"
+            ).encode()
+        )
+    for decision in trace.decisions:
+        h.update(
+            f"d|{decision.pid}|{decision.value!r}|{decision.time!r}\n".encode()
+        )
+    h.update(
+        (
+            f"e|{sim.events_processed}|{sim.now!r}"
+            f"|{stats.messages_sent}|{stats.messages_delivered}\n"
+        ).encode()
+    )
+    return h.hexdigest()
+
+
+def _assert_digest_as_defined(trace, sim, stats):
+    digest = trace_digest(trace, sim, stats)
+    assert digest == _digest_as_defined(trace, sim, stats)
+    return digest
+
+
+#: Small pools, so generated envelopes share objects by accident the way
+#: real fan-outs do by construction.  ``0``, ``0.0`` and ``-0.0`` are
+#: equal and format differently; so do ``2`` and ``2.0``.
+_TIMES = (0, 0.0, -0.0, 1.5, 2, 2.0)
+_SIZES = (2, 7, 1000)
+
+_envelopes = st.builds(
+    Envelope,
+    src=st.sampled_from((0, 1, 2)),
+    dst=st.sampled_from((0, 1, 2, 3)),
+    payload=st.sampled_from(PAYLOADS),
+    send_time=st.sampled_from(_TIMES),
+    deliver_time=st.sampled_from(_TIMES),
+    size=st.sampled_from(_SIZES),
+    trace=st.sampled_from((None, 5, (5, None))),
+)
+
+
+class TestDigestIsItsDefinition:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_on_every_canonical_scenario(self, run_observed, name):
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "scenario_digests.json").read_text()
+        )
+        result, cluster = run_observed(name)
+        digest = _assert_digest_as_defined(
+            cluster.trace, cluster.sim, cluster.network.stats
+        )
+        assert digest == result.trace_digest == golden[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sends=st.lists(_envelopes, max_size=30))
+    def test_on_hand_appended_sends_built_to_break_grouping(self, sends):
+        world = _Hooked(1)
+        trace = TraceRecorder()  # no hook: nothing was fanned out
+        trace.sends.extend(sends)
+        _assert_digest_as_defined(trace, world.sim, world.net.stats)
+
+    def test_on_an_empty_trace(self):
+        world = _Hooked(1)
+        _assert_digest_as_defined(TraceRecorder(), world.sim, world.net.stats)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "stamped"])
+    def test_on_fan_outs_that_look_alike(self, traced):
+        sim = Simulator()
+        net = Network(sim, delay_model=RandomDelay(0.5, 1.5, seed=3))
+        for pid in range(4):
+            net.register(pid, lambda src, payload: None)
+        trace = TraceRecorder(net)
+        if traced:
+            net.install_tracer(CausalTracer())
+        vote, other = PAYLOADS[2], PAYLOADS[3]
+        # One object, two sources, one instant; then the same source
+        # again, and again later.
+        net.broadcast(0, vote)
+        net.broadcast(1, vote)
+        net.broadcast(0, vote)
+        net.send(0, 2, vote)
+        sim.run(until=1.0)
+        net.broadcast(0, vote)
+        sim.run()
+        assert traced == all(env.trace is not None for env in trace.sends)
+        _assert_digest_as_defined(trace, sim, net.stats)
+        # A unicast recorded inside another source's broadcast, and one
+        # of the broadcast's own payload from its own source.
+        inside = trace.sends[:2] + [net.send(3, 1, other)] + trace.sends[2:4]
+        inside += [net.send(0, 1, vote)] + trace.sends[4:]
+        trace.sends[:] = inside
+        _assert_digest_as_defined(trace, sim, net.stats)
+
+
+# ---------------------------------------------------------------------------
+# Wait on the undecided, do not re-scan the decided
+# ---------------------------------------------------------------------------
+
+
+class _DecidesAt(DecidingProcess):
+    def __init__(self, pid, at, value="v"):
+        super().__init__(pid, value)
+        self.at = at
+
+    def on_start(self):
+        self.ctx.set_timer("decide", self.at, lambda: self.decide(self.input_value))
+
+
+class _Bystander(Process):
+    """No ``decision_hook``: the cluster never hears of a decision."""
+
+
+class TestRunUntilDecided:
+    def test_returns_at_once_when_everyone_already_decided(self):
+        cluster = Cluster([_DecidesAt(0, 1.0), _DecidesAt(1, 2.0)])
+        assert cluster.run_until_decided().decision_time == 2.0
+        events = cluster.sim.events_processed
+        again = cluster.run_until_decided()
+        assert (again.decided, again.decision_value, again.decision_time) == (
+            True, "v", 2.0,
+        )
+        assert cluster.sim.events_processed == events
+
+    def test_a_pid_nobody_reports_for_times_out(self):
+        cluster = Cluster([_DecidesAt(0, 1.0), _Bystander(1)])
+        result = cluster.run_until_decided(timeout=50.0)
+        assert not result.decided and result.decision_time is None
+        assert result.decision_value == "v"  # agreement among those who did
+        assert not cluster.trace.all_decided([0, 1])
+        # ...and so does a pid that is not in the cluster at all.
+        assert not cluster.run_until_decided([0, 7], timeout=60.0).decided
+
+    def test_re_deciding_the_same_value_changes_nothing(self):
+        first, second = _DecidesAt(0, 1.0), _DecidesAt(1, 3.0)
+        cluster = Cluster([first, second])
+        cluster.run(until=2.0)
+        first.decision_hook("v")  # e.g. a late quorum re-confirming
+        assert len(cluster.trace.decisions) == 1
+        result = cluster.run_until_decided()
+        assert (result.decided, result.decision_time) == (True, 3.0)
+        second.decision_hook("v")
+        assert cluster.run_until_decided().decision_time == 3.0
+        assert [d.pid for d in cluster.trace.decisions] == [0, 1]
+
+    def test_successive_waits_on_different_pid_sets(self):
+        cluster = Cluster([_DecidesAt(pid, float(pid + 1)) for pid in range(4)])
+        early = cluster.run_until_decided([1, 0])
+        assert (early.decided, early.decision_time, cluster.sim.now) == (True, 2.0, 2.0)
+        assert not cluster.trace.all_decided([0, 1, 2])
+        late = cluster.run_until_decided([3, 1])  # 1 decided under the first wait
+        assert (late.decided, late.decision_time, cluster.sim.now) == (True, 4.0, 4.0)
+        everyone = cluster.run_until_decided()
+        assert everyone.decided and everyone.decision_time == 4.0

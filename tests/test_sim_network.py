@@ -210,7 +210,9 @@ class TestNetwork:
     def test_send_hook_sees_every_send(self):
         sim, net, _ = make_network()
         seen = []
-        net.add_send_hook(lambda env: seen.append(env.payload))
+        net.add_send_hook(
+            lambda envelopes: seen.extend(env.payload for env in envelopes)
+        )
         net.broadcast(0, "x")
         assert len(seen) == 4
 
