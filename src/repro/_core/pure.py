@@ -35,6 +35,7 @@ __all__ = [
     "hmac_sha256",
     "make_deliver",
     "payload_size",
+    "pin",
     "run_bounded",
     "run_pred",
     "step",
@@ -54,6 +55,14 @@ class SimulationTimeout(SimulationError):
 #: instead of corrupting the cancelled-entry accounting (the entry is no
 #: longer in the queue, so it must not count toward compaction).
 FIRED: Any = object()
+
+# A queue entry is ``[time, seq, callback, args]``: the loops below pop it
+# and run ``callback(*args)``.  A scheduled event is a zero-argument
+# callback with ``args == ()``; a network delivery is the delivery
+# function itself with its ``(dst, src, payload)`` (or ``(envelope,)``) —
+# the entry *is* the delivery, no closure or ``partial`` wraps it.  Slot 2
+# doubles as the entry's state: ``None`` once cancelled, :data:`FIRED`
+# once executed.
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +97,7 @@ def step(sim: Any) -> bool:
         entry[2] = FIRED
         sim._now = entry[0]
         sim._events_processed += 1
-        callback()
+        callback(*entry[3])
         return True
     return False
 
@@ -111,7 +120,7 @@ def drain(sim: Any) -> None:
         entry[2] = FIRED
         sim._now = entry[0]
         sim._events_processed += 1
-        callback()
+        callback(*entry[3])
 
 
 def run_bounded(
@@ -142,7 +151,7 @@ def run_bounded(
         sim._now = time
         sim._events_processed += 1
         executed += 1
-        callback()
+        callback(*entry[3])
     if until is not None:
         sim._now = max(sim._now, until)
 
@@ -183,7 +192,7 @@ def run_pred(
         sim._now = time
         sim._events_processed += 1
         executed += 1
-        callback()
+        callback(*entry[3])
         if predicate():
             return sim._now
     raise SimulationTimeout(
@@ -281,13 +290,21 @@ class IdentityMemo:
 
     def admit(self, obj: Any, result: Any) -> None:
         """Store ``result`` for ``obj``; the caller holds the proof."""
-        entries = self.entries
-        key = id(obj)
-        # Re-admitting a resident object (a top-level dataclass is
-        # admitted by its walk and again by ``get``) overwrites in place.
-        if len(entries) >= MEMO_LIMIT and key not in entries:
-            del entries[next(iter(entries))]
-        entries[key] = (obj, result)
+        pin(self.entries, obj, result)
+
+
+def pin(entries: Dict[int, Tuple[Any, Any]], obj: Any, result: Any) -> None:
+    """``entries[id(obj)] = (obj, result)`` under :data:`MEMO_LIMIT`,
+    evicting the oldest entry when full — the storage rule of every
+    identity-keyed table (:class:`IdentityMemo`, ``KeyRegistry``'s
+    verdict memo).  The entry pins ``obj``, so the id stays its own; a
+    reader must still check ``entry[0] is obj``."""
+    key = id(obj)
+    # Re-admitting a resident object (a top-level dataclass is admitted
+    # by its walk and again by ``get``) overwrites in place.
+    if len(entries) >= MEMO_LIMIT and key not in entries:
+        del entries[next(iter(entries))]
+    entries[key] = (obj, result)
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,6 +323,10 @@ def _dataclass_shape(cls: type) -> Optional[Tuple[Tuple[str, ...], bool]]:
 # ---------------------------------------------------------------------------
 
 
+#: Sizes of the fixed-width primitives, by exact type.
+_FIXED_SIZE: Dict[type, int] = {type(None): 1, bool: 1, int: 8, float: 8}
+
+
 def payload_size(payload: Any, memo: Optional[IdentityMemo] = None) -> int:
     """Deterministic structural size estimate of a payload, in bytes.
 
@@ -320,19 +341,24 @@ def payload_size(payload: Any, memo: Optional[IdentityMemo] = None) -> int:
     :class:`IdentityMemo`) a frozen-dataclass node already sized is not
     walked again, and the walk records the proof that admits new ones.
     """
-    if payload is None or isinstance(payload, bool):
-        return 1
-    if isinstance(payload, (int, float)):
-        return 8
+    # The fixed-width primitives are answered by exact type, and as
+    # fields of a tuple or dataclass added in place rather than by a
+    # recursive call; their subclasses (an ``IntEnum``) take the
+    # ``isinstance`` tests, to the same answers.
+    fixed = _FIXED_SIZE.get(type(payload))
+    if fixed is not None:
+        return fixed
     if isinstance(payload, str):
         return len(payload.encode("utf-8")) + 1
-    if isinstance(payload, bytes):
-        return len(payload)
     if isinstance(payload, (tuple, frozenset)):
         size = 2
         for item in payload:
-            size += payload_size(item, memo)
+            size += _FIXED_SIZE.get(type(item)) or payload_size(item, memo)
         return size
+    if isinstance(payload, (int, float)):
+        return 8
+    if isinstance(payload, bytes):
+        return len(payload)
     shape = _dataclass_shape(type(payload))
     if shape is not None and shape[1]:
         if memo is not None:
@@ -342,7 +368,8 @@ def payload_size(payload: Any, memo: Optional[IdentityMemo] = None) -> int:
             seen = memo.mutable_seen
         size = 2
         for name in shape[0]:
-            size += payload_size(getattr(payload, name), memo)
+            item = getattr(payload, name)
+            size += _FIXED_SIZE.get(type(item)) or payload_size(item, memo)
         if memo is not None and memo.mutable_seen == seen:
             memo.admit(payload, size)
         return size
@@ -372,11 +399,12 @@ def make_deliver(
 ) -> Callable[[int, int, Any], None]:
     """Build the zero-rule fast-path delivery callback.
 
-    The returned callable is what the network posts (via
-    ``functools.partial``) for every fast-path send: no envelope, no
-    log, no tracer — look the handler up at delivery time (the
-    destination may have shut down while the message was in flight),
-    count the delivery, hand the payload over.
+    The returned callable is what the network queues, with its
+    ``(dst, src, payload)`` arguments beside it in the queue entry, for
+    every fast-path send: no envelope, no log, no tracer — look the
+    handler up at delivery time (the destination may have shut down
+    while the message was in flight), count the delivery, hand the
+    payload over.
     """
 
     def deliver(dst: int, src: int, payload: Any) -> None:

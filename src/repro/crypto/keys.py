@@ -14,8 +14,23 @@ intended to be; see DESIGN.md's substitution table.
 
 The two hot primitives — canonical serialization and the HMAC digest —
 live with the rest of the hot path in :mod:`repro._core`.  On top of them
-the registry avoids repeated work in two ways:
+the registry avoids repeated work in three ways:
 
+* a bounded identity-keyed **verdict memo**: the protocols are
+  all-to-all, so every one of ``n`` processes checks the *same*
+  ``Signature`` object (or the same certificate's signatures tuple)
+  over the same value objects.  The first check that succeeds records
+  ``id(signature) -> (signature, payload)``; a later check whose
+  signature ``is`` that object and whose payload is that object — or a
+  plain tuple of the very same element objects, since every receiver
+  rebuilds ``("ack", value, view)`` afresh — is answered ``True`` from
+  one dict lookup, with no canonical walk, hash or HMAC.  An entry is
+  admitted only when the canonical walk just proved the payload
+  immutable and the signature is exactly the frozen :class:`Signature`
+  over ``int``/``bytes``; everything else — first sight, a look-alike
+  object with an equal digest, an equal-but-not-identical element
+  (``1`` vs ``True``), a payload holding a list, any failure — takes
+  the full path below, every time;
 * a bounded :class:`repro._core.IdentityMemo` keyed on object
   *identity* and consulted at every frozen-dataclass node of the walk
   (entries pin their object, hits require an ``is`` check, and only
@@ -32,6 +47,7 @@ import hashlib
 import hmac
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import is_
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from .._core import IdentityMemo, canonical_bytes, hmac_sha256, pure
@@ -59,6 +75,29 @@ class Signature:
 
     def signing_fields(self) -> Tuple[Any, ...]:
         return (self.signer, self.digest)
+
+
+def _is_frozen_signature(signature: Any) -> bool:
+    """``signature`` is exactly a :class:`Signature` over plain
+    ``int``/``bytes`` — nothing about it can change under a reference."""
+    return (
+        type(signature) is Signature
+        and type(signature.signer) is int
+        and type(signature.digest) is bytes
+    )
+
+
+def _same_payload(cached: Any, payload: Any) -> bool:
+    """``payload`` is the cached payload object itself, or a plain tuple
+    of the very objects the cached plain tuple holds.  Identity, never
+    equality: ``1``, ``True`` and ``1.0`` are equal and serialize
+    differently."""
+    return cached is payload or (
+        type(payload) is tuple
+        and type(cached) is tuple
+        and len(payload) == len(cached)
+        and all(map(is_, cached, payload))
+    )
 
 
 class Signer:
@@ -112,6 +151,13 @@ class KeyRegistry:
     or, as before this cap, periodically dropping the whole cache, which
     threw away exactly the hot certificate entries the memo exists for.
 
+    In front of both sits the identity-keyed verdict memo described in
+    the module docstring: a repeat check of the same signature *object*
+    over the same payload objects returns ``True`` without serializing
+    anything.  It counts as a cache hit (``len(signatures)`` of them for
+    a certificate), exactly as the ``(signer, digest)`` memo would have
+    counted it, so the counters do not depend on which memo answered.
+
     Canonicalization is shared the same way: one *object* — a payload,
     or a value embedded in many payloads — is serialized once across
     sign/verify/verify_all (``IdentityMemo``: bounded, identity-keyed,
@@ -141,6 +187,15 @@ class KeyRegistry:
         #: instrumenting ``pure.canonical_bytes`` sees every call.
         self._canonical_memo = IdentityMemo(pure.canonical_bytes)
         self._canonical: Callable[[Any], bytes] = self._canonical_memo.get
+        #: ``id(obj) -> (obj, payload)`` for each signature (``verify``)
+        #: or signatures tuple (``verify_all``) that verified over
+        #: ``payload``: the verdict ``True``, shared by object identity.
+        #: Admission needs the caller's proof that neither can change —
+        #: the canonical walk met nothing mutable in ``payload`` and
+        #: ``obj`` is frozen through and through; the entry pins both,
+        #: under the bound and eviction of every ``IdentityMemo``
+        #: (``pure.pin``).
+        self._verdicts: Dict[int, Tuple[Any, Any]] = {}
 
     @classmethod
     def for_processes(
@@ -183,12 +238,29 @@ class KeyRegistry:
 
     def verify(self, signature: Signature, payload: Any) -> bool:
         """Check that ``signature`` is ``signer``'s signature over ``payload``."""
+        entry = self._verdicts.get(id(signature))
+        if (
+            entry is not None
+            and entry[0] is signature
+            and _same_payload(entry[1], payload)
+        ):
+            self.cache_hits += 1
+            return True
         secret = self._secrets.get(signature.signer)
         if secret is None:
             return False
-        return self._verify_message(
+        memo = self._canonical_memo
+        seen = memo.mutable_seen
+        valid = self._verify_message(
             signature, secret, self._canonical(payload), None
         )
+        if (
+            valid
+            and memo.mutable_seen == seen
+            and _is_frozen_signature(signature)
+        ):
+            pure.pin(self._verdicts, signature, payload)
+        return valid
 
     def _verify_message(
         self,
@@ -233,6 +305,16 @@ class KeyRegistry:
         exactly like ``all(self.verify(sig, payload) for sig in ...)``.
         """
         self.batch_verifies += 1
+        entry = self._verdicts.get(id(signatures))
+        if (
+            entry is not None
+            and entry[0] is signatures
+            and _same_payload(entry[1], payload)
+        ):
+            self.cache_hits += len(signatures)
+            return True
+        memo = self._canonical_memo
+        seen = memo.mutable_seen
         message: Optional[bytes] = None
         msg_hash: Optional[bytes] = None
         for signature in signatures:
@@ -244,4 +326,11 @@ class KeyRegistry:
                 msg_hash = hashlib.sha256(message).digest()
             if not self._verify_message(signature, secret, message, msg_hash):
                 return False
+        if (
+            message is not None
+            and memo.mutable_seen == seen
+            and type(signatures) is tuple
+            and all(map(_is_frozen_signature, signatures))
+        ):
+            pure.pin(self._verdicts, signatures, payload)
         return True

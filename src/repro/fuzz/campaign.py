@@ -272,7 +272,7 @@ def run_campaign(
             if use_mutation:
                 base = corpus.choose(rng)
                 mutant = mutate(
-                    ScenarioSpec.from_dict(base.spec),
+                    base.scenario(),
                     rng,
                     corpus,
                     name=f"fuzz-mutant-{index}",
@@ -288,13 +288,15 @@ def run_campaign(
         features_before = len(corpus.feature_counts)
         outcomes = _execute([spec for _, spec in batch], config.shards, run)
         for (origin, spec), outcome in zip(batch, outcomes):
-            key = signature_key(signature_features(outcome["coverage"]))
+            features = signature_features(outcome["coverage"])
+            key = signature_key(features)
             if key not in seen:
                 seen.add(key)
                 report.signatures.append(key)
             corpus.consider(
-                spec.to_dict(),
-                outcome["coverage"],
+                spec,
+                features,
+                key,
                 origin=origin,
                 ok=outcome["ok"],
                 executions=outcome["events"],

@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .signature import signature_features, signature_key
+from ..scenarios.spec import ScenarioSpec
 
 __all__ = ["Corpus", "CorpusEntry"]
 
@@ -44,6 +44,21 @@ class CorpusEntry:
     ok: bool  #: whether every oracle passed (failures stay replayable)
     executions: int = 0  #: events processed by the run (cost proxy)
     chosen: int = 0  #: times picked as a mutation base
+    _scenario: Optional[ScenarioSpec] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: ``(corpus generation, rarity sum)`` as :meth:`Corpus.energy` last
+    #: computed it; good only while that corpus is at that generation.
+    _rarity: Optional[Tuple[object, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def scenario(self) -> ScenarioSpec:
+        """``spec`` parsed back into a :class:`ScenarioSpec` — once per
+        entry, not per pick (specs are immutable values)."""
+        if self._scenario is None:
+            self._scenario = ScenarioSpec.from_dict(self.spec)
+        return self._scenario
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -76,6 +91,27 @@ class Corpus:
     entries: List[CorpusEntry] = field(default_factory=list)
     #: How many entries cover each feature (rarity for energy weighting).
     feature_counts: Dict[str, int] = field(default_factory=dict)
+    #: Signature keys of ``entries`` (the admission test).
+    _keys: Set[str] = field(init=False, repr=False, compare=False)
+    #: A fresh token per admission: the state of ``feature_counts`` an
+    #: entry's cached rarity sum was computed under.  A token, not a
+    #: number, because ``minimize`` shares entries between corpora.
+    _generation: object = field(
+        default_factory=object, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._keys = {entry.key for entry in self.entries}
+
+    def _add(self, entry: CorpusEntry) -> None:
+        """The one place an entry joins the corpus (``entries`` and
+        ``feature_counts`` are for reading)."""
+        self.entries.append(entry)
+        self._keys.add(entry.key)
+        counts = self.feature_counts
+        for feature in entry.features:
+            counts[feature] = counts.get(feature, 0) + 1
+        self._generation = object()
 
     # ------------------------------------------------------------------
     # Admission
@@ -83,33 +119,33 @@ class Corpus:
 
     def consider(
         self,
-        spec_dict: Dict[str, Any],
-        coverage: Dict[str, Any],
+        spec: ScenarioSpec,
+        features: Tuple[str, ...],
+        key: str,
         origin: str,
         ok: bool,
         executions: int = 0,
     ) -> Optional[CorpusEntry]:
-        """Admit the spec if its run's signature is novel.
+        """Admit ``spec`` if its run's signature is novel.
 
-        Returns the new entry, or ``None`` when some earlier entry
-        already produced the exact same signature (the run taught us
-        nothing the corpus does not already encode).
+        ``features`` is the run's :func:`~.signature.signature_features`
+        and ``key`` their :func:`~.signature.signature_key` — computed by
+        the caller, who needs them whatever the verdict.  Returns the new
+        entry, or ``None`` when some earlier entry already produced the
+        exact same signature (the run taught us nothing the corpus does
+        not already encode); only an admitted spec is serialized.
         """
-        features = signature_features(coverage)
-        key = signature_key(features)
-        if any(entry.key == key for entry in self.entries):
+        if key in self._keys:
             return None
         entry = CorpusEntry(
             key=key,
-            spec=dict(spec_dict),
+            spec=spec.to_dict(),
             features=features,
             origin=origin,
             ok=ok,
             executions=executions,
         )
-        self.entries.append(entry)
-        for feature in features:
-            self.feature_counts[feature] = self.feature_counts.get(feature, 0) + 1
+        self._add(entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -118,11 +154,14 @@ class Corpus:
 
     def energy(self, entry: CorpusEntry) -> float:
         """Mutation energy: feature rarity, decayed by prior selections."""
-        rarity = sum(
-            1.0 / self.feature_counts.get(feature, 1)
-            for feature in entry.features
-        )
-        return (1.0 + rarity) / (1.0 + entry.chosen)
+        cached = entry._rarity
+        if cached is None or cached[0] is not self._generation:
+            rarity = sum(
+                1.0 / self.feature_counts.get(feature, 1)
+                for feature in entry.features
+            )
+            cached = entry._rarity = (self._generation, rarity)
+        return (1.0 + cached[1]) / (1.0 + entry.chosen)
 
     def choose(self, rng: Random) -> CorpusEntry:
         """Pick a mutation base, weighted by energy (deterministic in rng)."""
@@ -175,11 +214,7 @@ class Corpus:
         kept.sort(key=lambda e: self.entries.index(e))
         reduced = Corpus()
         for entry in kept:
-            reduced.entries.append(entry)
-            for feature in entry.features:
-                reduced.feature_counts[feature] = (
-                    reduced.feature_counts.get(feature, 0) + 1
-                )
+            reduced._add(entry)
         return reduced
 
     # ------------------------------------------------------------------
@@ -208,12 +243,7 @@ class Corpus:
     def from_dict(cls, data: Dict[str, Any]) -> "Corpus":
         corpus = cls()
         for payload in data.get("entries", ()):
-            entry = CorpusEntry.from_dict(payload)
-            corpus.entries.append(entry)
-            for feature in entry.features:
-                corpus.feature_counts[feature] = (
-                    corpus.feature_counts.get(feature, 0) + 1
-                )
+            corpus._add(CorpusEntry.from_dict(payload))
         return corpus
 
     def save(self, path: str) -> None:

@@ -338,7 +338,7 @@ def op_splice(
     ]
     if not donors:
         return None
-    donor = ScenarioSpec.from_dict(donors[rng.randrange(len(donors))].spec)
+    donor = donors[rng.randrange(len(donors))].scenario()
     donated = _elements(donor)
     if not donated:
         return None

@@ -285,7 +285,11 @@ def run_scenario(
         # A client crashed by the schedule (and never recovered) cannot
         # finish its workload; completion is owed only by the others.
         crashed = set(spec.crashed_forever_pids)
-        live_clients = [c for c in built.clients if c.pid not in crashed]
+        # The predicate runs after every event, so it scans only who is
+        # still unfinished: a client that has completed its workload
+        # stays complete (nothing submits to it after start), so it is
+        # dropped the first time it is seen done.
+        unfinished = [c for c in built.clients if c.pid not in crashed]
         # Durable replicas the schedule recovers owe the cluster a full
         # rejoin: the run is not over until each has finished catchup and
         # executed as far as the healthiest honest replica — that is the
@@ -295,8 +299,10 @@ def run_scenario(
         rejoining, baseline = durable_rejoin_sets(spec, built)
 
         def _run_complete() -> bool:
-            if not all(c.all_completed for c in live_clients):
-                return False
+            while unfinished:
+                if not unfinished[-1].all_completed:
+                    return False
+                unfinished.pop()
             if not rejoining:
                 return True
             target = max((r.executed_upto for r in baseline), default=-1)

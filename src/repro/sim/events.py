@@ -17,12 +17,18 @@ of every run passes through it — so its loops live with the rest of the
 measured hot path in :mod:`repro._core.pure`, and its structure is chosen
 for constant factor:
 
-* each queued event is a plain ``[time, seq, callback]`` list (lists
-  compare element-wise in C), and cancellation overwrites the callback
-  slot with ``None`` in place;
-* :meth:`Simulator.post_many` schedules bare callbacks with no handle
-  and no label at all, a whole network fan-out per call: the delivery
-  hot path goes through it;
+* each queued event is a plain ``[time, seq, callback, args]`` list
+  (lists compare element-wise in C, and ``seq`` is unique, so a
+  comparison never reaches the callback); the loops run
+  ``callback(*args)``, and cancellation overwrites the callback slot
+  with ``None`` in place;
+* the entry *is* the call: a scheduled event is a zero-argument
+  callback with ``args == ()``, a network delivery is the network's
+  delivery function with that recipient's arguments beside it — the
+  per-delivery path allocates no closure and no ``functools.partial``;
+* :meth:`Simulator.post_many` queues one callback at many ``(time,
+  args)`` with no handle and no label at all, a whole network fan-out
+  per call: the delivery hot path goes through it;
 * handles (:class:`EventHandle`) are ``__slots__`` objects created only
   by :meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`, and labels
   are kept lazily — a callable label is only rendered if someone reads
@@ -109,8 +115,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        #: Heap of ``[time, seq, callback]`` lists; a ``None`` callback
-        #: marks a cancelled entry awaiting pop or compaction.
+        #: Heap of ``[time, seq, callback, args]`` lists; a ``None``
+        #: callback marks a cancelled entry awaiting pop or compaction.
         self._queue: List[List[Any]] = []
         self._seq = 0
         self._cancelled = 0
@@ -175,38 +181,48 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = [time, seq, callback]
+        entry = [time, seq, callback, ()]
         heapq.heappush(self._queue, entry)
         return EventHandle(entry, label, self)
 
-    def post(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule with no handle and no label.
+    def post(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback(*args)`` with no handle and no label.
 
         Identical ordering semantics to :meth:`schedule_at`; the only
         difference is that nothing is allocated beyond the queue entry, so
         the event cannot be cancelled or labelled afterwards.
         """
-        self.post_many(((time, callback),))
+        self.post_many(callback, (time,), (args,))
 
     def post_many(
-        self, events: Iterable[Tuple[float, Callable[[], None]]]
+        self,
+        callback: Callable[..., None],
+        times: Iterable[float],
+        args: Iterable[Tuple[Any, ...]],
     ) -> None:
-        """:meth:`post` each ``(time, callback)`` in order — the delivery
-        hot path: a network fan-out queues all its deliveries in one call,
-        under the consecutive sequence numbers separate posts would get."""
+        """Queue ``callback(*a)`` at ``t`` for each ``t, a`` of ``times``
+        and ``args`` taken pairwise, in order — the delivery hot path: a
+        network fan-out queues all its deliveries in one call, each entry
+        carrying its own arguments, under the consecutive sequence
+        numbers separate posts would get.  ``times`` and ``args`` must be
+        equally long (``ValueError`` otherwise: a delivery is never
+        silently dropped)."""
         now = self._now
         queue = self._queue
         seq = self._seq
         push = heapq.heappush
-        for time, callback in events:
-            if time < now:
-                self._seq = seq
-                raise SimulationError(
-                    f"cannot schedule in the past: time={time} < now={now}"
-                )
-            push(queue, [time, seq, callback])
-            seq += 1
-        self._seq = seq
+        try:
+            for time, call_args in zip(times, args, strict=True):
+                if time < now:
+                    raise SimulationError(
+                        f"cannot schedule in the past: time={time} < now={now}"
+                    )
+                push(queue, [time, seq, callback, call_args])
+                seq += 1
+        finally:
+            # Also on the way out of an error: a number already pushed is
+            # never handed out again.
+            self._seq = seq
 
     # ------------------------------------------------------------------
     # Cancellation accounting / compaction

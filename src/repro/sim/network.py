@@ -54,22 +54,25 @@ seeded model draws exactly as ``k`` separate sends would), the
 accounted size so nothing downstream sizes a payload twice — any rule /
 interceptor re-timing and tracer stamp, the partition test (held
 recipients are held individually, the others posted), and the queue
-entry: :func:`functools.partial` over a prebound callback, no label, no
-closure, under the same consecutive ``(time, seq)`` keys separate sends
-would get.  A fan-out is therefore indistinguishable from its ``k``
-sends in every envelope, delivery, counter and digest; it is also
-atomic — nothing is accounted, hooked or queued until every envelope
-exists, so a bad destination or delay cannot leave half a broadcast
-behind.  The per-delivery log is opt-in (``record_deliveries=True``)
-because nothing outside the tests reads it.
+entry.  The entry *is* the delivery: the simulator queues the
+network's delivery function with that recipient's ``(dst, src,
+payload)`` beside it (``(envelope,)`` when a tracer or the delivery log
+needs the envelope back) and the run loop calls it — no
+``functools.partial``, no closure, no label — under the same consecutive
+``(time, seq)`` keys separate sends would get.  A fan-out is therefore
+indistinguishable from its ``k`` sends in every envelope, delivery,
+counter and digest; it is also atomic — nothing is accounted, hooked or
+queued until every envelope exists, so a bad destination or delay cannot
+leave half a broadcast behind.  The per-delivery log is opt-in
+(``record_deliveries=True``) because nothing outside the tests reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from random import Random
-from functools import partial
 from typing import (
     Any,
     Callable,
@@ -224,6 +227,8 @@ class Envelope(NamedTuple):
     trace: Any = None
 
 
+_deliver_time_of = attrgetter("deliver_time")
+
 #: An interceptor may return a replacement delivery time for the envelope
 #: (to delay or reorder it) or ``None`` to accept the delay model's choice.
 #: Interceptors cannot drop messages: returning ``math.inf`` is rejected.
@@ -348,8 +353,8 @@ class Network:
         self._size_fn: Callable[[Any], int] = self._size_memo.get
         self.stats = NetworkStats(size_memo=self._size_memo)
         self._handlers: Dict[ProcessId, Callable[[ProcessId, Any], None]] = {}
-        #: Bound once — the zero-rule delivery callback;
-        #: ``partial(self._deliver_ref, ...)`` posts it per send.
+        #: Bound once — the zero-rule delivery callback, queued with its
+        #: ``(dst, src, payload)`` per recipient.
         self._deliver_ref = _core.make_deliver(self._handlers, self.stats)
         self._delivery_log: Optional[List[Envelope]] = (
             [] if record_deliveries else None
@@ -652,18 +657,15 @@ class Network:
                     self._held.append(envelope)
                 else:
                     posted.append(envelope)
+        times = map(_deliver_time_of, posted)
         if traced or self._delivery_log is not None:
             # Tracing and the log need the envelope at delivery; the
             # queue keys are the same either way, so digests match.
-            deliver = self._deliver
-            events = [(e.deliver_time, partial(deliver, e)) for e in posted]
+            self._post_many(self._deliver, times, zip(posted))  # (envelope,)
         else:
-            deliver = self._deliver_ref
-            events = [
-                (e.deliver_time, partial(deliver, e.dst, src, payload))
-                for e in posted
-            ]
-        self._post_many(events)
+            self._post_many(
+                self._deliver_ref, times, [(e.dst, src, payload) for e in posted]
+            )
         return envelopes
 
     def _retime(self, envelope: Envelope) -> Envelope:
@@ -690,7 +692,7 @@ class Network:
         return envelope
 
     def _schedule_delivery(self, envelope: Envelope) -> None:
-        self.sim.post(envelope.deliver_time, partial(self._deliver, envelope))
+        self.sim.post(envelope.deliver_time, self._deliver, envelope)
 
     # ------------------------------------------------------------------
     # Delivery

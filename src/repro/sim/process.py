@@ -167,7 +167,9 @@ class Process:
         self.ctx = ctx
 
     def _dispatch(self, sender: ProcessId, payload: Any) -> None:
-        if self.ctx is None or self.ctx.halted:
+        ctx = self.ctx
+        # Once per delivery: the flag itself, not the ``halted`` property.
+        if ctx is None or ctx._halted:
             return
         self.on_message(sender, payload)
 

@@ -204,3 +204,117 @@ class TestIdentityMemo:
         after = [memo.get(payload) for payload in payloads]
         assert after == [walk(payload) for payload in payloads]
         assert all(new != old for new, old in zip(after, before))
+
+
+def _first_list(value):
+    if isinstance(value, list):
+        return value
+    if isinstance(value, Node):
+        value = value.children
+    if isinstance(value, tuple):
+        for item in value:
+            found = _first_list(item)
+            if found is not None:
+                return found
+    return None
+
+
+def _lookalike(payload):
+    """An equal payload that serializes differently where it can: every
+    top-level ``bool`` becomes the ``int`` it equals, every ``int`` the
+    ``float`` (or ``bool``) it equals."""
+    if type(payload) is not tuple:
+        return payload
+
+    def twin(x):
+        if type(x) is bool:
+            return int(x)
+        if type(x) is int and x in (0, 1):
+            return bool(x)
+        if type(x) is int and float(x) == x:
+            return float(x)
+        return x
+
+    return tuple(twin(x) for x in payload)
+
+
+class TestVerdictMemo:
+    """The verdict memo must be invisible too: a registry that has seen
+    the same signature and payload objects any number of times answers
+    exactly what a registry seeing them for the first time answers —
+    shared, rebuilt, cloned, look-alike or mutated in between."""
+
+    @given(
+        pool=st.lists(values, min_size=1, max_size=4),
+        shapes=shapes,
+        ops=st.lists(
+            st.tuples(
+                # Few payloads and signers, so the same objects meet again.
+                st.integers(0, 2),  # the payload that gets signed
+                # ... and the one it is checked against (mostly itself)
+                st.one_of(st.none(), st.none(), st.integers(0, 2)),
+                st.integers(0, 1),  # by whom
+                st.sampled_from([
+                    "same", "same", "rebuilt", "rebuilt", "lookalike",
+                    "cloned-signature", "batch", "batch", "cloned-batch",
+                    "mutate",
+                ]),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_fresh_registry(self, pool, shapes, ops):
+        payloads = []
+        for as_node, indices in shapes:
+            members = tuple(pool[i % len(pool)] for i in indices)
+            # The tuples carry a view number, like the protocol's payloads
+            # (and so that each has an equal-but-different twin).
+            view = len(payloads) % 3
+            payloads.append(Node(members) if as_node else ("msg", view) + members)
+        seasoned = KeyRegistry.for_processes(range(4))
+        signatures = {}  # one Signature object per (payload, signer)
+        certificates = {}  # one signatures tuple per payload
+        for signed_at, checked_at, pid, how in ops:
+            signed_at %= len(payloads)
+            signed = payloads[signed_at]
+            checked = (
+                signed if checked_at is None
+                else payloads[checked_at % len(payloads)]
+            )
+            if how == "mutate":
+                target = _first_list(signed)
+                if target is not None:
+                    target.append(pid)
+                continue
+            fresh = KeyRegistry.for_processes(range(4))
+            if how == "rebuilt" and type(checked) is tuple:
+                checked = tuple(list(checked))  # new tuple, same elements
+            elif how == "lookalike":
+                checked = _lookalike(checked)
+            if "batch" in how:
+                cert = certificates.get(signed_at)
+                if cert is None:
+                    cert = certificates[signed_at] = tuple(
+                        seasoned.signer(p).sign(signed) for p in range(pid + 1)
+                    )
+                if how == "cloned-batch":
+                    cert = tuple(Signature(s.signer, s.digest) for s in cert)
+                assert seasoned.verify_all(cert, checked) == fresh.verify_all(
+                    cert, checked
+                )
+                continue
+            sig = signatures.get((signed_at, pid))
+            if sig is None:
+                sig = signatures[signed_at, pid] = seasoned.signer(pid).sign(signed)
+            if how == "cloned-signature":
+                sig = Signature(sig.signer, sig.digest)
+            assert seasoned.verify(sig, checked) == fresh.verify(sig, checked)
+        # Whatever stayed memoized is true and provably could not change.
+        for signed, payload in seasoned._verdicts.values():
+            assert not _holds_a_list(payload)
+            fresh = KeyRegistry.for_processes(range(4))
+            if type(signed) is tuple:
+                assert fresh.verify_all(signed, payload)
+            else:
+                assert fresh.verify(signed, payload)

@@ -293,11 +293,13 @@ class TestCanonicalMemo:
         payload changed: a payload that *can* change is not memoized."""
         payload = make()
         sig = registry.signer(0).sign(payload)
-        assert registry.verify(sig, payload)
-        assert registry.verify_all([sig], payload)
+        for _ in range(2):  # the repeat is what a verdict memo would serve
+            assert registry.verify(sig, payload)
+            assert registry.verify_all((sig,), payload)
+        assert not registry._verdicts  # True each time, remembered never
         mutate(payload)
         assert not registry.verify(sig, payload)
-        assert not registry.verify_all([sig], payload)
+        assert not registry.verify_all((sig,), payload)
         assert registry.canonical_hits == 0
         # An honest signature over the new contents still verifies.
         assert registry.verify(registry.signer(0).sign(payload), payload)
@@ -347,6 +349,180 @@ class TestBatchedVerifyAll:
         assert not registry.verify_all([bad, good], payload)
         # Only the failing signature was HMAC-checked.
         assert registry.cache_misses == misses_before + 1
+
+
+class _DuckSignature:
+    """Quacks like a ``Signature`` but its fields can be reassigned."""
+
+    def __init__(self, signer, digest):
+        self.signer = signer
+        self.digest = digest
+
+
+class _BytesSubclass(bytes):
+    pass
+
+
+def _canonical_lookups(registry):
+    return registry.canonical_hits + registry.canonical_misses
+
+
+class TestVerdictMemo:
+    """The identity-keyed verdict memo: the n-1 later receivers of one
+    signature object answer from a dict lookup, and *only* they do —
+    first sight, look-alikes and anything that could have changed take
+    the full canonicalize-and-compare path."""
+
+    def test_repeat_check_of_the_same_objects_serializes_nothing(self, registry):
+        value = "a-value-object"
+        sig = registry.signer(1).sign(("ack", value, 1))
+        assert registry.verify(sig, ("ack", value, 1))  # first sight: full path
+        lookups = _canonical_lookups(registry)
+        hits, misses = registry.cache_hits, registry.cache_misses
+        for _ in range(5):
+            # Every receiver rebuilds the tuple; the elements are shared.
+            assert registry.verify(sig, tuple(["ack", value, 1]))
+        assert _canonical_lookups(registry) == lookups
+        assert registry.cache_hits == hits + 5
+        assert registry.cache_misses == misses
+
+    def test_non_tuple_payload_is_matched_by_identity(self, registry):
+        payload = Batch(entries=((4, 0, ("set", "k", "v")),))
+        sig = registry.signer(0).sign(payload)
+        assert registry.verify(sig, payload)
+        lookups = _canonical_lookups(registry)
+        assert registry.verify(sig, payload)
+        assert _canonical_lookups(registry) == lookups
+        # The object inside a 1-tuple is a different payload.
+        assert not registry.verify(sig, (payload,))
+
+    def test_same_digest_in_a_different_signature_object_is_rechecked(
+        self, registry
+    ):
+        payload = ("ack", "v", 1)
+        sig = registry.signer(2).sign(payload)
+        assert registry.verify(sig, payload)
+        clone = Signature(signer=sig.signer, digest=sig.digest)
+        assert clone == sig and clone is not sig
+        lookups = _canonical_lookups(registry)
+        assert registry.verify(clone, payload)
+        assert _canonical_lookups(registry) == lookups + 1
+
+    @pytest.mark.parametrize("lookalike", [True, 1.0], ids=["True", "1.0"])
+    def test_equal_but_not_identical_element_is_not_served(
+        self, registry, lookalike
+    ):
+        """``1 == True == 1.0`` but they serialize differently: a memo
+        comparing payload elements by equality would answer ``True``."""
+        sig = registry.signer(0).sign(("view", 1))
+        assert registry.verify(sig, ("view", 1))
+        assert registry.verify(sig, ("view", 1))  # now memoized
+        assert ("view", lookalike) == ("view", 1)
+        assert not registry.verify(sig, ("view", lookalike))
+        assert registry.verify(sig, ("view", 1))
+
+    def test_tuple_of_different_length_or_kind_is_not_served(self, registry):
+        sig = registry.signer(0).sign(("a", "b"))
+        assert registry.verify(sig, ("a", "b"))
+        assert not registry.verify(sig, ("a", "b", None))
+        assert not registry.verify(sig, ("a",))
+        # Lists serialize like tuples, so this verifies — by the full path.
+        lookups = _canonical_lookups(registry)
+        assert registry.verify(sig, ["a", "b"])
+        assert _canonical_lookups(registry) == lookups + 1
+
+    def test_duck_typed_signature_is_never_admitted(self, registry):
+        payload = ("ack", "v", 1)
+        real = registry.signer(1).sign(payload)
+        duck = _DuckSignature(real.signer, real.digest)
+        assert registry.verify(duck, payload)
+        assert registry.verify(duck, payload)
+        assert registry.verify_all((duck,), payload)
+        assert not registry._verdicts
+        duck.digest = b"x" * 32
+        assert not registry.verify(duck, payload)
+        assert not registry.verify_all((duck,), payload)
+
+    def test_signature_over_exotic_fields_is_never_admitted(self, registry):
+        payload = ("ack", "v", 1)
+        real = registry.signer(1).sign(payload)
+        odd = Signature(signer=True, digest=real.digest)  # True == 1
+        assert registry.verify(odd, payload)
+        assert registry.verify(Signature(1, _BytesSubclass(real.digest)), payload)
+        assert not registry._verdicts
+
+    def test_failures_are_never_cached(self, registry):
+        payload = ("ack", "v", 1)
+        wrong = registry.signer(0).sign(("ack", "w", 1))
+        forged = Signature(signer=0, digest=b"f" * 32)
+        for bad in (wrong, forged):
+            misses = registry.cache_misses
+            for _ in range(3):
+                assert not registry.verify(bad, payload)
+                assert not registry.verify_all((bad,), payload)
+            assert registry.cache_misses == misses + 6  # HMAC every time
+        assert not registry._verdicts
+        assert registry.verify(wrong, ("ack", "w", 1))
+
+    def test_certificate_is_keyed_on_its_signatures_tuple(self, registry):
+        value = "v"
+        payload = ("certack", value, 2)
+        sigs = tuple(registry.signer(pid).sign(payload) for pid in range(3))
+        assert registry.verify_all(sigs, payload)  # first sight
+        lookups = _canonical_lookups(registry)
+        hits, misses = registry.cache_hits, registry.cache_misses
+        assert registry.verify_all(sigs, tuple(["certack", value, 2]))
+        assert _canonical_lookups(registry) == lookups
+        assert registry.cache_hits == hits + len(sigs)
+        assert registry.cache_misses == misses
+        assert registry.batch_verifies == 2
+        # An equal tuple that is another object, a list, a generator:
+        # same answer, full path (one canonical lookup per call).
+        for other in (tuple(list(sigs)), list(sigs), (s for s in sigs)):
+            assert other is not sigs
+            before = _canonical_lookups(registry)
+            assert registry.verify_all(other, payload)
+            assert _canonical_lookups(registry) == before + 1
+        assert not registry.verify_all(sigs, ("certack", value, 3))
+        assert not registry.verify_all(sigs, ("certack", value, True))
+
+    def test_only_a_tuple_of_frozen_signatures_is_admitted(self, registry):
+        payload = ("certack", "v", 2)
+        sigs = [registry.signer(pid).sign(payload) for pid in range(3)]
+        assert registry.verify_all(sigs, payload)  # a list can grow
+        duck = _DuckSignature(sigs[0].signer, sigs[0].digest)
+        mixed = (duck, sigs[1])
+        assert registry.verify_all(mixed, payload)
+        assert registry.verify_all((), payload)  # the shared empty tuple
+        assert id(sigs) not in registry._verdicts
+        assert id(mixed) not in registry._verdicts
+        assert id(()) not in registry._verdicts
+        duck.digest = b"x" * 32
+        assert not registry.verify_all(mixed, payload)
+        sigs.append(Signature(signer=3, digest=b"x" * 32))
+        assert not registry.verify_all(sigs, payload)
+
+    def test_eviction_at_the_bound(self):
+        registry = KeyRegistry.for_processes(range(1))
+        signer = registry.signer(0)
+        value = "v"
+        signed = []
+        for view in range(MEMO_LIMIT + 10):
+            sig = signer.sign(("ack", value, view))
+            assert registry.verify(sig, ("ack", value, view))
+            signed.append((sig, view))
+        assert len(registry._verdicts) == MEMO_LIMIT
+        # Oldest-first: the first ten were pushed out and are re-checked
+        # in full; the newest is still answered by identity.
+        oldest, view = signed[0]
+        lookups = _canonical_lookups(registry)
+        assert registry.verify(oldest, ("ack", value, view))
+        assert _canonical_lookups(registry) == lookups + 1
+        newest, view = signed[-1]
+        lookups = _canonical_lookups(registry)
+        assert registry.verify(newest, ("ack", value, view))
+        assert _canonical_lookups(registry) == lookups
+        assert len(registry._verdicts) == MEMO_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,22 @@ class TestSignature:
 # ---------------------------------------------------------------------------
 
 
+def _consider(corpus, spec, coverage, origin, ok, executions=0):
+    """``Corpus.consider`` the way the campaign calls it: the signature
+    is computed once by the caller."""
+    features = signature_features(coverage)
+    return corpus.consider(
+        spec, features, signature_key(features), origin, ok, executions
+    )
+
+
 def _grown_corpus(seeds=8):
     corpus = Corpus()
     for seed in range(seeds):
         spec = generate_scenario(seed)
         result = run_scenario(spec)
-        corpus.consider(
-            spec.to_dict(), result.coverage, origin=f"seed:{seed}",
+        _consider(
+            corpus, spec, result.coverage, origin=f"seed:{seed}",
             ok=result.ok, executions=result.events_processed,
         )
     return corpus
@@ -141,8 +150,8 @@ class TestCorpus:
         corpus = Corpus()
         spec = generate_scenario(0)
         coverage = run_scenario(spec).coverage
-        first = corpus.consider(spec.to_dict(), coverage, "seed:0", True)
-        duplicate = corpus.consider(spec.to_dict(), coverage, "seed:0b", True)
+        first = _consider(corpus, spec, coverage, "seed:0", True)
+        duplicate = _consider(corpus, spec, coverage, "seed:0b", True)
         assert first is not None
         assert duplicate is None
         assert len(corpus.entries) == 1
@@ -153,6 +162,62 @@ class TestCorpus:
         fresh = corpus.energy(entry)
         entry.chosen = 5
         assert corpus.energy(entry) < fresh
+
+    def test_energy_follows_the_counts_through_every_admission(self):
+        """The rarity sum is cached per entry and dropped on admission:
+        at every step it equals the sum computed from scratch."""
+        corpus = Corpus()
+        for seed in range(12):
+            spec = generate_scenario(seed)
+            result = run_scenario(spec)
+            _consider(corpus, spec, result.coverage, f"seed:{seed}", result.ok)
+            for _ in range(2):  # the second ask is the cached one
+                for entry in corpus.entries:
+                    rarity = sum(
+                        1.0 / corpus.feature_counts[f] for f in entry.features
+                    )
+                    assert corpus.energy(entry) == (1.0 + rarity) / (
+                        1.0 + entry.chosen
+                    )
+            corpus.choose(Random(seed))
+        assert len(corpus.entries) > 3
+        reloaded = Corpus.from_dict(corpus.to_dict())
+        assert [reloaded.energy(e) for e in reloaded.entries] == [
+            corpus.energy(e) for e in corpus.entries
+        ]
+        spec = generate_scenario(0)
+        assert _consider(
+            reloaded, spec, run_scenario(spec).coverage, "again", True
+        ) is None  # a loaded corpus knows its keys
+
+    def test_an_entry_shared_by_two_corpora_has_each_one_s_energy(self):
+        """``minimize`` shares entry objects with the corpus it reduced;
+        a rarity sum cached under one corpus's counts is never served to
+        the other."""
+        corpus = _grown_corpus(12)
+        reduced = corpus.minimize()
+        assert 0 < len(reduced.entries) < len(corpus.entries)
+        shared = [e for e in reduced.entries if any(e is o for o in corpus.entries)]
+        assert shared == reduced.entries
+
+        def from_scratch(owner, entry):
+            rarity = sum(1.0 / owner.feature_counts[f] for f in entry.features)
+            return (1.0 + rarity) / (1.0 + entry.chosen)
+
+        for _ in range(2):
+            for entry in shared:
+                assert corpus.energy(entry) == from_scratch(corpus, entry)
+                assert reduced.energy(entry) == from_scratch(reduced, entry)
+        assert any(
+            corpus.energy(entry) != reduced.energy(entry) for entry in shared
+        )
+
+    def test_an_entry_parses_its_spec_once(self):
+        corpus = _grown_corpus(3)
+        entry = corpus.entries[0]
+        assert entry.scenario() is entry.scenario()
+        assert entry.scenario() == ScenarioSpec.from_dict(entry.spec)
+        assert "_scenario" not in entry.to_dict()
 
     def test_choose_is_deterministic_in_rng(self):
         picks_a = [e.key for e in _choose_many(_grown_corpus(), 11)]
@@ -280,7 +345,7 @@ class TestMutators:
                 other = candidate
                 break
         result = run_scenario(other)
-        corpus.consider(other.to_dict(), result.coverage, "seed:x", result.ok)
+        _consider(corpus, other, result.coverage, "seed:x", result.ok)
         assert op_splice(spec, Random(2), corpus) is None
 
 
@@ -295,6 +360,22 @@ class TestCampaign:
         b = run_campaign(CampaignConfig(budget=48))
         assert a.digest == b.digest
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "6c564f190b82a8a5f97a29bd0abd9dce0290eb7412f248f76ac806ded0fd9c78"),
+            (2, "4a2983ca137583d56742f1e5a51d5e6032d6d4e48d823d987c50d8c46183a272"),
+        ],
+    )
+    def test_report_digest_is_exactly_this(self, seed, digest):
+        """The corpus bookkeeping (key set, cached rarity sums, specs
+        parsed once) is pure bookkeeping: same picks, same admissions,
+        same report — pinned to what the campaign produced before any of
+        it was cached."""
+        report = run_campaign(CampaignConfig(budget=128, start_seed=seed))
+        assert report.trajectory[-1]["mutants"] > 40  # the corpus was used
+        assert report.digest == digest
 
     def test_serial_equals_sharded(self):
         serial = run_campaign(CampaignConfig(budget=48, shards=1))

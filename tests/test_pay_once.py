@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro._core import MEMO_LIMIT, pure
 from repro.core.messages import Ack
 from repro.core.protocol import DecidingProcess
+from repro.crypto.keys import KeyRegistry, Signer
 from repro.obs.recorder import FlightRecorder, TeeTracer
 from repro.obs.tracing import CausalTracer
 from repro.scenarios import runner
@@ -959,3 +960,192 @@ class TestRunUntilDecided:
         assert (late.decided, late.decision_time, cluster.sim.now) == (True, 4.0, 4.0)
         everyone = cluster.run_until_decided()
         assert everyone.decided and everyone.decision_time == 4.0
+
+
+# ---------------------------------------------------------------------------
+# Verify once per cluster
+# ---------------------------------------------------------------------------
+
+
+def _identity_of(payload):
+    return tuple(map(id, payload)) if type(payload) is tuple else id(payload)
+
+
+class TestVerifyOncePerCluster:
+    def test_canonical_walks_are_bounded_by_distinct_signed_objects(
+        self, run_observed, monkeypatch
+    ):
+        """All-to-all: every process re-checks the same signature objects
+        over the same value objects.  Only the first sight of each
+        (signature or certificate, payload elements) combination may
+        serialize anything — so a run's top-level canonical lookups are at
+        most its distinct checked combinations plus its signs."""
+        registries, pinned = [], []
+        tally = {"signs": 0, "checks": 0}
+        distinct = set()
+        real_init = KeyRegistry.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            registries.append(self)
+
+        monkeypatch.setattr(KeyRegistry, "__init__", init)
+        for name in ("verify", "verify_all"):
+
+            def checking(self, signed, payload, real=getattr(KeyRegistry, name)):
+                tally["checks"] += 1
+                pinned.append((signed, payload))  # ids must stay unique
+                distinct.add((id(self), id(signed), _identity_of(payload)))
+                return real(self, signed, payload)
+
+            monkeypatch.setattr(KeyRegistry, name, checking)
+        real_sign = Signer.sign
+
+        def sign(self, payload):
+            tally["signs"] += 1
+            return real_sign(self, payload)
+
+        monkeypatch.setattr(Signer, "sign", sign)
+        saved = 0
+        for name in sorted(SCENARIOS):
+            registries.clear(), pinned.clear(), distinct.clear()
+            tally.update(signs=0, checks=0)
+            result, _ = run_observed(name)
+            assert result.ok, name
+            lookups = sum(r.canonical_hits + r.canonical_misses for r in registries)
+            assert lookups <= len(distinct) + tally["signs"], name
+            # The counters cannot tell which memo answered.
+            assert tally["checks"] <= sum(
+                r.cache_hits + r.cache_misses for r in registries
+            ), name
+            saved += tally["checks"] + tally["signs"] - lookups
+        assert saved > 500  # ...and most checks are repeats
+
+
+# ---------------------------------------------------------------------------
+# The queue entry is the delivery
+# ---------------------------------------------------------------------------
+
+
+class TestQueueEntryIsTheDelivery:
+    @pytest.mark.parametrize("logged", [False, True], ids=["fast", "logged"])
+    def test_a_fan_out_queues_its_delivery_function_and_arguments(self, logged):
+        sim = Simulator()
+        net = Network(sim, RandomDelay(seed=3), record_deliveries=logged)
+        got = []
+        for pid in range(4):
+            net.register(pid, lambda src, payload, pid=pid: got.append((pid, src, payload)))
+        payload = ("hello", 1)
+        envelopes = net.broadcast(2, payload)
+        entries = sorted(sim._queue)
+        assert [entry[1] for entry in entries] == sorted(
+            range(4), key=lambda seq: (envelopes[seq].deliver_time, seq)
+        )
+        for entry in entries:
+            time, seq, callback, args = entry
+            envelope = envelopes[seq]
+            assert time == envelope.deliver_time
+            if logged:
+                assert callback == net._deliver and args == (envelope,)
+                assert args[0] is envelope
+            else:
+                assert callback is net._deliver_ref
+                assert args == (envelope.dst, 2, payload) and args[2] is payload
+        sim.run()
+        assert sorted(got) == [(pid, 2, payload) for pid in range(4)]
+        if logged:
+            assert sorted(net.delivery_log) == sorted(envelopes)
+
+    def test_a_released_held_message_is_queued_the_same_way(self):
+        sim = Simulator()
+        net = Network(sim)
+        for pid in range(2):
+            net.register(pid, lambda src, payload: None)
+        net.start_partition([[0], [1]])
+        net.send(0, 1, "held")
+        assert sim.pending_events == 0
+        net.heal_partition()
+        ((time, _, callback, args),) = sim._queue
+        assert callback == net._deliver and time == args[0].deliver_time == 1.0
+        assert args[0].payload == "held"
+
+
+# ---------------------------------------------------------------------------
+# The SMR stop predicate scans only who is unfinished
+# ---------------------------------------------------------------------------
+
+
+class TestShrinkingStopPredicate:
+    @pytest.fixture
+    def verdicts_checked(self, run_observed, monkeypatch):
+        """Runs a scenario with every verdict of the run loop's stop
+        predicate compared, at the event it was asked, against the full
+        scan it replaced; returns how many verdicts that was."""
+
+        def run(scenario):
+            spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
+            sets = []
+            real_sets = runner.durable_rejoin_sets
+
+            def capture_sets(*args):
+                sets.append(real_sets(*args))
+                return sets[-1]
+
+            monkeypatch.setattr(runner, "durable_rejoin_sets", capture_sets)
+            asked = []
+            real_run_until = Simulator.run_until
+
+            def run_until(sim, predicate, **limits):
+                crashed = set(spec.crashed_forever_pids)
+
+                def full_scan():
+                    (rejoining, baseline), = sets
+                    owed = [c for c in clients[0] if c.pid not in crashed]
+                    if not all(c.all_completed for c in owed):
+                        return False
+                    target = max((r.executed_upto for r in baseline), default=-1)
+                    return all(
+                        not r.crashed
+                        and not r.catchup_active
+                        and r.executed_upto >= target
+                        for r in rejoining
+                    )
+
+                def checked():
+                    verdict = predicate()
+                    assert verdict == full_scan(), (spec.name, sim.now)
+                    asked.append(verdict)
+                    return verdict
+
+                return real_run_until(sim, checked, **limits)
+
+            monkeypatch.setattr(Simulator, "run_until", run_until)
+            clients = []
+            real_start = Cluster.start
+
+            def start(cluster):
+                clients.append(_clients(cluster))
+                return real_start(cluster)
+
+            monkeypatch.setattr(Cluster, "start", start)
+            result, cluster = run_observed(spec)
+            assert result.decided and asked[-1] is True
+            assert asked.count(True) == 1  # it stopped at the first one
+            return len(asked)
+
+        return run
+
+    @pytest.mark.parametrize("name", SMR_SCENARIOS)
+    def test_verdict_equals_the_full_scan_at_every_event(
+        self, verdicts_checked, name
+    ):
+        assert verdicts_checked(name) > 10
+
+    def test_verdict_equals_the_full_scan_when_a_client_crashes(
+        self, verdicts_checked
+    ):
+        base = get_scenario("smr-throughput-seed")
+        spec = dataclasses.replace(
+            base, name="client-crash", faults=(Crash(at=6.0, pid=base.n),)
+        )
+        assert verdicts_checked(spec) > 10

@@ -521,3 +521,159 @@ class TestFullWorkloadTrace:
         assert fired == ["before"]
         sim.run()
         assert fired == ["before", "after"]
+
+
+# ---------------------------------------------------------------------------
+# A queue entry carries its own call
+# ---------------------------------------------------------------------------
+
+
+def _mixed_workload(sim, trace):
+    """Two fan-outs queued with ``post_many``, timers between them that
+    the deliveries cancel (enough to compact the queue mid-fan-out), a
+    delivery that posts a follow-up, one ``post`` with arguments."""
+
+    def deliver(dst, src, payload):
+        trace.append((payload, src, dst, sim.now))
+        if payload == "first" and dst == 1:
+            for handle in doomed:
+                handle.cancel()  # crosses the compaction threshold
+            trace.append(("compactions", sim.compactions))
+        if payload == "first" and dst == 2:
+            sim.post(sim.now, deliver, 9, dst, "reply")
+
+    def timer(tag):
+        trace.append((tag, sim.now))
+
+    sim.post_many(deliver, [1.0, 1.0, 1.0], [(d, 0, "first") for d in range(3)])
+    doomed = [sim.schedule(1.5, timer, label="doomed") for _ in range(70)]
+    sim.schedule(1.5, lambda: timer("survivor"))
+    sim.post_many(deliver, [2.5, 2.0], [(0, 7, "second"), (1, 7, "second")])
+    sim.post(3.0, deliver, 4, 4, "posted")
+
+
+_MIXED_TRACE = [
+    ("first", 0, 0, 1.0),
+    ("first", 0, 1, 1.0),
+    ("compactions", 1),
+    ("first", 0, 2, 1.0),
+    ("reply", 2, 9, 1.0),
+    ("survivor", 1.5),
+    ("second", 7, 1, 2.0),
+    ("second", 7, 0, 2.5),
+    ("posted", 4, 4, 3.0),
+]
+
+
+def _drive_by_step(sim, trace):
+    while sim.step():
+        pass
+
+
+def _drive_by_drain(sim, trace):
+    sim.run()
+
+
+def _drive_bounded(sim, trace):
+    # In slices of simulated time and of events, resuming each time.
+    sim.run(until=1.0)
+    sim.run(until=1.2)
+    while sim.pending_events:
+        try:
+            sim.run(max_events=2)
+        except SimulationError:
+            pass
+
+
+def _drive_by_predicate(sim, trace):
+    # Stop after every single entry — also in the middle of a fan-out —
+    # and resume.
+    while sim.pending_events:
+        seen = len(trace)
+        sim.run_until(lambda: len(trace) > seen)
+
+
+class TestEntriesCarryTheirCall:
+    """``[time, seq, callback, args]``: every loop pops an entry and runs
+    ``callback(*args)`` — timers with no arguments, deliveries with
+    theirs — with cancellation, ``FIRED`` and compaction as before."""
+
+    @pytest.mark.parametrize(
+        "drive",
+        [_drive_by_step, _drive_by_drain, _drive_bounded, _drive_by_predicate],
+        ids=["step", "drain", "run_bounded", "run_pred"],
+    )
+    def test_every_loop_runs_the_same_entries_the_same_way(self, drive):
+        sim, trace = Simulator(), []
+        _mixed_workload(sim, trace)
+        assert sim.pending_events == 77
+        drive(sim, trace)
+        assert trace == _MIXED_TRACE
+        assert (sim.now, sim.events_processed) == (3.0, 8)
+        assert (sim.pending_events, sim.queue_depth) == (0, 0)
+
+    def test_a_fan_out_is_queued_under_consecutive_sequence_numbers(self):
+        sim = Simulator()
+        got = []
+        sim.schedule(1.0, lambda: got.append("timer-before"))
+        sim.post_many(got.append, [1.0, 1.0], [("a",), ("b",)])
+        sim.schedule(1.0, lambda: got.append("timer-after"))
+        assert [entry[1] for entry in sorted(sim._queue)] == [0, 1, 2, 3]
+        sim.run()
+        assert got == ["timer-before", "a", "b", "timer-after"]
+
+    def test_stopped_mid_fan_out_then_resumed(self):
+        sim = Simulator()
+        got = []
+        sim.post_many(got.append, [1.0] * 5, [(i,) for i in range(5)])
+        assert sim.run_until(lambda: len(got) == 2) == 1.0
+        assert got == [0, 1] and sim.pending_events == 3
+        # What is queued now lands behind the rest of the fan-out.
+        sim.post(1.0, got.append, "late")
+        sim.run()
+        assert got == [0, 1, 2, 3, 4, "late"]
+
+    def test_a_past_time_mid_fan_out_keeps_the_counter_consistent(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        got = []
+        with pytest.raises(SimulationError) as err:
+            sim.post_many(got.append, [2.0, 1.0, 2.0], [("a",), ("b",), ("c",)])
+        assert str(err.value) == "cannot schedule in the past: time=1.0 < now=2.0"
+        sim.post(2.0, got.append, "d")
+        assert [entry[1] for entry in sorted(sim._queue)] == [1, 2]
+        sim.run()
+        assert got == ["a", "d"]
+
+    @pytest.mark.parametrize(
+        "times, args",
+        [
+            ([1.0, 1.0, 1.0], [("a",), ("b",)]),
+            (iter([1.0, 1.0]), [("a",), ("b",), ("c",)]),
+        ],
+    )
+    def test_times_and_args_of_unequal_length_fail_loudly(self, times, args):
+        sim = Simulator()
+        got = []
+        with pytest.raises(ValueError):
+            sim.post_many(got.append, times, args)
+        # Whatever was pushed before the mismatch showed keeps its
+        # number: the next entry gets a fresh one.
+        sim.post(1.0, got.append, "next")
+        seqs = [entry[1] for entry in sorted(sim._queue)]
+        assert seqs == list(range(len(seqs)))
+        sim.run()
+        assert got == ["a", "b", "next"]
+
+    def test_a_handle_cancels_its_entry_whatever_the_entry_carries(self):
+        sim = Simulator()
+        got = []
+        handle = sim.schedule(1.0, lambda: got.append("timer"))
+        sim.post(1.0, got.append, "delivery")
+        handle.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert got == ["delivery"]
+        handle.cancel()  # after the queue moved on: still a no-op
+        assert sim.pending_events == 0
