@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Observability tour: metrics, causal traces, and demoting a slow leader.
+"""Observability tour: metrics, the causal record, and demoting a slow leader.
 
 Three stops:
 
 1. run a pinned scenario with a metrics registry attached and read the
    per-replica histograms out of the snapshot (the execution — and its
    trace digest — is identical to an unobserved run);
-2. trace the same run causally and print a slice of the timeline
-   (send -> delivery -> handler span -> decide, parents threaded through
-   the message envelopes);
+2. record the same run with a (deliberately small) flight recorder and
+   print the tail of its timeline (send -> delivery -> certificate ->
+   decide, parent ids threaded through the message envelopes; a parent
+   that fell off the ring is marked evicted);
 3. throttle a leader: honest protocol, every message 8 time units late —
    no timeout ever fires, so only the leader-performance monitor notices.
    Compare the latency tail with the monitor on vs off.
@@ -19,7 +20,8 @@ Run me:
 """
 
 from repro.analysis.metrics import run_monitor_tail
-from repro.obs import CausalTracer, MetricsRegistry
+from repro.obs import FlightRecorder, MetricsRegistry
+from repro.postmortem import FlightDump, render_timeline
 from repro.scenarios import get_scenario
 from repro.scenarios.runner import run_scenario
 
@@ -51,16 +53,17 @@ def stop_one_metrics() -> None:
     )
 
 
-def stop_two_tracing() -> None:
+def stop_two_recording() -> None:
     print()
     print("=" * 72)
-    print("2. causal tracing: who caused what")
+    print("2. the flight record: who caused what")
     print("=" * 72)
-    tracer = CausalTracer(capacity=2048)
-    run_scenario(get_scenario("smr-open-loop"), tracer=tracer)
-    print(f"{tracer.emitted} events emitted, {tracer.dropped} dropped")
-    print("last 12 events (indent = causal depth):")
-    print(tracer.render_timeline(limit=12))
+    recorder = FlightRecorder(capacity=72)
+    run_scenario(get_scenario("smr-open-loop"), recorder=recorder)
+    print(f"{recorder.emitted} events emitted, {recorder.dropped} dropped")
+    print("the ring's last 14 events ('<- ids' are causal parents):")
+    dump = FlightDump(recorder.header(), list(recorder.events))
+    print(render_timeline(dump, limit=14))
 
 
 def stop_three_monitor() -> None:
@@ -89,7 +92,7 @@ def stop_three_monitor() -> None:
 
 def main() -> None:
     stop_one_metrics()
-    stop_two_tracing()
+    stop_two_recording()
     stop_three_monitor()
 
 

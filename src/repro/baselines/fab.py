@@ -170,6 +170,8 @@ class FaBProcess(DecidingProcess):
     def enter_view(self, view: int) -> None:
         if view <= self.view:
             return
+        if self.view_hook is not None:
+            self.view_hook(view)
         self.view = view
         value, accepted_view = (
             self.accepted if self.accepted is not None else (None, 0)

@@ -231,6 +231,8 @@ class OptimisticProcess(DecidingProcess):
     def enter_view(self, view: int) -> None:
         if view <= self.view:
             return
+        if self.view_hook is not None:
+            self.view_hook(view)
         self.view = view
         self.fell_back = True  # no unanimity after a view change
         prepared_value, prepared_view = (

@@ -144,6 +144,8 @@ class PaxosProcess(DecidingProcess):
     def enter_ballot(self, ballot: int) -> None:
         if ballot <= self.ballot:
             return
+        if self.view_hook is not None:
+            self.view_hook(ballot)
         self.ballot = ballot
         if self.config.leader_of(ballot) == self.pid:
             self.broadcast(PaxosPrepare(ballot=ballot))

@@ -197,6 +197,8 @@ class PBFTProcess(DecidingProcess):
     def enter_view(self, view: int) -> None:
         if view <= self.view:
             return
+        if self.view_hook is not None:
+            self.view_hook(view)
         self.view = view
         prepared_value, prepared_view = (
             self.prepared if self.prepared is not None else (None, 0)

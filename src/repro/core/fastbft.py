@@ -159,6 +159,8 @@ class FBFTBase(ConsensusProcess):
         """
         if view <= self.view:
             return
+        if self.view_hook is not None:
+            self.view_hook(view)
         self.view = view
         self._lead_votes = {}
         self._lead_selected = None

@@ -3,6 +3,8 @@
 :class:`DecidingProcess` adds the one-shot ``Decide(x)`` callback of the
 consensus problem (Section 2.2) to a simulated process; the cluster
 harness wires ``decision_hook`` so decisions land in the trace recorder.
+Beside it sits ``view_hook``: whoever owns the process (the cluster, or
+an SMR replica for its per-slot instances) is told of each view entry.
 
 :class:`ConsensusProcess` further binds a process to this paper's
 protocol configuration and key registry; the baselines (PBFT, FaB, Paxos)
@@ -28,6 +30,10 @@ class DecidingProcess(Process):
         super().__init__(pid)
         self.input_value = input_value
         self.decision_hook: Optional[Callable[[Any], None]] = None
+        #: Called with the view (or ballot) being entered, right after
+        #: the entry's monotonic guard and before any state change or
+        #: send — so a hook that logs the entry logs it first.
+        self.view_hook: Optional[Callable[[int], None]] = None
         self._decided_value: Optional[Any] = None
         self._has_decided = False
 

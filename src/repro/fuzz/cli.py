@@ -17,14 +17,15 @@ reproducer spec file and prints the full result.
 
 Telemetry: ``--metrics-out`` / ``--trace-out`` attach a shared
 :class:`~repro.obs.metrics.MetricsRegistry` / bounded
-:class:`~repro.obs.tracing.CausalTracer` across every executed
+:class:`~repro.obs.recorder.FlightRecorder` across every executed
 schedule (this forces in-process serial execution — observers cannot
-cross a fork).  ``--record-out`` replays each failure's original and
-shrunk reproducer under a :class:`~repro.obs.recorder.FlightRecorder`
-(replays are deterministic, so the record is exact) and dumps both —
-the pair feeds ``python -m repro.postmortem diff`` directly.  With
-``--json`` and no ``--record-out``, failing reproducers are dumped
-next to the report automatically.
+cross a fork); the trace file is that recorder's ring, passing runs
+included.  ``--record-out`` replays each failure's original and
+shrunk reproducer under a fresh recorder (replays are deterministic,
+so the record is exact) and dumps both — the pair feeds ``python -m
+repro.postmortem diff`` directly.  With ``--json`` and no
+``--record-out``, failing reproducers are dumped next to the report
+automatically.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
+from ..obs import FlightRecorder, observers_from_flags
 from ..scenarios.fuzz import DEFAULT_FUZZ_PROTOCOLS
 from ..scenarios.runner import run_scenario
 from ..scenarios.spec import ScenarioError, ScenarioSpec
@@ -45,8 +47,6 @@ from .corpus import Corpus
 def _dump_failures(failures: Sequence[Any], directory: str) -> List[str]:
     """Replay each failure's original and shrunk spec under a flight
     recorder and dump both; returns the written paths."""
-    from ..obs.recorder import FlightRecorder
-
     os.makedirs(directory, exist_ok=True)
     written: List[str] = []
     for failure in failures:
@@ -63,6 +63,22 @@ def _dump_failures(failures: Sequence[Any], directory: str) -> List[str]:
             recorder.dump(path)
             written.append(path)
     return written
+
+
+def _write_telemetry(
+    args: argparse.Namespace, observers: Dict[str, Any], what: str
+) -> None:
+    """Write what ``--metrics-out`` / ``--trace-out`` asked for."""
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write(observers["metrics"].to_json(indent=2) + "\n")
+        print(f"wrote {what} metrics to {args.metrics_out}")
+    if args.trace_out:
+        recorder = observers["recorder"]
+        with open(args.trace_out, "w", encoding="utf-8") as fh:
+            json.dump(recorder.to_dict(), fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {what} trace ({recorder.emitted} events) to {args.trace_out}")
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -86,35 +102,21 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             status = "ok" if outcome["ok"] else "FAIL"
             print(f"{origin:>24} [{outcome['coverage']['protocol']:>8}] -> {status}")
 
-    metrics = tracer = None
+    # Campaign --record-out replays failures (below); it attaches nothing.
+    observers = observers_from_flags(args.metrics_out, args.trace_out, "")
     run = run_scenario
-    if args.metrics_out or args.trace_out:
-        if args.metrics_out:
-            from ..obs.metrics import MetricsRegistry
+    if observers:
 
-            metrics = MetricsRegistry()
-        if args.trace_out:
-            from ..obs.tracing import CausalTracer
-
-            tracer = CausalTracer()
-
-        def run(spec, _metrics=metrics, _tracer=tracer):
+        def run(spec):
             # A custom ``run`` forces the in-process serial path, so the
             # shared registry/ring observes every executed schedule.
-            return run_scenario(spec, metrics=_metrics, tracer=_tracer)
+            return run_scenario(spec, **observers)
 
     report = run_campaign(config, corpus=corpus, run=run, on_progress=progress)
     if args.corpus_out:
         corpus.save(args.corpus_out)
         print(f"wrote corpus ({len(corpus.entries)} entries) to {args.corpus_out}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_json(indent=2) + "\n")
-        print(f"wrote campaign metrics to {args.metrics_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(tracer.to_json(indent=2) + "\n")
-        print(f"wrote campaign trace ({tracer.emitted} events) to {args.trace_out}")
+    _write_telemetry(args, observers, "campaign")
     if args.json:
         payload = report.to_dict()
         payload["digest"] = report.digest
@@ -157,32 +159,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             )
             return 2
         spec = ScenarioSpec.from_dict(matches[0].spec)
-    metrics = tracer = recorder = None
-    if args.metrics_out:
-        from ..obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    if args.trace_out:
-        from ..obs.tracing import CausalTracer
-
-        tracer = CausalTracer()
+    observers = observers_from_flags(
+        args.metrics_out, args.trace_out, args.record_out
+    )
+    result = run_scenario(spec, **observers)
+    _write_telemetry(args, observers, "replay")
     if args.record_out:
-        from ..obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder()
-    result = run_scenario(spec, metrics=metrics, tracer=tracer, recorder=recorder)
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_json(indent=2) + "\n")
-        print(f"wrote replay metrics to {args.metrics_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(tracer.to_json(indent=2) + "\n")
-        print(f"wrote replay trace ({tracer.emitted} events) to {args.trace_out}")
-    if recorder is not None:
         os.makedirs(args.record_out, exist_ok=True)
         path = os.path.join(args.record_out, f"flight-{spec.name}.jsonl")
-        recorder.dump(path)
+        observers["recorder"].dump(path)
         print(f"wrote flight record to {path}")
     print(result.summary())
     return 0 if result.ok else 1
@@ -243,9 +228,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     campaign.add_argument(
         "--trace-out", metavar="FILE", default="",
-        help="attach one shared CausalTracer across every executed "
-             "schedule and write its ring here (forces in-process serial "
-             "execution)",
+        help="attach one shared FlightRecorder across every executed "
+             "schedule and write its ring here, passing runs included "
+             "(forces in-process serial execution)",
     )
     campaign.add_argument(
         "--record-out", metavar="DIR", default="",
@@ -266,7 +251,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     replay.add_argument(
         "--trace-out", metavar="FILE", default="",
-        help="attach a CausalTracer and write its ring here",
+        help="attach a FlightRecorder and write its ring here as one "
+             "JSON document",
     )
     replay.add_argument(
         "--record-out", metavar="DIR", default="",

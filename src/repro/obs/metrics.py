@@ -9,9 +9,9 @@ Design constraints, in order:
 
 1. **Zero overhead when disabled.**  A disabled registry hands out the
    shared :data:`NULL_METRIC` null-object whose methods do nothing, and
-   exposes ``enabled = False`` so hot paths can skip even the method
-   call (``if metrics.enabled: ...``).  No instrumented module needs a
-   configuration branch at import time.
+   instrumented code holds no registry at all: the replicas' instruments
+   are fed by :class:`ReplicaMetrics`, a subscriber to the cluster's
+   observer, which is ``None`` when nobody asked for metrics.
 2. **Bounded memory.**  Histograms keep a fixed-size reservoir of the
    most recent observations (plus exact running count/total/min/max),
    so a long run cannot grow a metric without bound.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -32,6 +32,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_METRIC",
+    "ReplicaMetrics",
 ]
 
 
@@ -175,10 +176,6 @@ class _Namespace:
         self._registry = registry
         self._prefix = prefix
 
-    @property
-    def enabled(self) -> bool:
-        return self._registry.enabled
-
     def counter(self, name: str) -> Any:
         return self._registry.counter(self._prefix + name)
 
@@ -238,28 +235,19 @@ class MetricsRegistry:
         return _Namespace(self, prefix + ".")
 
     # ------------------------------------------------------------------
-    def network_send_hook(self):
-        """A :meth:`Network.add_send_hook` callback (one call per
-        fan-out) counting sends by payload type under
-        ``net.sent.<TypeName>``."""
-        counters = self._counters
-
-        def hook(envelopes: Any) -> None:
-            name = "net.sent." + type(envelopes[0].payload).__name__
-            metric = counters.get(name)
-            if metric is None:
-                metric = counters[name] = Counter(name)
-            metric.value += len(envelopes)
-
-        return hook
-
-    def collect_network(self, network: Any) -> None:
-        """Snapshot the network's own counters into gauges (O(1), done at
-        collection time — never on the send hot path)."""
+    def collect_network(self, network: Any, sent_by_type: Dict[str, int]) -> None:
+        """Fold one finished run's traffic in (O(types), at collection
+        time — never on the send hot path): the network's own counters
+        as gauges, and ``sent_by_type`` — the trace recorder's
+        :meth:`~repro.sim.trace.TraceRecorder.messages_by_type` — added
+        to the ``net.sent.<TypeName>`` counters, which therefore
+        accumulate over every run a shared registry watches."""
         stats = network.stats
         self.gauge("net.messages_sent").set(stats.messages_sent)
         self.gauge("net.messages_delivered").set(stats.messages_delivered)
         self.gauge("net.bytes_sent").set(stats.bytes_sent)
+        for name, count in sent_by_type.items():
+            self.counter("net.sent." + name).inc(count)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot of every metric, sorted by name."""
@@ -312,6 +300,58 @@ class MetricsRegistry:
             lines.append(f"{prom}_sum {_prom_value(histogram.total)}")
             lines.append(f"{prom}_count {histogram.count}")
         return "\n".join(lines) + "\n" if lines else ""
+
+
+class ReplicaMetrics:
+    """The metrics' subscription to a cluster's observer
+    (:meth:`~repro.sim.runner.Cluster.observe`): turns the SMR replicas'
+    lifecycle events into the ``replica.<pid>.*`` instruments.
+
+    The instruments of every pid in ``pids`` exist from construction, so
+    a replica that never saw a request still reports its zeros.
+    """
+
+    def __init__(self, registry: MetricsRegistry, pids: Sequence[int]) -> None:
+        #: (pid, observed event kind) -> the instrument it feeds.
+        self._instruments: Dict[Tuple[int, str], Any] = {}
+        for pid in pids:
+            ns = registry.namespace(f"replica.{pid}")
+            self._instruments.update({
+                (pid, "request"): ns.counter("requests"),
+                (pid, "batched"): ns.histogram("queue_delay"),
+                (pid, "executed"): ns.counter("commands_executed"),
+                (pid, "slot-latency"): ns.histogram("slot_latency"),
+                (pid, "demotion-vote"): ns.counter("demotion_votes"),
+                (pid, "demotion"): ns.counter("demotions"),
+            })
+        #: (pid, request key) -> when the request reached that replica.
+        self._arrived: Dict[Tuple[int, Any], float] = {}
+
+    def observe(
+        self,
+        kind: str,
+        pid: int,
+        time: float,
+        slot: Optional[int],
+        view: Optional[int],
+        detail: Any,
+    ) -> None:
+        """One event, stamped by :meth:`~repro.sim.runner.Cluster.observe`."""
+        instrument = self._instruments.get((pid, kind))
+        if instrument is None:
+            return
+        if kind == "request":  # detail: the (client, request_id) key
+            instrument.inc()
+            self._arrived[pid, detail] = time
+        elif kind == "batched":  # detail: the keys packed into the batch
+            for key in detail:
+                arrived = self._arrived.pop((pid, key), None)
+                if arrived is not None:
+                    instrument.observe(time - arrived)
+        elif kind == "slot-latency":  # detail: open -> decide, sim time
+            instrument.observe(detail)
+        else:  # detail: commands the slot applied, for "executed"
+            instrument.inc(detail if kind == "executed" else 1)
 
 
 _PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")

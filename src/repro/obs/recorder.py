@@ -1,35 +1,43 @@
-"""Flight recorder: bounded structured protocol-event capture.
+"""Flight recorder: the run's one bounded, causal event record.
 
-A :class:`FlightRecorder` installed on a
-:class:`~repro.sim.network.Network` (it implements the same tracer
-contract as :class:`~repro.obs.tracing.CausalTracer`, plus the
-selective ``wants`` hook) records *protocol* events — propose, vote,
-certificate-formed, decide, view-change, WAL append/truncate,
-checkpoint vote/stable, catchup request/reply, demotion vote, fault
-schedule firings — each with a tuple of causal parent ids threaded
-through the (defaulted, digest-invisible) ``trace`` field of every
-:class:`~repro.sim.network.Envelope`.
+A :class:`FlightRecorder` watches a run through two seams and nothing
+else.  Installed in the network's tracer slot
+(:meth:`~repro.sim.network.Network.install_tracer`, with the selective
+``wants`` hook) it records every *protocol* message of all five
+protocols and the SMR layer — propose, vote, view-vote, wish,
+cert-request, request/reply, decide gossip, checkpoint and demotion
+votes, catchup — once when sent and once when delivered, threading the
+send's id through the (defaulted, digest-invisible) ``trace`` field of
+the :class:`~repro.sim.network.Envelope`.  Subscribed to the cluster's
+observer (:meth:`~repro.sim.runner.Cluster.observe`, through
+:meth:`FlightRecorder.observe`) it records the *local* transitions:
+decide, view-change, WAL append/truncate, checkpoint vote/stable,
+demotion vote/demotion/advocate, and fault-schedule firings.
 
 The record is a bounded ring (``collections.deque`` with ``maxlen``)
 of :class:`FlightEvent` named tuples, so a long run keeps the tail and
-allocation cost stays one tuple per recorded event.  Payload types the
-classifier does not know are *not* recorded, and — via the network's
-``wants`` memo — do not even leave the prebound delivery fast path, so
-an attached recorder costs near-nothing on traffic it ignores.
+allocation cost stays one tuple per recorded event; the side tables
+that wait for a quorum hold only ids still in the ring.  Payload types
+the classifier does not know are *not* recorded, and — via the
+network's ``wants`` memo — do not even leave the prebound delivery fast
+path, so an attached recorder costs near-nothing on traffic it ignores.
 
-Causality is richer than the tracer's single-parent chain:
+Causality is multi-parent:
 
-* a **deliver** parents to its **send**, a send parents to the handler
-  execution (delivery) it was issued from;
+* a **deliver** parents to its **send**, a send (and any local
+  transition) to the handler execution (delivery) it happened in;
 * a **decide** parents to a synthesized **cert-formed** event whose
   parents are the delivered votes that formed the quorum certificate;
 * a **checkpoint-stable** parents to the checkpoint votes that made it
-  stable, a **wal-truncate** to the checkpoint-stable that justified it;
+  stable, a **wal-truncate** to the checkpoint-stable that justified it,
+  a **wal-append** to the decide it persists;
 * a **demotion** parents to the demotion-vote quorum, and the
   **advocate** calls it triggers parent to the demotion.
 
 Dump with :meth:`FlightRecorder.dump` (JSON lines: one header object,
-then one event per line); analyse with ``python -m repro.postmortem``.
+then one event per line) and analyse with ``python -m
+repro.postmortem``; :meth:`FlightRecorder.to_dict` is the same record
+as one JSON document (the CLIs' ``--trace-out``).
 """
 
 from __future__ import annotations
@@ -38,13 +46,7 @@ import json
 from collections import deque
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = [
-    "FlightEvent",
-    "FlightRecorder",
-    "TeeTracer",
-    "attach_observers",
-    "hook_view_changes",
-]
+__all__ = ["FlightEvent", "FlightRecorder"]
 
 
 class FlightEvent(NamedTuple):
@@ -54,7 +56,8 @@ class FlightEvent(NamedTuple):
     for state transitions; ``parents`` are the ids of the events that
     caused this one (empty for roots).  ``slot``/``view`` are taken
     from the payload when it carries them, ``None`` otherwise (e.g.
-    single-instance consensus runs have no slots).
+    single-instance consensus runs have no slots; a Paxos ballot is
+    read as the view).
     """
 
     id: int
@@ -71,7 +74,11 @@ class FlightEvent(NamedTuple):
 
 #: Protocol payload type name -> recorded event kind.  Classification is
 #: by *name* so this module never imports the protocol packages (the
-#: network would otherwise pull in smr/storage at import time).
+#: network would otherwise pull in smr/storage at import time).  Across
+#: protocols: what a leader sends to start an attempt is a ``propose``,
+#: what is counted toward a deciding quorum a ``vote`` (so a
+#: ``cert-formed`` parents to it), what reports state to a new leader a
+#: ``view-vote``.
 _KIND_BY_NAME: Dict[str, str] = {
     "Propose": "propose",
     "Ack": "vote",
@@ -81,6 +88,22 @@ _KIND_BY_NAME: Dict[str, str] = {
     "CertRequest": "cert-request",
     "Vote": "view-vote",
     "WishMessage": "wish",
+    "PrePrepare": "propose",
+    "Prepare": "vote",
+    "PBFTCommit": "vote",
+    "PBFTViewChange": "view-vote",
+    "FabPropose": "propose",
+    "FabAccept": "vote",
+    "FabReport": "view-vote",
+    "PaxosPrepare": "view-vote",
+    "PaxosPromise": "view-vote",
+    "PaxosAccept": "propose",
+    "PaxosAccepted": "vote",
+    "OptPropose": "propose",
+    "OptAck": "vote",
+    "OptPrepare": "vote",
+    "OptCommit": "vote",
+    "OptViewChange": "view-vote",
     "Request": "request",
     "Reply": "reply",
     "SlotDecided": "decide-gossip",
@@ -92,6 +115,28 @@ _KIND_BY_NAME: Dict[str, str] = {
 
 #: Marker for SMR's slot-tagged wrapper: classified by its inner payload.
 _SLOT_WRAP = "slot-wrap"
+
+#: Local event a quorum produces -> the vote kind it is a quorum of.
+#: Votes wait in a side table, keyed by (kind, receiver, slot, view),
+#: for that event to claim them as parents.
+_VOTE_OF: Dict[str, str] = {
+    "decide": "vote",
+    "checkpoint-stable": "checkpoint-vote",
+    "demotion": "demotion-vote",
+}
+_VOTE_KINDS = frozenset(_VOTE_OF.values())
+
+#: Local kind -> the local kind it follows on the same process (its
+#: parent, when there has been one).
+_FOLLOWS: Dict[str, str] = {
+    "wal-append": "decide",
+    "wal-truncate": "checkpoint-stable",
+    "advocate": "demotion",
+}
+
+#: Observer kinds that are request accounting — the metrics' business,
+#: not part of the causal record.
+_METRICS_ONLY = frozenset(("request", "batched", "executed", "slot-latency"))
 
 _MISS = object()
 
@@ -113,32 +158,42 @@ class FlightRecorder:
         #: accumulated by :meth:`begin_run` / :meth:`finish_run`.
         self.meta: Dict[str, Any] = {}
         self._next_id = 1
+        #: type -> (kind, view attribute) / _SLOT_WRAP / None (memoized).
+        self._kind_memo: Dict[type, Any] = {}
+        self._reset_causality()
+
+    def _reset_causality(self) -> None:
         #: Active handler-execution stack (deliver event ids): sends and
         #: local transitions inside a handler parent to its delivery.
         self._spans: List[int] = []
-        #: type -> kind / _SLOT_WRAP / None (memoized classification).
-        self._kind_memo: Dict[type, Optional[str]] = {}
-        #: (pid, slot) -> delivered consensus-vote event ids awaiting the
-        #: decide that their quorum certificate produces.
-        self._votes: Dict[Tuple[int, Optional[int]], List[int]] = {}
-        #: (pid, slot) -> checkpoint-vote event ids awaiting stability.
-        self._ckpt_votes: Dict[Tuple[int, int], List[int]] = {}
-        #: (pid, view) -> demotion-vote event ids awaiting the quorum.
-        self._demotion_votes: Dict[Tuple[int, int], List[int]] = {}
-        #: pid -> the latest demotion event (advocates parent to it).
-        self._last_demotion: Dict[int, int] = {}
+        #: (vote kind, pid, slot, view) -> delivered (or own) vote event
+        #: ids awaiting the event their quorum produces; consensus votes
+        #: of every view wait together (view ``None``) for the slot's
+        #: decide.  Ids leave with their event when the ring evicts it
+        #: (:meth:`_emit`), so the table never holds more than
+        #: ``capacity`` of them.
+        self._waiting: Dict[Tuple[Any, ...], List[int]] = {}
+        #: (pid, local kind) -> that process's latest such event.
+        self._latest: Dict[Tuple[int, str], int] = {}
 
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
 
-    def _kind_of_type(self, ptype: type) -> Optional[str]:
-        kind = self._kind_memo.get(ptype, _MISS)
-        if kind is _MISS:
+    def _kind_of_type(self, ptype: type) -> Any:
+        info = self._kind_memo.get(ptype, _MISS)
+        if info is _MISS:
             name = ptype.__name__
-            kind = _SLOT_WRAP if name == "SlotMessage" else _KIND_BY_NAME.get(name)
-            self._kind_memo[ptype] = kind
-        return kind  # type: ignore[return-value]
+            if name == "SlotMessage":
+                info = _SLOT_WRAP
+            elif name in _KIND_BY_NAME:
+                # Paxos numbers its attempts by ballot, not view.
+                view_attr = "ballot" if name.startswith("Paxos") else "view"
+                info = (_KIND_BY_NAME[name], view_attr)
+            else:
+                info = None
+            self._kind_memo[ptype] = info
+        return info
 
     def wants(self, ptype: type) -> bool:
         """Selective-tracer hook: payload types the recorder captures.
@@ -152,16 +207,18 @@ class FlightRecorder:
         self, payload: Any
     ) -> Optional[Tuple[str, Optional[int], Optional[int]]]:
         """(kind, slot, view) for a protocol payload, else ``None``."""
-        kind = self._kind_of_type(type(payload))
-        if kind is None:
+        info = self._kind_of_type(type(payload))
+        if info is None:
             return None
-        if kind is _SLOT_WRAP:
-            inner = payload.inner
-            ikind = self._kind_of_type(type(inner))
-            if ikind is None or ikind is _SLOT_WRAP:
+        if info is _SLOT_WRAP:
+            slot = payload.slot
+            payload = payload.inner
+            info = self._kind_of_type(type(payload))
+            if info is None or info is _SLOT_WRAP:
                 return None
-            return ikind, payload.slot, getattr(inner, "view", None)
-        return kind, getattr(payload, "slot", None), getattr(payload, "view", None)
+        else:
+            slot = getattr(payload, "slot", None)
+        return info[0], slot, getattr(payload, info[1], None)
 
     # ------------------------------------------------------------------
     # Core emission
@@ -181,7 +238,23 @@ class FlightRecorder:
     ) -> int:
         eid = self._next_id
         self._next_id += 1
-        self.events.append(
+        events = self.events
+        if self.emitted >= self.capacity:
+            # The append below evicts the oldest event; an id that has
+            # left the ring cannot be a resolvable parent, so it stops
+            # waiting for its quorum too (ids wait in emission order).
+            old = events[0]
+            if old.kind in _VOTE_KINDS and old.phase != "send":
+                key = (
+                    old.kind, old.pid, old.slot,
+                    None if old.kind == "vote" else old.view,
+                )
+                waiting = self._waiting.get(key)
+                if waiting and waiting[0] == old.id:
+                    del waiting[0]
+                    if not waiting:
+                        del self._waiting[key]
+        events.append(
             FlightEvent(eid, parents, kind, phase, time, pid, peer, slot, view, detail)
         )
         self.emitted += 1
@@ -190,9 +263,6 @@ class FlightRecorder:
     @property
     def dropped(self) -> int:
         return self.emitted - len(self.events)
-
-    def current_span(self) -> Optional[int]:
-        return self._spans[-1] if self._spans else None
 
     def _span_parents(self) -> Tuple[int, ...]:
         return (self._spans[-1],) if self._spans else ()
@@ -218,18 +288,14 @@ class FlightRecorder:
             return 0  # unwanted payload on the general path: no record
         kind, slot, view = info
         trace = envelope.trace
-        parents = (trace,) if isinstance(trace, int) else ()
         dst = envelope.dst
         eid = self._emit(
             kind, "deliver", envelope.deliver_time, dst, envelope.src,
-            slot, view, None, parents,
+            slot, view, None, () if trace is None else (trace,),
         )
-        if kind == "vote":
-            self._votes.setdefault((dst, slot), []).append(eid)
-        elif kind == "checkpoint-vote":
-            self._ckpt_votes.setdefault((dst, slot), []).append(eid)
-        elif kind == "demotion-vote":
-            self._demotion_votes.setdefault((dst, view), []).append(eid)
+        if kind in _VOTE_KINDS:
+            key = (kind, dst, slot, None if kind == "vote" else view)
+            self._waiting.setdefault(key, []).append(eid)
         self._spans.append(eid)
         return eid
 
@@ -238,121 +304,71 @@ class FlightRecorder:
             self._spans.pop()
 
     # ------------------------------------------------------------------
-    # Local protocol transitions (replica / cluster hooks)
+    # Local transitions (the cluster's observer: Cluster.observe)
     # ------------------------------------------------------------------
 
-    def record_decide(
-        self, pid: int, value: Any, time: float, slot: Optional[int] = None
-    ) -> int:
-        """A process decided ``value``.
-
-        Synthesizes a ``cert-formed`` event over the votes delivered to
-        ``pid`` for this slot (the quorum certificate's evidence), then
-        the ``decide`` parented to it — the causal cut of a decide
-        therefore contains the exact vote deliveries (and transitively
-        their sends) that produced the certificate.
-        """
-        parents: List[int] = []
-        votes = self._votes.pop((pid, slot), None)
-        if votes:
-            cert = self._emit(
-                "cert-formed", "local", time, pid, None, slot, None,
-                f"{len(votes)} votes", tuple(votes),
-            )
-            parents.append(cert)
-        parents.extend(self._span_parents())
-        return self._emit(
-            "decide", "local", time, pid, None, slot, None,
-            repr(value)[:_DETAIL_CAP], tuple(parents),
-        )
-
-    def record_view_change(
-        self, pid: int, view: int, time: float, slot: Optional[int] = None
-    ) -> int:
-        return self._emit(
-            "view-change", "local", time, pid, None, slot, view, None,
-            self._span_parents(),
-        )
-
-    def record_wal_append(
+    def observe(
         self,
+        kind: str,
         pid: int,
-        slot: Optional[int],
-        what: str,
         time: float,
-        parent: Optional[int] = None,
-    ) -> int:
-        parents = (parent,) if parent is not None else self._span_parents()
-        return self._emit(
-            "wal-append", "local", time, pid, None, slot, None, what, parents
-        )
+        slot: Optional[int] = None,
+        view: Optional[int] = None,
+        detail: Any = None,
+    ) -> None:
+        """Record one local transition, as :meth:`~repro.sim.runner.
+        Cluster.observe` reports it; the metrics' kinds are ignored.
 
-    def record_wal_truncate(
-        self, pid: int, upto_slot: int, time: float, parent: Optional[int] = None
-    ) -> int:
-        parents = (parent,) if parent is not None else self._span_parents()
-        return self._emit(
-            "wal-truncate", "local", time, pid, None, upto_slot, None,
-            f"upto {upto_slot}", parents,
-        )
-
-    def record_checkpoint_vote_local(self, pid: int, slot: int, time: float) -> int:
-        """Our own checkpoint vote (broadcasts exclude self, so the
-        local tally has no network event to stand in for it)."""
-        eid = self._emit(
-            "checkpoint-vote", "local", time, pid, None, slot, None, "own vote",
-            self._span_parents(),
-        )
-        self._ckpt_votes.setdefault((pid, slot), []).append(eid)
-        return eid
-
-    def record_checkpoint_stable(self, pid: int, slot: int, time: float) -> int:
-        votes = self._ckpt_votes.pop((pid, slot), None)
-        return self._emit(
-            "checkpoint-stable", "local", time, pid, None, slot, None,
-            f"{len(votes)} votes" if votes else None, tuple(votes or ()),
-        )
-
-    def record_demotion_vote_local(self, pid: int, view: int, time: float) -> int:
-        """Our own demotion vote (same include_self=False reasoning)."""
-        eid = self._emit(
-            "demotion-vote", "local", time, pid, None, None, view, "own vote",
-            self._span_parents(),
-        )
-        self._demotion_votes.setdefault((pid, view), []).append(eid)
-        return eid
-
-    def record_demotion(self, pid: int, view: int, time: float) -> int:
-        votes = self._demotion_votes.pop((pid, view), None)
-        eid = self._emit(
-            "demotion", "local", time, pid, None, None, view,
-            f"{len(votes)} votes" if votes else None, tuple(votes or ()),
-        )
-        self._last_demotion[pid] = eid
-        return eid
-
-    def record_advocate(
-        self, pid: int, view: int, time: float, slot: Optional[int] = None
-    ) -> int:
-        demotion = self._last_demotion.get(pid)
-        parents = (demotion,) if demotion is not None else self._span_parents()
-        return self._emit(
-            "advocate", "local", time, pid, None, slot, view, None, parents
-        )
-
-    def record_fault(
-        self, kind: str, time: float, pid: int = -1, detail: Optional[str] = None
-    ) -> int:
-        """A fault-schedule firing (crash/recover/partition-start/
-        partition-heal/delay-on/delay-off), recorded as a causal root."""
-        return self._emit(kind, "local", time, pid, None, None, None, detail, ())
+        A ``decide`` (``detail``: the value) first synthesizes a
+        ``cert-formed`` event over the votes delivered to ``pid`` for
+        the slot — the quorum certificate's evidence — and parents to
+        it, so a decide's causal cut holds the exact vote deliveries
+        (and transitively their sends) behind it.  ``checkpoint-stable``
+        and ``demotion`` claim their vote quorums the same way;
+        ``checkpoint-vote`` / ``demotion-vote`` are the process's *own*
+        vote (broadcasts exclude self, so the local tally has no network
+        event to stand in for it).  Fault firings happen outside any
+        handler, which makes them causal roots.
+        """
+        if kind in _METRICS_ONLY:
+            return
+        parents = self._span_parents()
+        if kind in _VOTE_OF:
+            votes = tuple(self._waiting.pop((_VOTE_OF[kind], pid, slot, view), ()))
+            count = f"{len(votes)} votes" if votes else None
+            if kind != "decide":
+                detail, parents = count, votes
+            else:
+                detail = repr(detail)[:_DETAIL_CAP]
+                if votes:
+                    cert = self._emit(
+                        "cert-formed", "local", time, pid, None, slot, None,
+                        count, votes,
+                    )
+                    parents = (cert, *parents)
+        elif kind in _FOLLOWS:
+            followed = self._latest.get((pid, _FOLLOWS[kind]))
+            if followed is not None:
+                parents = (followed,)
+            if kind == "wal-truncate":
+                detail = f"upto {slot}"
+        elif kind in _VOTE_KINDS:
+            detail = "own vote"
+        eid = self._emit(kind, "local", time, pid, None, slot, view, detail, parents)
+        if kind in _VOTE_OF:
+            self._latest[pid, kind] = eid
+        elif kind in _VOTE_KINDS:
+            self._waiting.setdefault((kind, pid, slot, view), []).append(eid)
 
     # ------------------------------------------------------------------
     # Run metadata
     # ------------------------------------------------------------------
 
     def begin_run(self, **meta: Any) -> None:
+        """A new run starts: its causality shares nothing with the last
+        one's (a recorder may watch many runs; the ring keeps filling)."""
         self.meta.update(meta)
+        self._reset_causality()
 
     def finish_run(self, **meta: Any) -> None:
         self.meta.update(meta)
@@ -376,6 +392,11 @@ class FlightRecorder:
             for event in self.events
         ]
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The record as one JSON-safe document: the header's fields
+        plus ``events`` (what the CLIs' ``--trace-out`` writes)."""
+        return {**self.header(), "events": self.to_dicts()}
+
     def dumps(self) -> str:
         """The JSON-lines dump: header object, then one event per line.
 
@@ -394,107 +415,3 @@ class FlightRecorder:
         """Write the JSON-lines dump to ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.dumps())
-
-
-class TeeTracer:
-    """Fan one network tracer slot out to several observers.
-
-    The network supports a single installed tracer; attaching a
-    :class:`~repro.obs.tracing.CausalTracer` *and* a
-    :class:`FlightRecorder` therefore goes through this tee.  Each
-    observer gets its own trace id threaded per envelope (the ``trace``
-    field carries a tuple, one slot per observer); ``wants`` is the
-    union, so an envelope is traced when any observer records it.
-    """
-
-    def __init__(self, *tracers: Any) -> None:
-        if not tracers:
-            raise ValueError("TeeTracer needs at least one tracer")
-        self.tracers: Tuple[Any, ...] = tuple(tracers)
-
-    def _wants(self, tracer: Any, ptype: type) -> bool:
-        wants = getattr(tracer, "wants", None)
-        return True if wants is None else bool(wants(ptype))
-
-    def wants(self, ptype: type) -> bool:
-        return any(self._wants(tracer, ptype) for tracer in self.tracers)
-
-    def on_send(self, envelope: Any) -> Any:
-        ptype = type(envelope.payload)
-        traces = tuple(
-            tracer.on_send(envelope).trace
-            if self._wants(tracer, ptype)
-            else None
-            for tracer in self.tracers
-        )
-        return envelope._replace(trace=traces)
-
-    def begin_delivery(self, envelope: Any) -> Tuple[Any, ...]:
-        trace = envelope.trace
-        if not isinstance(trace, tuple) or len(trace) != len(self.tracers):
-            trace = (None,) * len(self.tracers)
-        return tuple(
-            tracer.begin_delivery(envelope._replace(trace=trace[i]))
-            for i, tracer in enumerate(self.tracers)
-        )
-
-    def end_delivery(self, token: Tuple[Any, ...]) -> None:
-        for tracer, sub in zip(reversed(self.tracers), reversed(token)):
-            tracer.end_delivery(sub)
-
-    def record_decide(self, pid: int, value: Any, time: float) -> None:
-        for tracer in self.tracers:
-            record = getattr(tracer, "record_decide", None)
-            if record is not None:
-                record(pid, value, time)
-
-
-def attach_observers(cluster: Any, *observers: Any) -> Optional[Any]:
-    """Wire tracers/recorders into a :class:`~repro.sim.runner.Cluster`.
-
-    ``None`` entries are skipped; one observer installs directly, more
-    go through a :class:`TeeTracer`.  Like
-    :func:`~repro.obs.tracing.attach_tracer`, the cluster trace's
-    ``record_decision`` is shadowed observer-first, so a violating
-    decide is captured *before* the consistency oracle raises.
-    Returns the installed tracer (or ``None`` when nothing to attach).
-    """
-    active = [observer for observer in observers if observer is not None]
-    if not active:
-        return None
-    tracer = active[0] if len(active) == 1 else TeeTracer(*active)
-    cluster.network.install_tracer(tracer)
-    trace = cluster.trace
-    original = trace.record_decision
-
-    def record_decision(pid: int, value: Any, time: float) -> None:
-        for observer in active:
-            record = getattr(observer, "record_decide", None)
-            if record is not None:
-                record(pid, value, time)
-        original(pid, value, time)
-
-    trace.record_decision = record_decision  # type: ignore[method-assign]
-    return tracer
-
-
-def hook_view_changes(recorder: FlightRecorder, process: Any) -> None:
-    """Record a bare consensus instance's view entries (consensus-mode
-    scenarios; SMR replicas hook their per-slot instances themselves).
-
-    Wraps ``enter_view`` and repoints the pacemaker's captured
-    reference, mirroring ``SMRReplica._hook_view_changes``.
-    """
-    inner = getattr(process, "enter_view", None)
-    if inner is None:
-        return
-
-    def recording_enter_view(view: int) -> None:
-        if view > getattr(process, "view", 0):
-            recorder.record_view_change(process.pid, view, process.now)
-        inner(view)
-
-    process.enter_view = recording_enter_view
-    pacemaker = getattr(process, "pacemaker", None)
-    if pacemaker is not None and hasattr(pacemaker, "_enter_view"):
-        pacemaker._enter_view = recording_enter_view

@@ -80,11 +80,11 @@ def render_diff(
     )
     lines.append(
         f"  {label_a}: "
-        + (format_event(event_a).strip() if event_a else "(record ends)")
+        + (format_event(event_a, a.by_id).strip() if event_a else "(record ends)")
     )
     lines.append(
         f"  {label_b}: "
-        + (format_event(event_b).strip() if event_b else "(record ends)")
+        + (format_event(event_b, b.by_id).strip() if event_b else "(record ends)")
     )
     counts_a, counts_b = _kind_counts(a), _kind_counts(b)
     deltas = []

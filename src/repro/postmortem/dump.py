@@ -61,8 +61,9 @@ class FlightDump:
     def ancestors(self, roots: Iterable[int]) -> Set[int]:
         """Transitive causal closure (event ids), including the roots.
 
-        Parents evicted from the bounded ring are silently absent — the
-        cut is minimal over what the record retained.
+        Parents evicted from the bounded ring are absent — the cut is
+        minimal over what the record retained, and the line of each
+        event that lost one says so (:func:`~.timeline.format_event`).
         """
         seen: Set[int] = set()
         stack = [eid for eid in roots]

@@ -132,7 +132,7 @@ def render_explanation(dump: FlightDump) -> Tuple[str, bool]:
             f"minimal causal cut: {len(cut)} events "
             f"({votes} certificate vote deliveries)"
         )
-        lines.extend(format_event(event) for event in cut)
+        lines.extend(format_event(event, dump.by_id) for event in cut)
     if dump.dropped:
         lines.append(
             f"note: {dump.dropped} earliest events were dropped by the ring; "

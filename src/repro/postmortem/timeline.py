@@ -12,7 +12,7 @@ Three granularities, matching the CLI verbs:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Container, List, Optional
 
 from ..obs.recorder import FlightEvent
 from .dump import FlightDump
@@ -20,7 +20,10 @@ from .dump import FlightDump
 __all__ = ["format_event", "render_timeline", "render_slot", "render_view"]
 
 
-def format_event(event: FlightEvent) -> str:
+def format_event(event: FlightEvent, known: Container[int]) -> str:
+    """One timeline line.  ``known`` holds the ids the dump retains: a
+    parent outside it fell off the recorder's ring, and the line says so
+    rather than naming an id nobody can look up."""
     arrow = "<-" if event.phase == "deliver" else "->"
     peer = "" if event.peer is None else f"{arrow}p{event.peer}"
     slot = "" if event.slot is None else f" slot={event.slot}"
@@ -31,9 +34,14 @@ def format_event(event: FlightEvent) -> str:
         if not event.parents
         else "  <- " + ",".join(str(p) for p in event.parents)
     )
+    broken = "".join(
+        f"  [chain broken: parent {p} evicted]"
+        for p in event.parents
+        if p not in known
+    )
     return (
         f"{event.time:10.2f}  #{event.id:<6} {event.phase:<7} "
-        f"{event.kind:<17} p{event.pid}{peer}{slot}{view}{detail}{parents}"
+        f"{event.kind:<17} p{event.pid}{peer}{slot}{view}{detail}{parents}{broken}"
     )
 
 
@@ -66,7 +74,7 @@ def render_timeline(dump: FlightDump, limit: Optional[int] = None) -> str:
     shown = events if limit is None else events[-limit:]
     if limit is not None and len(events) > limit:
         lines.append(f"... ({len(events) - limit} earlier events elided)")
-    lines.extend(format_event(event) for event in shown)
+    lines.extend(format_event(event, dump.by_id) for event in shown)
     if not events:
         lines.append("(no events recorded)")
     return "\n".join(lines)
@@ -82,7 +90,7 @@ def render_slot(dump: FlightDump, slot: int) -> str:
             f"(no events for slot {slot}; slots in record: {known or 'none'})"
         )
         return "\n".join(lines)
-    lines.extend(format_event(event) for event in events)
+    lines.extend(format_event(event, dump.by_id) for event in events)
     decides = [e for e in events if e.kind == "decide"]
     if decides:
         lines.append("decisions:")
@@ -106,7 +114,7 @@ def render_view(dump: FlightDump, view: int) -> str:
             f"(no events for view {view}; views in record: {known or 'none'})"
         )
         return "\n".join(lines)
-    lines.extend(format_event(event) for event in events)
+    lines.extend(format_event(event, dump.by_id) for event in events)
     entered = sorted(
         {e.pid for e in events if e.kind in ("view-change", "advocate")}
     )

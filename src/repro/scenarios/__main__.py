@@ -22,6 +22,7 @@ import sys
 from typing import List
 
 from ..analysis.report import format_scenario_results, format_table
+from ..obs import observers_from_flags
 from .fuzz import DEFAULT_FUZZ_PROTOCOLS, run_fuzz
 from .library import SCENARIOS, get_scenario
 from .runner import run_scenario
@@ -59,32 +60,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     record_dir = args.record_out or None
     dumped = []
     for name in names:
-        metrics = tracer = recorder = None
-        if metrics_accum is not None:
-            from ..obs.metrics import MetricsRegistry
-
-            metrics = MetricsRegistry()
-        if trace_accum is not None:
-            from ..obs.tracing import CausalTracer
-
-            tracer = CausalTracer()
-        if record_dir is not None:
-            from ..obs.recorder import FlightRecorder
-
-            recorder = FlightRecorder()
-        result = run_scenario(
-            get_scenario(name), metrics=metrics, tracer=tracer, recorder=recorder
+        observers = observers_from_flags(
+            args.metrics_out, args.trace_out, args.record_out
         )
+        recorder = observers.get("recorder")
+        result = run_scenario(get_scenario(name), **observers)
         results.append(result)
         if metrics_accum is not None:
             metrics_accum[name] = result.metrics
         if trace_accum is not None:
-            trace_accum[name] = {
-                "emitted": tracer.emitted,
-                "dropped": tracer.dropped,
-                "events": tracer.to_dicts(),
-            }
-        if recorder is not None and not result.ok:
+            trace_accum[name] = recorder.to_dict()
+        if record_dir is not None and not result.ok:
             # Dump-on-violation: the attached recorder is digest-safe, so
             # the failing run's own record is the artifact — no re-run.
             import os
@@ -222,8 +208,8 @@ def main(argv: List[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--trace-out", metavar="FILE", default="",
-        help="attach a CausalTracer per scenario and write all trace events "
-             "to this JSON file",
+        help="attach a FlightRecorder per scenario and write every run's "
+             "causal record (passing runs included) to this JSON file",
     )
     run_parser.add_argument(
         "--record-out", metavar="DIR", default="",

@@ -9,7 +9,7 @@ internals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.digest import cluster_digest
 from ..sim.events import SimulationTimeout
@@ -158,12 +158,10 @@ def _crash_action(built: BuiltScenario, pid: int, disk: str):
 
 
 def _schedule_faults(
-    spec: ScenarioSpec,
-    built: BuiltScenario,
-    cluster: Cluster,
-    recorder: Optional[Any] = None,
+    spec: ScenarioSpec, built: BuiltScenario, cluster: Cluster
 ) -> None:
     network = cluster.network
+    emit = cluster.observer
     for event in spec.faults:
         pid = -1
         if isinstance(event, Crash):
@@ -194,11 +192,11 @@ def _schedule_faults(
             kind = "delay-off"
         else:  # pragma: no cover - exhaustive over FaultEvent
             raise ScenarioError(f"unknown fault event {event!r}")
-        if recorder is not None:
+        if emit is not None:
             def action(
-                inner=action, kind=kind, pid=pid, detail=str(event)
+                inner=action, fired=(kind, pid, None, None, str(event))
             ) -> None:
-                recorder.record_fault(kind, cluster.sim.now, pid, detail)
+                emit(*fired)
                 inner()
         cluster.sim.schedule_at(event.at, action, label=f"fault {event}")
 
@@ -227,16 +225,18 @@ def run_scenario(
     spec: ScenarioSpec,
     *,
     metrics: Optional[Any] = None,
-    tracer: Optional[Any] = None,
     recorder: Optional[Any] = None,
 ) -> ScenarioResult:
     """Build, run and judge one scenario.
 
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`),
-    ``tracer`` (a :class:`~repro.obs.tracing.CausalTracer`) and
+    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) and
     ``recorder`` (a :class:`~repro.obs.recorder.FlightRecorder`) are
-    optional observers; all default to off, and the execution — and its
-    trace digest — is byte-identical with or without any of them.
+    optional observers; both default to off, and the execution — and its
+    trace digest — is byte-identical with or without either.  Both
+    subscribe to the cluster's one observer
+    (:meth:`~repro.sim.runner.Cluster.observe`) for the honest
+    processes' local transitions; the recorder also takes the network's
+    tracer slot for the messages.
     """
     spec.validate()
     adapter = ADAPTERS.get(spec.protocol)
@@ -246,13 +246,14 @@ def run_scenario(
         )
     built = adapter.build(spec)
     cluster = Cluster(built.processes, delay_model=spec.delay.build())
+    subscribers: List[Any] = []
     if metrics is not None:
-        for replica in built.replicas:
-            replica.attach_metrics(metrics)
-        cluster.network.add_send_hook(metrics.network_send_hook())
-    if recorder is not None:
-        from ..obs.recorder import hook_view_changes
+        from ..obs.metrics import ReplicaMetrics
 
+        subscribers.append(
+            ReplicaMetrics(metrics, [r.pid for r in built.replicas]).observe
+        )
+    if recorder is not None:
         recorder.begin_run(
             scenario=spec.name,
             protocol=spec.protocol,
@@ -262,19 +263,11 @@ def run_scenario(
             mode=built.mode,
             honest_pids=sorted(built.honest_pids),
         )
-        for replica in built.replicas:
-            replica.attach_recorder(recorder)
-        if not built.replicas:
-            # Consensus mode: bare instances are processes themselves —
-            # hook their view entries directly (no-op for processes
-            # without ``enter_view``, e.g. Byzantine wrappers).
-            for process in built.processes:
-                hook_view_changes(recorder, process)
-    if tracer is not None or recorder is not None:
-        from ..obs.recorder import attach_observers
-
-        attach_observers(cluster, tracer, recorder)
-    _schedule_faults(spec, built, cluster, recorder)
+        cluster.network.install_tracer(recorder)
+        subscribers.append(recorder.observe)
+    if subscribers:
+        cluster.observe(subscribers, built.honest_pids)
+    _schedule_faults(spec, built, cluster)
 
     decided = False
     decision_value: Any = None
@@ -352,7 +345,7 @@ def run_scenario(
     )
     snapshot: Dict[str, Any] = {}
     if metrics is not None:
-        metrics.collect_network(cluster.network)
+        metrics.collect_network(cluster.network, messages_by_type)
         snapshot["registry"] = metrics.to_dict()
     monitors = {
         replica.pid: replica.monitor_stats()

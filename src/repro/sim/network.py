@@ -221,10 +221,12 @@ class Envelope(NamedTuple):
     #: Structural size of ``payload`` as charged to
     #: ``NetworkStats.bytes_sent``; required, so no envelope lacks it.
     size: int
-    #: Causal-trace id of the send event (see :mod:`repro.obs.tracing`);
-    #: defaulted so the field is invisible to untraced runs — positional
-    #: construction, payload-keyed digests and sizes are all unchanged.
-    trace: Any = None
+    #: Id of the send's event in the installed tracer's record (the
+    #: flight recorder, :mod:`repro.obs.recorder`), ``None`` when the
+    #: send was not recorded; defaulted so the field is invisible to
+    #: untraced runs — positional construction, payload-keyed digests
+    #: and sizes are all unchanged.
+    trace: Optional[int] = None
 
 
 _deliver_time_of = attrgetter("deliver_time")
@@ -374,13 +376,13 @@ class Network:
         #: partition) is active; recomputed on every mutation so the send
         #: hot path tests one flag instead of three conditions.
         self._slow = False
-        #: Optional causal tracer (``repro.obs.tracing.CausalTracer``):
-        #: ``None`` keeps the send/deliver hot paths untouched.
+        #: The tracer slot — one client, the flight recorder
+        #: (``repro.obs.recorder.FlightRecorder``); ``None`` keeps the
+        #: send/deliver hot paths untouched.
         self._tracer: Optional[Any] = None
-        #: Per-payload-type verdict memo for selective tracers — tracers
-        #: exposing ``wants(payload_type) -> bool`` only pay the traced
-        #: path for types they care about; ``None`` means trace all.
-        self._tracer_wants: Optional[Dict[type, bool]] = None
+        #: The tracer's ``wants(payload_type)`` verdict, memoized per
+        #: payload type: it pays the traced path only for types it records.
+        self._tracer_wants: Dict[type, bool] = {}
         self._interceptor = interceptor
         self.delay_model = delay_model or SynchronousDelay()
         self._refresh_slow()
@@ -443,7 +445,8 @@ class Network:
     def add_send_hook(
         self, hook: Callable[[Sequence[Envelope]], None]
     ) -> None:
-        """Observe every send (used by the trace recorder).
+        """Observe every send (one client: the trace recorder that
+        feeds the digest).
 
         ``hook`` is called once per fan-out — one :meth:`send` or one
         :meth:`broadcast` — with the non-empty sequence of its envelopes
@@ -456,22 +459,22 @@ class Network:
         self._send_hooks.append(hook)
 
     def install_tracer(self, tracer: Optional[Any]) -> None:
-        """Install (or remove, with ``None``) a causal tracer.
+        """Install (or remove, with ``None``) the tracer: an object with
+        ``wants(payload_type) -> bool``, ``on_send(envelope) ->
+        envelope``, ``begin_delivery(envelope) -> token`` and
+        ``end_delivery(token)``.  There is one slot and it is not
+        composable — a run has one causal recorder.
 
-        The tracer stamps each outgoing envelope's ``trace`` field and
-        observes deliveries; delivery *times* are unchanged, so a traced
-        run produces the same trace digest as an untraced one.
-
-        A tracer may expose ``wants(payload_type) -> bool`` to opt out of
-        payload types it does not record: unwanted sends skip the stamp
-        *and* keep the prebound fast delivery, so a selective tracer (the
-        flight recorder) costs near-nothing on payloads it ignores.  The
-        verdict is memoized per payload type.
+        The tracer stamps each outgoing envelope's ``trace`` field with
+        its id for the send and observes deliveries; delivery *times*
+        are unchanged, so a traced run produces the same trace digest
+        as an untraced one.  Payload types it does not want skip the
+        stamp *and* keep the prebound fast delivery, so a selective
+        tracer (the flight recorder) costs near-nothing on payloads it
+        ignores.  The verdict is memoized per payload type.
         """
         self._tracer = tracer
-        self._tracer_wants = (
-            {} if callable(getattr(tracer, "wants", None)) else None
-        )
+        self._tracer_wants = {}
 
     # ------------------------------------------------------------------
     # Declarative fault primitives: delay rules and partitions
@@ -633,13 +636,10 @@ class Network:
         tracer = self._tracer
         traced = tracer is not None
         if traced:
-            wants = self._tracer_wants
-            if wants is not None:
-                ptype = type(payload)
-                verdict = wants.get(ptype)
-                if verdict is None:
-                    verdict = wants[ptype] = bool(tracer.wants(ptype))
-                traced = verdict
+            ptype = type(payload)
+            traced = self._tracer_wants.get(ptype)
+            if traced is None:
+                traced = self._tracer_wants[ptype] = bool(tracer.wants(ptype))
             if traced:
                 envelopes = [tracer.on_send(envelope) for envelope in envelopes]
         stats = self.stats

@@ -15,7 +15,13 @@ from typing import Any, Callable, Dict, Hashable, List, Optional
 from .events import EventHandle, Simulator
 from .network import Network, ProcessId
 
-__all__ = ["Process", "ProcessContext", "Timer"]
+__all__ = ["Observer", "Process", "ProcessContext", "Timer"]
+
+#: The one emit point for local transitions (decide, view entry, fault
+#: firing, SMR lifecycle): called positionally as ``observer(kind, pid,
+#: slot, view, detail)``.  The owning cluster stamps the time and calls
+#: each subscriber with ``(kind, pid, time, slot, view, detail)``.
+Observer = Callable[..., None]
 
 
 class Timer:
@@ -52,6 +58,10 @@ class ProcessContext:
         #: Derived contexts (e.g. per-slot contexts of an SMR replica)
         #: whose crash fate is tied to this one; see :meth:`adopt`.
         self._children: List["ProcessContext"] = []
+        #: Where this process reports its local transitions: the owning
+        #: cluster's observer (:meth:`repro.sim.runner.Cluster.observe`),
+        #: ``None`` while nobody listens — emit sites test exactly that.
+        self.observer: Optional[Observer] = None
 
     # ------------------------------------------------------------------
     @property

@@ -6,18 +6,27 @@ It accepts fully constructed :class:`~repro.sim.process.Process` objects
 handlers, and starts them all at time 0.
 
 Any process that exposes a ``decision_hook`` attribute (all consensus
-processes in this library do, via ``repro.core.protocol.ConsensusProcess``)
+processes in this library do, via ``repro.core.protocol.DecidingProcess``)
 gets it wired to the trace recorder, so agreement checks and latency
 measurements come for free.
+
+The cluster also owns the run's one **observer** (:meth:`Cluster.observe`):
+every local transition — a decide, a view entry, a fault firing, an SMR
+replica's lifecycle — is reported through it (an :data:`~repro.sim.
+process.Observer`), stamped with the simulated time, to whoever
+subscribed (a flight recorder, a metrics adapter).  Processes find it
+on their context; with nobody subscribed it is ``None`` and every emit
+site is one ``is None`` test.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .events import Simulator
 from .network import DelayModel, Interceptor, Network, ProcessId, SynchronousDelay
-from .process import Process, ProcessContext
+from .process import Observer, Process, ProcessContext
 from .trace import TraceRecorder
 
 __all__ = ["Cluster", "ClusterResult"]
@@ -70,6 +79,8 @@ class Cluster:
             interceptor=interceptor,
         )
         self.trace = TraceRecorder(self.network)
+        #: What :meth:`observe` installed (``None``: nobody listens).
+        self.observer: Optional[Observer] = None
         self.processes: Dict[ProcessId, Process] = {}
         for proc in processes:
             self._add_process(proc)
@@ -81,12 +92,48 @@ class Cluster:
         proc.attach(ctx)
         self.network.register(proc.pid, proc._dispatch)
         if hasattr(proc, "decision_hook"):
-            proc.decision_hook = (
-                lambda value, pid=proc.pid: self.trace.record_decision(
-                    pid, value, self.sim.now
-                )
-            )
+            proc.decision_hook = partial(self._on_decide, proc)
         self.processes[proc.pid] = proc
+
+    def _on_decide(self, proc: Process, value: Any) -> None:
+        emit = proc.ctx.observer
+        if emit is not None:
+            # Observer first: a violating decide is on record before the
+            # consistency check below raises.
+            emit("decide", proc.pid, None, None, value)
+        self.trace.record_decision(proc.pid, value, self.sim.now)
+
+    def observe(
+        self,
+        subscribers: Sequence[Callable[..., None]],
+        pids: Optional[Iterable[ProcessId]] = None,
+    ) -> None:
+        """Report the local transitions of ``pids`` (default: every
+        process) to each of ``subscribers``, in order, stamped with the
+        cluster's clock; call before :meth:`start`.
+
+        The scenario runner passes the honest pids: what a Byzantine
+        process claims to have decided or entered is not evidence.
+        """
+        sim = self.sim
+
+        def emit(
+            kind: str,
+            pid: ProcessId,
+            slot: Optional[int] = None,
+            view: Optional[int] = None,
+            detail: Any = None,
+        ) -> None:
+            now = sim._now
+            for subscriber in subscribers:
+                subscriber(kind, pid, now, slot, view, detail)
+
+        self.observer = emit
+        for pid in self.pids if pids is None else pids:
+            proc = self.processes[pid]
+            proc.ctx.observer = emit
+            if hasattr(proc, "view_hook"):
+                proc.view_hook = partial(emit, "view-change", pid, None)
 
     # ------------------------------------------------------------------
     @property

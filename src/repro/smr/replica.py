@@ -53,6 +53,7 @@ consensus instance (ours, or a baseline for comparison benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.certificates import (
@@ -183,6 +184,7 @@ class _SlotContext(ProcessContext):
         #: Timer-name prefix, rendered once: per-slot pacemakers arm and
         #: cancel timers constantly, and an f-string per call adds up.
         self._timer_prefix = f"slot{slot}:"
+        self.observer = parent.observer
         parent.adopt(self)
 
     def send(self, dst: int, payload: Any) -> None:
@@ -246,7 +248,6 @@ class SMRReplica(Process):
         storage: Optional[ReplicaStorage] = None,
         registry: Optional[KeyRegistry] = None,
         monitor: Optional[MonitorConfig] = None,
-        metrics: Any = None,
     ) -> None:
         super().__init__(pid)
         self.n = n
@@ -302,7 +303,10 @@ class SMRReplica(Process):
         #: (or a unique anonymous token) — the no-duplicate-execution
         #: oracle's evidence.
         self.applied_keys: List[Tuple[Any, ...]] = []
-        # -- observability (all absent by default; see repro.obs)
+        # -- leader-performance monitor (absent by default; see repro.obs).
+        #    Everything else that watches a replica subscribes to the
+        #    cluster's observer, which the replica finds on its context:
+        #    ``self.ctx.observer`` is ``None`` while nobody listens.
         self.monitor_config = monitor
         self._monitor: Optional[LeaderMonitor] = (
             LeaderMonitor(pid, n, monitor) if monitor is not None else None
@@ -311,53 +315,9 @@ class SMRReplica(Process):
         self._demotion_votes: Dict[int, Set[int]] = {}
         #: views this replica already cast its own demotion vote for.
         self._demotion_voted: Set[int] = set()
-        #: request key -> local arrival time (queue-delay observation;
-        #: only populated when the monitor or metrics are active).
+        #: request key -> local arrival time (the monitor's queue-delay
+        #: observation; only populated when it is active).
         self._arrival_times: Dict[RequestKey, float] = {}
-        self.metrics: Any = None
-        #: Optional flight recorder (``repro.obs.recorder``): local
-        #: protocol transitions (decide, WAL, checkpoint, demotion) are
-        #: recorded against it; ``None`` keeps every hot path a single
-        #: ``is not None`` test.
-        self._recorder: Any = None
-        self.attach_metrics(metrics)
-
-    def attach_metrics(self, metrics: Any) -> None:
-        """Bind (or rebind) a :class:`~repro.obs.metrics.MetricsRegistry`.
-
-        Instruments are pre-bound here so the hot paths pay a single
-        ``is not None`` check when observability is off.  The scenario
-        runner calls this after :meth:`ScenarioAdapter.build` when the
-        CLI asks for ``--metrics-out``; call before ``start``.
-        """
-        self.metrics = metrics
-        if metrics is not None and getattr(metrics, "enabled", False):
-            ns = metrics.namespace(f"replica.{self.pid}")
-            self._m_requests = ns.counter("requests")
-            self._m_executed = ns.counter("commands_executed")
-            self._m_slot_latency = ns.histogram("slot_latency")
-            self._m_queue_delay = ns.histogram("queue_delay")
-            self._m_demotion_votes = ns.counter("demotion_votes")
-            self._m_demotions = ns.counter("demotions")
-        else:
-            self._m_requests = None
-            self._m_executed = None
-            self._m_slot_latency = None
-            self._m_queue_delay = None
-            self._m_demotion_votes = None
-            self._m_demotions = None
-
-    def attach_recorder(self, recorder: Any) -> None:
-        """Bind (or unbind, with ``None``) a flight recorder.
-
-        The recorder observes network traffic through the network tracer
-        slot; this binding adds the *local* transitions — decides, WAL
-        appends/truncates, checkpoint votes/stability, demotion votes,
-        view advocacy — with their causal parents.  Call before
-        ``start`` (the scenario runner does, mirroring
-        :meth:`attach_metrics`).
-        """
-        self._recorder = recorder
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and examples)
@@ -500,9 +460,10 @@ class SMRReplica(Process):
                 ),
             )
             return
-        if self._m_requests is not None:
-            self._m_requests.inc()
-        if self._monitor is not None or self._m_queue_delay is not None:
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("request", self.pid, None, None, key)
+        if self._monitor is not None:
             self._arrival_times[key] = self.now
         self._pending.append(request)
         self._schedule_proposal_flush()
@@ -550,9 +511,12 @@ class SMRReplica(Process):
         return slot
 
     def _make_batch(self, requests: List[Request], slot: int) -> Batch:
-        self._assigned[slot] = tuple(
+        keys = self._assigned[slot] = tuple(
             (r.client, r.request_id) for r in requests
         )
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("batched", self.pid, slot, None, keys)
         if self._arrival_times:
             # Queue delay (arrival -> packed into a batch) is the
             # monitor's backlog-drain baseline: it reflects *this
@@ -560,18 +524,10 @@ class SMRReplica(Process):
             # why it can serve as the degradation reference.
             now = self.now
             mon = self._monitor
-            hist = self._m_queue_delay
-            for r in requests:
-                arrived = self._arrival_times.pop(
-                    (r.client, r.request_id), None
-                )
-                if arrived is None:
-                    continue
-                delay = now - arrived
-                if mon is not None:
-                    mon.note_queue_delay(now, delay)
-                if hist is not None:
-                    hist.observe(delay)
+            for key in keys:
+                arrived = self._arrival_times.pop(key, None)
+                if arrived is not None:
+                    mon.note_queue_delay(now, now - arrived)
         return Batch(
             entries=tuple(
                 (r.client, r.request_id, r.command) for r in requests
@@ -652,9 +608,9 @@ class SMRReplica(Process):
         instance = self.instance_factory(self.pid, slot, input_value)
         ctx = _SlotContext(slot, self.ctx)
         instance.attach(ctx)
-        instance.decision_hook = lambda value, s=slot: self._on_slot_decided(s, value)
-        if self.storage is not None or self._recorder is not None:
-            self._hook_view_changes(slot, instance)
+        instance.decision_hook = partial(self._adopt_decision, slot)
+        if self.storage is not None or self.ctx.observer is not None:
+            instance.view_hook = partial(self._on_view_entered, slot)
         self._instances[slot] = instance
         self._undecided_instances += 1
         mon = self._monitor
@@ -668,56 +624,34 @@ class SMRReplica(Process):
             self._advocate_view(instance, mon.view_floor, slot=slot)
         return instance
 
-    def _hook_view_changes(self, slot: int, instance: Any) -> None:
-        """Record the slot's view changes in the WAL (durable replicas)
-        and/or the flight recorder.
+    def _on_view_entered(self, slot: int, view: int) -> None:
+        """The slot's instance is entering ``view`` (its ``view_hook``):
+        record it in the WAL (durable replicas) and tell the observer.
 
-        Replay does not consume them — an unfinished instance restarts
-        from view 1, which is always safe — but they are part of the
-        durable record the log compaction accounts for (and recovery
-        forensics: how contested a slot was before the crash).
+        Replay does not consume the WAL records — an unfinished instance
+        restarts from view 1, which is always safe — but they are part
+        of the durable record the log compaction accounts for (and
+        recovery forensics: how contested a slot was before the crash).
         """
-        inner = getattr(instance, "enter_view", None)
-        if inner is None:
-            return
-
-        def recording_enter_view(view: int) -> None:
-            if view > getattr(instance, "view", 0):
-                if self.storage is not None:
-                    self.storage.wal.append_view_change(slot, view)
-                rec = self._recorder
-                if rec is not None:
-                    rec.record_view_change(self.pid, view, self.now, slot=slot)
-            inner(view)
-
-        instance.enter_view = recording_enter_view
-        # The pacemaker captured the unwrapped bound method at instance
-        # construction; repoint it or its view entries bypass the WAL.
-        pacemaker = getattr(instance, "pacemaker", None)
-        if pacemaker is not None and hasattr(pacemaker, "_enter_view"):
-            pacemaker._enter_view = recording_enter_view
-
-    def _on_slot_decided(self, slot: int, value: Any) -> None:
-        self._adopt_decision(slot, value)
+        if self.storage is not None:
+            self.storage.wal.append_view_change(slot, view)
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("view-change", self.pid, slot, view)
 
     def _adopt_decision(self, slot: int, value: Any) -> None:
         if slot in self._decided:
             return
-        rec = self._recorder
-        decide_id = (
-            rec.record_decide(self.pid, value, self.now, slot=slot)
-            if rec is not None
-            else None
-        )
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("decide", self.pid, slot, None, value)
         if self.storage is not None:
             # Write-ahead: the decision is on disk before it takes any
             # effect, so replay after a disk-retained crash reconstructs
             # exactly what this replica committed to.
             self.storage.wal.append_decide(slot, value)
-            if rec is not None:
-                rec.record_wal_append(
-                    self.pid, slot, "decide", self.now, parent=decide_id
-                )
+            if emit is not None:
+                emit("wal-append", self.pid, slot, None, "decide")
         self._decided[slot] = value
         if slot > self._executed_upto:
             self._decided_unexecuted.add(slot)
@@ -730,8 +664,8 @@ class SMRReplica(Process):
         mon = self._monitor
         if mon is not None:
             latency = mon.note_slot_decided(slot, self.now)
-            if latency is not None and self._m_slot_latency is not None:
-                self._m_slot_latency.observe(latency)
+            if latency is not None and emit is not None:
+                emit("slot-latency", self.pid, slot, None, latency)
             # Check on every decision: a slow-but-live leader keeps
             # decisions (not timeouts) flowing, so this is the signal
             # that actually fires for the degradation the paper's
@@ -784,6 +718,7 @@ class SMRReplica(Process):
         self._pending = [
             r for r in self._pending if (r.client, r.request_id) not in keys
         ]
+        applied = 0
         for client, request_id, command in batch.entries:
             key = (client, request_id)
             # The batch carries the submitter's identity, so even a batch
@@ -795,8 +730,7 @@ class SMRReplica(Process):
             self._executed_requests.add(key)
             result = self.state_machine.apply(command)
             self.applied_keys.append(key)
-            if self._m_executed is not None:
-                self._m_executed.inc()
+            applied += 1
             self._results[key] = (result, slot)
             self.send(
                 client,
@@ -807,6 +741,9 @@ class SMRReplica(Process):
                     slot=slot,
                 ),
             )
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("executed", self.pid, slot, None, applied)
 
     def _execute_bare(self, slot: int, command: Command) -> None:
         """Legacy path: a slot decided a bare command (no identity)."""
@@ -866,10 +803,11 @@ class SMRReplica(Process):
             else None
         )
         vote = CheckpointVote(slot=slot, digest=digest, signature=signature)
-        if self._recorder is not None:
+        emit = self.ctx.observer
+        if emit is not None:
             # The broadcast excludes self, so the local tally needs its
             # own event for the quorum's causal record to be complete.
-            self._recorder.record_checkpoint_vote_local(self.pid, slot, self.now)
+            emit("checkpoint-vote", self.pid, slot)
         self.broadcast(vote, include_self=False)
         self._record_checkpoint_vote(self.pid, vote, verify=False)
 
@@ -915,17 +853,12 @@ class SMRReplica(Process):
     def _make_stable(self, checkpoint: Checkpoint) -> None:
         """Persist a stable checkpoint and compact everything below it."""
         self._checkpoints.install_stable(checkpoint)
-        rec = self._recorder
-        stable_id = (
-            rec.record_checkpoint_stable(self.pid, checkpoint.slot, self.now)
-            if rec is not None
-            else None
-        )
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("checkpoint-stable", self.pid, checkpoint.slot)
         truncated = self.storage.install_checkpoint(checkpoint)
-        if rec is not None and truncated:
-            rec.record_wal_truncate(
-                self.pid, checkpoint.slot, self.now, parent=stable_id
-            )
+        if emit is not None and truncated:
+            emit("wal-truncate", self.pid, checkpoint.slot)
         self._prune_upto(checkpoint.slot)
 
     def _prune_upto(self, slot: int) -> None:
@@ -962,8 +895,9 @@ class SMRReplica(Process):
         ``f + 1`` amplification.  Instances without a pacemaker fall back
         to a direct (idempotent, monotone) view entry.
         """
-        if self._recorder is not None:
-            self._recorder.record_advocate(self.pid, view, self.now, slot=slot)
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("advocate", self.pid, slot, view)
         pacemaker = getattr(instance, "pacemaker", None)
         if pacemaker is not None and hasattr(pacemaker, "advocate"):
             pacemaker.advocate(view)
@@ -991,11 +925,10 @@ class SMRReplica(Process):
         vote = DemotionVote(view=view, target=target, signature=signature)
         self._demotion_voted.add(view)
         mon.note_vote_cast(self.now)
-        if self._m_demotion_votes is not None:
-            self._m_demotion_votes.inc()
-        if self._recorder is not None:
+        emit = self.ctx.observer
+        if emit is not None:
             # include_self=False: our own vote has no network event.
-            self._recorder.record_demotion_vote_local(self.pid, view, self.now)
+            emit("demotion-vote", self.pid, None, view)
         self.broadcast(vote, include_self=False)
         self._record_demotion_vote(self.pid, vote, verify=False)
 
@@ -1035,10 +968,9 @@ class SMRReplica(Process):
         if mon is None or view <= mon.view_floor:
             return
         mon.note_demotion(self.now, view)
-        if self._m_demotions is not None:
-            self._m_demotions.inc()
-        if self._recorder is not None:
-            self._recorder.record_demotion(self.pid, view, self.now)
+        emit = self.ctx.observer
+        if emit is not None:
+            emit("demotion", self.pid, None, view)
         for stale in [v for v in self._demotion_votes if v <= view]:
             del self._demotion_votes[stale]
         for slot, instance in list(self._instances.items()):

@@ -1,5 +1,6 @@
 """Tests for the observability layer (repro.obs): metrics registry,
-causal tracing, and the leader-performance monitor."""
+the causal record seen through a tiny cluster, and the
+leader-performance monitor."""
 
 import json
 
@@ -13,7 +14,9 @@ from repro.obs.metrics import (
     percentile_nearest_rank,
 )
 from repro.obs.monitor import DemotionVote, LeaderMonitor, SlidingWindow
-from repro.obs.tracing import CausalTracer, attach_tracer
+from repro.obs.recorder import FlightRecorder
+from repro.postmortem.dump import FlightDump
+from repro.postmortem.timeline import render_timeline
 
 
 # ---------------------------------------------------------------------------
@@ -131,37 +134,65 @@ class TestMetricsRegistry:
         assert text.index("# TYPE a counter") < text.index("# TYPE b counter")
         assert registry.to_prometheus() == text
 
-    def test_network_send_hook_counts_by_payload_type(self):
+    def test_collect_network_counts_sends_by_payload_type(self):
         from repro.sim.events import Simulator
         from repro.sim.network import Network
+        from repro.sim.trace import TraceRecorder
 
         sim = Simulator()
         net = Network(sim)
         net.register(0, lambda s, p: None)
         net.register(1, lambda s, p: None)
+        trace = TraceRecorder(net)
         registry = MetricsRegistry()
-        net.add_send_hook(registry.network_send_hook())
         net.send(0, 1, "text")
         net.send(0, 1, 42)
         net.send(1, 0, "more")
         sim.run()
-        registry.collect_network(net)
+        # The metrics are not on the send path: the trace recorder's
+        # per-type tally is folded in at collection time.
+        registry.collect_network(net, trace.messages_by_type())
         snap = registry.to_dict()
         assert snap["counters"]["net.sent.str"] == 2
         assert snap["counters"]["net.sent.int"] == 1
         assert snap["gauges"]["net.messages_sent"] == 3
         assert snap["gauges"]["net.messages_delivered"] == 3
 
+    def test_a_shared_registry_accumulates_sends_across_runs(self):
+        from repro.scenarios.library import get_scenario
+        from repro.scenarios.runner import run_scenario
+
+        registry = MetricsRegistry()
+        spec = get_scenario("smr-open-loop")
+        first = run_scenario(spec, metrics=registry)
+        once = dict(registry.to_dict()["counters"])
+        run_scenario(spec, metrics=registry)
+        twice = registry.to_dict()["counters"]
+        sent = {
+            name.removeprefix("net.sent."): count
+            for name, count in once.items()
+            if name.startswith("net.sent.")
+        }
+        assert sent == first.messages_by_type
+        # Counters add up over the runs a registry watches (the gauges
+        # beside them are last-write-wins).
+        assert twice == {name: 2 * count for name, count in once.items()}
+        assert registry.to_dict()["gauges"]["net.messages_sent"] == first.messages_sent
+
 
 # ---------------------------------------------------------------------------
-# Causal tracing
+# The causal record (the flight recorder on a hand-built cluster)
 # ---------------------------------------------------------------------------
 
 
-def _tiny_cluster():
-    """Two relaying processes: 0 sends, 1 echoes back once."""
+def _tiny_cluster(recorder=None):
+    """Two relaying processes: 0 sends, 1 echoes back once.  The
+    payloads are protocol messages (acks), which the recorder records."""
+    from repro.core.messages import Ack
     from repro.sim.process import Process
     from repro.sim.runner import Cluster
+
+    ping, pong = Ack("ping", 1), Ack("pong", 1)
 
     class Echo(Process):
         def __init__(self, pid):
@@ -171,116 +202,137 @@ def _tiny_cluster():
 
         def on_start(self):
             if self.pid == 0:
-                self.send(1, "ping")
+                self.send(1, ping)
 
         def on_message(self, sender, payload):
             self.got.append(payload)
-            if payload == "ping":
-                self.send(sender, "pong")
-            elif payload == "pong":
+            if payload is ping:
+                self.send(sender, pong)
+            elif payload is pong:
                 self.decision_hook("done")
 
     procs = [Echo(0), Echo(1)]
-    return Cluster(procs), procs
+    cluster = Cluster(procs)
+    if recorder is not None:
+        cluster.network.install_tracer(recorder)
+        cluster.observe([recorder.observe])
+    return cluster, procs
 
 
-class TestCausalTracer:
-    def test_send_deliver_span_parentage(self):
-        cluster, _procs = _tiny_cluster()
-        tracer = attach_tracer(cluster, CausalTracer())
+def _timeline(recorder, **kwargs):
+    return render_timeline(
+        FlightDump(recorder.header(), list(recorder.events)), **kwargs
+    )
+
+
+def _stamped_send(recorder, payload):
+    from repro.sim.network import Envelope
+
+    return recorder.on_send(
+        Envelope(
+            src=0, dst=1, payload=payload, send_time=0.0, deliver_time=1.0,
+            size=5,
+        )
+    )
+
+
+class TestCausalRecord:
+    def test_send_deliver_handler_decide_parentage(self):
+        recorder = FlightRecorder()
+        cluster, _procs = _tiny_cluster(recorder)
         cluster.start()
         cluster.sim.run()
-        events = {e.id: e for e in tracer.events}
-        kinds = [e.kind for e in tracer.events]
-        assert kinds.count("send") == 2
-        assert kinds.count("deliver") == 2
-        assert kinds.count("span") == 2
-        assert kinds.count("decide") == 1
-        # The pong's send happened inside the ping's handler span: its
-        # parent chain walks back to the ping's send event.
+        events = {e.id: e for e in recorder.events}
+        shape = [(e.phase, e.kind) for e in recorder.events]
+        assert shape == [
+            ("send", "vote"), ("deliver", "vote"),
+            ("send", "vote"), ("deliver", "vote"),
+            ("local", "cert-formed"), ("local", "decide"),
+        ]
+        # The pong's send happened inside the ping's handler: its
+        # parent is the ping's delivery, whose parent is the ping's send.
         pong_send = next(
-            e for e in tracer.events if e.kind == "send" and e.time > 0.0
+            e for e in recorder.events if e.phase == "send" and e.time > 0.0
         )
-        span = events[pong_send.parent]
-        assert span.kind == "span"
-        deliver = events[span.parent]
-        assert deliver.kind == "deliver"
-        ping_send = events[deliver.parent]
-        assert ping_send.kind == "send"
-        assert ping_send.time == 0.0
-        # The decide event is causally under the pong delivery.
-        decide = next(e for e in tracer.events if e.kind == "decide")
-        assert decide.parent is not None
+        (handler,) = pong_send.parents
+        assert events[handler].phase == "deliver"
+        (ping_send,) = events[handler].parents
+        assert events[ping_send].phase == "send"
+        assert events[ping_send].time == 0.0
+        # The decide is causally under the pong delivery it happened in,
+        # and under the certificate formed from p0's vote deliveries.
+        decide = recorder.events[-1]
+        pong_delivery = recorder.events[3]
+        cert = events[decide.parents[0]]
+        assert decide.parents == (cert.id, pong_delivery.id)
+        assert cert.parents == (pong_delivery.id,)
 
     def test_ring_buffer_drops_and_counts(self):
-        tracer = CausalTracer(capacity=4)
+        recorder = FlightRecorder(capacity=4)
         for i in range(10):
-            tracer.record_decide(0, i, float(i))
-        assert tracer.emitted == 10
-        assert tracer.dropped == 6
-        assert len(tracer.to_dicts()) == 4
+            recorder.observe("decide", 0, float(i), None, None, i)
+        assert recorder.emitted == 10
+        assert recorder.dropped == 6
+        assert len(recorder.to_dicts()) == 4
 
     def test_json_and_timeline_render(self):
-        cluster, _procs = _tiny_cluster()
-        tracer = attach_tracer(cluster, CausalTracer())
+        recorder = FlightRecorder()
+        cluster, _procs = _tiny_cluster(recorder)
         cluster.start()
         cluster.sim.run()
-        payload = json.loads(tracer.to_json())
+        payload = json.loads(json.dumps(recorder.to_dict()))
         assert payload["emitted"] == len(payload["events"])
+        assert payload["dropped"] == 0 and payload["capacity"] == 65536
         assert all(
-            {"id", "kind", "time", "pid"} <= set(e) for e in payload["events"]
+            {"id", "parents", "kind", "phase", "time", "pid"} <= set(e)
+            for e in payload["events"]
         )
-        text = tracer.render_timeline()
+        text = _timeline(recorder)
         assert "send" in text and "decide" in text
 
-    def test_tracing_does_not_change_the_execution(self):
+    def test_recording_does_not_change_the_execution(self):
         plain, plain_procs = _tiny_cluster()
         plain.start()
         plain.sim.run()
-        traced, traced_procs = _tiny_cluster()
-        attach_tracer(traced, CausalTracer())
+        recorder = FlightRecorder()
+        traced, traced_procs = _tiny_cluster(recorder)
         traced.start()
         traced.sim.run()
         from repro.sim.digest import cluster_digest
 
+        assert recorder.emitted == 6
+        assert all(env.trace is not None for env in traced.trace.sends)
         assert cluster_digest(plain) == cluster_digest(traced)
         assert [p.got for p in plain_procs] == [p.got for p in traced_procs]
 
     def test_timeline_annotates_evicted_parents(self):
         """Ring wraparound regression: an event whose parent fell off
-        the ring renders as a root *with a break note*, not silently as
-        the start of a chain."""
-        from repro.sim.network import Envelope
+        the ring says so, instead of naming an id nobody can look up."""
+        from repro.core.messages import Ack
 
-        tracer = CausalTracer(capacity=2)
-        envelope = Envelope(
-            src=0, dst=1, payload="ping", send_time=0.0, deliver_time=1.0,
-            size=5,
-        )
-        envelope = tracer.on_send(envelope)  # id 1, evicted below
-        tracer.begin_delivery(envelope)  # id 2 (deliver), id 3 (span)
-        assert tracer.dropped == 1
-        text = tracer.render_timeline()
+        recorder = FlightRecorder(capacity=2)
+        envelope = _stamped_send(recorder, Ack("ping", 1))  # id 1, evicted below
+        recorder.begin_delivery(envelope)  # id 2 (deliver, parent 1)
+        recorder.observe("view-change", 1, 1.0, None, 2, None)  # id 3 (parent 2)
+        assert recorder.dropped == 1
+        text = _timeline(recorder)
         assert "[chain broken: parent 1 evicted]" in text
-        # The surviving span still renders under its surviving parent.
-        span_line = next(
-            line for line in text.splitlines() if "handle" in line
+        # The surviving local event still names its surviving parent.
+        local_line = next(
+            line for line in text.splitlines() if "view-change" in line
         )
-        assert "chain broken" not in span_line
+        assert "chain broken" not in local_line and "<- 2" in local_line
 
-    def test_timeline_limit_annotates_out_of_window_parents(self):
-        from repro.sim.network import Envelope
+    def test_timeline_limit_elides_but_does_not_evict(self):
+        """``--limit`` hides early lines; a parent that is in the dump
+        but outside the window is still a parent one can look up."""
+        from repro.core.messages import Ack
 
-        tracer = CausalTracer()
-        first = tracer.on_send(
-            Envelope(
-                src=0, dst=1, payload="a", send_time=0.0, deliver_time=1.0,
-                size=2,
-            )
-        )
-        tracer.begin_delivery(first)
-        text = tracer.render_timeline(limit=1)
-        assert "chain broken" in text
+        recorder = FlightRecorder()
+        recorder.begin_delivery(_stamped_send(recorder, Ack("a", 1)))
+        text = _timeline(recorder, limit=1)
+        assert "1 earlier events elided" in text
+        assert "<- 1" in text and "chain broken" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +466,15 @@ class TestDemotionIntegration:
 
     def test_monitor_off_keeps_scenario_digests_identical(self):
         # The disabled-observability acceptance gate in miniature: a
-        # pinned scenario re-run with metrics + tracing attached must
-        # produce the same trace digest as its plain run.
+        # pinned scenario re-run with metrics + the recorder attached
+        # must produce the same trace digest as its plain run.
         from repro.scenarios.library import get_scenario
         from repro.scenarios.runner import run_scenario
 
         spec = get_scenario("smr-open-loop")
         plain = run_scenario(spec)
         observed = run_scenario(
-            spec, metrics=MetricsRegistry(), tracer=CausalTracer()
+            spec, metrics=MetricsRegistry(), recorder=FlightRecorder()
         )
         assert observed.trace_digest == plain.trace_digest
 

@@ -33,8 +33,7 @@ from repro._core import MEMO_LIMIT, pure
 from repro.core.messages import Ack
 from repro.core.protocol import DecidingProcess
 from repro.crypto.keys import KeyRegistry, Signer
-from repro.obs.recorder import FlightRecorder, TeeTracer
-from repro.obs.tracing import CausalTracer
+from repro.obs.recorder import FlightRecorder
 from repro.scenarios import runner
 from repro.scenarios.adapters import ADAPTERS, PacedSMRClient
 from repro.scenarios.library import SCENARIOS, get_scenario
@@ -177,13 +176,10 @@ class TestRecordedSendSize:
     def test_recorded_sizes_are_the_accounted_bytes(
         self, run_observed, name, observed
     ):
-        # "traced" stamps every envelope through TeeTracer's _replace;
-        # the library's partition scenarios cover held/released sends.
-        observers = (
-            {"tracer": CausalTracer(), "recorder": FlightRecorder()}
-            if observed
-            else {}
-        )
+        # "traced" stamps every envelope through the recorder's
+        # _replace; the library's partition scenarios cover
+        # held/released sends.
+        observers = {"recorder": FlightRecorder()} if observed else {}
         result, cluster = run_observed(name, **observers)
         sends = cluster.trace.sends
         assert len(sends) == result.messages_sent
@@ -461,8 +457,8 @@ DELAY_MODELS = {
 FEATURES = ("rule", "interceptor", "partition", "log", "tracer")
 HEAL_AT = 2.5
 
-#: Plain values (the flight recorder ignores them, the causal tracer
-#: stamps them) and protocol messages (both stamp them; the rule below
+#: Plain values (the flight recorder ignores them: they stay on the
+#: untraced path) and protocol messages (it stamps them; the rule below
 #: re-times them).  Each is one object, sent many times.
 PAYLOADS = ("ping", ("tuple", 7), Ack("v", 1), Ack("w", 2))
 
@@ -498,10 +494,9 @@ def _scripted_run(fan_out, model, n, features, script, seed=11):
             ),
         )
     trace = TraceRecorder(net)
-    observers = ()
-    if "tracer" in features:
-        observers = (CausalTracer(), FlightRecorder())
-        net.install_tracer(TeeTracer(*observers))
+    recorder = FlightRecorder() if "tracer" in features else None
+    if recorder is not None:
+        net.install_tracer(recorder)
     if "rule" in features:
         net.set_delay_rule(
             DelayRule("late-acks", extra_delay=0.75, payload_types=("Ack",), dst={0})
@@ -542,7 +537,7 @@ def _scripted_run(fan_out, model, n, features, script, seed=11):
         "digest": trace_digest(trace, sim, net.stats),
         "log": net.delivery_log if "log" in features else None,
         "held_at_heal": held_at_heal,
-        "observed": [list(observer.events) for observer in observers],
+        "observed": recorder and list(recorder.events),
         "clock": (sim.now, sim.events_processed),
     }
 
@@ -562,7 +557,10 @@ class TestFanOutEqualsSends:
         if "partition" in features:
             assert 0 < together["stats"].messages_held == len(together["held_at_heal"])
         if "tracer" in features:
-            assert all(env.trace is not None for env in together["sends"])
+            assert all(
+                (env.trace is not None) == isinstance(env.payload, Ack)
+                for env in together["sends"]
+            )
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -844,7 +842,7 @@ _envelopes = st.builds(
     send_time=st.sampled_from(_TIMES),
     deliver_time=st.sampled_from(_TIMES),
     size=st.sampled_from(_SIZES),
-    trace=st.sampled_from((None, 5, (5, None))),
+    trace=st.sampled_from((None, 5)),
 )
 
 
@@ -880,7 +878,7 @@ class TestDigestIsItsDefinition:
             net.register(pid, lambda src, payload: None)
         trace = TraceRecorder(net)
         if traced:
-            net.install_tracer(CausalTracer())
+            net.install_tracer(FlightRecorder())
         vote, other = PAYLOADS[2], PAYLOADS[3]
         # One object, two sources, one instant; then the same source
         # again, and again later.

@@ -11,6 +11,14 @@ import json
 
 import pytest
 
+from repro.baselines.pbft import (
+    PBFTCommit,
+    PBFTConfig,
+    PBFTProcess,
+    Prepare,
+    PrePrepare,
+)
+from repro.byzantine.behaviors import ScriptedByzantine, ScriptedSend
 from repro.obs.recorder import FlightRecorder
 from repro.postmortem.cli import main as pm_main
 from repro.postmortem.diff import diff_dumps, render_diff
@@ -20,6 +28,9 @@ from repro.postmortem.timeline import render_slot, render_timeline, render_view
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import DelayRuleOn
+from repro.sim.network import DelayRule
+from repro.sim.runner import Cluster
+from repro.sim.trace import ConsistencyViolation
 
 #: Delay rule that hides two of the three honest acks from p3, so the
 #: relaxed fast quorum below accepts a certificate containing the
@@ -56,6 +67,42 @@ def buggy_dump(tmp_path_factory):
     """Flight dump of the injected safety violation (consensus mode)."""
     path = tmp_path_factory.mktemp("pm") / "eq-buggy.jsonl"
     return _dump_run(_buggy_spec(), path)
+
+
+class _RelaxedPBFTConfig(PBFTConfig):
+    """Deliberately unsafe: ``f + 1`` prepares / commits decide."""
+
+    prepare_quorum = commit_quorum = 2
+
+
+@pytest.fixture(scope="module")
+def pbft_dump(tmp_path_factory):
+    """Flight dump of a PBFT disagreement: an equivocating (unsigned, so
+    scriptable) leader splits three honest replicas whose relaxed quorums
+    let one of them — the majority's votes reach it late — commit on its
+    own vote plus the leader's."""
+    config = _RelaxedPBFTConfig(n=4, f=1)
+    to_majority = (PrePrepare("A", 1),)
+    to_victim = (PrePrepare("B", 1), Prepare("B", 1), PBFTCommit("B", 1))
+    leader = ScriptedByzantine(0, [
+        *(ScriptedSend(0.0, (1, 2), payload) for payload in to_majority),
+        *(ScriptedSend(0.0, (3,), payload) for payload in to_victim),
+    ])
+    cluster = Cluster(
+        [leader, *(PBFTProcess(pid, config, f"v{pid}") for pid in (1, 2, 3))]
+    )
+    cluster.network.set_delay_rule(
+        DelayRule("stall-majority", extra_delay=5.0, src={1, 2}, dst={3})
+    )
+    recorder = FlightRecorder()
+    recorder.begin_run(scenario="pbft-split", protocol="pbft", honest_pids=[1, 2, 3])
+    cluster.network.install_tracer(recorder)
+    cluster.observe([recorder.observe], pids=(1, 2, 3))
+    with pytest.raises(ConsistencyViolation):
+        cluster.run_until_decided(correct_pids=(1, 2, 3), timeout=50.0)
+    path = tmp_path_factory.mktemp("pm") / "pbft-split.jsonl"
+    recorder.dump(str(path))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +220,48 @@ class TestExplain:
             if " vote " in line and " deliver " in line
         ]
         assert vote_lines, "causal cut carries no certificate vote deliveries"
+
+    def test_pbft_disagreement_cut_lists_its_vote_deliveries(self, pbft_dump):
+        """The baselines' traffic is in the record too, so a PBFT
+        disagreement is explained from its prepares and commits."""
+        dump = load_dump(pbft_dump)
+        (violation,) = find_violations(dump)
+        assert violation.values == ["'A'", "'B'"]
+        text, found = render_explanation(dump)
+        assert found and "conflicting decisions" in text
+        cut = dump.causal_cut([e.id for e in violation.decides])
+        votes = [e for e in cut if e.kind == "vote" and e.phase == "deliver"]
+        assert f"({len(votes)} certificate vote deliveries)" in text
+        # The victim's certificate: its own votes and the leader's,
+        # nothing from the honest majority.
+        assert {e.peer for e in votes if e.pid == 3} == {0, 3}
+        assert {e.peer for e in votes if e.pid == 1} >= {1, 2}
+        # ... and the equivocation itself: every proposal is p0's.
+        proposals = [e for e in cut if e.kind == "propose" and e.phase == "deliver"]
+        assert {e.pid for e in proposals} == {1, 2, 3}
+        assert {e.peer for e in proposals} == {0}
+
+    def test_cut_lines_flag_parents_the_ring_evicted(self, tmp_path):
+        recorder = FlightRecorder(capacity=24)
+        run_scenario(_buggy_spec(), recorder=recorder)
+        path = tmp_path / "tail.jsonl"
+        recorder.dump(str(path))
+        dump = load_dump(str(path))
+        assert dump.dropped > 0
+        lost = {
+            parent
+            for event in dump.events
+            for parent in event.parents
+            if parent not in dump.by_id
+        }
+        assert lost
+        timeline = render_timeline(dump)
+        for parent in lost:
+            assert f"[chain broken: parent {parent} evicted]" in timeline
+        # The violation is in the tail; its cut stops where the ring
+        # did, and says so on the lines that lost a parent.
+        text, found = render_explanation(dump)
+        assert found and "chain broken" in text
 
     def test_clean_dump_has_no_violation(self, durable_dump):
         dump = load_dump(durable_dump)
