@@ -4,8 +4,8 @@ Thin wrapper over the ``E13`` registry entry: the f sweep lives in
 ``repro.experiments``.  Not a paper figure, but due diligence for a
 reproduction whose substrate is a simulator: decision latency in
 *message delays* must stay at 2 as n grows, while messages grow
-quadratically (all-to-all acks).  Wall-clock throughput of the core
-itself is E16's job.
+quadratically (all-to-all acks).  What a run costs the host is the
+end-to-end benchmark's job (``benchmarks/e2e``).
 """
 
 from conftest import emit, sections

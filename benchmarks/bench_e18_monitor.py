@@ -25,7 +25,7 @@ import sys
 from conftest import emit, sections
 
 from repro.analysis import format_table
-from repro.analysis.profiling import write_bench_json
+from repro.experiments.store import write_bench_json
 
 HEADERS = [
     "severity", "window", "monitor", "done", "duration",

@@ -1,30 +1,25 @@
-"""E21 — observability overhead: flight-recorder-on vs recorder-off rates.
+"""E21 — observability overhead: the broadcast storm, recorder on vs off.
 
 The flight recorder (``repro.obs.recorder``) is a network tracer, and
 tracers are only free if the network can prove they are: ``Network``
 asks an installed tracer ``wants(payload_type)`` once per payload type,
 memoizes the verdict, and keeps the fast delivery post for unwanted
-payloads.  E21 measures what attaching a recorder actually costs, per
-workload:
-
-* **broadcast_storm** — the E16 network hot path with *unwanted* tuple
-  payloads: the recorder's cost is one memoized verdict lookup per send,
-  which must be in the noise (this is the gated headline);
-* **scenario_sweep** — three canonical scenarios (fast path, view
-  changes, WAL + checkpoints) where every protocol message is
-  classified, bucketed for causality, and the replica hooks fire: the
-  honest full-record cost, recorded but not gated.
-
-Both variants share the one send path, so on/off is a recorder-cost
-ratio.  The grid lives in the E21 registry entry; this script runs it,
-combines the rows, and asserts the headline:
+payloads.  E21 times the network hot path (n processes broadcasting
+*unwanted* tuple payloads every round) bare and with a recorder
+attached — both variants share the one send path, so on/off is a
+recorder-cost ratio — and asserts the one wall-clock claim made about
+the recorder:
 
 * the broadcast storm sustains **>= 0.90x** of its recorder-off rate
   with a recorder attached (overhead <= 10%).
 
-Results are written to ``BENCH_E21_obsoverhead.json``;
-``benchmarks/perf_gate.py`` compares the ``recorder_on_ratio`` against
-the committed trajectory in ``benchmarks/baselines/``.
+What recording *wanted* traffic costs (every protocol message
+classified, bucketed for causality, the replica hooks firing) is not a
+rate: it is the exact number of extra Python calls per run, pinned in
+``tests/golden/e2e_counters.json`` by ``benchmarks/perf_counters.py``.
+
+The grid lives in the E21 registry entry; this script runs it, combines
+the two cells and writes them to ``BENCH_E21_obsoverhead.json``.
 
 Also runnable as a CI smoke check without pytest:
 
@@ -37,7 +32,7 @@ import sys
 from conftest import emit, sections
 
 from repro.analysis import format_table
-from repro.analysis.profiling import write_bench_json
+from repro.experiments.store import write_bench_json
 
 #: The acceptance bar: recorder-on rate / recorder-off rate on the
 #: broadcast storm (<= 10% overhead).
@@ -49,7 +44,7 @@ def run_grid(quick: bool = False, passes: int = 2) -> dict:
     ``{workload: {"unit": ..., "off": rate, "recorder": rate}}``.
 
     The grid is run ``passes`` times and each cell takes its best rate:
-    the on/off ratio is the gated number, so per-cell noise must not
+    the on/off ratio is the asserted number, so per-cell noise must not
     masquerade as recorder overhead.
     """
     rates: dict = {}
@@ -107,7 +102,7 @@ def rows_of(results: dict) -> list:
 
 
 def test_e21_recorder_overhead():
-    """The gated headline: <= 10% storm overhead with a recorder on."""
+    """The headline: <= 10% storm overhead with a recorder on."""
     results = combine(run_grid(quick=True))
     emit(
         "E21: flight-recorder overhead, recorder-on vs off (quick)",
@@ -126,7 +121,7 @@ def main(argv) -> int:
     parser.add_argument("--quick", action="store_true", help="small workloads")
     parser.add_argument(
         "--output", default="BENCH_E21_obsoverhead.json",
-        help="where to write the perf-trajectory record ('' to skip)",
+        help="where to write the record ('' to skip)",
     )
     args = parser.parse_args(argv)
 

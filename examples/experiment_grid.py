@@ -1,6 +1,6 @@
 """Define a custom out-of-tree experiment and shard it over workers.
 
-The registry's E1-E16 entries are not special: any
+The registry's canonical entries are not special: any
 :class:`repro.experiments.ExperimentSpec` — yours included — runs
 through the same parallel runner, digests, caching and formatting.
 This example measures fbft common-case latency as a function of network

@@ -1,17 +1,6 @@
 """Measurement and reporting utilities for the experiment suite."""
 
 from .comparison import PROTOCOLS, ProtocolSpec, build_protocol
-from .profiling import (
-    PhaseProfiler,
-    broadcast_storm,
-    cprofile_top,
-    event_churn,
-    format_cprofile_rows,
-    load_bench_json,
-    simcore_snapshot,
-    timer_churn,
-    write_bench_json,
-)
 from .fuzzbench import (
     MIN_GUIDED_BUDGET,
     FuzzComparison,
@@ -46,30 +35,21 @@ __all__ = [
     "MIN_GUIDED_BUDGET",
     "MonitorTailResult",
     "PROTOCOLS",
-    "PhaseProfiler",
     "ProtocolSpec",
     "Stats",
     "ThroughputResult",
-    "broadcast_storm",
     "build_protocol",
     "compare_campaigns",
     "compare_grid_payloads",
-    "cprofile_top",
-    "event_churn",
-    "format_cprofile_rows",
     "format_experiment_payload",
     "merge_section_rows",
     "format_markdown_table",
     "format_scenario_results",
     "format_table",
-    "load_bench_json",
     "repeat_latency",
     "run_catchup",
     "run_common_case",
     "run_monitor_tail",
     "run_smr_throughput",
-    "simcore_snapshot",
     "smr_instance_factory",
-    "timer_churn",
-    "write_bench_json",
 ]

@@ -9,7 +9,7 @@ The load-bearing one is :func:`compare_grid_payloads`: the
 serial-vs-parallel gate.  Two runs of the same grid must agree on every
 grid digest (sharded execution is only allowed to be *faster*, never
 *different*); for non-deterministic experiments (wall-clock measurement,
-e.g. E16) the digests cover workload identity rather than measured
+E21) the digests cover workload identity rather than measured
 values, so the check stays meaningful without ever failing on timing
 noise.
 """

@@ -1,6 +1,6 @@
 """The experiment framework: registry, sharded runner, result store, CLI.
 
-Every paper experiment (E1–E16, see EXPERIMENTS.md) is a declarative
+Every experiment (the ids of EXPERIMENTS.md) is a declarative
 :class:`ExperimentSpec` — a parameter grid plus a driver evaluating one
 grid point — registered under a stable id.  The runner shards grids over
 a ``multiprocessing`` pool with deterministic per-task seeds; results
@@ -49,7 +49,6 @@ from .store import ResultStore, code_version, write_experiment_json
 from .cli import main
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentError",
     "ExperimentResult",
     "ExperimentSpec",
@@ -89,37 +88,3 @@ def run_sections(
         id_or_name, parallel=parallel, quick=quick, filters=filters
     )
     return result.sections
-
-
-class _LegacyExperiments(dict):
-    """Backward-compatible ``EXPERIMENTS`` mapping (name -> callable
-    returning a formatted table), now backed by the registry."""
-
-    def __missing__(self, name: str):
-        from .registry import get_experiment as _get
-
-        spec = _get(name)
-
-        def run_formatted() -> str:
-            from ..analysis.grids import format_experiment_payload
-
-            result = run_experiment(spec, quick=True)
-            return format_experiment_payload(result.to_payload())
-
-        run_formatted.__doc__ = f"{spec.id}: {spec.title}"
-        self[name] = run_formatted
-        return run_formatted
-
-    def __iter__(self):
-        return iter([spec.name for spec in all_experiments()])
-
-    def keys(self):  # pragma: no cover - dict-protocol completeness
-        return [spec.name for spec in all_experiments()]
-
-    def items(self):
-        return [(spec.name, self[spec.name]) for spec in all_experiments()]
-
-
-#: Legacy alias: ``EXPERIMENTS["resilience"]()`` still returns a printable
-#: table, one entry per registered experiment.
-EXPERIMENTS = _LegacyExperiments()

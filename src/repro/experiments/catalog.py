@@ -14,7 +14,8 @@ assert on the rows; all sweep loops live here, once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+import time
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..analysis import (
     PROTOCOLS,
@@ -26,17 +27,6 @@ from ..analysis import (
     run_common_case,
     run_monitor_tail,
     run_smr_throughput,
-)
-from ..analysis.profiling import (
-    E16_FULL_PARAMS,
-    E16_QUICK_PARAMS,
-    E21_FULL_SIZES,
-    E21_QUICK_SIZES,
-    broadcast_storm,
-    event_churn,
-    recorder_sim_net,
-    scenario_obs_rate,
-    timer_churn,
 )
 from ..baselines.fab import FaBConfig, FaBProcess
 from ..baselines.optimistic import OptimisticConfig, OptimisticProcess
@@ -64,7 +54,13 @@ from ..lowerbound import (
 )
 from ..scenarios import SCENARIOS, run_fuzz
 from ..scenarios.runner import run_scenarios
-from ..sim.network import RandomDelay, RoundSynchronousDelay, SynchronousDelay
+from ..sim.events import Simulator
+from ..sim.network import (
+    Network,
+    RandomDelay,
+    RoundSynchronousDelay,
+    SynchronousDelay,
+)
 from ..sim.runner import Cluster
 from ..sim.trace import message_delays
 from ..smr import KVStore, SMRClient, SMRReplica, fbft_instance_factory
@@ -916,8 +912,8 @@ def e13_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     f = params["f"]
     n = min_processes_fast_bft(f, f)
     result = run_common_case(_build_fbft(n, f))
-    # Wall clock stays out of the rows (E16 owns events/sec): every cell
-    # here is simulated and exact, so serial == parallel row-for-row.
+    # Wall clock stays out of the rows: every cell here is simulated and
+    # exact, so serial == parallel row-for-row.
     row = [
         n, f, result.delays, result.messages,
         round(result.messages / (n * n), 2),
@@ -1184,30 +1180,6 @@ register(
 
 
 # ---------------------------------------------------------------------------
-# E16 — simulation-core events/sec (wall clock; never cached)
-# ---------------------------------------------------------------------------
-
-
-def e16_driver(params: Dict[str, Any], seed: int) -> TaskResult:
-    churn, timers, n, rounds = (
-        E16_QUICK_PARAMS if params["quick"] else E16_FULL_PARAMS
-    )
-    workload = params["workload"]
-    if workload == "event_churn":
-        eps = max(event_churn(churn) for _ in range(2))
-    elif workload == "timer_churn":
-        eps = max(timer_churn(timers) for _ in range(2))
-    else:
-        eps = max(broadcast_storm(n, rounds) for _ in range(2))
-    # Events/sec are hardware-dependent: the digest covers the workload
-    # identity only, so serial-vs-parallel digest checks stay meaningful.
-    return TaskResult(
-        rows=[("main", [workload, round(eps)])],
-        digest=_stable_digest(["E16", workload]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # E18 — leader-performance monitor: tail latency with vs without
 # ---------------------------------------------------------------------------
 
@@ -1308,73 +1280,97 @@ register(
 )
 
 
-register(
-    ExperimentSpec(
-        id="E16",
-        name="simcore",
-        title="events/sec of the simulation core on three canonical workloads",
-        paper_ref="perf due diligence (rates only; not a paper figure)",
-        driver=e16_driver,
-        grid=grid(
-            workload=("event_churn", "timer_churn", "broadcast_storm"),
-            quick=(False,),
-        ),
-        quick_grid=grid(
-            workload=("event_churn", "timer_churn", "broadcast_storm"),
-            quick=(True,),
-        ),
-        columns={"main": ("workload", "events/sec")},
-        cacheable=False,
-        deterministic=False,
-    )
-)
+# ---------------------------------------------------------------------------
+# E21 — observability overhead: flight recorder on vs off (wall clock;
+# never cached)
+# ---------------------------------------------------------------------------
+
+#: The storm's ``(n, rounds)``.  The quick size is also the one whose
+#: exact recorder-off/on call counts ``benchmarks/perf_counters.py`` pins.
+E21_QUICK_STORM = (12, 200)
+E21_FULL_STORM = (16, 600)
 
 
-# ---------------------------------------------------------------------------
-# E21 — observability overhead: flight recorder on vs off
-# ---------------------------------------------------------------------------
+def _default_sim_net():
+    sim = Simulator()
+    return sim, Network(sim, delay_model=SynchronousDelay(1.0))
+
+
+def recorder_sim_net():
+    """A :func:`broadcast_storm` factory with a flight recorder attached
+    (the E21 ``recorder`` variant of the network hot path)."""
+    from ..obs.recorder import FlightRecorder
+
+    sim = Simulator()
+    net = Network(sim, delay_model=SynchronousDelay(1.0))
+    net.install_tracer(FlightRecorder())
+    return sim, net
+
+
+def broadcast_storm(
+    n: int,
+    rounds: int,
+    sim_net_factory: Callable[[], Any] = _default_sim_net,
+) -> float:
+    """n processes broadcast an n-recipient payload every round: the
+    network hot path (send → schedule → deliver).  Returns events/sec."""
+    sim, net = sim_net_factory()
+    remaining = [rounds]
+
+    def handler(src: int, payload: Any) -> None:
+        return None
+
+    for pid in range(n):
+        net.register(pid, handler)
+
+    def pump() -> None:
+        if remaining[0] <= 0:
+            return
+        remaining[0] -= 1
+        for src in range(n):
+            net.broadcast(src, ("req", src, remaining[0]))
+        sim.schedule(1.0, pump)
+
+    sim.schedule(0.0, pump)
+    start = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - start
+    expected = n * n * rounds
+    assert sim.events_processed >= expected, "storm did not run fully"
+    return sim.events_processed / wall
 
 
 def e21_driver(params: Dict[str, Any], seed: int) -> TaskResult:
-    """One (workload, variant) cell of the observability-overhead grid.
+    """One variant of the broadcast storm: bare (``off``) or with a
+    :class:`~repro.obs.recorder.FlightRecorder` attached (``recorder``).
 
-    ``variant="recorder"`` attaches a :class:`~repro.obs.recorder.
-    FlightRecorder`; ``variant="off"`` runs bare.  The storm exercises
-    the selective tracer's unwanted-payload path (one memoized ``wants``
-    verdict per payload type, then the fast delivery post); the scenario
-    sweep exercises full classification, causal buckets, and the replica
-    hooks.  ``benchmarks/bench_e21_obsoverhead.py`` turns the cells into
-    the gated ``recorder_on_ratio``.
+    The storm's tuple payloads are ones the recorder does not want, so
+    what is timed is the selective tracer's unwanted-payload path: one
+    memoized ``wants`` verdict per payload type, then the fast delivery
+    post.  ``benchmarks/bench_e21_obsoverhead.py`` asserts the on/off
+    ratio; what recording *wanted* traffic costs is an exact call count
+    in ``tests/golden/e2e_counters.json``, not a rate.
     """
     from .. import _core
 
-    workload = params["workload"]
-    recorded = params["variant"] == "recorder"
-    sizes = (E21_QUICK_SIZES if params["quick"] else E21_FULL_SIZES)[workload]
-    if workload == "broadcast_storm":
-        n, rounds = sizes
-        if recorded:
-            rate = max(
-                broadcast_storm(n, rounds, sim_net_factory=recorder_sim_net)
-                for _ in range(3)
-            )
-        else:
-            rate = max(broadcast_storm(n, rounds) for _ in range(3))
-        unit = "events/sec"
-    else:
-        (repeats,) = sizes
-        rate = max(
-            scenario_obs_rate(repeats, recorder=recorded) for _ in range(2)
-        )
-        unit = "scenarios/sec"
+    n, rounds = E21_QUICK_STORM if params["quick"] else E21_FULL_STORM
+    factory = (
+        recorder_sim_net if params["variant"] == "recorder" else _default_sim_net
+    )
+    rate = max(broadcast_storm(n, rounds, factory) for _ in range(3))
+    # Events/sec are hardware-dependent: the digest covers the workload
+    # identity only, so serial-vs-parallel digest checks stay meaningful.
     return TaskResult(
         rows=[
             (
                 "main",
-                [workload, params["variant"], _core.BACKEND, unit, round(rate, 2)],
+                [
+                    "broadcast_storm", params["variant"], _core.BACKEND,
+                    "events/sec", round(rate, 2),
+                ],
             )
         ],
-        digest=_stable_digest(["E21", workload, params["variant"]]),
+        digest=_stable_digest(["E21", "broadcast_storm", params["variant"]]),
     )
 
 
@@ -1382,19 +1378,11 @@ register(
     ExperimentSpec(
         id="E21",
         name="obsoverhead",
-        title="flight-recorder overhead: recorder-on vs recorder-off rates",
+        title="flight-recorder overhead: recorder-on vs recorder-off storm rates",
         paper_ref="perf due diligence (see benchmarks/bench_e21_obsoverhead.py)",
         driver=e21_driver,
-        grid=grid(
-            workload=("broadcast_storm", "scenario_sweep"),
-            variant=("off", "recorder"),
-            quick=(False,),
-        ),
-        quick_grid=grid(
-            workload=("broadcast_storm", "scenario_sweep"),
-            variant=("off", "recorder"),
-            quick=(True,),
-        ),
+        grid=grid(variant=("off", "recorder"), quick=(False,)),
+        quick_grid=grid(variant=("off", "recorder"), quick=(True,)),
         columns={"main": ("workload", "variant", "backend", "unit", "rate")},
         cacheable=False,
         deterministic=False,

@@ -20,8 +20,9 @@ cache disabled and compares grid digests against the first (possibly
 parallel, possibly cached) run — the CI gate that sharding and caching
 never change results.
 
-Legacy spelling (``python -m repro.experiments resilience``) still
-works: bare experiment names/ids are rewritten to ``run ...``.
+``diff`` exits 0 when every grid digest agrees, 1 on a mismatch (a grid
+present on one side only included) and 2 when an input is unreadable,
+malformed, or not a grid artifact at all.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..analysis.grids import compare_grid_payloads, format_experiment_payload
-from ..analysis.profiling import load_bench_json
 from ..analysis.report import format_table
 from .registry import all_experiments, get_experiment
 from .runner import ExperimentError, run_experiments
 from .store import (
     ResultStore,
     aggregate_payload,
+    load_grid_payloads,
     write_experiment_json,
 )
 
@@ -178,19 +179,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _load_payloads(path: str) -> List[dict]:
-    """Accept a schema-2 artifact or an aggregated BENCH_experiments.json."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "experiments" in payload:  # aggregate
-        return list(payload["experiments"])
-    return [load_bench_json(path)]
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
-    comparison = compare_grid_payloads(
-        _load_payloads(args.left), _load_payloads(args.right)
-    )
+    try:
+        left = load_grid_payloads(args.left)
+        right = load_grid_payloads(args.right)
+    except (OSError, ValueError) as error:
+        print(f"diff: {error}", file=sys.stderr)
+        return 2
+    comparison = compare_grid_payloads(left, right)
     print(comparison.summary())
     return 0 if comparison.ok else 1
 
@@ -242,29 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rewrite_legacy(argv: List[str]) -> List[str]:
-    """Map the pre-framework CLI onto subcommands.
-
-    ``python -m repro.experiments`` ran everything, ``... resilience``
-    ran one table, ``... --list`` listed names.
-    """
-    if not argv:
-        return ["run", "--all"]
-    if argv[0] in {"list", "describe", "run", "diff"}:
-        return argv
-    if argv[0] == "--list":
-        return ["list"]
-    try:
-        get_experiment(argv[0])
-    except KeyError:
-        return argv
-    return ["run"] + argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(_rewrite_legacy(argv))
+    args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "describe":

@@ -1,6 +1,6 @@
 """The experiment registry: one :class:`ExperimentSpec` per paper experiment.
 
-Specs register at import time via :func:`register`; the canonical E1–E16
+Specs register at import time via :func:`register`; the canonical
 entries live in :mod:`repro.experiments.catalog`, which this module loads
 lazily so worker processes resolve drivers by experiment id after a bare
 ``import repro.experiments.registry``.
@@ -17,13 +17,6 @@ __all__ = ["register", "get_experiment", "all_experiments", "experiment_ids"]
 _REGISTRY: Dict[str, ExperimentSpec] = {}
 _ALIASES: Dict[str, str] = {}
 _CATALOG_LOADED = False
-
-#: Names the pre-framework CLI/EXPERIMENTS mapping exposed that no longer
-#: match a registry entry's canonical name; kept resolvable forever.
-_LEGACY_ALIASES = {
-    "quorums": "E4",  # the old quorum-sweep verb (now E4's quorums section)
-    "profile": "E16",  # the old events/sec snapshot verb
-}
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
@@ -43,7 +36,7 @@ def _load_catalog() -> None:
     global _CATALOG_LOADED
     if not _CATALOG_LOADED:
         _CATALOG_LOADED = True
-        from . import catalog  # noqa: F401  (registers E1–E16 on import)
+        from . import catalog  # noqa: F401  (registers every entry on import)
 
 
 def get_experiment(id_or_name: str) -> ExperimentSpec:
@@ -55,8 +48,6 @@ def get_experiment(id_or_name: str) -> ExperimentSpec:
     alias = id_or_name.lower()
     if alias in _ALIASES:
         return _REGISTRY[_ALIASES[alias]]
-    if alias in _LEGACY_ALIASES:
-        return _REGISTRY[_LEGACY_ALIASES[alias]]
     known = ", ".join(
         f"{spec.id}/{spec.name}" for spec in all_experiments()
     )

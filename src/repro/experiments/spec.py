@@ -1,7 +1,7 @@
 """Declarative experiment specifications.
 
-An :class:`ExperimentSpec` names one of the paper's experiments (E1–E16):
-its parameter grid, the driver that evaluates a single grid point, the
+An :class:`ExperimentSpec` names one experiment of EXPERIMENTS.md: its
+parameter grid, the driver that evaluates a single grid point, the
 output schema (one column list per result section), and where in the
 paper the regenerated numbers come from.  The registry
 (:mod:`repro.experiments.registry`) holds one spec per experiment id; the
@@ -98,7 +98,7 @@ class TaskResult:
     tables (e.g. E4's quorum sweep and splice table).  ``digest`` covers
     the deterministic part of the output; drivers whose rows contain
     wall-clock measurements pass an explicit digest over the stable
-    cells only (see E13/E16), everything else defaults to a digest of
+    cells only (see E21), everything else defaults to a digest of
     the full rows.
     """
 
@@ -151,7 +151,7 @@ class ExperimentSpec:
     #: Column headers per result section.
     columns: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
     #: Whether byte-identical re-runs may be served from the result
-    #: store.  Wall-clock experiments (E16) must re-measure every time.
+    #: store.  Wall-clock experiments (E21) must re-measure every time.
     cacheable: bool = True
     #: Whether the driver's digest is stable across runs (everything but
     #: pure wall-clock measurement is).

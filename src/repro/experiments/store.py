@@ -7,11 +7,13 @@ are served from disk on re-run; touching any source file invalidates the
 whole cache at once — coarse, but impossible to get wrong, and computing
 it costs a few milliseconds per process.
 
-**Artifacts.**  ``write_experiment_json`` extends the PR 3 ``BENCH_*``
-trajectory format (:mod:`repro.analysis.profiling`) to schema version 2:
-the same interpreter/platform envelope, plus an ``experiment`` block
-(grid digest, task counts, code version) and per-section ``columns`` +
-``rows``.  ``load_bench_json`` reads both versions.
+**Artifacts.**  Every ``BENCH_*.json`` is one envelope
+(:func:`write_bench_json`): what was measured on which interpreter and
+platform, around a ``results`` mapping.  ``write_experiment_json`` adds
+the ``experiment`` block (grid digest, task counts, code version) and
+per-section ``columns`` + ``rows`` that make a record a *grid artifact*
+— the only kind :func:`load_bench_json` reads back and ``diff``
+compares; a bench script's summary record is rejected by type.
 """
 
 from __future__ import annotations
@@ -19,24 +21,28 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
+import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from ..analysis.profiling import write_bench_json
 from .runner import ExperimentResult, Task
 from .spec import TaskResult, canonical_params
 
 __all__ = [
-    "EXPERIMENT_SCHEMA_VERSION",
+    "BENCH_SCHEMA_VERSION",
+    "NotAGridArtifact",
     "ResultStore",
     "aggregate_payload",
     "code_version",
+    "load_bench_json",
+    "load_grid_payloads",
+    "write_bench_json",
     "write_experiment_json",
 ]
 
-#: BENCH_*.json schema produced by experiment artifacts (v1 envelope + the
-#: ``experiment`` block and sectioned results).
-EXPERIMENT_SCHEMA_VERSION = 2
+#: Bump when the BENCH_*.json layout changes incompatibly.
+BENCH_SCHEMA_VERSION = 2
 
 _CODE_VERSION_CACHE: Dict[str, str] = {}
 
@@ -115,6 +121,97 @@ class ResultStore:
         os.replace(tmp, path)
 
 
+def write_bench_json(
+    path: str,
+    bench: str,
+    results: Dict[str, Any],
+    meta: Optional[Dict[str, Any]] = None,
+    extra: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """Write one ``BENCH_<name>.json`` record.
+
+    The envelope is deliberately small and stable: scripts diff the
+    ``results`` mapping across commits, and the metadata says what
+    hardware/interpreter produced the numbers.  ``extra`` merges
+    additional top-level blocks (a grid artifact's ``experiment`` block).
+    """
+    payload: Dict[str, Any] = {
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "bench": bench,
+        "created_unix": time.time(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "results": results,
+    }
+    if meta:
+        payload["meta"] = meta
+    if extra:
+        payload.update(extra)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return payload
+
+
+class NotAGridArtifact(ValueError):
+    """The record names no experiment grid, so there is nothing to diff."""
+
+
+def _read_json(path: str) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"{path}: malformed JSON ({error})") from None
+
+
+def _require_grid(exp: Any, path: str) -> None:
+    """``exp`` — an artifact's ``experiment`` block or one entry of an
+    aggregate — must say which grid it is and carry its digest."""
+    if not (isinstance(exp, dict) and exp.get("id") and exp.get("grid_digest")):
+        raise NotAGridArtifact(
+            f"{path}: not an experiment-grid artifact "
+            f"(no experiment id and grid_digest)"
+        )
+
+
+def _grid_artifact(payload: Any, path: str) -> Dict[str, Any]:
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != BENCH_SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported BENCH json schema {version!r} in {path} "
+            f"(expected {BENCH_SCHEMA_VERSION})"
+        )
+    _require_grid(payload.get("experiment"), path)
+    return payload
+
+
+def load_bench_json(path: str) -> Dict[str, Any]:
+    """Read one grid artifact back.
+
+    Raises :class:`OSError` for an unreadable file, :class:`ValueError`
+    for malformed JSON or an unknown ``schema_version``, and its
+    subclass :class:`NotAGridArtifact` for a well-formed record that is
+    not a grid artifact (a bench script's summary, a bare envelope).
+    """
+    return _grid_artifact(_read_json(path), path)
+
+
+def load_grid_payloads(path: str) -> List[Dict[str, Any]]:
+    """What ``diff`` compares: the one payload of a grid artifact, or
+    every entry of an aggregated ``BENCH_experiments.json`` (errors as
+    for :func:`load_bench_json`)."""
+    payload = _read_json(path)
+    if isinstance(payload, dict) and "experiments" in payload:
+        entries = list(payload["experiments"])
+        for entry in entries:
+            _require_grid(entry, path)
+        return entries
+    return [_grid_artifact(payload, path)]
+
+
 def write_experiment_json(
     path: str, result: ExperimentResult, extra_meta: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
@@ -128,7 +225,6 @@ def write_experiment_json(
         f"{result.spec.id}_{result.spec.name}",
         results=payload["sections"],
         meta=meta,
-        schema_version=EXPERIMENT_SCHEMA_VERSION,
         extra={
             "experiment": {
                 key: payload[key]

@@ -2,8 +2,7 @@
 
 Everything here measures *simulated* quantities (event counts, simulated
 latencies), so snapshots are exactly reproducible run over run — unlike
-the wall-clock numbers in :mod:`repro.analysis.profiling`, which are
-recorded but never asserted.
+the wall-clock rates E21 records (``benchmarks/bench_e21_obsoverhead.py``).
 
 Design constraints, in order:
 

@@ -28,23 +28,37 @@ def _golden() -> dict:
         return json.load(fh)
 
 
+@pytest.fixture(scope="module")
+def first_run():
+    """``name -> result`` of one run per canonical scenario, made on first
+    request and shared by the two sweeps below."""
+    results = {}
+
+    def run(name):
+        if name not in results:
+            results[name] = run_scenario(get_scenario(name))
+        return results[name]
+
+    return run
+
+
 class TestCanonicalScenarioDigests:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_run_to_run_deterministic(self, name):
-        first = run_scenario(get_scenario(name))
+    def test_run_to_run_deterministic(self, first_run, name):
+        first = first_run(name)
         second = run_scenario(get_scenario(name))
         assert first.trace_digest == second.trace_digest, (
             f"scenario {name} produced different executions on identical runs"
         )
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_matches_pre_optimization_golden(self, name):
+    def test_matches_pre_optimization_golden(self, first_run, name):
         golden = _golden()
         assert name in golden, (
             f"scenario {name} has no golden digest; regenerate with "
             f"python -m repro.scenarios digest --update {GOLDEN_PATH}"
         )
-        result = run_scenario(get_scenario(name))
+        result = first_run(name)
         assert result.trace_digest == golden[name], (
             f"scenario {name} diverged from the pre-optimization core's "
             f"execution — the fast path reordered something"

@@ -3,7 +3,8 @@
 Covers the PR 4 acceptance surface: registry completeness against
 EXPERIMENTS.md (and the benchmarks' delegation to registry entries),
 serial-vs-parallel digest equality, content-hash cache hit/invalidation,
-and the ``run``/``list``/``describe``/``--filter``/``diff`` CLI paths.
+the ``run``/``list``/``describe``/``--filter``/``diff`` CLI paths, and
+the ``BENCH_*.json`` writer/reader pair.
 """
 
 import json
@@ -13,9 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.grids import compare_grid_payloads
-from repro.analysis.profiling import load_bench_json
 from repro.experiments import (
-    EXPERIMENTS,
     ExperimentSpec,
     ResultStore,
     TaskResult,
@@ -28,7 +27,17 @@ from repro.experiments import (
     run_experiment,
     run_experiments,
 )
-from repro.experiments.catalog import deployment_t
+from repro.experiments.catalog import (
+    broadcast_storm,
+    deployment_t,
+    recorder_sim_net,
+)
+from repro.experiments.store import (
+    BENCH_SCHEMA_VERSION,
+    NotAGridArtifact,
+    load_bench_json,
+    write_bench_json,
+)
 from repro.analysis import PROTOCOLS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -60,8 +69,10 @@ class TestRegistryCompleteness:
             assert exp_id in documented, f"{exp_id} registered but not in EXPERIMENTS.md"
 
     def test_registry_covers_e1_to_e21(self):
-        # Id 20 is retired (see EXPERIMENTS.md) and not reused.
-        assert experiment_ids() == [f"E{i}" for i in range(1, 22) if i != 20]
+        # Ids 16 and 20 are retired (see EXPERIMENTS.md) and not reused.
+        assert experiment_ids() == [
+            f"E{i}" for i in range(1, 22) if i not in (16, 20)
+        ]
 
     def test_lookup_by_id_and_name(self):
         assert get_experiment("E1") is get_experiment("resilience")
@@ -75,7 +86,7 @@ class TestRegistryCompleteness:
         ``sections`` helper with its own experiment id."""
         bench_dir = REPO_ROOT / "benchmarks"
         scripts = sorted(bench_dir.glob("bench_e*.py"))
-        assert len(scripts) == 20
+        assert len(scripts) == 19
         for script in scripts:
             exp_id = "E" + re.match(r"bench_e(\d+)_", script.name).group(1)
             text = script.read_text(encoding="utf-8")
@@ -190,12 +201,28 @@ class TestResultStore:
         assert forced.grid_digest == first.grid_digest
 
     def test_non_cacheable_specs_never_cache(self, tmp_path):
-        spec = get_experiment("E16")
-        assert not spec.cacheable
+        # E21, the one wall-clock grid: the storm, recorder off and on.
+        spec = get_experiment("E21")
+        assert not spec.cacheable and not spec.deterministic
+        for quick in (False, True):
+            assert [p["variant"] for p in spec.grid_for(quick=quick)] == [
+                "off", "recorder",
+            ]
         store = ResultStore(str(tmp_path), version="v1")
-        run_experiment(spec, quick=True, store=store)
-        again = run_experiment(spec, quick=True, store=store)
-        assert again.tasks_cached == 0
+        only_off = {"variant": "off"}
+        first = run_experiment(spec, quick=True, store=store, filters=only_off)
+        again = run_experiment(spec, quick=True, store=store, filters=only_off)
+        assert again.tasks_total == 1 and again.tasks_cached == 0
+        ((workload, variant, _backend, unit, rate),) = again.rows("main")
+        assert (workload, variant, unit) == ("broadcast_storm", "off", "events/sec")
+        assert rate > 0
+        # The digest covers which cell ran, never the measured rate.
+        assert again.grid_digest == first.grid_digest
+
+    def test_the_storm_runs_bare_and_recorded(self):
+        # A tiny instance: this validates the E21 driver, not its speed.
+        assert broadcast_storm(3, 5) > 0.0
+        assert broadcast_storm(3, 5, recorder_sim_net) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +278,6 @@ class TestCLI:
         assert "fast-path" in out
         assert "tasks=1" in out
 
-    def test_run_by_legacy_name(self, capsys, tmp_path):
-        # Pre-framework spelling: experiment name without a subcommand.
-        assert main(["ablation", "--no-cache", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "DISAGREEMENT" in out and "safe" in out
-
     def test_run_writes_artifacts_and_diff_agrees(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code = main(
@@ -290,6 +311,58 @@ class TestCLI:
         assert main(["diff", str(aggregate), str(tampered)]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_diff_of_a_grid_on_one_side_only_is_a_mismatch(self, capsys, tmp_path):
+        assert main(
+            ["run", "E2", "E11", "--quick", "--no-cache", "--json", str(tmp_path)]
+        ) == 0
+        capsys.readouterr()
+        both = str(tmp_path / "BENCH_experiments.json")
+        one = str(tmp_path / "BENCH_E2_fast-path.json")
+        assert main(["diff", both, one]) == 1
+        assert "E11: only in left run" in capsys.readouterr().out
+        assert main(["diff", one, one]) == 0
+
+    #: What ``diff`` must refuse: how to make the file, what stderr says.
+    NOT_COMPARABLE = {
+        "bench-script-summary": (  # what bench_e18 --output writes
+            lambda path: write_bench_json(
+                str(path), "E18", {"p99_on": 8.0},
+                extra={"experiment": {"id": "E18", "rows": []}},
+            ),
+            "not an experiment-grid artifact",
+        ),
+        "bare-envelope": (
+            lambda path: path.write_text(
+                json.dumps({"schema_version": BENCH_SCHEMA_VERSION})
+            ),
+            "not an experiment-grid artifact",
+        ),
+        "aggregate-without-digests": (
+            lambda path: path.write_text(json.dumps({"experiments": [{"id": "E2"}]})),
+            "not an experiment-grid artifact",
+        ),
+        "malformed-json": (
+            lambda path: path.write_text("{not json"), "malformed JSON",
+        ),
+        "not-an-object": (
+            lambda path: path.write_text("[]"), "unsupported BENCH json schema",
+        ),
+        "missing-file": (lambda path: None, "No such file"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NOT_COMPARABLE))
+    def test_diff_refuses_what_it_cannot_compare(self, capsys, tmp_path, case):
+        """Exit 2 and one line on stderr — never a traceback, and never
+        ``OK: 1 experiment grids agree`` over two records without a grid."""
+        make, said = self.NOT_COMPARABLE[case]
+        path = tmp_path / "input.json"
+        make(path)
+        assert main(["diff", str(path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("diff: ") and said in line and path.name in line
+
     def test_run_verify_serial_gate(self, capsys, tmp_path):
         code = main(
             [
@@ -307,22 +380,55 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["run", "nope"])
 
+    def test_the_grammar_is_the_four_subcommands(self, capsys):
+        # No pre-framework spellings: a bare experiment name, ``--list``
+        # or no arguments at all are usage errors, not rewritten to
+        # ``run``; and a name resolves only if a registry entry has it.
+        for argv in (["ablation", "--quick"], ["--list"], []):
+            with pytest.raises(SystemExit) as usage:
+                main(argv)
+            assert usage.value.code == 2
+            assert "{list,describe,run,diff}" in capsys.readouterr().err
+        for retired in ("quorums", "profile"):
+            with pytest.raises(KeyError):
+                get_experiment(retired)
+
 
 # ---------------------------------------------------------------------------
-# Legacy surface
+# BENCH_*.json records
 # ---------------------------------------------------------------------------
 
 
-class TestLegacyCompat:
-    def test_experiments_mapping_runs_by_name(self):
-        table = EXPERIMENTS["ablation"]()
-        assert isinstance(table, str)
-        assert "DISAGREEMENT" in table and "safe" in table
+class TestBenchJson:
+    GRID = {"experiment": {"id": "X1", "grid_digest": "d" * 64}}
 
-    def test_experiments_mapping_iterates_registry_names(self):
-        names = list(EXPERIMENTS)
-        assert "resilience" in names and "throughput" in names
-        assert len(names) == 20
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "BENCH_X.json"
+        written = write_bench_json(
+            str(path), "X", {"metric": 1.5}, meta={"quick": True},
+            extra={**self.GRID, "monitor_metrics": {"replica.1.demotions": 1}},
+        )
+        assert written["schema_version"] == BENCH_SCHEMA_VERSION
+        loaded = load_bench_json(str(path))
+        assert loaded["bench"] == "X"
+        assert loaded["results"] == {"metric": 1.5}
+        assert loaded["meta"] == {"quick": True}
+        assert loaded["python"]
+        # Extra top-level blocks survive untouched next to the envelope.
+        assert loaded["experiment"] == self.GRID["experiment"]
+        assert loaded["monitor_metrics"]["replica.1.demotions"] == 1
+
+    def test_schema_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_BAD.json"
+        path.write_text(json.dumps({"schema_version": 999, **self.GRID}))
+        with pytest.raises(ValueError, match="schema"):
+            load_bench_json(str(path))
+
+    def test_a_record_without_a_grid_is_rejected_by_type(self, tmp_path):
+        path = tmp_path / "BENCH_E19.json"
+        write_bench_json(str(path), "E19", {"unique_guided": 40})
+        with pytest.raises(NotAGridArtifact, match="BENCH_E19.json"):
+            load_bench_json(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,37 @@ def run_observed(monkeypatch):
     return run
 
 
+@pytest.fixture(scope="module")
+def finished_run():
+    """One plain run per canonical scenario, made on first request and
+    shared by the sweeps that only *read* a finished run (a sweep that
+    instruments the run itself keeps its own, through ``run_observed``):
+    ``name -> (result, cluster, built)``."""
+    finished = {}
+
+    def run(name):
+        if name not in finished:
+            with pytest.MonkeyPatch.context() as patch:
+                seen = []
+                real_cluster, real_eval = Cluster, runner.evaluate_invariants
+
+                def cluster(*args, **kwargs):
+                    seen.append(real_cluster(*args, **kwargs))
+                    return seen[-1]
+
+                def evaluate(spec, built, *rest):
+                    seen.append(built)
+                    return real_eval(spec, built, *rest)
+
+                patch.setattr(runner, "Cluster", cluster)
+                patch.setattr(runner, "evaluate_invariants", evaluate)
+                result = runner.run_scenario(get_scenario(name))
+            finished[name] = (result, *seen)
+        return finished[name]
+
+    return run
+
+
 @pytest.fixture
 def top_level_size_calls(monkeypatch):
     """Counts non-recursive ``payload_size`` calls (a one-element list)."""
@@ -174,13 +205,15 @@ class TestRecordedSendSize:
     @pytest.mark.parametrize("observed", [False, True], ids=["plain", "traced"])
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_recorded_sizes_are_the_accounted_bytes(
-        self, run_observed, name, observed
+        self, run_observed, finished_run, name, observed
     ):
         # "traced" stamps every envelope through the recorder's
         # _replace; the library's partition scenarios cover
         # held/released sends.
-        observers = {"recorder": FlightRecorder()} if observed else {}
-        result, cluster = run_observed(name, **observers)
+        if observed:
+            result, cluster = run_observed(name, recorder=FlightRecorder())
+        else:
+            result, cluster, _ = finished_run(name)
         sends = cluster.trace.sends
         assert len(sends) == result.messages_sent
         assert sum(env.size for env in sends) == result.bytes_sent
@@ -769,10 +802,10 @@ class TestOraclesTallyAFanOutOnce:
         assert invariants._quorum_shortfall(built, cluster) is None
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_quorum_shortfall_equals_a_per_envelope_tally(self, audited, name):
+    def test_quorum_shortfall_equals_a_per_envelope_tally(self, finished_run, name):
         from repro.scenarios import invariants
 
-        _, built, cluster, _ = audited(name)
+        _, cluster, built = finished_run(name)
         margin = invariants._quorum_shortfall(built, cluster)
         if built.config is None:
             assert margin is None
@@ -848,11 +881,11 @@ _envelopes = st.builds(
 
 class TestDigestIsItsDefinition:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_on_every_canonical_scenario(self, run_observed, name):
+    def test_on_every_canonical_scenario(self, finished_run, name):
         golden = json.loads(
             (Path(__file__).parent / "golden" / "scenario_digests.json").read_text()
         )
-        result, cluster = run_observed(name)
+        result, cluster, _ = finished_run(name)
         digest = _assert_digest_as_defined(
             cluster.trace, cluster.sim, cluster.network.stats
         )
