@@ -401,7 +401,7 @@ def make_deliver(
 
     The returned callable is what the network queues, with its
     ``(dst, src, payload)`` arguments beside it in the queue entry, for
-    every fast-path send: no envelope, no log, no tracer — look the
+    every fast-path send: no envelope, no tracer — look the
     handler up at delivery time (the destination may have shut down
     while the message was in flight), count the delivery, hand the
     payload over.

@@ -75,7 +75,7 @@ class CommonCaseResult:
     messages: int
     messages_by_type: Dict[str, int]
     #: Estimated bytes put on the wire up to the decision (the sizes the
-    #: network accounted per send, :attr:`repro.sim.network.Envelope.size`).
+    #: network accounted per send, :attr:`repro.sim.network.FanOut.size`).
     bytes_sent: int = 0
 
 
@@ -100,20 +100,20 @@ def run_common_case(
     # Count only messages sent up to the decision (pacemakers keep running).
     if result.decided:
         messages = sum(
-            1
-            for env in cluster.trace.sends
-            if env.send_time <= result.decision_time + 1e-9
+            len(record.dsts)
+            for record in cluster.trace.fan_outs
+            if record.send_time <= result.decision_time + 1e-9
         )
     else:
         messages = cluster.trace.message_count()
     by_type: Dict[str, int] = {}
     bytes_sent = 0
-    for env in cluster.trace.sends:
-        if result.decided and env.send_time > result.decision_time + 1e-9:
+    for record in cluster.trace.fan_outs:
+        if result.decided and record.send_time > result.decision_time + 1e-9:
             continue
-        name = type(env.payload).__name__
-        by_type[name] = by_type.get(name, 0) + 1
-        bytes_sent += env.size
+        name = type(record.payload).__name__
+        by_type[name] = by_type.get(name, 0) + len(record.dsts)
+        bytes_sent += len(record.dsts) * record.size
     return CommonCaseResult(
         decided=result.decided,
         value=result.decision_value,
@@ -358,12 +358,12 @@ def run_catchup(
     catchup_time = cluster.sim.now - recovery_start
     catchup_messages = 0
     catchup_bytes = 0
-    for env in cluster.trace.sends:
-        if env.send_time < recovery_start - 1e-9:
+    for record in cluster.trace.fan_outs:
+        if record.send_time < recovery_start - 1e-9:
             continue
-        if type(env.payload).__name__ in ("CatchupRequest", "CatchupReply"):
-            catchup_messages += 1
-            catchup_bytes += env.size
+        if type(record.payload).__name__ in ("CatchupRequest", "CatchupReply"):
+            catchup_messages += len(record.dsts)
+            catchup_bytes += len(record.dsts) * record.size
     reference = max(survivors, key=lambda r: r.executed_upto)
     digests_equal = state_digest(victim.state_machine.snapshot()) == state_digest(
         reference.state_machine.snapshot()

@@ -215,11 +215,11 @@ def e3_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     correct = list(range(crashes, n))
     result = cluster.run_until_decided(correct_pids=correct, timeout=2000)
     cert_sizes = [
-        len(env.payload.cert.signatures)
-        for env in cluster.trace.sends
-        if isinstance(env.payload, Propose)
-        and env.payload.view > 1
-        and env.payload.cert is not None
+        len(record.payload.cert.signatures)
+        for record in cluster.trace.fan_outs
+        if isinstance(record.payload, Propose)
+        and record.payload.view > 1
+        and record.payload.cert is not None
     ]
     kinds = cluster.trace.messages_by_type()
     return TaskResult(
@@ -499,8 +499,8 @@ def e7_driver(params: Dict[str, Any], seed: int) -> TaskResult:
             proc.enter_view(view)
         cluster.sim.run(until=cluster.sim.now + 8.0)
     sizes: Dict[int, Tuple[int, int]] = {}
-    for env in cluster.trace.sends:
-        payload = env.payload
+    for record in cluster.trace.fan_outs:
+        payload = record.payload
         if isinstance(payload, Propose) and payload.cert is not None:
             sizes[payload.view] = (
                 certificate_signature_count(payload.cert),

@@ -23,7 +23,7 @@ recorder and the metrics subscribe).  With observability disabled (the
 default everywhere) the simulation's golden trace digests are
 byte-identical to an uninstrumented build — and they stay byte-identical
 with observers *attached*, because the ``Envelope.trace`` side channel
-is excluded from digests and observed runs preserve delivery (time,
+never reaches the recorded fan-outs and observed runs preserve delivery (time,
 insertion-order) exactly.
 """
 

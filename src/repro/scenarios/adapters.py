@@ -10,7 +10,7 @@ found in the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..baselines.fab import FaBConfig, FaBProcess
 from ..baselines.optimistic import OptimisticConfig, OptimisticProcess
@@ -161,9 +161,10 @@ class ScenarioAdapter:
         )
 
     def certificate_errors(
-        self, built: BuiltScenario, sends: Sequence[Any]
+        self, built: BuiltScenario, fan_outs: Sequence[Any]
     ) -> Optional[List[str]]:
-        """Audit certificates in the trace; None = not applicable."""
+        """Audit certificates in the trace's fan-out records; None = not
+        applicable."""
         return None
 
     # -- shared assembly ------------------------------------------------
@@ -196,22 +197,6 @@ class ScenarioAdapter:
             allowed_values=allowed,
             adapter=self,
         )
-
-
-def fan_outs(sends: Iterable[Any]) -> Iterator[Any]:
-    """The first envelope of each fan-out in a trace's ``sends``.
-
-    The network records a fan-out as consecutive envelopes carrying the
-    same payload object from the same source; what a post-run oracle
-    derives from ``(src, payload)`` alone it derives once per fan-out,
-    not once per recipient.
-    """
-    payload = src = None
-    for envelope in sends:
-        if envelope.payload is payload and envelope.src == src:
-            continue
-        payload, src = envelope.payload, envelope.src
-        yield envelope
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +300,7 @@ class FbftAdapter(ScenarioAdapter):
         )
 
     def certificate_errors(
-        self, built: BuiltScenario, sends: Sequence[Any]
+        self, built: BuiltScenario, fan_outs: Sequence[Any]
     ) -> Optional[List[str]]:
         """Every progress certificate attached to an honest proposal must
         be well-formed (enough valid confirmation signatures)."""
@@ -328,22 +313,26 @@ class FbftAdapter(ScenarioAdapter):
             return None  # the naive scheme has its own validator
         honest = set(built.honest_pids)
         errors: List[str] = []
-        # A fan-out carries one proposal: audit it once, not per copy.
-        for envelope in fan_outs(sends):
-            payload = envelope.payload
-            if not isinstance(payload, Propose) or envelope.src not in honest:
+        # One proposal is audited once, not per copy: whether it went out
+        # as one fan-out or as the same object sent recipient by recipient.
+        src = payload = None
+        for record in fan_outs:
+            if record.payload is payload and record.src == src:
+                continue
+            src, payload = record.src, record.payload
+            if not isinstance(payload, Propose) or src not in honest:
                 continue
             if payload.view == 1:
                 if payload.cert is not None:
                     errors.append(
-                        f"view-1 proposal from {envelope.src} carries a certificate"
+                        f"view-1 proposal from {src} carries a certificate"
                     )
                 continue
             cert = payload.cert
             if not isinstance(cert, ProgressCertificate):
                 errors.append(
                     f"honest proposal for view {payload.view} from "
-                    f"{envelope.src} lacks a progress certificate"
+                    f"{src} lacks a progress certificate"
                 )
                 continue
             if not progress_certificate_valid(
@@ -351,7 +340,7 @@ class FbftAdapter(ScenarioAdapter):
             ):
                 errors.append(
                     f"invalid progress certificate on proposal "
-                    f"({payload.value!r}, view {payload.view}) from {envelope.src}"
+                    f"({payload.value!r}, view {payload.view}) from {src}"
                 )
         return errors
 

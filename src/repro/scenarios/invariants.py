@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..sim.runner import Cluster
 from ..sim.trace import message_delays
-from .adapters import BuiltScenario, fan_outs
+from .adapters import BuiltScenario
 from .spec import Recover, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -128,8 +128,8 @@ def _quorum_shortfall(built: BuiltScenario, cluster: Cluster) -> Optional[float]
         return None
     tallies: Dict[Tuple[str, Any, str], Tuple[set, int]] = {}
     # A fan-out is one vote by one sender, however many it reached.
-    for envelope in fan_outs(cluster.trace.sends):
-        payload = envelope.payload
+    for record in cluster.trace.fan_outs:
+        payload = record.payload
         attr = _QUORUM_ATTRS.get(type(payload).__name__)
         if attr is None:
             continue
@@ -143,7 +143,7 @@ def _quorum_shortfall(built: BuiltScenario, cluster: Cluster) -> Optional[float]
             continue
         key = (type(payload).__name__, view, repr(getattr(payload, "value", None)))
         senders, _ = tallies.setdefault(key, (set(), threshold))
-        senders.add(envelope.src)
+        senders.add(record.src)
     shortfalls = [
         threshold - len(senders)
         for senders, threshold in tallies.values()
@@ -313,7 +313,7 @@ def check_certificates(
     spec: ScenarioSpec, built: BuiltScenario, cluster: Cluster
 ) -> InvariantVerdict:
     """Adapter-specific audit of transferable artifacts in the trace."""
-    errors = built.adapter.certificate_errors(built, cluster.trace.sends)
+    errors = built.adapter.certificate_errors(built, cluster.trace.fan_outs)
     if errors is None:
         return InvariantVerdict(
             "certificates", None, "protocol has no transferable certificates"

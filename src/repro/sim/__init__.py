@@ -15,6 +15,7 @@ from .network import (
     DelayModel,
     DelayRule,
     Envelope,
+    FanOut,
     Network,
     NetworkStats,
     PartialSynchronyDelay,
@@ -37,6 +38,7 @@ __all__ = [
     "DelayRule",
     "Envelope",
     "EventHandle",
+    "FanOut",
     "Network",
     "NetworkStats",
     "PartialSynchronyDelay",

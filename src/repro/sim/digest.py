@@ -17,25 +17,21 @@ and times are stable everywhere.  Decision values are hashed via ``repr``
 — decided values in this codebase are strings, tuples and ``Batch``
 dataclasses, all with order-stable reprs.
 
-The size is ``Envelope.size``: the structural size the network charged to
-``NetworkStats.bytes_sent`` when the message was sent, not a
+The size is ``FanOut.size``: the structural size the network charged to
+``NetworkStats.bytes_sent`` per copy when the message was sent, not a
 ``payload_size`` walk after the run.  The two are equal because payloads
 are immutable once sent (frozen dataclasses over tuples and primitives —
 a message on the wire cannot change).  A digest that moves when nothing
 else did therefore means some payload *was* mutated between send and end
 of run: an aliasing bug, not a stale golden.
 
-The byte stream hashed is *defined* as one line per recorded send,
+The byte stream hashed is *defined* as one line per message sent,
 ``s|src|dst|type|size|send_time|deliver_time``, then one per decision,
-then the counters.  It is *produced* per fan-out: the network records a
-broadcast as consecutive envelopes built from the same ``src``,
-``payload``, ``size`` and ``send_time`` objects, so everything but
-``dst`` and ``deliver_time`` is formatted once per such run, and SHA-256
-is fed one chunk per run.  Runs are found by object identity — the same
-objects cannot format differently, so grouping can never change a byte,
-whatever a hand-built trace contains — and chunks are per run, never per
-trace: the digest streams, and a long run does not cost its trace's
-size again in memory.
+then the counters.  It is *produced* per recorded
+:class:`~repro.sim.network.FanOut`: everything but ``dst`` and
+``deliver_time`` is formatted once per record, and SHA-256 is fed one
+chunk per record, never per trace — the digest streams, and a long run
+does not cost its trace's size again in memory.
 """
 
 from __future__ import annotations
@@ -49,9 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from .trace import TraceRecorder
 
 __all__ = ["trace_digest", "cluster_digest"]
-
-#: Identical to no recorded field: the first envelope always opens a run.
-_NO_SEND = object()
 
 
 def trace_digest(
@@ -68,28 +61,15 @@ def trace_digest(
     """
     h = hashlib.sha256()
     update = h.update
-    # One line per send; ``head``/``tail`` are the parts a fan-out's
-    # envelopes share (see the module docstring), ``lines`` its chunk.
-    src = payload = size = send_time = _NO_SEND
-    head = tail = ""
-    lines: List[str] = []
-    for env in trace.sends:
-        if (
-            env.payload is not payload
-            or env.send_time is not send_time
-            or env.src is not src
-            or env.size is not size
-        ):
-            if lines:
-                update("".join(lines).encode())
-                lines = []
-            src, payload, size, send_time = (
-                env.src, env.payload, env.size, env.send_time
-            )
-            head = f"s|{src}|"
-            tail = f"|{type(payload).__name__}|{size}|{send_time!r}|"
-        lines.append(f"{head}{env.dst}{tail}{env.deliver_time!r}\n")
-    if lines:
+    # One line per message; ``head``/``tail`` are the parts a fan-out's
+    # messages share, ``lines`` its chunk.  A plain loop, not a
+    # comprehension: the digest is two Python frames per run.
+    for src, dsts, payload, send_time, deliver_times, size in trace.fan_outs:
+        head = f"s|{src}|"
+        tail = f"|{type(payload).__name__}|{size}|{send_time!r}|"
+        lines: List[str] = []
+        for dst, deliver_time in zip(dsts, deliver_times):
+            lines.append(f"{head}{dst}{tail}{deliver_time!r}\n")
         update("".join(lines).encode())
     for decision in trace.decisions:
         update(

@@ -32,39 +32,44 @@ declarative fault primitives (used by the scenario engine in
   and released when the partition heals, re-timed by the delay model.
 
 The transport itself is the hottest code in the repository, and the
-protocols it carries are all-to-all, so its unit of work is the
-**fan-out**: one payload from one source to ``k`` recipients.
+protocols it carries are all-to-all, so its unit of work *and of record*
+is the **fan-out**: one payload from one source to ``k`` recipients.
 :meth:`Network.send` is a fan-out of one, :meth:`Network.broadcast` a
 fan-out over the cached sorted pid tuple, and both go through the one
-send path, ``_send_general``.
+send path, ``_send_general``, which leaves one :class:`FanOut` behind:
+``(src, dsts, payload, send_time, deliver_times, size)``, ``dsts`` and
+``deliver_times`` parallel.  That record is what the send hooks (the
+trace recorder) keep and what the digest, the post-run oracles and the
+byte metrics read; :meth:`FanOut.envelopes` expands it to one
+:class:`Envelope` per recipient for whoever wants that view.
 
 Done **once per fan-out**: the destination check, the payload's size
 (memoized by object identity — per node of the walk, so a value embedded
 in many messages is sized once — through the network's bounded
 :class:`repro._core.IdentityMemo`), the clock read, the single ``_slow``
 flag that stands for all re-timing machinery (rules, interceptor,
-partition), the tracer's per-type verdict, the ``NetworkStats`` update
-(``messages_sent += k``, ``bytes_sent += k * size``), one call of each
-send hook with the whole sequence of envelopes, and one
-:meth:`Simulator.post_many` that queues every delivery.
+partition), the tracer's per-type verdict, the rule lookup, the
+``NetworkStats`` update (``messages_sent += k``, ``bytes_sent += k *
+size``), the :class:`FanOut`, one call of each send hook with it, and
+one :meth:`Simulator.post_many` that queues every delivery.
 
 Left **per recipient**, in recipient order: the delay model's draw (so a
-seeded model draws exactly as ``k`` separate sends would), the
-:class:`Envelope` — a ``NamedTuple``, constructed in C, that carries the
-accounted size so nothing downstream sizes a payload twice — any rule /
-interceptor re-timing and tracer stamp, the partition test (held
-recipients are held individually, the others posted), and the queue
-entry.  The entry *is* the delivery: the simulator queues the
-network's delivery function with that recipient's ``(dst, src,
-payload)`` beside it (``(envelope,)`` when a tracer or the delivery log
-needs the envelope back) and the run loop calls it — no
-``functools.partial``, no closure, no label — under the same consecutive
-``(time, seq)`` keys separate sends would get.  A fan-out is therefore
-indistinguishable from its ``k`` sends in every envelope, delivery,
-counter and digest; it is also atomic — nothing is accounted, hooked or
-queued until every envelope exists, so a bad destination or delay cannot
-leave half a broadcast behind.  The per-delivery log is opt-in
-(``record_deliveries=True``) because nothing outside the tests reads it.
+seeded model draws exactly as ``k`` separate sends would) and the queue
+entry.  The entry *is* the delivery: the simulator queues the network's
+delivery function with that recipient's ``(dst, src, payload)`` beside
+it and the run loop calls it — no ``functools.partial``, no closure, no
+label — under the same consecutive ``(time, seq)`` keys separate sends
+would get.  When nothing re-times or stamps the message that is all: no
+:class:`Envelope` is built.  Only when a delay rule, the interceptor, a
+partition or the tracer is going to look at one is an :class:`Envelope`
+built per recipient, re-timed, stamped, held if it crosses the partition
+(individually; the others are posted, ``(envelope,)`` being the queue
+entry's arguments when the tracer needs it back at delivery), and the
+:class:`FanOut` then carries their final delivery times.  A fan-out is
+therefore indistinguishable from its ``k`` sends in every delivery,
+counter and digest line; it is also atomic — nothing is accounted,
+hooked, held or queued until every delivery time exists, so a bad
+destination or delay cannot leave half a broadcast behind.
 """
 
 from __future__ import annotations
@@ -100,6 +105,7 @@ __all__ = [
     "RandomDelay",
     "DelayRule",
     "Envelope",
+    "FanOut",
     "Interceptor",
     "Network",
     "NetworkStats",
@@ -203,14 +209,11 @@ class RandomDelay:
 class Envelope(NamedTuple):
     """A message in transit.  Channels are authenticated: ``src`` is trusted.
 
-    A ``NamedTuple`` rather than a dataclass: envelopes are created once
-    per send on the hot path, and C-level tuple construction is several
-    times cheaper than a frozen dataclass ``__init__``.
-
-    An envelope is also the *record* of its send: the send hooks (the
-    trace recorder) keep it, so everything the digest and the byte
-    metrics need — endpoints, times and the accounted ``size`` — is read
-    back from it after the run, never recomputed from the payload.
+    What a delay rule, the interceptor, the partition and the tracer see
+    of a send — one per recipient, built only while one of them is
+    active — and what :meth:`FanOut.envelopes` expands a record into.  A
+    ``NamedTuple`` rather than a dataclass: C-level tuple construction is
+    several times cheaper than a frozen dataclass ``__init__``.
     """
 
     src: ProcessId
@@ -223,10 +226,38 @@ class Envelope(NamedTuple):
     size: int
     #: Id of the send's event in the installed tracer's record (the
     #: flight recorder, :mod:`repro.obs.recorder`), ``None`` when the
-    #: send was not recorded; defaulted so the field is invisible to
-    #: untraced runs — positional construction, payload-keyed digests
-    #: and sizes are all unchanged.
+    #: send was not recorded.
     trace: Optional[int] = None
+
+
+class FanOut(NamedTuple):
+    """The record of one send: ``payload`` from ``src`` to each of
+    ``dsts``, delivered at the parallel ``deliver_times``.
+
+    The send hooks (the trace recorder) keep it, so everything the
+    digest and the byte metrics need — endpoints, times and the
+    accounted ``size`` of *one* copy — is read back from it after the
+    run, never recomputed from the payload.  ``deliver_times`` are as
+    decided at send time: a message held by a partition is delivered
+    later than its record says.  Neither sequence is mutated once the
+    record exists.
+    """
+
+    src: ProcessId
+    dsts: Sequence[ProcessId]
+    payload: Any
+    send_time: float
+    deliver_times: Tuple[float, ...]
+    size: int
+
+    def envelopes(self) -> List[Envelope]:
+        """The per-recipient view: what ``len(dsts)`` separate sends
+        would have put in transit (unstamped)."""
+        src, dsts, payload, send_time, deliver_times, size = self
+        return [
+            Envelope(src, dst, payload, send_time, at, size)
+            for dst, at in zip(dsts, deliver_times)
+        ]
 
 
 _deliver_time_of = attrgetter("deliver_time")
@@ -332,10 +363,6 @@ class Network:
     on the simulator according to the delay model (possibly re-timed by the
     interceptor).  The network never duplicates, forges, or loses messages,
     matching the channel assumptions in Section 2.1 of the paper.
-
-    ``record_deliveries`` enables the per-delivery envelope log behind
-    :attr:`delivery_log`.  It is off by default: the log is append-per-
-    delivery and unbounded, and only diagnostic tests read it.
     """
 
     def __init__(
@@ -343,7 +370,6 @@ class Network:
         sim: Simulator,
         delay_model: Optional[DelayModel] = None,
         interceptor: Optional[Interceptor] = None,
-        record_deliveries: bool = False,
     ) -> None:
         self.sim = sim
         self._post_many = sim.post_many  # bound once: called on every fan-out
@@ -358,15 +384,14 @@ class Network:
         #: Bound once — the zero-rule delivery callback, queued with its
         #: ``(dst, src, payload)`` per recipient.
         self._deliver_ref = _core.make_deliver(self._handlers, self.stats)
-        self._delivery_log: Optional[List[Envelope]] = (
-            [] if record_deliveries else None
-        )
-        self._send_hooks: List[Callable[[Sequence[Envelope]], None]] = []
+        self._send_hooks: List[Callable[[FanOut], None]] = []
         self._delay_rules: Dict[str, DelayRule] = {}
         #: payload type name -> rules that could match it, in installation
         #: order (rule applications do not commute); lazily rebuilt.
         self._rule_index: Dict[str, Tuple[DelayRule, ...]] = {}
-        self._partition: Optional[Tuple[FrozenSet[ProcessId], ...]] = None
+        #: While partitioned: pid -> index of its group; pids in no group
+        #: are absent (the implicit "everyone else" group).
+        self._group_of: Optional[Dict[ProcessId, int]] = None
         self._held: List[Envelope] = []
         self._pid_cache: Optional[Tuple[ProcessId, ...]] = None
         #: With a fixed-delay model the per-send model call is replaced by
@@ -415,7 +440,7 @@ class Network:
         self._slow = bool(
             self._delay_rules
             or self._interceptor is not None
-            or self._partition is not None
+            or self._group_of is not None
         )
 
     # ------------------------------------------------------------------
@@ -442,18 +467,12 @@ class Network:
             pids = self._pid_cache = tuple(sorted(self._handlers))
         return pids
 
-    def add_send_hook(
-        self, hook: Callable[[Sequence[Envelope]], None]
-    ) -> None:
+    def add_send_hook(self, hook: Callable[[FanOut], None]) -> None:
         """Observe every send (one client: the trace recorder that
         feeds the digest).
 
         ``hook`` is called once per fan-out — one :meth:`send` or one
-        :meth:`broadcast` — with the non-empty sequence of its envelopes
-        in recipient order.  They share ``src``, ``payload`` (the same
-        object), ``send_time`` and ``size`` and differ in ``dst``,
-        ``deliver_time`` and ``trace``; anything that depends only on
-        the shared fields is the hook's to do once.  A fan-out with no
+        :meth:`broadcast` — with its :class:`FanOut`.  A fan-out with no
         recipients calls no hook.
         """
         self._send_hooks.append(hook)
@@ -526,12 +545,12 @@ class Network:
         most one group.
         """
         frozen = tuple(frozenset(g) for g in groups)
-        seen: set = set()
-        for group in frozen:
-            if group & seen:
+        group_of: Dict[ProcessId, int] = {}
+        for index, group in enumerate(frozen):
+            if not group.isdisjoint(group_of):
                 raise ValueError(f"process in multiple partition groups: {frozen}")
-            seen |= group
-        self._partition = frozen
+            group_of.update(dict.fromkeys(group, index))
+        self._group_of = group_of
         self._refresh_slow()
 
     def heal_partition(self) -> None:
@@ -543,64 +562,58 @@ class Network:
         interceptor still apply to the released messages — healing never
         bypasses their contract.
         """
-        self._partition = None
+        self._group_of = None
         self._refresh_slow()
         held, self._held = self._held, []
         now = self.sim.now
         for envelope in held:
             delay = self._delay_model.delay(envelope.src, envelope.dst, now)
-            released = envelope._replace(deliver_time=now + delay)
-            self._schedule_delivery(self._retime(released))
+            released = self._retime(
+                envelope._replace(deliver_time=now + delay),
+                self._rules_for(type(envelope.payload).__name__),
+            )
+            self.sim.post(released.deliver_time, self._deliver, released)
 
     @property
     def partitioned(self) -> bool:
-        return self._partition is not None
+        return self._group_of is not None
 
     @property
     def held_messages(self) -> Tuple[Envelope, ...]:
         """Messages currently held by the partition."""
         return tuple(self._held)
 
-    def _crosses_partition(self, src: ProcessId, dst: ProcessId) -> bool:
-        if self._partition is None or src == dst:
-            return False
-
-        def group_of(pid: ProcessId) -> int:
-            for index, group in enumerate(self._partition):
-                if pid in group:
-                    return index
-            return -1  # the implicit "everyone else" group
-
-        return group_of(src) != group_of(dst)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
 
-    def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> Envelope:
-        """Send ``payload`` from ``src`` to ``dst``; returns the envelope."""
-        return self._send_general(src, (dst,), payload)[0]
+    def send(
+        self, src: ProcessId, dst: ProcessId, payload: Any
+    ) -> Optional[FanOut]:
+        """Send ``payload`` from ``src`` to ``dst``; returns the record."""
+        return self._send_general(src, (dst,), payload)
 
     def broadcast(
         self, src: ProcessId, payload: Any, include_self: bool = True
-    ) -> List[Envelope]:
+    ) -> Optional[FanOut]:
         """Send ``payload`` from ``src`` to every registered process, in
         pid order: one fan-out over the cached sorted pid tuple."""
-        dsts: Sequence[ProcessId] = self.process_ids
+        dsts = self.process_ids
         if not include_self:
-            dsts = [dst for dst in dsts if dst != src]
+            dsts = tuple([dst for dst in dsts if dst != src])
         return self._send_general(src, dsts, payload)
 
     def _send_general(
         self, src: ProcessId, dsts: Sequence[ProcessId], payload: Any
-    ) -> List[Envelope]:
+    ) -> Optional[FanOut]:
         """The one transport path: ``payload`` from ``src`` to each of
         ``dsts``, in order — exactly ``len(dsts)`` sends, with everything
         that is constant across the recipients done once (see the module
         docstring for what is per fan-out and what per recipient).
+        Returns the fan-out's record, ``None`` when ``dsts`` is empty.
 
         Atomic: nothing is accounted, hooked, held or queued until every
-        envelope of the fan-out exists, so a bad destination or an
+        delivery time of the fan-out exists, so a bad destination or an
         invalid delay leaves no half-sent broadcast behind.
         """
         if dsts is not self._pid_cache:  # the cache *is* the registry's keys
@@ -609,30 +622,21 @@ class Network:
                 if dst not in handlers:
                     raise ValueError(f"unknown destination process {dst}")
         if not dsts:
-            return []
+            return None
         size = self._size_fn(payload)
         now = self.sim._now
         fixed = self._fixed_delay
         if fixed is not None:
-            arrival = now + fixed
-            envelopes = [
-                Envelope(src, dst, payload, now, arrival, size) for dst in dsts
-            ]
+            times = (now + fixed,) * len(dsts)
         else:
             delay_of = self._delay_model.delay
-            envelopes = []
+            drawn = []
             for dst in dsts:
                 delay = delay_of(src, dst, now)
                 if not 0.0 <= delay < _INF:  # also rejects NaN (comparisons False)
                     raise ValueError(f"delay model returned invalid delay {delay}")
-                envelopes.append(
-                    Envelope(src, dst, payload, now, now + delay, size)
-                )
-        # With no delay rules, no interceptor and no partition active
-        # (``_slow`` is maintained by their mutators) the envelopes are
-        # final — no rule loop, no re-timing, no partition check.
-        if self._slow:
-            envelopes = [self._retime(envelope) for envelope in envelopes]
+                drawn.append(now + delay)
+            times = tuple(drawn)
         tracer = self._tracer
         traced = tracer is not None
         if traced:
@@ -640,38 +644,61 @@ class Network:
             traced = self._tracer_wants.get(ptype)
             if traced is None:
                 traced = self._tracer_wants[ptype] = bool(tracer.wants(ptype))
+        # With no delay rules, no interceptor and no partition active
+        # (``_slow`` is maintained by their mutators) and no tracer stamp,
+        # the times are final and nobody will look at an envelope.
+        envelopes: Optional[List[Envelope]] = None
+        if self._slow or traced:
+            envelopes = [
+                Envelope(src, dst, payload, now, at, size)
+                for dst, at in zip(dsts, times)
+            ]
+            if self._slow:
+                rules = self._rules_for(type(payload).__name__)
+                envelopes = [self._retime(e, rules) for e in envelopes]
             if traced:
-                envelopes = [tracer.on_send(envelope) for envelope in envelopes]
+                envelopes = [tracer.on_send(e) for e in envelopes]
+            times = tuple([e.deliver_time for e in envelopes])
+        record = FanOut(src, dsts, payload, now, times, size)
         stats = self.stats
-        k = len(envelopes)
+        k = len(dsts)
         stats.messages_sent += k
         stats.bytes_sent += k * size
         for hook in self._send_hooks:
-            hook(envelopes)
+            hook(record)
+        if envelopes is None:
+            self._post_many(
+                self._deliver_ref, times, [(dst, src, payload) for dst in dsts]
+            )
+            return record
         posted = envelopes
-        if self._partition is not None:
+        if self._group_of is not None:
             posted = []
+            group_of = self._group_of.get
+            side = group_of(src)
             for envelope in envelopes:
-                if self._crosses_partition(src, envelope.dst):
+                if group_of(envelope.dst) != side:
                     stats.messages_held += 1
                     self._held.append(envelope)
                 else:
                     posted.append(envelope)
-        times = map(_deliver_time_of, posted)
-        if traced or self._delivery_log is not None:
-            # Tracing and the log need the envelope at delivery; the
-            # queue keys are the same either way, so digests match.
-            self._post_many(self._deliver, times, zip(posted))  # (envelope,)
+        posted_at = map(_deliver_time_of, posted)
+        if traced:
+            # The tracer needs the envelope back at delivery; the queue
+            # keys are the same either way, so digests match.
+            self._post_many(self._deliver, posted_at, zip(posted))  # (envelope,)
         else:
             self._post_many(
-                self._deliver_ref, times, [(e.dst, src, payload) for e in posted]
+                self._deliver_ref, posted_at, [(e.dst, src, payload) for e in posted]
             )
-        return envelopes
+        return record
 
-    def _retime(self, envelope: Envelope) -> Envelope:
-        """Apply delay rules, then the interceptor, to an envelope."""
+    def _retime(
+        self, envelope: Envelope, rules: Tuple[DelayRule, ...]
+    ) -> Envelope:
+        """Apply ``rules`` (those installed for the payload's type), then
+        the interceptor, to an envelope."""
         deliver_time = envelope.deliver_time
-        rules = self._rules_for(type(envelope.payload).__name__)
         if rules:
             src = envelope.src
             dst = envelope.dst
@@ -691,9 +718,6 @@ class Network:
                 envelope = envelope._replace(deliver_time=override)
         return envelope
 
-    def _schedule_delivery(self, envelope: Envelope) -> None:
-        self.sim.post(envelope.deliver_time, self._deliver, envelope)
-
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
@@ -703,8 +727,6 @@ class Network:
         if handler is None:
             return  # destination shut down after the message was sent
         self.stats.messages_delivered += 1
-        if self._delivery_log is not None:
-            self._delivery_log.append(envelope)
         tracer = self._tracer
         if tracer is None:
             handler(envelope.src, envelope.payload)
@@ -714,22 +736,3 @@ class Network:
             handler(envelope.src, envelope.payload)
         finally:
             tracer.end_delivery(token)
-
-    @property
-    def records_deliveries(self) -> bool:
-        return self._delivery_log is not None
-
-    @property
-    def delivery_log(self) -> Tuple[Envelope, ...]:
-        """All deliveries so far, in delivery order.
-
-        Only populated when the network was built with
-        ``record_deliveries=True``; raises otherwise, because silently
-        returning an empty log has bitten people before.
-        """
-        if self._delivery_log is None:
-            raise RuntimeError(
-                "delivery log is opt-in: construct the Network with "
-                "record_deliveries=True"
-            )
-        return tuple(self._delivery_log)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from .network import Envelope, Network, ProcessId
+from .network import Envelope, FanOut, Network, ProcessId
 
 __all__ = [
     "Decision",
@@ -39,24 +39,24 @@ class Decision:
 class TraceRecorder:
     """Records message sends and decisions for later analysis.
 
-    ``sends`` holds the network's own envelopes, in send order, each
-    carrying the size the network accounted for it — so
-    ``sum(e.size for e in sends) == network.stats.bytes_sent`` and the
-    trace digest formats that size rather than sizing payloads again.
+    ``fan_outs`` holds the network's own records, in send order: one
+    :class:`~repro.sim.network.FanOut` per ``send`` / ``broadcast``,
+    carrying the size the network accounted for one copy — so
+    ``sum(len(r.dsts) * r.size for r in fan_outs) ==
+    network.stats.bytes_sent`` and the trace digest formats that size
+    rather than sizing payloads again.  The digest and the post-run
+    oracles read these records; :attr:`sends` expands them to one
+    envelope per recipient for whoever wants that view.
 
-    The recorder is a per-fan-out send hook (see
+    The recorder is the network's send hook (see
     :meth:`Network.add_send_hook`): a broadcast to ``k`` recipients costs
-    it one ``extend`` and one type-count bump, and leaves ``k``
-    consecutive envelopes built from the same ``src``, ``payload``,
-    ``send_time`` and ``size`` objects — which is what lets the digest
-    and the post-run oracles do their per-payload work once per fan-out
-    as well.  Decisions are recorded one by one; a caller waiting for a
-    set of processes to decide (:meth:`await_decisions`) is handed a set
-    that shrinks as they do.
+    it one ``append`` and one count bump.  Decisions are recorded one by
+    one; a caller waiting for a set of processes to decide
+    (:meth:`await_decisions`) is handed a set that shrinks as they do.
     """
 
     def __init__(self, network: Optional[Network] = None) -> None:
-        self.sends: List[Envelope] = []
+        self.fan_outs: List[FanOut] = []
         self.decisions: List[Decision] = []
         self._decided_by: Dict[ProcessId, Decision] = {}
         self._type_counts: Dict[str, int] = {}
@@ -66,12 +66,18 @@ class TraceRecorder:
         if network is not None:
             network.add_send_hook(self._record_send)
 
-    def _record_send(self, envelopes: Sequence[Envelope]) -> None:
+    def _record_send(self, record: FanOut) -> None:
         """The network's send hook: one call per fan-out (one payload)."""
-        self.sends.extend(envelopes)
-        name = type(envelopes[0].payload).__name__
+        self.fan_outs.append(record)
+        name = type(record.payload).__name__
         counts = self._type_counts
-        counts[name] = counts.get(name, 0) + len(envelopes)
+        counts[name] = counts.get(name, 0) + len(record.dsts)
+
+    @property
+    def sends(self) -> List[Envelope]:
+        """One envelope per recipient of every recorded fan-out, in send
+        order — a view built on each read, not what the run keeps."""
+        return [env for record in self.fan_outs for env in record.envelopes()]
 
     # ------------------------------------------------------------------
     # Decision bookkeeping
@@ -149,22 +155,12 @@ class TraceRecorder:
     # ------------------------------------------------------------------
 
     def message_count(self) -> int:
-        return len(self.sends)
+        """Messages sent: the recipients of every recorded fan-out."""
+        return sum(self._type_counts.values())
 
     def messages_by_type(self) -> Dict[str, int]:
-        """Histogram of payload class names across all sends.
-
-        Maintained incrementally by the send hook (one bump per
-        fan-out) — analysis code calls this per run, and rescanning every
-        send made it O(sends) per call.  Direct appends to :attr:`sends`
-        (no network hook) are still counted, lazily.
-        """
-        if sum(self._type_counts.values()) != len(self.sends):
-            counts: Dict[str, int] = {}
-            for env in self.sends:
-                name = type(env.payload).__name__
-                counts[name] = counts.get(name, 0) + 1
-            self._type_counts = counts
+        """Histogram of payload class names across all messages sent,
+        bumped by the send hook once per fan-out."""
         return dict(self._type_counts)
 
 

@@ -178,43 +178,37 @@ class TestNetwork:
         sim.run()
         assert [p for _, p, _ in inboxes[1]] == list(range(25))
 
-    def test_delivery_log_in_delivery_order(self):
-        sim, net, _ = make_network(SynchronousDelay(1.0), record_deliveries=True)
+    def test_equal_times_deliver_in_send_order(self):
+        sim = Simulator()
+        net = Network(sim, delay_model=SynchronousDelay(1.0))
+        delivered = []
+        for pid in range(3):
+            net.register(pid, lambda src, payload: delivered.append(payload))
         net.send(0, 1, "a")
         net.send(1, 2, "b")
         sim.run()
-        assert [env.payload for env in net.delivery_log] == ["a", "b"]
+        assert delivered == ["a", "b"]
 
-    def test_delivery_log_is_opt_in(self):
-        sim, net, _ = make_network(SynchronousDelay(1.0))
-        net.send(0, 1, "a")
-        sim.run()
-        assert not net.records_deliveries
-        with pytest.raises(RuntimeError, match="record_deliveries"):
-            net.delivery_log
-
-    def test_delivery_log_records_rule_delayed_messages(self):
-        """The slow (rule-active) path and the fast path feed the same log."""
+    def test_rule_delayed_and_plain_sends_deliver_alike(self):
+        """The slow (rule-active) path and the fast path reach the same
+        handlers the same way."""
         from repro.sim.network import DelayRule
 
-        sim, net, inboxes = make_network(
-            SynchronousDelay(1.0), record_deliveries=True
-        )
+        sim, net, inboxes = make_network(SynchronousDelay(1.0))
         net.send(0, 1, "fast")
         net.set_delay_rule(DelayRule(name="later", extra_delay=5.0))
         net.send(0, 2, "slow")
         sim.run()
-        assert [env.payload for env in net.delivery_log] == ["fast", "slow"]
+        assert inboxes[1] == [(0, "fast", 1.0)]
         assert inboxes[2] == [(0, "slow", 6.0)]
 
     def test_send_hook_sees_every_send(self):
         sim, net, _ = make_network()
         seen = []
-        net.add_send_hook(
-            lambda envelopes: seen.extend(env.payload for env in envelopes)
-        )
-        net.broadcast(0, "x")
-        assert len(seen) == 4
+        net.add_send_hook(seen.append)
+        record = net.broadcast(0, "x")
+        assert seen == [record]
+        assert (record.payload, record.dsts) == ("x", (0, 1, 2, 3))
 
 
 class TestPayloadSizeMemo:
@@ -412,15 +406,18 @@ class TestSendDeliverTrace:
             )
         req = ("req", "value", 7)
         gossip = ("gossip", 2)
-        envelopes = [net.send(0, dst, req) for dst in range(4)]
-        envelopes += net.broadcast(1, gossip, include_self=False)
+        records = [net.send(0, dst, req) for dst in range(4)]
+        records.append(net.broadcast(1, gossip, include_self=False))
         net.unregister(3)
         net.send(0, 2, req)  # memo hit
         sim.run()
 
         # ("req", "value", 7) is 2 + 4 + 6 + 8 bytes, ("gossip", 2) is
-        # 2 + 7 + 8: the accounted size rides on the envelope.
-        assert [tuple(env) for env in envelopes] == [
+        # 2 + 7 + 8: the accounted size rides on the record.
+        assert [tuple(record.dsts) for record in records] == [
+            (0,), (1,), (2,), (3,), (0, 2, 3),
+        ]
+        assert [tuple(e) for record in records for e in record.envelopes()] == [
             (0, dst, req, 0.0, at, 20, None) for dst in range(4)
         ] + [(1, dst, gossip, 0.0, at, 17, None) for dst in (0, 2, 3)]
         assert inboxes == {

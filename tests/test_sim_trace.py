@@ -138,14 +138,3 @@ class TestMessageAccounting:
             name = type(env.payload).__name__
             rescan[name] = rescan.get(name, 0) + 1
         assert incremental == rescan
-
-    def test_direct_appends_are_counted_lazily(self):
-        # Analysis code sometimes builds a TraceRecorder without a
-        # network and appends envelopes directly; the incremental
-        # counters must fall back to a rescan rather than undercount.
-        from repro.sim.network import Envelope
-
-        trace = TraceRecorder()
-        trace.sends.append(Envelope(0, 1, "x", 0.0, 1.0, 2))
-        trace.sends.append(Envelope(0, 1, 7, 0.0, 1.0, 8))
-        assert trace.messages_by_type() == {"str": 1, "int": 1}
