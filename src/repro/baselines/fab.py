@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.protocol import DecidingProcess
-from ..sync.synchronizer import Pacemaker, WishMessage
+from ..sync.synchronizer import Pacemaker
 
 __all__ = ["FaBConfig", "FaBProcess", "FabPropose", "FabAccept", "FabReport"]
 
@@ -100,6 +100,12 @@ class FaBProcess(DecidingProcess):
     """A single-shot FaB Paxos process (proposer+acceptor+learner merged
     for deployment symmetry; the algorithm does not exploit colocation)."""
 
+    MESSAGES = (
+        (FabPropose, "_handle_propose", "exact", "propose", None),
+        (FabAccept, "_handle_accept", "none", "vote", "fast_quorum"),
+        (FabReport, "_handle_report", "fresh", "view-vote", None),
+    )
+
     def __init__(
         self,
         pid: int,
@@ -136,20 +142,8 @@ class FaBProcess(DecidingProcess):
             self._proposed_views.add(1)
             self.broadcast(FabPropose(value=self.input_value, view=1))
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, WishMessage):
-            self.pacemaker.on_wish(sender, payload)
-        elif isinstance(payload, FabPropose):
-            self._handle_propose(sender, payload)
-        elif isinstance(payload, FabAccept):
-            self._handle_accept(sender, payload)
-        elif isinstance(payload, FabReport):
-            self._handle_report(sender, payload)
-
     # ------------------------------------------------------------------
     def _handle_propose(self, sender: int, message: FabPropose) -> None:
-        if message.view != self.view:
-            return
         if sender != self.config.leader_of(message.view):
             return
         if message.view in self._accepted_views:
@@ -187,8 +181,6 @@ class FaBProcess(DecidingProcess):
 
     def _handle_report(self, sender: int, message: FabReport) -> None:
         if self.config.leader_of(message.view) != self.pid:
-            return
-        if message.view < self.view:
             return
         self._record_report(sender, message)
 

@@ -13,8 +13,11 @@ This baseline exists to quantify the paper's improvement over the
 stays two-step under up to ``t`` faults, Kursawe-style only under zero.
 
 Simplifications: single-shot; the fallback view change carries the
-highest prepared tuple without transferable proofs (benchmarks exercise
-failure-free and crash paths, as for the other baselines).
+highest prepared tuple, without transferable proofs and *only* that:
+a value decided on the unanimous fast path before anyone prepared it
+can be lost by the view change, even in fault-free partially
+synchronous runs (``python -m repro.fuzz campaign --protocols
+optimistic --start 1``).  The experiments use this baseline's latency.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.protocol import DecidingProcess
-from ..sync.synchronizer import Pacemaker, WishMessage
+from ..sync.synchronizer import Pacemaker
 
 __all__ = [
     "OptimisticConfig",
@@ -105,6 +108,15 @@ class OptViewChange:
 class OptimisticProcess(DecidingProcess):
     """Single-shot Kursawe-style optimistic Byzantine consensus."""
 
+    # Stale prepares and commits are dropped, for PBFTProcess's reason.
+    MESSAGES = (
+        (OptPropose, "_handle_propose", "exact", "propose", None),
+        (OptAck, "_handle_ack", "none", "vote", "fast_quorum"),
+        (OptPrepare, "_handle_prepare", "fresh", "vote", None),
+        (OptCommit, "_handle_commit", "fresh", "vote", None),
+        (OptViewChange, "_handle_view_change", "fresh", "view-vote", None),
+    )
+
     def __init__(
         self,
         pid: int,
@@ -149,27 +161,11 @@ class OptimisticProcess(DecidingProcess):
             self._proposed_views.add(1)
             self.broadcast(OptPropose(value=self.input_value, view=1))
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, WishMessage):
-            self.pacemaker.on_wish(sender, payload)
-        elif isinstance(payload, OptPropose):
-            self._handle_propose(sender, payload)
-        elif isinstance(payload, OptAck):
-            self._handle_ack(sender, payload)
-        elif isinstance(payload, OptPrepare):
-            self._handle_prepare(sender, payload)
-        elif isinstance(payload, OptCommit):
-            self._handle_commit(sender, payload)
-        elif isinstance(payload, OptViewChange):
-            self._handle_view_change(sender, payload)
-
     # ------------------------------------------------------------------
     # Optimistic path: unanimous acks
     # ------------------------------------------------------------------
 
     def _handle_propose(self, sender: int, message: OptPropose) -> None:
-        if message.view != self.view:
-            return
         if sender != self.config.leader_of(message.view):
             return
         if message.view in self._acked_views:
@@ -249,8 +245,6 @@ class OptimisticProcess(DecidingProcess):
 
     def _handle_view_change(self, sender: int, message: OptViewChange) -> None:
         if self.config.leader_of(message.view) != self.pid:
-            return
-        if message.view < self.view:
             return
         self._record_view_change(sender, message)
 

@@ -20,7 +20,7 @@ from typing import Any, Dict, Set, Tuple
 
 from ..core.protocol import DecidingProcess
 from ..core.quorums import one_correct
-from ..sync.synchronizer import Pacemaker, WishMessage
+from ..sync.synchronizer import Pacemaker
 
 __all__ = [
     "PaxosConfig",
@@ -84,6 +84,14 @@ class PaxosAccepted:
 class PaxosProcess(DecidingProcess):
     """A single-shot Paxos process (proposer+acceptor+learner merged)."""
 
+    # Ballots are compared with ``promised_ballot`` inside the handlers.
+    MESSAGES = (
+        (PaxosPrepare, "_handle_prepare", "none", "view-vote", None),
+        (PaxosPromise, "_handle_promise", "none", "view-vote", None),
+        (PaxosAccept, "_handle_accept", "none", "propose", None),
+        (PaxosAccepted, "_handle_accepted", "none", "vote", "majority"),
+    )
+
     def __init__(
         self,
         pid: int,
@@ -124,18 +132,6 @@ class PaxosProcess(DecidingProcess):
             # Ballot 1 is implicitly prepared: go straight to phase 2.
             self._phase2_started.add(1)
             self.broadcast(PaxosAccept(ballot=1, value=self.input_value))
-
-    def on_message(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, WishMessage):
-            self.pacemaker.on_wish(sender, payload)
-        elif isinstance(payload, PaxosPrepare):
-            self._handle_prepare(sender, payload)
-        elif isinstance(payload, PaxosPromise):
-            self._handle_promise(sender, payload)
-        elif isinstance(payload, PaxosAccept):
-            self._handle_accept(sender, payload)
-        elif isinstance(payload, PaxosAccepted):
-            self._handle_accepted(sender, payload)
 
     # ------------------------------------------------------------------
     # Phase 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.protocol import DecidingProcess
-from ..sync.synchronizer import Pacemaker, WishMessage
+from ..sync.synchronizer import Pacemaker
 
 __all__ = [
     "PBFTConfig",
@@ -99,6 +99,21 @@ class PBFTViewChange:
 class PBFTProcess(DecidingProcess):
     """A single-shot PBFT replica."""
 
+    # Prepares and commits of a stale view are dropped ("fresh"):
+    # counting them would let a view-1 prepare quorum complete *after*
+    # the view change at replicas that never prepared in view 1 — their
+    # commits could then decide the old value while view 2 decides a new
+    # one (found by the fault-schedule fuzzer; delay alone triggers it).
+    # Dropping them keeps the invariant that an old-view decision implies
+    # a commit quorum whose senders all prepared that value, which the
+    # view change then carries forward.
+    MESSAGES = (
+        (PrePrepare, "_handle_preprepare", "exact", "propose", None),
+        (Prepare, "_handle_prepare", "fresh", "vote", "prepare_quorum"),
+        (PBFTCommit, "_handle_commit", "fresh", "vote", "commit_quorum"),
+        (PBFTViewChange, "_handle_view_change", "fresh", "view-vote", None),
+    )
+
     def __init__(
         self,
         pid: int,
@@ -138,22 +153,8 @@ class PBFTProcess(DecidingProcess):
             self._proposed_views.add(1)
             self.broadcast(PrePrepare(value=self.input_value, view=1))
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, WishMessage):
-            self.pacemaker.on_wish(sender, payload)
-        elif isinstance(payload, PrePrepare):
-            self._handle_preprepare(sender, payload)
-        elif isinstance(payload, Prepare):
-            self._handle_prepare(sender, payload)
-        elif isinstance(payload, PBFTCommit):
-            self._handle_commit(sender, payload)
-        elif isinstance(payload, PBFTViewChange):
-            self._handle_view_change(sender, payload)
-
     # ------------------------------------------------------------------
     def _handle_preprepare(self, sender: int, message: PrePrepare) -> None:
-        if message.view != self.view:
-            return
         if sender != self.config.leader_of(message.view):
             return
         if message.view in self._preprepared_views:
@@ -162,16 +163,6 @@ class PBFTProcess(DecidingProcess):
         self.broadcast(Prepare(value=message.value, view=message.view))
 
     def _handle_prepare(self, sender: int, message: Prepare) -> None:
-        if message.view < self.view:
-            # Stale view: counting these would let a view-1 prepare
-            # quorum complete *after* the view change at replicas that
-            # never prepared in view 1 — their commits could then decide
-            # the old value while view 2 decides a new one (found by the
-            # fault-schedule fuzzer; delay alone triggers it).  Dropping
-            # them restores the invariant that an old-view decision
-            # implies a commit quorum whose senders all prepared that
-            # value, which the view change then carries forward.
-            return
         key = (message.value, message.view)
         senders = self._prepares.setdefault(key, set())
         senders.add(sender)
@@ -185,8 +176,6 @@ class PBFTProcess(DecidingProcess):
             self.broadcast(PBFTCommit(value=message.value, view=message.view))
 
     def _handle_commit(self, sender: int, message: PBFTCommit) -> None:
-        if message.view < self.view:
-            return  # stale view — same argument as in _handle_prepare
         key = (message.value, message.view)
         senders = self._commits.setdefault(key, set())
         senders.add(sender)
@@ -214,8 +203,6 @@ class PBFTProcess(DecidingProcess):
 
     def _handle_view_change(self, sender: int, message: PBFTViewChange) -> None:
         if self.config.leader_of(message.view) != self.pid:
-            return
-        if message.view < self.view:
             return
         self._record_view_change(sender, message)
 

@@ -18,6 +18,10 @@ Message flow (Figure 1):
   selection algorithm (:mod:`repro.core.selection`), asks everyone to
   certify the outcome (``CertReq`` → ``f + 1`` × ``CertAck``), assembles
   the bounded progress certificate and proposes.
+
+In :attr:`FBFTBase.MESSAGES`, proposals, votes and the certificate
+round count only in the current view (``enter_view`` replays early
+ones); acks, signed acks and commits are tallied per ``(value, view)``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..crypto.keys import KeyRegistry, Signature
-from ..sync.synchronizer import Pacemaker, WishMessage
+from ..sync.synchronizer import Pacemaker
 from .certificates import (
     CommitCertificate,
     ProgressCertificate,
@@ -49,6 +53,16 @@ DEFAULT_BASE_TIMEOUT = 12.0
 
 class FBFTBase(ConsensusProcess):
     """Complete protocol engine; see the module docstring."""
+
+    MESSAGES = (
+        (Propose, "_handle_propose", "current", "propose", None),
+        (Ack, "_handle_ack", "none", "vote", "fast_quorum"),
+        (Vote, "_handle_vote", "current", "view-vote", "vote_quorum"),
+        (CertRequest, "_handle_certreq", "current", "cert-request", None),
+        (CertAck, "_handle_certack", "current", "vote", None),
+        (AckSig, "_handle_ack_sig", "none", "vote", None),
+        (Commit, "_handle_commit", "none", "vote", "commit_quorum"),
+    )
 
     #: Subclasses toggle the Appendix-A slow path.
     slow_path_enabled = False
@@ -93,7 +107,7 @@ class FBFTBase(ConsensusProcess):
         self._lead_certreq_sent = False
         self._lead_certacks: Dict[int, Signature] = {}
         self._lead_proposed = False
-        #: Messages for views we have not entered yet.
+        #: Messages of ``current`` rows for views not entered yet.
         self._future: Dict[int, List[Tuple[int, Any]]] = {}
         self.pacemaker = Pacemaker(
             pid=pid,
@@ -118,34 +132,6 @@ class FBFTBase(ConsensusProcess):
             # View 1: any value is safe, the leader proposes its own input
             # with an empty certificate (Section 3.1).
             self._send_proposal(self.input_value, cert=None)
-
-    def on_message(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, WishMessage):
-            self.pacemaker.on_wish(sender, payload)
-        elif isinstance(payload, Propose):
-            self._with_view(sender, payload, payload.view, self._handle_propose)
-        elif isinstance(payload, Ack):
-            self._handle_ack(sender, payload)
-        elif isinstance(payload, Vote):
-            self._with_view(sender, payload, payload.view, self._handle_vote)
-        elif isinstance(payload, CertRequest):
-            self._with_view(sender, payload, payload.view, self._handle_certreq)
-        elif isinstance(payload, CertAck):
-            self._with_view(sender, payload, payload.view, self._handle_certack)
-        elif isinstance(payload, AckSig):
-            self._handle_ack_sig(sender, payload)
-        elif isinstance(payload, Commit):
-            self._handle_commit(sender, payload)
-        # Unknown payloads are ignored (Byzantine noise).
-
-    def _with_view(self, sender: int, payload: Any, view: int, handler) -> None:
-        """Dispatch a view-tagged message: buffer future views, drop stale."""
-        if view > self.view:
-            self._future.setdefault(view, []).append((sender, payload))
-            return
-        if view < self.view:
-            return
-        handler(sender, payload)
 
     # ------------------------------------------------------------------
     # View entry (driven by the pacemaker or test harnesses)

@@ -5,6 +5,8 @@ consensus problem (Section 2.2) to a simulated process; the cluster
 harness wires ``decision_hook`` so decisions land in the trace recorder.
 Beside it sits ``view_hook``: whoever owns the process (the cluster, or
 an SMR replica for its per-slot instances) is told of each view entry.
+Its message table holds the row every protocol shares: a
+:class:`~repro.sync.synchronizer.WishMessage` goes to ``self.pacemaker``.
 
 :class:`ConsensusProcess` further binds a process to this paper's
 protocol configuration and key registry; the baselines (PBFT, FaB, Paxos)
@@ -18,6 +20,7 @@ from typing import Any, Callable, Optional
 from ..crypto.keys import KeyRegistry, Signer
 from ..sim.process import Process
 from ..sim.trace import ConsistencyViolation
+from ..sync.synchronizer import WishMessage
 from .config import ProtocolConfig
 
 __all__ = ["DecidingProcess", "ConsensusProcess"]
@@ -25,6 +28,8 @@ __all__ = ["DecidingProcess", "ConsensusProcess"]
 
 class DecidingProcess(Process):
     """A process with an input value and a one-shot decision."""
+
+    MESSAGES = ((WishMessage, "_handle_wish", "none", "wish", None),)
 
     def __init__(self, pid: int, input_value: Any) -> None:
         super().__init__(pid)
@@ -67,6 +72,9 @@ class DecidingProcess(Process):
 
     def on_decide(self, value: Any) -> None:
         """Subclass hook invoked once, after the decision is recorded."""
+
+    def _handle_wish(self, sender: int, message: WishMessage) -> None:
+        self.pacemaker.on_wish(sender, message)
 
 
 class ConsensusProcess(DecidingProcess):

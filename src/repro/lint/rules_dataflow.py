@@ -30,7 +30,6 @@ SIGNED_FIELDS = frozenset({"signature", "cert", "signatures"})
 
 #: Method-name shapes treated as message handlers.
 _HANDLER_PREFIXES = ("_handle_", "_record_", "_on_")
-_HANDLER_NAMES = frozenset({"on_message"})
 
 #: Final-attribute shapes treated as state mutation when fed the
 #: unverified payload.
@@ -87,9 +86,7 @@ def _annotation_names(ann: ast.AST) -> Set[str]:
 
 
 def _is_handler(func: ast.FunctionDef) -> bool:
-    return func.name in _HANDLER_NAMES or func.name.startswith(
-        _HANDLER_PREFIXES
-    )
+    return func.name.startswith(_HANDLER_PREFIXES)
 
 
 def _references(node: ast.AST, names: Set[str]) -> bool:

@@ -17,10 +17,18 @@ demotion vote/demotion/advocate, and fault-schedule firings.
 The record is a bounded ring (``collections.deque`` with ``maxlen``)
 of :class:`FlightEvent` named tuples, so a long run keeps the tail and
 allocation cost stays one tuple per recorded event; the side tables
-that wait for a quorum hold only ids still in the ring.  Payload types
-the classifier does not know are *not* recorded, and — via the
-network's ``wants`` memo — do not even leave the prebound delivery fast
-path, so an attached recorder costs near-nothing on traffic it ignores.
+that wait for a quorum hold only ids still in the ring.
+
+A message's event kind and view come from the process message tables
+(:data:`repro.sim.process.MESSAGE_FACTS`), so this module imports no
+protocol package.  Across protocols: what a leader sends to start an
+attempt is a ``propose``, what is counted toward a deciding quorum a
+``vote`` (so a ``cert-formed`` parents to it), what reports state to a
+new leader a ``view-vote``; an SMR ``SlotMessage`` is recorded as its
+inner message.  Payload types no table declares are *not* recorded,
+and — via the network's ``wants`` memo — do not even leave the prebound
+delivery fast path, so an attached recorder costs near-nothing on
+traffic it ignores.
 
 Causality is multi-parent:
 
@@ -45,6 +53,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
+
+from ..sim.process import MESSAGE_FACTS
 
 __all__ = ["FlightEvent", "FlightRecorder"]
 
@@ -72,50 +82,6 @@ class FlightEvent(NamedTuple):
     detail: Optional[str]
 
 
-#: Protocol payload type name -> recorded event kind.  Classification is
-#: by *name* so this module never imports the protocol packages (the
-#: network would otherwise pull in smr/storage at import time).  Across
-#: protocols: what a leader sends to start an attempt is a ``propose``,
-#: what is counted toward a deciding quorum a ``vote`` (so a
-#: ``cert-formed`` parents to it), what reports state to a new leader a
-#: ``view-vote``.
-_KIND_BY_NAME: Dict[str, str] = {
-    "Propose": "propose",
-    "Ack": "vote",
-    "AckSig": "vote",
-    "Commit": "vote",
-    "CertAck": "vote",
-    "CertRequest": "cert-request",
-    "Vote": "view-vote",
-    "WishMessage": "wish",
-    "PrePrepare": "propose",
-    "Prepare": "vote",
-    "PBFTCommit": "vote",
-    "PBFTViewChange": "view-vote",
-    "FabPropose": "propose",
-    "FabAccept": "vote",
-    "FabReport": "view-vote",
-    "PaxosPrepare": "view-vote",
-    "PaxosPromise": "view-vote",
-    "PaxosAccept": "propose",
-    "PaxosAccepted": "vote",
-    "OptPropose": "propose",
-    "OptAck": "vote",
-    "OptPrepare": "vote",
-    "OptCommit": "vote",
-    "OptViewChange": "view-vote",
-    "Request": "request",
-    "Reply": "reply",
-    "SlotDecided": "decide-gossip",
-    "CheckpointVote": "checkpoint-vote",
-    "CatchupRequest": "catchup-request",
-    "CatchupReply": "catchup-reply",
-    "DemotionVote": "demotion-vote",
-}
-
-#: Marker for SMR's slot-tagged wrapper: classified by its inner payload.
-_SLOT_WRAP = "slot-wrap"
-
 #: Local event a quorum produces -> the vote kind it is a quorum of.
 #: Votes wait in a side table, keyed by (kind, receiver, slot, view),
 #: for that event to claim them as parents.
@@ -138,8 +104,6 @@ _FOLLOWS: Dict[str, str] = {
 #: not part of the causal record.
 _METRICS_ONLY = frozenset(("request", "batched", "executed", "slot-latency"))
 
-_MISS = object()
-
 #: Maximum ``repr`` length kept in an event's ``detail`` field.
 _DETAIL_CAP = 80
 
@@ -158,8 +122,6 @@ class FlightRecorder:
         #: accumulated by :meth:`begin_run` / :meth:`finish_run`.
         self.meta: Dict[str, Any] = {}
         self._next_id = 1
-        #: type -> (kind, view attribute) / _SLOT_WRAP / None (memoized).
-        self._kind_memo: Dict[type, Any] = {}
         self._reset_causality()
 
     def _reset_causality(self) -> None:
@@ -180,45 +142,31 @@ class FlightRecorder:
     # Classification
     # ------------------------------------------------------------------
 
-    def _kind_of_type(self, ptype: type) -> Any:
-        info = self._kind_memo.get(ptype, _MISS)
-        if info is _MISS:
-            name = ptype.__name__
-            if name == "SlotMessage":
-                info = _SLOT_WRAP
-            elif name in _KIND_BY_NAME:
-                # Paxos numbers its attempts by ballot, not view.
-                view_attr = "ballot" if name.startswith("Paxos") else "view"
-                info = (_KIND_BY_NAME[name], view_attr)
-            else:
-                info = None
-            self._kind_memo[ptype] = info
-        return info
-
     def wants(self, ptype: type) -> bool:
         """Selective-tracer hook: payload types the recorder captures.
 
         The network memoizes the verdict per type; a ``False`` keeps
         that type's sends on the untraced fast path entirely.
         """
-        return self._kind_of_type(ptype) is not None
+        return ptype in MESSAGE_FACTS
 
     def _classify(
         self, payload: Any
     ) -> Optional[Tuple[str, Optional[int], Optional[int]]]:
         """(kind, slot, view) for a protocol payload, else ``None``."""
-        info = self._kind_of_type(type(payload))
-        if info is None:
+        facts = MESSAGE_FACTS.get(type(payload))
+        if facts is None:
             return None
-        if info is _SLOT_WRAP:
+        if facts.kind == "inner":
             slot = payload.slot
             payload = payload.inner
-            info = self._kind_of_type(type(payload))
-            if info is None or info is _SLOT_WRAP:
+            facts = MESSAGE_FACTS.get(type(payload))
+            if facts is None or facts.kind == "inner":
                 return None
         else:
             slot = getattr(payload, "slot", None)
-        return info[0], slot, getattr(payload, info[1], None)
+        view = None if facts.view is None else getattr(payload, facts.view)
+        return facts.kind, slot, view
 
     # ------------------------------------------------------------------
     # Core emission

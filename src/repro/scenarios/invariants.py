@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..sim.process import MESSAGE_FACTS
 from ..sim.runner import Cluster
 from ..sim.trace import message_delays
 from .adapters import BuiltScenario
@@ -98,26 +99,12 @@ def decisions_of(cluster: Cluster, pids) -> Dict[int, Any]:
 # The oracles
 # ----------------------------------------------------------------------
 
-#: Payload types whose tallies race toward a named quorum threshold on
-#: the protocol's config object.  Used for the agreement near-miss
-#: margin: the closest any *incomplete* tally came to its quorum.
-_QUORUM_ATTRS = {
-    "Ack": "fast_quorum",
-    "Vote": "vote_quorum",
-    "Commit": "commit_quorum",
-    "Prepare": "prepare_quorum",
-    "PBFTCommit": "commit_quorum",
-    "FabAccept": "fast_quorum",
-    "PaxosAccepted": "majority",
-    "OptAck": "fast_quorum",
-}
-
-
 def _quorum_shortfall(built: BuiltScenario, cluster: Cluster) -> Optional[float]:
     """Votes-short-of-quorum for the closest incomplete tally.
 
-    Scans the trace for quorum-bound payloads (acks, votes, commits),
-    tallies distinct senders per ``(type, view, value)``, and returns the
+    Scans the trace for payloads whose message-table row names a quorum
+    attribute of the protocol's config (acks, votes, commits), tallies
+    distinct senders per ``(type, view, value)``, and returns the
     smallest shortfall among tallies that never reached their quorum —
     the graded "one more equivocation and this would have been a second
     decision" signal.  ``None`` when every tally completed (or none
@@ -126,22 +113,18 @@ def _quorum_shortfall(built: BuiltScenario, cluster: Cluster) -> Optional[float]
     config = built.config
     if config is None:
         return None
-    tallies: Dict[Tuple[str, Any, str], Tuple[set, int]] = {}
+    tallies: Dict[Tuple[type, Any, str], Tuple[set, int]] = {}
     # A fan-out is one vote by one sender, however many it reached.
     for record in cluster.trace.fan_outs:
         payload = record.payload
-        attr = _QUORUM_ATTRS.get(type(payload).__name__)
-        if attr is None:
+        facts = MESSAGE_FACTS.get(type(payload))
+        if facts is None or facts.quorum is None:
             continue
-        threshold = getattr(config, attr, None)
+        threshold = getattr(config, facts.quorum, None)
         if threshold is None:
             continue
-        view = getattr(payload, "view", None)
-        if view is None:
-            view = getattr(payload, "ballot", None)
-        if view is None:
-            continue
-        key = (type(payload).__name__, view, repr(getattr(payload, "value", None)))
+        view = getattr(payload, facts.view)
+        key = (type(payload), view, repr(getattr(payload, "value", None)))
         senders, _ = tallies.setdefault(key, (set(), threshold))
         senders.add(record.src)
     shortfalls = [

@@ -5,23 +5,87 @@ Every participant in a protocol — correct or Byzantine — is a
 the execution, message deliveries, and timer expirations.  It acts on the
 world only through its :class:`ProcessContext` (send, broadcast, timers),
 which makes it easy to wrap a process to inject Byzantine behaviour.
+
+A protocol class routes messages through one table, ``MESSAGES``: one
+row ``(payload type, handler name, view policy, recorder kind, quorum
+attribute | None)`` per type, merged along the MRO once per class.  A
+delivery is a ``type(payload)`` lookup, the row's view gate on
+``payload.view`` against ``self.view``, then the handler, looked up by
+name on the concrete class so subclasses may override it:
+
+* ``current`` — a future view waits in ``self._future`` until the
+  protocol enters it and replays it; a stale one is dropped;
+* ``exact`` — any other view is dropped;
+* ``fresh`` — a stale view is dropped;
+* ``none`` — no gate (the tally is keyed by the message's own view, or
+  the handler compares something else, such as a Paxos ballot).
+
+Kind, view attribute and quorum attribute are facts about the type:
+:data:`MESSAGE_FACTS` collects them for the flight recorder and the
+agreement oracle (kind ``inner``: classify the wrapped ``inner``
+payload), and two tables declaring one type must agree on them.  A
+class without a table may override :meth:`Process.on_message` instead.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from .events import EventHandle, Simulator
 from .network import Network, ProcessId
 
-__all__ = ["Observer", "Process", "ProcessContext", "Timer"]
+__all__ = ["MESSAGE_FACTS", "MessageFacts", "Observer", "Process",
+           "ProcessContext", "Timer", "VIEW_POLICIES"]
 
 #: The one emit point for local transitions (decide, view entry, fault
 #: firing, SMR lifecycle): called positionally as ``observer(kind, pid,
 #: slot, view, detail)``.  The owning cluster stamps the time and calls
 #: each subscriber with ``(kind, pid, time, slot, view, detail)``.
 Observer = Callable[..., None]
+
+#: The view policies a table row may declare (see the module docstring).
+VIEW_POLICIES = ("current", "exact", "fresh", "none")
+
+
+class MessageFacts(NamedTuple):
+    """What a payload type means outside its handler: the recorder's
+    event kind, the attribute holding its view (or ballot), and the
+    config attribute naming the quorum its tally races toward."""
+
+    kind: str
+    view: Optional[str]
+    quorum: Optional[str]
+
+
+#: Payload type -> its facts, collected from every process class's table.
+MESSAGE_FACTS: Dict[type, MessageFacts] = {}
+
+_MISS = object()
+
+
+def _view_attribute(ptype: type) -> Optional[str]:
+    for name in ("view", "ballot"):
+        if name in getattr(ptype, "__dataclass_fields__", ()) or hasattr(ptype, name):
+            return name
+    return None
+
+
+def _route(cls: type, ptype: type, handler: str, policy: str, kind: str,
+           quorum: Optional[str]) -> Tuple[Callable[..., None], Optional[str]]:
+    """One table row, checked and registered: ``(handler, gate)``."""
+    function = getattr(cls, handler)
+    view = _view_attribute(ptype)
+    where = f"{cls.__name__}.MESSAGES: {ptype.__name__}"
+    if policy not in VIEW_POLICIES:
+        raise TypeError(f"{where}: view policy {policy!r} not in {VIEW_POLICIES}")
+    if (policy != "none" and view != "view") or (quorum and view is None):
+        raise TypeError(f"{where}: no view for its {policy!r} gate or {quorum!r} tally")
+    facts = MessageFacts(kind, view, quorum)
+    known = MESSAGE_FACTS.setdefault(ptype, facts)
+    if known != facts:
+        raise TypeError(f"{where}: declares {facts}, another table {known}")
+    return function, None if policy == "none" else policy
 
 
 class Timer:
@@ -160,10 +224,27 @@ class ProcessContext:
 class Process:
     """Base class for all protocol participants.
 
-    Subclasses override :meth:`on_start`, :meth:`on_message` and use
-    ``self.ctx`` to interact with the network.  The harness (see
-    ``repro.sim.runner``) constructs the context and wires delivery.
+    Subclasses declare their ``MESSAGES`` table (or override
+    :meth:`on_message`), override :meth:`on_start` and use ``self.ctx``
+    to interact with the network.  The harness (see ``repro.sim.runner``)
+    constructs the context and wires delivery to :meth:`_dispatch`.
     """
+
+    #: This class's own rows of its message table (module docstring).
+    MESSAGES: Tuple[Tuple[Any, ...], ...] = ()
+    #: Payload type -> ``(handler, gate)`` over the rows along the MRO,
+    #: plus subclass types memoized on first sight (``None``: ignored).
+    _routes: Dict[type, Any] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        rows = {}
+        for klass in reversed(cls.__mro__):
+            for row in vars(klass).get("MESSAGES", ()):
+                rows[row[0]] = row
+        if rows and cls.on_message is not Process.on_message:
+            raise TypeError(f"{cls.__name__} has a message table and an on_message")
+        cls._routes = {ptype: _route(cls, *row) for ptype, row in rows.items()}
 
     def __init__(self, pid: ProcessId) -> None:
         self.pid = pid
@@ -181,7 +262,22 @@ class Process:
         # Once per delivery: the flag itself, not the ``halted`` property.
         if ctx is None or ctx._halted:
             return
-        self.on_message(sender, payload)
+        route = self._routes.get(type(payload), _MISS)
+        if route is _MISS:
+            self.on_message(sender, payload)
+            return
+        if route is None:
+            return
+        handler, gate = route
+        if gate is not None:
+            view = payload.view
+            if view != self.view:
+                if view < self.view or gate == "exact":
+                    return
+                if gate == "current":
+                    self._future.setdefault(view, []).append((sender, payload))
+                    return
+        handler(self, sender, payload)
 
     def _start(self) -> None:
         if self.ctx is None or self.ctx.halted:
@@ -196,7 +292,23 @@ class Process:
         """Called once at time 0."""
 
     def on_message(self, sender: ProcessId, payload: Any) -> None:
-        """Called on each message delivery."""
+        """Route one message through the table, as a delivery would.
+
+        A payload whose type subclasses a row's type takes that row
+        (resolved along its MRO on first sight, then memoized); a type
+        no row covers is ignored.  A class without a table overrides
+        this to route everything itself.
+        """
+        routes = self._routes
+        ptype = type(payload)
+        if ptype not in routes:
+            routes[ptype] = next(
+                (routes[base] for base in ptype.__mro__[1:]
+                 if routes.get(base) is not None),
+                None,
+            )
+        if routes[ptype] is not None:
+            self._dispatch(sender, payload)
 
     def on_recover(self) -> None:
         """Called after a crash-recovery resume (context already live).

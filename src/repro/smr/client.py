@@ -50,6 +50,8 @@ class CommandOutcome:
 class SMRClient(Process):
     """Submits a workload of commands to a replica group."""
 
+    MESSAGES = ((Reply, "_handle_reply", "none", "reply", None),)
+
     def __init__(
         self,
         pid: int,
@@ -136,25 +138,23 @@ class SMRClient(Process):
     # Replies
     # ------------------------------------------------------------------
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, Reply):
+    def _handle_reply(self, sender: int, reply: Reply) -> None:
+        if sender not in self.replica_pids or reply.client != self.pid:
             return
-        if sender not in self.replica_pids or payload.client != self.pid:
-            return
-        outcome = self.outcomes.get(payload.request_id)
+        outcome = self.outcomes.get(reply.request_id)
         if outcome is None or outcome.completed:
             return
-        votes = self._reply_votes.setdefault(payload.request_id, {})
-        key = (payload.result, payload.slot)
+        votes = self._reply_votes.setdefault(reply.request_id, {})
+        key = (reply.result, reply.slot)
         senders = votes.setdefault(key, set())
         senders.add(sender)
         if len(senders) >= one_correct(self.f):
             outcome.completed_at = self.now
             self._completed += 1
-            outcome.result = payload.result
-            outcome.slot = payload.slot
-            self.ctx.cancel_timer(("retry", payload.request_id))
-            self._inflight.discard(payload.request_id)
+            outcome.result = reply.result
+            outcome.slot = reply.slot
+            self.ctx.cancel_timer(("retry", reply.request_id))
+            self._inflight.discard(reply.request_id)
             if self.on_complete is not None:
                 self.on_complete(outcome)
             if self._closed_loop:

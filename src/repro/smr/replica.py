@@ -235,6 +235,18 @@ def fbft_instance_factory(
 class SMRReplica(Process):
     """One replica of the batched, pipelined replicated state machine."""
 
+    # Staleness is the handlers' business (slot, checkpoint, view floor);
+    # a slot's consensus messages pass through its instance's table.
+    MESSAGES = (
+        (Request, "_handle_request", "none", "request", None),
+        (SlotMessage, "_handle_slot_message", "none", "inner", None),
+        (SlotDecided, "_handle_slot_decided", "none", "decide-gossip", None),
+        (CheckpointVote, "_handle_checkpoint_vote", "none", "checkpoint-vote", None),
+        (DemotionVote, "_handle_demotion_vote", "none", "demotion-vote", None),
+        (CatchupRequest, "_handle_catchup_request", "none", "catchup-request", None),
+        (CatchupReply, "_handle_catchup_reply", "none", "catchup-reply", None),
+    )
+
     def __init__(
         self,
         pid: int,
@@ -387,10 +399,6 @@ class SMRReplica(Process):
     def decided_value(self, slot: int) -> Optional[Any]:
         return self._decided.get(slot)
 
-    def decided_command(self, slot: int) -> Optional[Any]:
-        """Backward-compatible view: the decided value of ``slot``."""
-        return self._decided.get(slot)
-
     def slot_commands(self, slot: int) -> Tuple[Command, ...]:
         """The commands a decided slot carries (empty if undecided/noop)."""
         value = self._decided.get(slot)
@@ -409,23 +417,7 @@ class SMRReplica(Process):
     # Message handling
     # ------------------------------------------------------------------
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if isinstance(payload, Request):
-            self._handle_request(payload)
-        elif isinstance(payload, SlotMessage):
-            self._handle_slot_message(sender, payload)
-        elif isinstance(payload, SlotDecided):
-            self._handle_slot_decided(sender, payload)
-        elif isinstance(payload, CheckpointVote):
-            self._handle_checkpoint_vote(sender, payload)
-        elif isinstance(payload, DemotionVote):
-            self._handle_demotion_vote(sender, payload)
-        elif isinstance(payload, CatchupRequest):
-            self._handle_catchup_request(sender, payload)
-        elif isinstance(payload, CatchupReply):
-            self._handle_catchup_reply(sender, payload)
-
-    def _handle_request(self, request: Request) -> None:
+    def _handle_request(self, sender: int, request: Request) -> None:
         key = (request.client, request.request_id)
         if key in self._seen_requests:
             # Retransmission: if already executed, re-reply immediately.

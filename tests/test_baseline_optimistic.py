@@ -111,6 +111,35 @@ class TestViewChange:
         cluster.run_until_decided(correct_pids=[1, 2, 3], timeout=500)
         assert all(p.fell_back for p in procs[1:])
 
+    def test_stale_view_prepares_and_commits_are_not_counted(self):
+        # A schedule the guided fuzzer found and shrank, with no
+        # Byzantine process and no crash: across two healing partitions
+        # before GST, prepares and commits of a past view were counted
+        # after a view change and process 0 decided 'v0', then 'v1' —
+        # until the table declared OptPrepare / OptCommit "fresh".
+        from repro.scenarios.runner import run_scenario
+        from repro.scenarios.spec import (
+            DelaySpec, PartitionHeal, PartitionStart, ScenarioSpec,
+        )
+
+        spec = ScenarioSpec(
+            name="optimistic-stale-view-commit",
+            protocol="optimistic", n=5, f=1, t=1,
+            delay=DelaySpec(
+                kind="partial", gst=34.060139696896705,
+                pre_gst_max=18.349966390325594, seed=13,
+            ),
+            faults=(
+                PartitionStart(at=0.87, groups=((1, 3), (0, 2, 4))),
+                PartitionHeal(at=19.46),
+                PartitionStart(at=19.76, groups=((0, 1, 4), (2, 3))),
+                PartitionHeal(at=43.91),
+            ),
+        )
+        result = run_scenario(spec)
+        assert result.safety_violation is None
+        assert result.ok, [str(v) for v in result.failures]
+
 
 class TestComparisonSpec:
     def test_registered_in_analysis(self):

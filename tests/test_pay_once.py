@@ -51,7 +51,7 @@ from repro.sim.network import (
     SynchronousDelay,
     payload_size,
 )
-from repro.sim.process import Process
+from repro.sim.process import MESSAGE_FACTS, Process
 from repro.sim.trace import TraceRecorder
 from repro.smr import NOOP, SMRClient
 from repro.smr.replica import Batch, Reply, SMRReplica
@@ -842,12 +842,13 @@ class TestOraclesTallyAFanOutOnce:
             return
         tallies = {}
         for env in cluster.trace.sends:
-            kind = type(env.payload).__name__
-            threshold = getattr(
-                built.config, invariants._QUORUM_ATTRS.get(kind, ""), None
-            )
-            view = getattr(env.payload, "view", getattr(env.payload, "ballot", None))
-            if threshold is None or view is None:
+            kind = type(env.payload)
+            facts = MESSAGE_FACTS.get(kind)
+            if facts is None or facts.quorum is None:
+                continue
+            threshold = getattr(built.config, facts.quorum, None)
+            view = getattr(env.payload, facts.view)
+            if threshold is None:
                 continue
             key = (kind, view, repr(getattr(env.payload, "value", None)))
             tallies.setdefault(key, (set(), threshold))[0].add(env.src)

@@ -149,7 +149,7 @@ class TestFaultTolerance:
         # All replicas converge on the decided slot even though only
         # n - f acks were strictly needed.
         cluster.sim.run(until=cluster.sim.now + 10)
-        assert all(r.decided_command(0) is not None for r in replicas)
+        assert all(r.decided_value(0) is not None for r in replicas)
 
 
 class TestBatchingPipelining:
@@ -240,12 +240,12 @@ class TestBatchingPipelining:
         )
         cluster.start()
         replica = replicas[0]
-        replica._handle_request(Request(client=4, request_id=0, command=("set", "a", 1)))
+        replica._handle_request(4, Request(client=4, request_id=0, command=("set", "a", 1)))
         cluster.sim.run(until=0.5)  # flush ran: deadline set, timer armed
         assert replica._batch_deadline is not None
         replica.crash()
         replica.recover()  # timers lost, deadline stale
-        replica._handle_request(Request(client=4, request_id=1, command=("set", "b", 2)))
+        replica._handle_request(4, Request(client=4, request_id=1, command=("set", "b", 2)))
         cluster.sim.run(until=10.0)
         # The re-armed flush proposed the batch at the (stale) deadline and
         # the slot decided; pre-fix the commands sat pending forever.

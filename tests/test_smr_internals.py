@@ -90,9 +90,9 @@ class TestDecisionGossip:
         cluster.start()
         replica = replicas[3]
         replica._handle_slot_decided(0, SlotDecided(slot=0, value=("set", "x", 1)))
-        assert replica.decided_command(0) is None  # one voice is not enough
+        assert replica.decided_value(0) is None  # one voice is not enough
         replica._handle_slot_decided(1, SlotDecided(slot=0, value=("set", "x", 1)))
-        assert replica.decided_command(0) == ("set", "x", 1)  # f + 1 = 2
+        assert replica.decided_value(0) == ("set", "x", 1)  # f + 1 = 2
 
     def test_conflicting_gossip_does_not_mix(self):
         cluster, replicas, client = make_cluster()
@@ -100,7 +100,7 @@ class TestDecisionGossip:
         replica = replicas[3]
         replica._handle_slot_decided(0, SlotDecided(slot=0, value=("a",)))
         replica._handle_slot_decided(1, SlotDecided(slot=0, value=("b",)))
-        assert replica.decided_command(0) is None
+        assert replica.decided_value(0) is None
 
     def test_duplicate_gossip_sender_counts_once(self):
         cluster, replicas, client = make_cluster()
@@ -108,7 +108,7 @@ class TestDecisionGossip:
         replica = replicas[3]
         for _ in range(5):
             replica._handle_slot_decided(0, SlotDecided(slot=0, value=("a",)))
-        assert replica.decided_command(0) is None
+        assert replica.decided_value(0) is None
 
     def test_gossip_after_local_decision_is_noop(self):
         cluster, replicas, client = make_cluster()
@@ -117,7 +117,7 @@ class TestDecisionGossip:
         replica._adopt_decision(0, ("set", "a", 1))
         replica._handle_slot_decided(0, SlotDecided(slot=0, value=("set", "b", 2)))
         replica._handle_slot_decided(1, SlotDecided(slot=0, value=("set", "b", 2)))
-        assert replica.decided_command(0) == ("set", "a", 1)
+        assert replica.decided_value(0) == ("set", "a", 1)
 
 
 class TestGossipAdoptionDedupe:
@@ -142,7 +142,7 @@ class TestGossipAdoptionDedupe:
         assert replica.state_machine.applied_count == 1
         replies_before = self._reply_count(cluster, 4)
         # The request arrives late (e.g. the replica was partitioned).
-        replica._handle_request(Request(client=4, request_id=7, command=("set", "x", 1)))
+        replica._handle_request(4, Request(client=4, request_id=7, command=("set", "x", 1)))
         assert replica.pending_count == 0  # not queued for re-proposal
         assert replica.state_machine.applied_count == 1  # not applied twice
         cluster.sim.run(until=cluster.sim.now + 5)
@@ -158,7 +158,7 @@ class TestGossipAdoptionDedupe:
         replica._handle_slot_decided(0, SlotDecided(slot=0, value=("set", "x", 1)))
         replica._handle_slot_decided(1, SlotDecided(slot=0, value=("set", "x", 1)))
         assert replica.state_machine.applied_count == 1
-        replica._handle_request(Request(client=4, request_id=9, command=("set", "x", 1)))
+        replica._handle_request(4, Request(client=4, request_id=9, command=("set", "x", 1)))
         assert replica.pending_count == 0
         assert replica.state_machine.applied_count == 1
         cluster.sim.run(until=cluster.sim.now + 5)
@@ -184,7 +184,7 @@ class TestGossipAdoptionDedupe:
         cluster.start()
         replica = replicas[3]
         replica._handle_request(
-            Request(client=4, request_id=0, command=("set", "x", 1))
+            4, Request(client=4, request_id=0, command=("set", "x", 1))
         )
         batch = Batch(entries=((4, 0, ("set", "x", 1)),))
         replica._handle_slot_decided(0, SlotDecided(slot=1, value=batch))
@@ -209,7 +209,7 @@ class TestGossipAdoptionDedupe:
         cluster.start()
         replica = replicas[3]
         replica._handle_request(
-            Request(client=4, request_id=0, command=("set", "x", 1))
+            4, Request(client=4, request_id=0, command=("set", "x", 1))
         )
         batch = Batch(entries=((4, 0, ("set", "x", 1)),))
         replica._handle_slot_decided(0, SlotDecided(slot=5, value=batch))
@@ -276,7 +276,7 @@ class TestExecution:
         # Client retransmits the same request after completion.
         request = Request(client=4, request_id=0, command=("set", "a", 1))
         for replica in replicas:
-            replica._handle_request(request)
+            replica._handle_request(4, request)
         cluster.sim.run(until=cluster.sim.now + 5)
         replies_after = sum(
             1 for env in cluster.trace.sends if isinstance(env.payload, Reply)
