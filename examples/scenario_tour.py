@@ -7,18 +7,13 @@ Three stops:
    central misbehaviour) run through the invariant oracles;
 2. a custom spec built inline — a healing partition plus a delay rule —
    showing the vocabulary the engine gives you;
-3. a short fuzz campaign over random fault schedules.
+3. a short blind fuzz campaign over random fault schedules.
 
 Run:  PYTHONPATH=src python examples/scenario_tour.py
 """
 
-from repro.scenarios import (
-    DelaySpec,
-    ScenarioSpec,
-    get_scenario,
-    run_fuzz,
-    run_scenario,
-)
+from repro.fuzz import run_blind
+from repro.scenarios import DelaySpec, ScenarioSpec, get_scenario, run_scenario
 from repro.scenarios.spec import DelayRuleOn, DelayRuleOff, PartitionHeal, PartitionStart
 
 
@@ -54,7 +49,7 @@ def main() -> None:
     print("=" * 64)
     print("3. fuzz: 10 random survivable schedules, all oracles must pass")
     print("=" * 64)
-    report = run_fuzz(seeds=10)
+    report = run_blind(10)
     print(report.summary())
 
 

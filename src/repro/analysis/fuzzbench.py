@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
 from ..fuzz import CampaignConfig, CampaignReport, run_blind, run_campaign
-from ..scenarios.fuzz import DEFAULT_FUZZ_PROTOCOLS
+from ..fuzz.generator import DEFAULT_FUZZ_PROTOCOLS
 
 __all__ = ["MIN_GUIDED_BUDGET", "FuzzComparison", "compare_campaigns"]
 

@@ -52,7 +52,8 @@ from ..lowerbound import (
     find_influential_process,
     run_splice_attack,
 )
-from ..scenarios import SCENARIOS, run_fuzz
+from ..fuzz import run_blind
+from ..scenarios import SCENARIOS
 from ..scenarios.runner import run_scenarios
 from ..sim.events import Simulator
 from ..sim.network import (
@@ -976,7 +977,7 @@ def e14_driver(params: Dict[str, Any], seed: int) -> TaskResult:
             ]
         )
     start, seeds = params["start"], params["seeds"]
-    report = run_fuzz(seeds=seeds, start=start, shrink=False)
+    report = run_blind(seeds, start_seed=start)
     return TaskResult(
         rows=[
             (

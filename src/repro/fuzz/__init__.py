@@ -1,9 +1,8 @@
-"""Coverage-guided fault-schedule fuzzing (the AFL loop over scenarios).
+"""Fault-schedule fuzzing: one generator, one campaign loop, one CLI.
 
-The blind fuzzer (:mod:`repro.scenarios.fuzz`) walks consecutive seeds
-and learns nothing from what a run exercised.  This package closes the
-loop:
-
+* :mod:`~repro.fuzz.generator` — the seeded blind generator
+  (:func:`generate_scenario`, survivable schedules only) and the
+  pair-preserving shrinker (:func:`shrink_spec`);
 * :mod:`~repro.fuzz.signature` — a deterministic execution-coverage
   signature (views reached, fast-vs-slow path, partition shapes,
   checkpoint/catchup activity, bucketed message counts, oracle outcomes
@@ -16,7 +15,9 @@ loop:
   per-payload-type delay-rule stashers;
 * :mod:`~repro.fuzz.campaign` — the round loop: sharded fleet execution
   with deterministic merge (serial == sharded, byte-identical report
-  digests), dual seed/wall-clock budgets, shrinking of failures;
+  digests), dual seed/wall-clock budgets, shrinking of failures.  Guided
+  mode mutates an energy-weighted corpus (the AFL loop over scenarios);
+  blind mode (:func:`run_blind`) walks consecutive generator seeds;
 * ``python -m repro.fuzz campaign|replay|corpus`` — the CLI.
 """
 
@@ -28,6 +29,7 @@ from .campaign import (
     run_campaign,
 )
 from .corpus import Corpus, CorpusEntry
+from .generator import generate_scenario, shrink_spec
 from .mutators import MUTATORS, PAYLOAD_TYPES, mutate
 from .signature import signature_features, signature_key
 
@@ -39,9 +41,11 @@ __all__ = [
     "CorpusEntry",
     "MUTATORS",
     "PAYLOAD_TYPES",
+    "generate_scenario",
     "mutate",
     "run_blind",
     "run_campaign",
+    "shrink_spec",
     "signature_features",
     "signature_key",
 ]

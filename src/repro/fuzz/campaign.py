@@ -4,8 +4,9 @@ A campaign is rounds of scenario executions over a shared corpus:
 
 * **cold start** — the first ``warmup`` runs (and a small
   ``fresh_fraction`` forever after) come from the blind generator,
-  :func:`~repro.scenarios.fuzz.generate_scenario`, seeding the corpus
-  with baseline behaviors;
+  :func:`~repro.fuzz.generator.generate_scenario`, seeding the corpus
+  with baseline behaviors; ``mode="blind"`` (:func:`run_blind`) draws
+  only from it;
 * **warm loop** — every other run mutates an energy-weighted corpus pick
   (:mod:`repro.fuzz.mutators`), replacing fresh draws once the corpus
   knows something;
@@ -35,10 +36,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..scenarios.fuzz import DEFAULT_FUZZ_PROTOCOLS, generate_scenario, shrink_spec
 from ..scenarios.runner import ScenarioResult, run_scenario
 from ..scenarios.spec import ScenarioSpec
 from .corpus import Corpus
+from .generator import DEFAULT_FUZZ_PROTOCOLS, generate_scenario, shrink_spec
 from .mutators import mutate
 from .signature import signature_features, signature_key
 

@@ -33,15 +33,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import FlightRecorder, observers_from_flags
-from ..scenarios.fuzz import DEFAULT_FUZZ_PROTOCOLS
 from ..scenarios.runner import run_scenario
 from ..scenarios.spec import ScenarioError, ScenarioSpec
 from .campaign import CampaignConfig, run_campaign
 from .corpus import Corpus
+from .generator import DEFAULT_FUZZ_PROTOCOLS
 
 
 def _dump_failures(failures: Sequence[Any], directory: str) -> List[str]:
@@ -50,6 +51,9 @@ def _dump_failures(failures: Sequence[Any], directory: str) -> List[str]:
     os.makedirs(directory, exist_ok=True)
     written: List[str] = []
     for failure in failures:
+        # Mutant origins ("mutant:268/splice+add-partition") are not
+        # file names.
+        stem = re.sub(r"[^A-Za-z0-9._-]", "-", failure.origin)
         for tag, spec_dict in (
             ("original", failure.spec),
             ("shrunk", failure.shrunk),
@@ -57,9 +61,7 @@ def _dump_failures(failures: Sequence[Any], directory: str) -> List[str]:
             spec = ScenarioSpec.from_dict(spec_dict)
             recorder = FlightRecorder()
             run_scenario(spec, recorder=recorder)
-            path = os.path.join(
-                directory, f"flight-{failure.origin}-{tag}.jsonl"
-            )
+            path = os.path.join(directory, f"flight-{stem}-{tag}.jsonl")
             recorder.dump(path)
             written.append(path)
     return written

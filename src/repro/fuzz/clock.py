@@ -1,6 +1,6 @@
 """Wall-clock access for campaign budgets.
 
-The protocol, simulator and scenario packages are wall-clock-free by
+The protocol, simulator, scenario and fuzz packages are wall-clock-free by
 construction (the ``repro.lint`` D101 rule enforces it: simulated time is
 the only time that may influence an execution).  Campaign *budgets* are
 different — "stop fuzzing after N real seconds" is about the CI bill,
@@ -18,4 +18,4 @@ __all__ = ["wall_clock"]
 
 def wall_clock() -> float:
     """Monotonic wall-clock seconds (for budget accounting only)."""
-    return time.monotonic()
+    return time.monotonic()  # lint: ignore[D101]: budget accounting only, never feeds a trace

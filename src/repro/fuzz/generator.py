@@ -1,4 +1,4 @@
-"""Seeded scenario fuzzing with shrinking.
+"""The blind scenario generator and the shrinker.
 
 :func:`generate_scenario` maps a seed to a random-but-*survivable*
 scenario: fault mixes stay within the protocol's budget, partitions heal,
@@ -6,18 +6,18 @@ delay rules lift — so a correct protocol must pass every oracle on every
 seed.  Any failing seed is therefore a bug (in the protocol, the engine,
 or the schedule's assumptions) worth keeping; :func:`shrink_spec` reduces
 it to a minimal reproducer by dropping schedule elements while the
-failure persists.
+failure persists.  A blind sweep is
+:func:`~repro.fuzz.campaign.run_blind`: the campaign loop drawing only
+from this generator.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from .adapters import ADAPTERS
-from .runner import ScenarioResult, run_scenario
-from .spec import (
+from ..scenarios.adapters import ADAPTERS
+from ..scenarios.spec import (
     ByzantineRole,
     Crash,
     DelayRuleOff,
@@ -26,17 +26,12 @@ from .spec import (
     FaultEvent,
     PartitionHeal,
     PartitionStart,
+    Recover,
+    ScenarioError,
     ScenarioSpec,
 )
 
-__all__ = [
-    "DEFAULT_FUZZ_PROTOCOLS",
-    "FuzzFailure",
-    "FuzzReport",
-    "generate_scenario",
-    "run_fuzz",
-    "shrink_spec",
-]
+__all__ = ["DEFAULT_FUZZ_PROTOCOLS", "generate_scenario", "shrink_spec"]
 
 #: Protocol families the fuzzer exercises by default: ours plus the
 #: Byzantine and crash baselines (optimistic's unanimity fast path makes
@@ -51,8 +46,6 @@ def generate_scenario(
     protocols: Sequence[str] = DEFAULT_FUZZ_PROTOCOLS,
 ) -> ScenarioSpec:
     """Deterministically derive a survivable scenario from ``seed``."""
-    from .spec import ScenarioError
-
     unknown = set(protocols) - set(ADAPTERS)
     if unknown or not protocols:
         raise ScenarioError(
@@ -205,8 +198,6 @@ def _paired_removals(spec: ScenarioSpec) -> List[Tuple[FaultEvent, ...]]:
                     drop.add(j)
                     break
         elif isinstance(event, Crash):
-            from .spec import Recover
-
             for j in range(index + 1, len(events)):
                 other = events[j]
                 if isinstance(other, Recover) and other.pid == event.pid:
@@ -266,120 +257,3 @@ def shrink_spec(
                 current = candidate
                 progress = True
     return current
-
-
-# ----------------------------------------------------------------------
-# The fuzz loop
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class FuzzFailure:
-    """One failing seed, with its shrunk reproducer."""
-
-    seed: int
-    spec: ScenarioSpec
-    shrunk: ScenarioSpec
-    failures: Tuple[str, ...]
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "failures": list(self.failures),
-            "reproducer": self.shrunk.to_dict(),
-        }
-
-
-@dataclass
-class FuzzReport:
-    """Outcome of a fuzzing campaign."""
-
-    seeds_run: int
-    by_protocol: Dict[str, int] = field(default_factory=dict)
-    failures: List[FuzzFailure] = field(default_factory=list)
-    stopped_by: str = "seeds"  #: ``"seeds"`` or ``"max-seconds"``
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> Dict:
-        return {
-            "seeds_run": self.seeds_run,
-            "by_protocol": dict(sorted(self.by_protocol.items())),
-            "stopped_by": self.stopped_by,
-            "ok": self.ok,
-            "failures": [failure.to_dict() for failure in self.failures],
-        }
-
-    def summary(self) -> str:
-        mix = ", ".join(
-            f"{key}: {count}" for key, count in sorted(self.by_protocol.items())
-        )
-        lines = [
-            f"fuzz: {self.seeds_run} seeds ({mix}; {self.stopped_by} limit) — "
-            f"{'all oracles passed' if self.ok else f'{len(self.failures)} FAILURES'}"
-        ]
-        for failure in self.failures:
-            lines.append(
-                f"  seed {failure.seed}: {'; '.join(failure.failures)}"
-            )
-            lines.append(f"    reproducer: {failure.shrunk.to_dict()!r}")
-        return "\n".join(lines)
-
-
-def _result_failures(result: ScenarioResult) -> Tuple[str, ...]:
-    return tuple(str(verdict) for verdict in result.failures)
-
-
-def run_fuzz(
-    seeds: int,
-    start: int = 0,
-    protocols: Sequence[str] = DEFAULT_FUZZ_PROTOCOLS,
-    shrink: bool = True,
-    run: Callable[[ScenarioSpec], ScenarioResult] = run_scenario,
-    on_progress: Optional[Callable[[int, ScenarioResult], None]] = None,
-    max_seconds: Optional[float] = None,
-    clock: Optional[Callable[[], float]] = None,
-) -> FuzzReport:
-    """Run ``seeds`` consecutive seeds starting at ``start``.
-
-    ``max_seconds`` adds a wall-clock budget on top of the seed budget:
-    the loop stops before the next seed once the elapsed time exceeds
-    it, and the report's ``stopped_by``/``seeds_run`` record which limit
-    fired and how far the sweep actually got.  ``clock`` is injectable
-    for tests; by default the wall clock is imported lazily so the
-    deterministic path stays free of real-time reads.
-    """
-    report = FuzzReport(seeds_run=0)
-    started_at = None
-    if max_seconds is not None:
-        if clock is None:
-            from ..fuzz.clock import wall_clock as clock
-        started_at = clock()
-    for seed in range(start, start + seeds):
-        if started_at is not None and clock() - started_at >= max_seconds:
-            report.stopped_by = "max-seconds"
-            break
-        report.seeds_run += 1
-        spec = generate_scenario(seed, protocols=protocols)
-        report.by_protocol[spec.protocol] = (
-            report.by_protocol.get(spec.protocol, 0) + 1
-        )
-        result = run(spec)
-        if on_progress is not None:
-            on_progress(seed, result)
-        if result.ok:
-            continue
-        shrunk = spec
-        if shrink:
-            shrunk = shrink_spec(spec, lambda s: not run(s).ok)
-        report.failures.append(
-            FuzzFailure(
-                seed=seed,
-                spec=spec,
-                shrunk=shrunk,
-                failures=_result_failures(result),
-            )
-        )
-    return report

@@ -27,7 +27,6 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, List, Optional, Tuple
 
-from ..scenarios.fuzz import _HORIZON
 from ..scenarios.spec import (
     Crash,
     DelayRuleOff,
@@ -41,6 +40,7 @@ from ..scenarios.spec import (
     ScenarioSpec,
 )
 from .corpus import Corpus
+from .generator import _HORIZON
 
 __all__ = ["MUTATORS", "PAYLOAD_TYPES", "mutate"]
 

@@ -22,10 +22,11 @@ from .modinfo import (
     dotted_name,
 )
 
-#: D-rules also cover ``scenarios/`` — its specs/adapters feed the
-#: deterministic runs directly (seeded workload generation, fault
-#: schedules), so the same entropy/order discipline applies.
-D_SCOPE = PROTOCOL_DIRS | {"scenarios"}
+#: D-rules also cover ``scenarios/`` and ``fuzz/`` — specs, adapters,
+#: the generator and the mutators feed the deterministic runs directly
+#: (seeded workload generation, fault schedules), so the same
+#: entropy/order discipline applies.
+D_SCOPE = PROTOCOL_DIRS | {"scenarios", "fuzz"}
 
 #: Calls that read wall clocks or OS entropy.  Matched as suffixes of
 #: the dotted call name so both ``time.monotonic()`` and

@@ -1,4 +1,4 @@
-"""Declarative fault/workload scenarios with invariant oracles and a fuzzer.
+"""Declarative fault/workload scenarios with invariant oracles.
 
 The paper's claims — two-step decisions in the common case, safety at
 ``n >= 5f - 1``, recovery via view change after GST — are statements
@@ -17,14 +17,14 @@ such executions from hand-wired test scripts into data:
 * :mod:`~repro.scenarios.invariants` — post-hoc oracles (agreement,
   validity, certificate well-formedness, fast-path step count,
   liveness after GST) evaluated from the trace;
-* :mod:`~repro.scenarios.library` — ~a dozen named canonical scenarios;
-* :mod:`~repro.scenarios.fuzz` — a seeded randomized scenario generator
-  with shrinking of failing seeds to minimal reproducers;
-* ``python -m repro.scenarios run|fuzz|list`` — the CLI.
+* :mod:`~repro.scenarios.library` — the named canonical scenarios;
+* ``python -m repro.scenarios list|run|digest`` — the CLI.
+
+Randomized schedules, their shrinking and fuzz campaigns live in
+:mod:`repro.fuzz`.
 """
 
 from .adapters import ADAPTERS, ScenarioAdapter
-from .fuzz import FuzzReport, generate_scenario, run_fuzz, shrink_spec
 from .invariants import InvariantVerdict, evaluate_invariants
 from .library import SCENARIOS, get_scenario
 from .runner import ScenarioResult, run_scenario, run_scenarios
@@ -49,7 +49,6 @@ __all__ = [
     "DelayRuleOff",
     "DelayRuleOn",
     "DelaySpec",
-    "FuzzReport",
     "InvariantVerdict",
     "PartitionHeal",
     "PartitionStart",
@@ -61,10 +60,7 @@ __all__ = [
     "ScenarioSpec",
     "WorkloadSpec",
     "evaluate_invariants",
-    "generate_scenario",
     "get_scenario",
-    "run_fuzz",
     "run_scenario",
     "run_scenarios",
-    "shrink_spec",
 ]

@@ -6,8 +6,6 @@ Usage::
     python -m repro.scenarios run fast-path-clean
     python -m repro.scenarios run --all [--json] [--metrics-out FILE] [--trace-out FILE]
         [--record-out DIR]
-    python -m repro.scenarios fuzz --seeds 25 [--start 0] [--protocols fbft,pbft]
-        [--json [FILE]] [--max-seconds 60]
     python -m repro.scenarios digest [--check PATH | --update PATH]
 
 Exit status is 0 when every invariant oracle passed, 1 otherwise — so the
@@ -23,7 +21,6 @@ from typing import List
 
 from ..analysis.report import format_scenario_results, format_table
 from ..obs import observers_from_flags
-from .fuzz import DEFAULT_FUZZ_PROTOCOLS, run_fuzz
 from .library import SCENARIOS, get_scenario
 from .runner import run_scenario
 from .spec import ScenarioError
@@ -106,37 +103,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    protocols = tuple(args.protocols.split(",")) if args.protocols else DEFAULT_FUZZ_PROTOCOLS
-    def progress(seed: int, result) -> None:
-        if not args.quiet:
-            status = "ok" if result.ok else "FAIL"
-            print(
-                f"seed {seed:>4} [{result.spec.protocol:>5}] "
-                f"n={result.spec.n} f={result.spec.f} -> {status}"
-            )
-    report = run_fuzz(
-        seeds=args.seeds,
-        start=args.start,
-        protocols=protocols,
-        shrink=not args.no_shrink,
-        on_progress=progress,
-        max_seconds=args.max_seconds,
-    )
-    if args.json is not None:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            print(f"wrote fuzz report to {args.json}")
-            print(report.summary())
-        else:
-            print(payload)
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _cmd_digest(args: argparse.Namespace) -> int:
     """Print (or check/update) the canonical library's trace digests.
 
@@ -217,26 +183,6 @@ def main(argv: List[str] | None = None) -> int:
              "as DIR/flight-<name>.jsonl (see python -m repro.postmortem)",
     )
 
-    fuzz_parser = sub.add_parser("fuzz", help="run the seeded scenario fuzzer")
-    fuzz_parser.add_argument("--seeds", type=int, default=25, help="number of seeds")
-    fuzz_parser.add_argument("--start", type=int, default=0, help="first seed")
-    fuzz_parser.add_argument(
-        "--protocols", default="",
-        help=f"comma-separated protocol keys (default {','.join(DEFAULT_FUZZ_PROTOCOLS)})",
-    )
-    fuzz_parser.add_argument("--no-shrink", action="store_true",
-                             help="skip shrinking failing seeds")
-    fuzz_parser.add_argument("--quiet", action="store_true",
-                             help="no per-seed progress lines")
-    fuzz_parser.add_argument(
-        "--json", nargs="?", const="", default=None, metavar="FILE",
-        help="machine-readable output (to FILE when given, else stdout)",
-    )
-    fuzz_parser.add_argument(
-        "--max-seconds", type=float, default=None,
-        help="wall-clock budget; the report records which limit fired",
-    )
-
     digest_parser = sub.add_parser(
         "digest", help="run every canonical scenario twice and report trace digests"
     )
@@ -255,9 +201,7 @@ def main(argv: List[str] | None = None) -> int:
             return _cmd_list(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "digest":
-            return _cmd_digest(args)
-        return _cmd_fuzz(args)
+        return _cmd_digest(args)
     except ScenarioError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -2,6 +2,8 @@
 
 The load-bearing claims:
 
+* generated schedules are deterministic per seed and survivable, and
+  shrinking keeps paired faults together while stripping chaff;
 * signatures are deterministic, behavioral (spec knobs that change
   nothing about the run do not appear), and bucketed so noise is not
   novelty;
@@ -20,6 +22,7 @@ import json
 
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,16 +31,19 @@ from repro.fuzz import (
     Corpus,
     MUTATORS,
     PAYLOAD_TYPES,
+    generate_scenario,
     mutate,
     run_blind,
     run_campaign,
+    shrink_spec,
     signature_features,
     signature_key,
 )
 from repro.fuzz.cli import main as fuzz_main
+from repro.fuzz.generator import _paired_removals
 from repro.fuzz.signature import _count_bucket, _margin_bucket, _small_bucket
 from repro.scenarios import run_scenario
-from repro.scenarios.fuzz import generate_scenario
+from repro.scenarios.library import get_scenario
 from repro.scenarios.spec import (
     Crash,
     DelayRuleOff,
@@ -45,12 +51,182 @@ from repro.scenarios.spec import (
     PartitionHeal,
     PartitionStart,
     Recover,
+    ScenarioError,
     ScenarioSpec,
 )
 
 
 def _coverage(seed: int):
     return run_scenario(generate_scenario(seed)).coverage
+
+
+# ---------------------------------------------------------------------------
+# Generator and shrinker
+# ---------------------------------------------------------------------------
+
+
+class TestGenerator:
+    def test_same_seed_same_spec(self):
+        assert generate_scenario(42) == generate_scenario(42)
+
+    def test_different_seeds_differ_somewhere(self):
+        specs = [generate_scenario(seed) for seed in range(20)]
+        assert len({spec.to_dict().__repr__() for spec in specs}) > 1
+
+    def test_generated_specs_validate(self):
+        for seed in range(50):
+            generate_scenario(seed).validate()
+
+    def test_generated_specs_respect_fault_budget(self):
+        for seed in range(50):
+            spec = generate_scenario(seed)
+            assert len(spec.faulty_pids) <= spec.f
+
+    def test_partitions_always_heal(self):
+        for seed in range(80):
+            spec = generate_scenario(seed)
+            starts = [e for e in spec.faults if isinstance(e, PartitionStart)]
+            heals = [e for e in spec.faults if isinstance(e, PartitionHeal)]
+            assert len(starts) == len(heals)
+            for start, heal in zip(starts, heals):
+                assert heal.at > start.at
+
+    def test_delay_rules_always_lift(self):
+        for seed in range(80):
+            spec = generate_scenario(seed)
+            ons = {e.name for e in spec.faults if isinstance(e, DelayRuleOn)}
+            offs = {e.name for e in spec.faults if isinstance(e, DelayRuleOff)}
+            assert ons == offs
+
+    def test_protocol_restriction_honoured(self):
+        for seed in range(20):
+            assert generate_scenario(seed, protocols=("pbft",)).protocol == "pbft"
+
+
+class TestShrinking:
+    def test_paired_removals_keep_schedules_well_formed(self):
+        spec = generate_scenario(0).with_(
+            faults=(
+                Crash(at=1.0, pid=1),
+                Recover(at=2.0, pid=1),
+                PartitionStart(at=3.0, groups=((0,), (1, 2))),
+                PartitionHeal(at=9.0),
+                DelayRuleOn(at=0.0, name="x", extra_delay=1.0),
+                DelayRuleOff(at=5.0, name="x"),
+            )
+        )
+        for faults in _paired_removals(spec):
+            starts = sum(isinstance(e, PartitionStart) for e in faults)
+            heals = sum(isinstance(e, PartitionHeal) for e in faults)
+            assert starts == heals
+            ons = {e.name for e in faults if isinstance(e, DelayRuleOn)}
+            offs = {e.name for e in faults if isinstance(e, DelayRuleOff)}
+            assert ons == offs
+            crashed = {e.pid for e in faults if isinstance(e, Crash)}
+            recovered = {e.pid for e in faults if isinstance(e, Recover)}
+            assert recovered <= crashed
+
+    def test_shrink_drops_irrelevant_chaff(self):
+        """Start from the injected-bug reproducer plus unrelated faults;
+        shrinking must strip the chaff and keep the essential timing."""
+        essential = DelayRuleOn(
+            at=0.0, name="stall", src=(1, 2), dst=(3,),
+            payload_types=("Ack",), extra_delay=5.0,
+        )
+        noisy = get_scenario("equivocating-leader").with_(
+            name="noisy-bug",
+            faults=(
+                essential,
+                PartitionStart(at=100.0, groups=((0, 1), (2, 3))),
+                PartitionHeal(at=110.0),
+                DelayRuleOn(at=120.0, name="late", extra_delay=1.0),
+                DelayRuleOff(at=130.0, name="late"),
+            ),
+            protocol_options={"fast_quorum_delta": 1},
+        )
+        assert not run_scenario(noisy).ok  # the bug fires despite the noise
+        shrunk = shrink_spec(noisy, lambda s: not run_scenario(s).ok)
+        assert shrunk.faults == (essential,)
+        assert len(shrunk.byzantine) == 1  # the equivocator is essential
+
+    def test_shrink_keeps_spec_failing(self):
+        noisy = get_scenario("equivocating-leader").with_(
+            name="bug",
+            faults=(
+                DelayRuleOn(at=0.0, name="stall", src=(1, 2), dst=(3,),
+                            payload_types=("Ack",), extra_delay=5.0),
+            ),
+            protocol_options={"fast_quorum_delta": 1},
+        )
+        shrunk = shrink_spec(noisy, lambda s: not run_scenario(s).ok)
+        assert not run_scenario(shrunk).ok
+
+    def test_shrink_is_noop_on_already_minimal_passing_predicate(self):
+        spec = get_scenario("fast-path-clean")
+        assert shrink_spec(spec, lambda s: False) == spec
+
+    def test_shrunk_output_never_strands_a_recover(self):
+        """Crash/recover ride together through shrinking: a Recover for a
+        pid that never crashed would be an invalid schedule, so every
+        intermediate candidate and the final result must keep the pair.
+        The predicate is synthetic ("the stall rule is the bug") so the
+        crash/recover pair is pure chaff the shrinker must drop whole."""
+        essential = DelayRuleOn(
+            at=0.0, name="stall", src=(1,), dst=(2,), extra_delay=5.0
+        )
+        noisy = get_scenario("fast-path-clean").with_(
+            name="crash-chaff",
+            faults=(
+                essential,
+                Crash(at=10.0, pid=1),
+                Recover(at=20.0, pid=1),
+            ),
+        )
+        assert any(isinstance(e, Crash) for e in noisy.faults)
+        noisy.validate()
+
+        def still_fails(spec):
+            crashed = {e.pid for e in spec.faults if isinstance(e, Crash)}
+            recovered = {e.pid for e in spec.faults if isinstance(e, Recover)}
+            assert recovered <= crashed, "shrink stranded a Recover"
+            return any(
+                isinstance(e, DelayRuleOn) and e.name == "stall"
+                for e in spec.faults
+            )
+
+        shrunk = shrink_spec(noisy, still_fails)
+        assert shrunk.faults == (essential,)
+
+    def test_shrink_terminates_within_attempt_budget(self):
+        """An always-failing predicate is the worst case for the loop:
+        every removal 'succeeds', so it must hit the fixed point (or the
+        attempt cap) rather than cycle."""
+        spec = generate_scenario(7)
+        calls = []
+        shrunk = shrink_spec(
+            spec, lambda s: calls.append(1) or True, max_attempts=10
+        )
+        assert len(calls) <= 10
+        shrunk.validate()
+
+    def test_shrink_is_idempotent(self):
+        noisy = get_scenario("equivocating-leader").with_(
+            name="bug",
+            faults=(
+                DelayRuleOn(at=0.0, name="stall", src=(1, 2), dst=(3,),
+                            payload_types=("Ack",), extra_delay=5.0),
+                DelayRuleOn(at=50.0, name="late", extra_delay=1.0),
+                DelayRuleOff(at=60.0, name="late"),
+            ),
+            protocol_options={"fast_quorum_delta": 1},
+        )
+        once = shrink_spec(noisy, lambda s: not run_scenario(s).ok)
+        twice = shrink_spec(once, lambda s: not run_scenario(s).ok)
+        assert once == twice
+
+    def test_unknown_protocol_rejected_cleanly(self):
+        with pytest.raises(ScenarioError, match="unknown fuzz protocols"):
+            generate_scenario(0, protocols=("bogus",))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +565,58 @@ class TestCampaign:
         assert guided.executed == blind.executed == 256
         assert guided.unique_signatures > blind.unique_signatures
 
+    def test_blind_default_mix_passes(self):
+        """The acceptance smoke: a batch of generator seeds across FBFT
+        and the baselines, every oracle green."""
+        report = run_blind(12)
+        assert report.ok
+        assert report.executed == 12
+
+    @pytest.mark.parametrize("start", [0, 5, 10, 15])
+    def test_blind_runs_generator_seeds_in_order(self, start):
+        """Blind mode is the plain seed sweep E14's chunks rely on:
+        ``generate_scenario(start) … generate_scenario(start + n - 1)``."""
+        ran = []
+
+        def recording_run(spec):
+            ran.append(spec.to_dict())
+            return run_scenario(spec)
+
+        report = run_blind(5, start_seed=start, run=recording_run)
+        assert report.executed == 5
+        assert ran == [generate_scenario(s).to_dict() for s in range(start, start + 5)]
+
+    def test_blind_deterministic_across_runs(self):
+        assert run_blind(6).digest == run_blind(6).digest
+
+    def test_blind_generous_max_seconds_exhausts_budget(self):
+        report = run_campaign(
+            CampaignConfig(budget=5, mode="blind", max_seconds=1e9),
+            clock=lambda: 0.0,
+        )
+        assert report.stopped_by == "budget"
+        assert report.executed == 5
+
+    def test_blind_failure_recorded_per_seed(self):
+        """Substitute the known-unsafe configuration (relaxed fast quorum
+        + equivocating leader + stalled acks) for every generated fbft
+        run: each seed is recorded as its own unshrunk failure."""
+        bad = get_scenario("equivocating-leader").with_(
+            faults=(
+                DelayRuleOn(at=0.0, name="stall", src=(1, 2), dst=(3,),
+                            payload_types=("Ack",), extra_delay=5.0),
+            ),
+            protocol_options={"fast_quorum_delta": 1},
+        )
+        report = run_blind(
+            6, protocols=("fbft",),
+            run=lambda spec: run_scenario(bad.with_(name=spec.name)),
+        )
+        assert [f.origin for f in report.failures] == [f"seed:{s}" for s in range(6)]
+        for failure in report.failures:
+            assert "agreement" in "; ".join(failure.failures)
+            assert failure.shrunk == failure.spec
+
     def test_trajectory_is_monotone_and_complete(self):
         report = run_campaign(CampaignConfig(budget=48, round_size=8))
         assert len(report.trajectory) == 6
@@ -533,23 +761,26 @@ class TestCli:
         assert header["flight"] == 1
         assert header["meta"]["scenario"] == spec.name
 
-    def test_failures_dump_original_and_shrunk(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "origin, stem",
+        [
+            ("seed-0001", "seed-0001"),
+            ("mutant:268/splice+add-partition", "mutant-268-splice-add-partition"),
+        ],
+    )
+    def test_failures_dump_original_and_shrunk(self, tmp_path, origin, stem):
         """Dump-on-violation: a failing seed's original and shrunk
         reproducers are replayed under flight recorders and dumped next
-        to the --json report (no --record-out needed)."""
+        to the --json report (no --record-out needed).  Origins become
+        file names with anything outside [A-Za-z0-9._-] replaced."""
         from repro.fuzz import cli as fuzz_cli
 
         spec_dict = generate_scenario(1).to_dict()
-
-        class FakeFailure:
-            origin = "seed-0001"
-            spec = spec_dict
-            shrunk = spec_dict
-
-        paths = fuzz_cli._dump_failures([FakeFailure], str(tmp_path / "out"))
+        failure = SimpleNamespace(origin=origin, spec=spec_dict, shrunk=spec_dict)
+        paths = fuzz_cli._dump_failures([failure], str(tmp_path / "out"))
         assert [Path(p).name for p in paths] == [
-            "flight-seed-0001-original.jsonl",
-            "flight-seed-0001-shrunk.jsonl",
+            f"flight-{stem}-original.jsonl",
+            f"flight-{stem}-shrunk.jsonl",
         ]
         for path in paths:
             header = json.loads(Path(path).read_text().splitlines()[0])

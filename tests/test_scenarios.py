@@ -328,9 +328,3 @@ class TestCLI:
 
         assert main(["run", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-    def test_fuzz_command_smoke(self, capsys):
-        from repro.scenarios.__main__ import main
-
-        assert main(["fuzz", "--seeds", "3", "--quiet"]) == 0
-        assert "all oracles passed" in capsys.readouterr().out
