@@ -91,11 +91,14 @@ def measure():
         ]
         counters, problems = {"recorder": recorder_counters()}, []
         for workload, trace, child in children:
-            last = (child.communicate()[0].strip().splitlines() or [""])[-1]
-            printed = json.loads(last) if last.startswith("{") else {}
+            lines = child.communicate()[0].strip().splitlines() or [""]
+            printed = json.loads(lines[-1]) if lines[-1].startswith("{") else {}
             if child.returncode != 0 or not printed.get("correct"):
                 problems.append(f"{workload} --trace {trace}: run.py exit "
                                 f"{child.returncode}, its own checks FAILED")
+                # Which ones: run.py prints one "CHECK FAILED:" line each.
+                problems += [f"{workload} --trace {trace}: {line.strip()}"
+                             for line in lines if "CHECK FAILED:" in line]
             counters.setdefault(workload, {}).update(
                 (name, metric["value"])
                 for name, metric in printed.get("metrics", {}).items()

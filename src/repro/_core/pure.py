@@ -38,7 +38,6 @@ __all__ = [
     "pin",
     "run_bounded",
     "run_pred",
-    "step",
 ]
 
 
@@ -85,29 +84,12 @@ def compact(queue: List[List[Any]]) -> None:
     heapq.heapify(queue)
 
 
-def step(sim: Any) -> bool:
-    """Execute the single next live event of ``sim``; ``False`` if empty."""
-    queue = sim._queue
-    while queue:
-        entry = heapq.heappop(queue)
-        callback = entry[2]
-        if callback is None:
-            sim._cancelled -= 1
-            continue
-        entry[2] = FIRED
-        sim._now = entry[0]
-        sim._events_processed += 1
-        callback(*entry[3])
-        return True
-    return False
-
-
 def drain(sim: Any) -> None:
     """Unbounded drain: run every queued event of ``sim`` in order.
 
     The common case, with no per-event bound checks and no peek-then-pop
     double touch.  Mutates ``sim._now`` / ``sim._events_processed`` /
-    ``sim._cancelled`` exactly like :func:`step`.
+    ``sim._cancelled`` exactly like every other loop here.
     """
     queue = sim._queue
     heappop = heapq.heappop

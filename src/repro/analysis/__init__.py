@@ -10,7 +10,6 @@ from .grids import (
     GridComparison,
     compare_grid_payloads,
     format_experiment_payload,
-    merge_section_rows,
 )
 from .metrics import (
     CatchupResult,
@@ -25,7 +24,7 @@ from .metrics import (
     run_smr_throughput,
     smr_instance_factory,
 )
-from .report import format_markdown_table, format_scenario_results, format_table
+from .report import format_scenario_results, format_table
 
 __all__ = [
     "CatchupResult",
@@ -42,8 +41,6 @@ __all__ = [
     "compare_campaigns",
     "compare_grid_payloads",
     "format_experiment_payload",
-    "merge_section_rows",
-    "format_markdown_table",
     "format_scenario_results",
     "format_table",
     "repeat_latency",

@@ -37,11 +37,6 @@ class FuzzComparison:
     guided: CampaignReport
     blind: CampaignReport
 
-    @property
-    def advantage(self) -> int:
-        """Unique signatures guided found beyond blind (positive = win)."""
-        return self.guided.unique_signatures - self.blind.unique_signatures
-
     def compare_rows(self) -> List[List[Any]]:
         """One row per arm for the experiment's ``compare`` section."""
         rows = []

@@ -25,7 +25,6 @@ __all__ = [
     "GridComparison",
     "compare_grid_payloads",
     "format_experiment_payload",
-    "merge_section_rows",
     "payload_sections",
 ]
 
@@ -37,18 +36,6 @@ def payload_sections(payload: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
     if sections is None:
         sections = payload.get("results", {})
     return dict(sections)
-
-
-def merge_section_rows(
-    payloads: Sequence[Mapping[str, Any]]
-) -> Dict[str, List[List[Any]]]:
-    """Concatenate same-named sections across several experiment payloads
-    (e.g. to pool every experiment's rows into one report)."""
-    merged: Dict[str, List[List[Any]]] = {}
-    for payload in payloads:
-        for name, section in payload_sections(payload).items():
-            merged.setdefault(name, []).extend(section.get("rows", []))
-    return merged
 
 
 def format_experiment_payload(payload: Mapping[str, Any]) -> str:

@@ -56,13 +56,6 @@ class Stats:
             p99=float(np.percentile(array, 99)),
         )
 
-    def __str__(self) -> str:  # pragma: no cover - formatting aid
-        return (
-            f"n={self.count} mean={self.mean:.3f} p50={self.p50:.3f} "
-            f"p95={self.p95:.3f} p99={self.p99:.3f} "
-            f"min={self.minimum:.3f} max={self.maximum:.3f}"
-        )
-
 
 @dataclass(frozen=True)
 class CommonCaseResult:

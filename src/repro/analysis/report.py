@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-__all__ = ["format_table", "format_markdown_table", "format_scenario_results"]
+__all__ = ["format_table", "format_scenario_results"]
 
 
 def _stringify(cell: Any) -> str:
@@ -24,19 +24,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
         return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
     out: List[str] = [line(list(headers)), line(["-" * w for w in widths])]
     out.extend(line(row) for row in table)
-    return "\n".join(out)
-
-
-def format_markdown_table(
-    headers: Sequence[str], rows: Sequence[Sequence[Any]]
-) -> str:
-    """GitHub-flavoured markdown table (pasteable into EXPERIMENTS.md)."""
-    out = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        out.append("| " + " | ".join(_stringify(c) for c in row) + " |")
     return "\n".join(out)
 
 

@@ -21,12 +21,12 @@ the ordinary process context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..crypto.keys import KeyRegistry, Signature
-from ..core.certificates import CommitCertificate, ProgressCertificate
+from ..core.certificates import ProgressCertificate
 from ..core.config import ProtocolConfig
-from ..core.messages import Ack, AckSig, CertAck, CertRequest, Propose, Vote
+from ..core.messages import Ack, AckSig, CertAck, Propose, Vote
 from ..core.payloads import (
     ack_payload,
     certack_payload,
@@ -145,18 +145,6 @@ class ByzantineForge:
 
     # -- view change ----------------------------------------------------
 
-    def vote_record(
-        self,
-        value: Any,
-        view: int,
-        cert: Optional[ProgressCertificate],
-        tau: Signature,
-        commit_cert: Optional[CommitCertificate] = None,
-    ) -> VoteRecord:
-        return VoteRecord(
-            value=value, view=view, cert=cert, tau=tau, commit_cert=commit_cert
-        )
-
     def signed_vote(self, vote: Optional[VoteRecord], view: int) -> SignedVote:
         phi = self.signer.sign(vote_payload(vote, view))
         return SignedVote(voter=self.pid, vote=vote, view=view, phi=phi)
@@ -167,11 +155,6 @@ class ByzantineForge:
 
     def vote_message(self, vote: Optional[VoteRecord], view: int) -> Vote:
         return Vote(signed=self.signed_vote(vote, view))
-
-    def cert_request(
-        self, value: Any, view: int, votes: Iterable[SignedVote]
-    ) -> CertRequest:
-        return CertRequest(value=value, view=view, votes=tuple(votes))
 
     def cert_ack(self, value: Any, view: int) -> CertAck:
         phi = self.signer.sign(certack_payload(value, view))

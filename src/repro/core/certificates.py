@@ -85,9 +85,6 @@ class CommitCertificate:
     def signers(self) -> FrozenSet[int]:
         return frozenset(sig.signer for sig in self.signatures)
 
-    def size_in_signatures(self) -> int:
-        return len(self.signatures)
-
     def verify(self, registry: KeyRegistry, commit_quorum: int) -> bool:
         if len(self.signers) < commit_quorum:
             return False
@@ -117,9 +114,6 @@ class CheckpointCertificate:
     @property
     def signers(self) -> FrozenSet[int]:
         return frozenset(sig.signer for sig in self.signatures)
-
-    def size_in_signatures(self) -> int:
-        return len(self.signatures)
 
     def verify(self, registry: KeyRegistry, checkpoint_quorum: int) -> bool:
         if len(self.signers) < checkpoint_quorum:

@@ -21,7 +21,6 @@ demonstrate Theorem 4.5 executably: the same adversary that is harmless at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .quorums import (
     commit_quorum,
@@ -38,10 +37,6 @@ __all__ = [
 ProcessId = int
 
 
-#: WAL backends understood by :func:`repro.storage.make_storage`.
-WAL_BACKENDS = ("memory", "file")
-
-
 @dataclass(frozen=True)
 class DurabilityConfig:
     """Tuning knobs of the durability subsystem (``repro.storage``).
@@ -52,19 +47,11 @@ class DurabilityConfig:
       and broadcasts a signed checkpoint vote; ``2f + 1`` matching votes
       make the checkpoint *stable*, after which the write-ahead log and
       the replica's execution/result caches are compacted up to it;
-    * ``wal_backend`` — ``"memory"`` (deterministic in-simulation
-      persistence: survives a crash, wiped by a disk-loss crash) or
-      ``"file"`` (JSON-lines on real disk, for out-of-simulation
-      restarts; requires ``wal_dir``);
-    * ``wal_dir`` — directory for the file backend's WAL and checkpoint
-      files;
     * ``catchup_retry`` — how long a recovering replica waits for
       catchup replies before re-broadcasting its request.
     """
 
     checkpoint_interval: int = 4
-    wal_backend: str = "memory"
-    wal_dir: Optional[str] = None
     catchup_retry: float = 20.0
 
     def __post_init__(self) -> None:
@@ -72,23 +59,10 @@ class DurabilityConfig:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
             )
-        if self.wal_backend not in WAL_BACKENDS:
-            raise ValueError(
-                f"unknown wal_backend {self.wal_backend!r}; "
-                f"expected one of {WAL_BACKENDS}"
-            )
-        if self.wal_backend == "file" and not self.wal_dir:
-            raise ValueError("wal_backend='file' requires wal_dir")
         if self.catchup_retry <= 0:
             raise ValueError(
                 f"catchup_retry must be > 0, got {self.catchup_retry}"
             )
-
-    def describe(self) -> str:
-        return (
-            f"interval={self.checkpoint_interval} backend={self.wal_backend} "
-            f"retry={self.catchup_retry}"
-        )
 
 
 @dataclass(frozen=True)
@@ -132,12 +106,6 @@ class MonitorConfig:
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
 
-    def describe(self) -> str:
-        return (
-            f"window={self.window} ratio={self.degradation_ratio} "
-            f"min_samples={self.min_samples} cooldown={self.cooldown}"
-        )
-
 
 @dataclass(frozen=True)
 class ReplicationConfig:
@@ -171,12 +139,6 @@ class ReplicationConfig:
             )
         if self.max_slots < 1:
             raise ValueError(f"max_slots must be >= 1, got {self.max_slots}")
-
-    def describe(self) -> str:
-        return (
-            f"batch={self.batch_size} timeout={self.batch_timeout} "
-            f"depth={self.pipeline_depth}"
-        )
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,6 @@ class NaiveProgressCertificate:
     def signing_fields(self) -> Tuple[Any, ...]:
         return (self.value, self.view, self.votes)
 
-    def size_in_signatures(self) -> int:
-        """Serialized size metric: every signature, counted with
-        multiplicity (what actually goes on the wire without dedup)."""
-        return certificate_signature_count(self)
-
 
 def naive_certificate_valid(
     cert: Any,

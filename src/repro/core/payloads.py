@@ -21,7 +21,6 @@ __all__ = [
     "vote_payload",
     "certack_payload",
     "ack_payload",
-    "wish_payload",
     "checkpoint_payload",
     "demotion_payload",
 ]
@@ -48,12 +47,6 @@ def certack_payload(value: Any, view: int) -> Tuple[Any, ...]:
 def ack_payload(value: Any, view: int) -> Tuple[Any, ...]:
     """Payload of a slow-path ack signature ``phi_ack`` (Appendix A)."""
     return ("ack", value, view)
-
-
-def wish_payload(view: int) -> Tuple[Any, ...]:
-    """Payload of a view-synchronizer wish (not in the paper's core, but
-    the synchronizer is part of the model; see ``repro.sync``)."""
-    return ("wish", view)
 
 
 def checkpoint_payload(slot: int, digest: str) -> Tuple[Any, ...]:

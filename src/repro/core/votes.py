@@ -68,10 +68,6 @@ class SignedVote:
     def signing_fields(self) -> Tuple[Any, ...]:
         return (self.voter, self.vote, self.view, self.phi)
 
-    @property
-    def is_nil(self) -> bool:
-        return self.vote is None
-
 
 def vote_record_valid(
     vote: VoteRecord, registry: KeyRegistry, config: ProtocolConfig

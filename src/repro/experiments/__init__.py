@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .registry import all_experiments, experiment_ids, get_experiment, register
+from .registry import all_experiments, get_experiment, register
 from .runner import (
     ExperimentError,
     ExperimentResult,
@@ -60,7 +60,6 @@ __all__ = [
     "code_version",
     "derive_seed",
     "expand_tasks",
-    "experiment_ids",
     "get_experiment",
     "grid",
     "main",

@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from .spec import ExperimentSpec
 
-__all__ = ["register", "get_experiment", "all_experiments", "experiment_ids"]
+__all__ = ["register", "get_experiment", "all_experiments"]
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
 _ALIASES: Dict[str, str] = {}
@@ -63,7 +63,3 @@ def all_experiments() -> List[ExperimentSpec]:
         return (int(tail) if tail.isdigit() else 10_000, spec.id)
 
     return sorted(_REGISTRY.values(), key=sort_key)
-
-
-def experiment_ids() -> List[str]:
-    return [spec.id for spec in all_experiments()]

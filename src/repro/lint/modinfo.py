@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 #: Directory names that hold protocol/simulation code whose behaviour is
 #: pinned by the golden digests.  The D-series rules only fire inside
@@ -93,27 +93,3 @@ def dotted_name(node: ast.AST) -> str:
     else:
         parts.append("?")
     return ".".join(reversed(parts))
-
-
-def iter_functions(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.AST, List[str]]]:
-    """Yield every (Async)FunctionDef with its enclosing name stack."""
-
-    def walk(node: ast.AST, stack: List[str]) -> Iterator[Tuple[ast.AST, List[str]]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, stack
-                yield from walk(child, stack + [child.name])
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, stack + [child.name])
-            else:
-                yield from walk(child, stack)
-
-    yield from walk(tree, [])
-
-
-def names_in(node: ast.AST) -> frozenset:
-    return frozenset(
-        n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-    )

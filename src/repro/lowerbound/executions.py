@@ -52,11 +52,6 @@ class InitialConfiguration:
     def input_of(self, pid: int) -> Any:
         return self.inputs[pid]
 
-    def with_input(self, pid: int, value: Any) -> "InitialConfiguration":
-        inputs = list(self.inputs)
-        inputs[pid] = value
-        return InitialConfiguration(inputs=tuple(inputs))
-
 
 def binary_configuration(n: int, ones: int) -> InitialConfiguration:
     """``I_i`` from Lemma 4.4: the first ``ones`` processes propose 1,
@@ -76,10 +71,6 @@ class TFaultyResult:
     consensus_value: Any
     decision_times: Tuple[Tuple[int, float], ...]
     faulty: Tuple[int, ...]
-
-    @property
-    def decided_all(self) -> bool:
-        return self.two_step or bool(self.decision_times)
 
 
 def run_t_faulty_execution(

@@ -3,8 +3,8 @@
 Three layers, all opt-in and all zero-cost when absent:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and sim-time histograms, exportable as JSON or Prometheus
-  text, fed per replica by a :class:`ReplicaMetrics` subscription.
+  gauges and sim-time histograms, exportable as JSON, fed per replica
+  by a :class:`ReplicaMetrics` subscription.
 * :mod:`repro.obs.recorder` — a :class:`FlightRecorder`, the run's one
   causal record: every protocol message of every protocol (send and
   delivery) and every local transition (decides, view changes, WAL and

@@ -6,11 +6,10 @@ the wall-clock rates E21 records (``benchmarks/bench_e21_obsoverhead.py``).
 
 Design constraints, in order:
 
-1. **Zero overhead when disabled.**  A disabled registry hands out the
-   shared :data:`NULL_METRIC` null-object whose methods do nothing, and
-   instrumented code holds no registry at all: the replicas' instruments
-   are fed by :class:`ReplicaMetrics`, a subscriber to the cluster's
-   observer, which is ``None`` when nobody asked for metrics.
+1. **Zero overhead when absent.**  Instrumented code holds no registry
+   at all: the replicas' instruments are fed by :class:`ReplicaMetrics`,
+   a subscriber to the cluster's observer, which is ``None`` when nobody
+   asked for metrics.
 2. **Bounded memory.**  Histograms keep a fixed-size reservoir of the
    most recent observations (plus exact running count/total/min/max),
    so a long run cannot grow a metric without bound.
@@ -22,7 +21,6 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRIC",
     "ReplicaMetrics",
 ]
 
@@ -47,9 +44,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def snapshot(self) -> int:
-        return self.value
-
 
 class Gauge:
     """Last-write-wins instantaneous value."""
@@ -62,9 +56,6 @@ class Gauge:
 
     def set(self, value: Any) -> None:
         self.value = value
-
-    def snapshot(self) -> Any:
-        return self.value
 
 
 def percentile_nearest_rank(sorted_values: Sequence[float], q: float) -> float:
@@ -145,27 +136,6 @@ class Histogram:
         }
 
 
-class _NullMetric:
-    """Absorbs every metric operation; shared by disabled registries."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: Any) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot(self) -> None:
-        return None
-
-
-NULL_METRIC = _NullMetric()
-
-
 class _Namespace:
     """Registry view that prefixes every metric name."""
 
@@ -178,14 +148,8 @@ class _Namespace:
     def counter(self, name: str) -> Any:
         return self._registry.counter(self._prefix + name)
 
-    def gauge(self, name: str) -> Any:
-        return self._registry.gauge(self._prefix + name)
-
     def histogram(self, name: str, capacity: Optional[int] = None) -> Any:
         return self._registry.histogram(self._prefix + name, capacity)
-
-    def namespace(self, prefix: str) -> "_Namespace":
-        return _Namespace(self._registry, self._prefix + prefix + ".")
 
 
 class MetricsRegistry:
@@ -196,8 +160,7 @@ class MetricsRegistry:
     without name collisions, and :meth:`to_dict` snapshots everything.
     """
 
-    def __init__(self, enabled: bool = True, reservoir: int = 256) -> None:
-        self.enabled = enabled
+    def __init__(self, reservoir: int = 256) -> None:
         self.reservoir = reservoir
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -205,24 +168,18 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Any:
-        if not self.enabled:
-            return NULL_METRIC
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter(name)
         return metric
 
     def gauge(self, name: str) -> Any:
-        if not self.enabled:
-            return NULL_METRIC
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge(name)
         return metric
 
     def histogram(self, name: str, capacity: Optional[int] = None) -> Any:
-        if not self.enabled:
-            return NULL_METRIC
         metric = self._histograms.get(name)
         if metric is None:
             metric = self._histograms[name] = Histogram(
@@ -269,36 +226,6 @@ class MetricsRegistry:
     def to_json(self, indent: Optional[int] = None) -> str:
         """The :meth:`to_dict` snapshot as a JSON document."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def to_prometheus(self) -> str:
-        """The snapshot in the Prometheus text exposition format.
-
-        Metric names are sanitized (``replica.0.requests`` →
-        ``replica_0_requests``); histograms export as summaries (exact
-        ``_count``/``_sum`` plus reservoir quantiles).  Output is sorted
-        by name, so two identical runs export byte-identical text.
-        """
-        lines: List[str] = []
-        for name, counter in sorted(self._counters.items()):
-            prom = _prom_name(name)
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {_prom_value(counter.value)}")
-        for name, gauge in sorted(self._gauges.items()):
-            prom = _prom_name(name)
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {_prom_value(gauge.value)}")
-        for name, histogram in sorted(self._histograms.items()):
-            prom = _prom_name(name)
-            lines.append(f"# TYPE {prom} summary")
-            for q in (0.5, 0.95, 0.99):
-                value = histogram.percentile(q * 100)
-                if value is not None:
-                    lines.append(
-                        f'{prom}{{quantile="{q}"}} {_prom_value(value)}'
-                    )
-            lines.append(f"{prom}_sum {_prom_value(histogram.total)}")
-            lines.append(f"{prom}_count {histogram.count}")
-        return "\n".join(lines) + "\n" if lines else ""
 
 
 class ReplicaMetrics:
@@ -351,24 +278,3 @@ class ReplicaMetrics:
             instrument.observe(detail)
         else:  # detail: commands the slot applied, for "executed"
             instrument.inc(detail if kind == "executed" else 1)
-
-
-_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    prom = _PROM_INVALID.sub("_", name)
-    if prom and prom[0].isdigit():
-        prom = "_" + prom
-    return prom
-
-
-def _prom_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    try:
-        return repr(float(value))
-    except (TypeError, ValueError):
-        return "NaN"

@@ -73,12 +73,6 @@ class SlidingWindow:
             return None
         return sum(value for _, value in self._items) / len(self._items)
 
-    @property
-    def maximum(self) -> Optional[float]:
-        if not self._items:
-            return None
-        return max(value for _, value in self._items)
-
 
 @dataclass(frozen=True)
 class DemotionVote:

@@ -244,14 +244,6 @@ class Simulator:
     # Execution (the loops live in repro._core.pure)
     # ------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the single next event.
-
-        Returns ``True`` if an event was executed, ``False`` if the queue
-        was empty.  Cancelled events are skipped silently.
-        """
-        return _pure.step(self)
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events in order.
 
@@ -277,11 +269,3 @@ class Simulator:
         simulated ``timeout`` passes without the predicate holding.
         """
         return _pure.run_pred(self, predicate, timeout, max_events)
-
-
-def run_simulation(setup: Callable[[Simulator], Any], until: float) -> Any:
-    """Convenience helper: build a simulation, run it, return setup's result."""
-    sim = Simulator()
-    result = setup(sim)
-    sim.run(until=until)
-    return result

@@ -315,14 +315,6 @@ class DelayRule:
             return False
         return True
 
-    def matches(self, envelope: Envelope) -> bool:
-        if (
-            self.payload_types is not None
-            and type(envelope.payload).__name__ not in self.payload_types
-        ):
-            return False
-        return self.matches_endpoints(envelope.src, envelope.dst)
-
     def apply(self, deliver_time: float) -> float:
         delayed = deliver_time + self.extra_delay
         if self.hold_until is not None:
@@ -573,10 +565,6 @@ class Network:
                 self._rules_for(type(envelope.payload).__name__),
             )
             self.sim.post(released.deliver_time, self._deliver, released)
-
-    @property
-    def partitioned(self) -> bool:
-        return self._group_of is not None
 
     @property
     def held_messages(self) -> Tuple[Envelope, ...]:

@@ -50,12 +50,6 @@ class ClusterResult:
         self.messages_sent = cluster.network.stats.messages_sent
         self.bytes_sent = cluster.network.stats.bytes_sent
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ClusterResult(decided={self.decided}, value={self.decision_value!r}, "
-            f"time={self.decision_time}, msgs={self.messages_sent})"
-        )
-
 
 class Cluster:
     """A set of processes sharing a simulated network."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from .network import Envelope, FanOut, Network, ProcessId
 
@@ -100,14 +100,6 @@ class TraceRecorder:
 
     def decision_of(self, pid: ProcessId) -> Optional[Decision]:
         return self._decided_by.get(pid)
-
-    def decided_values(self, pids: Optional[Tuple[ProcessId, ...]] = None) -> set:
-        """Distinct values decided by ``pids`` (default: everyone recorded)."""
-        if pids is None:
-            return {d.value for d in self.decisions}
-        return {
-            d.value for pid, d in self._decided_by.items() if pid in pids
-        }
 
     def all_decided(self, pids) -> bool:
         return all(pid in self._decided_by for pid in pids)

@@ -79,7 +79,7 @@ from ..storage.checkpoint import (
     CheckpointVote,
     state_digest,
 )
-from ..storage.store import ReplicaStorage, make_storage
+from ..storage.store import ReplicaStorage
 from .kvstore import NOOP, Command, StateMachine
 
 __all__ = [
@@ -143,13 +143,13 @@ class Batch:
 
 
 def commands_of(value: Any) -> Tuple[Command, ...]:
-    """The commands carried by a decided slot value (batch or legacy bare
-    command); ``NOOP`` slots carry none."""
-    if isinstance(value, Batch):
-        return value.commands
-    if value == NOOP:
-        return ()
-    return (value,)
+    """The commands a decided slot value carries: a :class:`Batch`'s.
+
+    ``NOOP`` carries none, and neither does any other value — the engine
+    proposes only batches, so only a Byzantine proposer can get one
+    decided, and every correct replica then applies nothing for it.
+    """
+    return value.commands if isinstance(value, Batch) else ()
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,6 @@ class SMRReplica(Process):
         replication: Optional[ReplicationConfig] = None,
         max_slots: Optional[int] = None,
         durability: Optional[DurabilityConfig] = None,
-        storage: Optional[ReplicaStorage] = None,
         registry: Optional[KeyRegistry] = None,
         monitor: Optional[MonitorConfig] = None,
     ) -> None:
@@ -273,9 +272,9 @@ class SMRReplica(Process):
             self.replication = replace(self.replication, max_slots=max_slots)
         # -- durability (all three stay None/absent for a legacy replica)
         self.durability = durability
-        if storage is None and durability is not None:
-            storage = make_storage(durability, pid)
-        self.storage = storage
+        self.storage: Optional[ReplicaStorage] = (
+            ReplicaStorage() if durability is not None else None
+        )
         self._registry = registry
         self._signer: Optional[Signer] = (
             registry.signer(pid) if registry is not None else None
@@ -299,21 +298,13 @@ class SMRReplica(Process):
         self._executed_upto = -1  # highest contiguously applied slot
         self._results: Dict[RequestKey, Tuple[Any, int]] = {}
         self._executed_requests: Set[RequestKey] = set()
-        #: Legacy bare commands applied without a known request: command ->
-        #: (result, slot).  A late request for one of these adopts the
-        #: recorded execution instead of re-proposing the command.  Bare
-        #: values carry no submitter identity, so this dedup is by command
-        #: key; a deployment must not mix bare and Batch values for the
-        #: same logical request (the engine itself only proposes Batches).
-        self._anon_executed: Dict[Command, Tuple[Any, int]] = {}
         #: slot -> request keys packed into OUR input batch for that slot;
         #: entries for undecided slots keep those requests out of newer
         #: proposals so concurrent slots carry disjoint work.
         self._assigned: Dict[int, Tuple[RequestKey, ...]] = {}
         self._batch_deadline: Optional[float] = None
-        #: Every state-machine application, in order, tagged by request key
-        #: (or a unique anonymous token) — the no-duplicate-execution
-        #: oracle's evidence.
+        #: Every state-machine application, in order, tagged by request
+        #: key — the no-duplicate-execution oracle's evidence.
         self.applied_keys: List[Tuple[Any, ...]] = []
         # -- leader-performance monitor (absent by default; see repro.obs).
         #    Everything else that watches a replica subscribes to the
@@ -336,10 +327,6 @@ class SMRReplica(Process):
     # ------------------------------------------------------------------
 
     @property
-    def max_slots(self) -> int:
-        return self.replication.max_slots
-
-    @property
     def log(self) -> Tuple[Tuple[int, Any], ...]:
         """Decided (slot, value) pairs in slot order."""
         return tuple(sorted(self._decided.items()))
@@ -349,18 +336,9 @@ class SMRReplica(Process):
         return self._executed_upto
 
     @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
     def inflight_instances(self) -> int:
         """Consensus instances currently running for undecided slots."""
         return self._undecided_instances
-
-    @property
-    def durable(self) -> bool:
-        """Whether this replica persists decisions and checkpoints."""
-        return self.storage is not None
 
     @property
     def stable_checkpoint_slot(self) -> int:
@@ -399,20 +377,6 @@ class SMRReplica(Process):
     def decided_value(self, slot: int) -> Optional[Any]:
         return self._decided.get(slot)
 
-    def slot_commands(self, slot: int) -> Tuple[Command, ...]:
-        """The commands a decided slot carries (empty if undecided/noop)."""
-        value = self._decided.get(slot)
-        return () if value is None else commands_of(value)
-
-    @property
-    def executed_command_log(self) -> Tuple[Command, ...]:
-        """All commands in decided slots, in slot-then-batch order."""
-        return tuple(
-            command
-            for _slot, value in self.log
-            for command in commands_of(value)
-        )
-
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
@@ -434,24 +398,6 @@ class SMRReplica(Process):
                 )
             return
         self._seen_requests.add(key)
-        if request.command in self._anon_executed:
-            # The command was already executed via gossip adoption of a
-            # legacy bare-command slot: adopt that execution rather than
-            # re-proposing (which would apply it twice and starve the
-            # client of this replica's reply).
-            result, slot = self._anon_executed.pop(request.command)
-            self._executed_requests.add(key)
-            self._results[key] = (result, slot)
-            self.send(
-                request.client,
-                Reply(
-                    client=request.client,
-                    request_id=request.request_id,
-                    result=result,
-                    slot=slot,
-                ),
-            )
-            return
         emit = self.ctx.observer
         if emit is not None:
             emit("request", self.pid, None, None, key)
@@ -698,12 +644,9 @@ class SMRReplica(Process):
                 self._initiate_checkpoint(slot)
 
     def _execute(self, slot: int, value: Any) -> None:
+        # Only a Batch applies anything (see ``commands_of``).
         if isinstance(value, Batch):
             self._execute_batch(slot, value)
-            return
-        if value == NOOP:
-            return
-        self._execute_bare(slot, value)
 
     def _execute_batch(self, slot: int, batch: Batch) -> None:
         keys = set(batch.keys)
@@ -736,43 +679,6 @@ class SMRReplica(Process):
         emit = self.ctx.observer
         if emit is not None:
             emit("executed", self.pid, slot, None, applied)
-
-    def _execute_bare(self, slot: int, command: Command) -> None:
-        """Legacy path: a slot decided a bare command (no identity)."""
-        request = self._find_request(command)
-        if request is not None:
-            key = (request.client, request.request_id)
-            self._pending = [
-                r for r in self._pending if (r.client, r.request_id) != key
-            ]
-            if key in self._executed_requests:
-                return  # duplicate decision of a re-proposed command
-            self._executed_requests.add(key)
-            result = self.state_machine.apply(command)
-            self.applied_keys.append(key)
-            self._results[key] = (result, slot)
-            self.send(
-                request.client,
-                Reply(
-                    client=request.client,
-                    request_id=request.request_id,
-                    result=result,
-                    slot=slot,
-                ),
-            )
-        else:
-            # A command from a client we never heard from directly; record
-            # it so the late request adopts this execution (dedup by
-            # command key) instead of re-proposing.
-            result = self.state_machine.apply(command)
-            self.applied_keys.append(("anon", slot))
-            self._anon_executed[command] = (result, slot)
-
-    def _find_request(self, command: Command) -> Optional[Request]:
-        for request in self._pending:
-            if request.command == command:
-                return request
-        return None
 
     # ------------------------------------------------------------------
     # Checkpoints (durable replicas only)
@@ -863,11 +769,6 @@ class SMRReplica(Process):
         """
         self._results = {
             key: entry for key, entry in self._results.items() if entry[1] > slot
-        }
-        self._anon_executed = {
-            command: entry
-            for command, entry in self._anon_executed.items()
-            if entry[1] > slot
         }
         for stale in [s for s in self._decide_gossip if s <= slot]:
             del self._decide_gossip[stale]
@@ -1133,7 +1034,6 @@ class SMRReplica(Process):
         self._decide_gossip.clear()
         self._results.clear()
         self._executed_requests.clear()
-        self._anon_executed.clear()
         self._assigned.clear()
         self._batch_deadline = None
         self.applied_keys.clear()

@@ -3,8 +3,8 @@
 Three pieces, layered the way production BFT systems layer them:
 
 * :mod:`repro.storage.wal` — an append-only write-ahead log of decided
-  slots and view changes (in-memory backend for simulation, JSON-lines
-  file backend for real persistence);
+  slots and view changes, kept in simulation (it survives a crash and
+  is erased only by a disk-loss fault);
 * :mod:`repro.storage.checkpoint` — periodic application-state
   checkpoints certified by ``2f + 1`` signed checkpoint votes, after
   which the WAL and the replica's execution/result caches are compacted;
@@ -25,8 +25,8 @@ from .checkpoint import (
     CheckpointVote,
     state_digest,
 )
-from .store import ReplicaStorage, make_storage
-from .wal import DECIDE, VIEW_CHANGE, FileWAL, MemoryWAL, WALRecord, WriteAheadLog
+from .store import ReplicaStorage
+from .wal import DECIDE, VIEW_CHANGE, MemoryWAL, WALRecord
 
 __all__ = [
     "CatchupManager",
@@ -36,12 +36,9 @@ __all__ = [
     "CheckpointManager",
     "CheckpointVote",
     "DECIDE",
-    "FileWAL",
     "MemoryWAL",
     "ReplicaStorage",
     "VIEW_CHANGE",
     "WALRecord",
-    "WriteAheadLog",
-    "make_storage",
     "state_digest",
 ]

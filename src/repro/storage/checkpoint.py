@@ -27,8 +27,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointManager",
     "CheckpointVote",
-    "checkpoint_from_wire",
-    "checkpoint_to_wire",
     "state_digest",
 ]
 
@@ -71,54 +69,6 @@ class Checkpoint:
     state: Any
     digest: str
     cert: Optional[CheckpointCertificate] = None
-
-
-def checkpoint_to_wire(checkpoint: Checkpoint) -> Dict[str, Any]:
-    """JSON-safe encoding (file-backend persistence)."""
-    from .wal import encode_value
-
-    payload: Dict[str, Any] = {
-        "slot": checkpoint.slot,
-        "digest": checkpoint.digest,
-        # The full codec, not plain JSON: snapshots may be dicts with
-        # non-string keys (KVStore accepts any key), lists (AppendLog)
-        # or nested tuples, and the certified digest only re-verifies if
-        # the reload reproduces them exactly.
-        "state": encode_value(checkpoint.state),
-    }
-    if checkpoint.cert is not None:
-        payload["cert"] = {
-            "slot": checkpoint.cert.slot,
-            "digest": checkpoint.cert.digest,
-            "signatures": [
-                [sig.signer, sig.digest.hex()]
-                for sig in checkpoint.cert.signatures
-            ],
-        }
-    return payload
-
-
-def checkpoint_from_wire(payload: Dict[str, Any]) -> Checkpoint:
-    """Inverse of :func:`checkpoint_to_wire`."""
-    from .wal import decode_value
-
-    cert = None
-    if payload.get("cert") is not None:
-        wire = payload["cert"]
-        cert = CheckpointCertificate(
-            slot=wire["slot"],
-            digest=wire["digest"],
-            signatures=tuple(
-                Signature(signer=signer, digest=bytes.fromhex(hexdigest))
-                for signer, hexdigest in wire["signatures"]
-            ),
-        )
-    return Checkpoint(
-        slot=payload["slot"],
-        state=decode_value(payload["state"]),
-        digest=payload["digest"],
-        cert=cert,
-    )
 
 
 class CheckpointManager:

@@ -10,41 +10,24 @@ durability invariants in one place:
   slot;
 * :meth:`wipe` models the disk-loss fault — after it, recovery has
   nothing local and must transfer state from peers.
-
-With a :class:`~repro.core.config.DurabilityConfig` whose backend is
-``"file"``, the checkpoint is mirrored to ``checkpoint-<pid>.json`` next
-to the WAL file and reloaded on construction, so storage survives real
-process restarts, not just simulated crashes.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Optional
 
-from ..core.config import DurabilityConfig
-from .checkpoint import Checkpoint, checkpoint_from_wire, checkpoint_to_wire
-from .wal import FileWAL, MemoryWAL, WriteAheadLog
+from .checkpoint import Checkpoint
+from .wal import MemoryWAL
 
-__all__ = ["ReplicaStorage", "make_storage"]
+__all__ = ["ReplicaStorage"]
 
 
 class ReplicaStorage:
     """What one replica's "disk" holds."""
 
-    def __init__(
-        self,
-        wal: WriteAheadLog,
-        pid: int,
-        directory: Optional[str] = None,
-    ) -> None:
-        self.wal = wal
-        self.pid = pid
-        self._directory = str(directory) if directory else None
+    def __init__(self) -> None:
+        self.wal = MemoryWAL()
         self._checkpoint: Optional[Checkpoint] = None
-        if self._directory:
-            self._load_checkpoint()
 
     # ------------------------------------------------------------------
     @property
@@ -55,11 +38,6 @@ class ReplicaStorage:
     def stable_slot(self) -> int:
         return -1 if self._checkpoint is None else self._checkpoint.slot
 
-    @property
-    def empty(self) -> bool:
-        """True when recovery would find nothing local (fresh or wiped)."""
-        return self._checkpoint is None and len(self.wal) == 0
-
     def install_checkpoint(self, checkpoint: Checkpoint) -> int:
         """Persist a newer stable checkpoint and compact the WAL below it.
 
@@ -68,46 +46,9 @@ class ReplicaStorage:
         if checkpoint.slot <= self.stable_slot:
             return 0
         self._checkpoint = checkpoint
-        self._persist_checkpoint()
         return self.wal.truncate_upto(checkpoint.slot)
 
     def wipe(self) -> None:
         """The disk-loss fault: WAL and checkpoint are gone."""
         self.wal.wipe()
         self._checkpoint = None
-        path = self._checkpoint_path()
-        if path and os.path.exists(path):
-            os.remove(path)
-
-    # ------------------------------------------------------------------
-    def _checkpoint_path(self) -> Optional[str]:
-        if self._directory is None:
-            return None
-        return os.path.join(self._directory, f"checkpoint-{self.pid}.json")
-
-    def _persist_checkpoint(self) -> None:
-        path = self._checkpoint_path()
-        if path is None or self._checkpoint is None:
-            return
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(checkpoint_to_wire(self._checkpoint), fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def _load_checkpoint(self) -> None:
-        path = self._checkpoint_path()
-        if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                self._checkpoint = checkpoint_from_wire(json.load(fh))
-
-
-def make_storage(config: DurabilityConfig, pid: int) -> ReplicaStorage:
-    """Build the storage a :class:`DurabilityConfig` describes."""
-    if config.wal_backend == "file":
-        assert config.wal_dir is not None  # enforced by the config
-        os.makedirs(config.wal_dir, exist_ok=True)
-        wal: WriteAheadLog = FileWAL(
-            os.path.join(config.wal_dir, f"wal-{pid}.jsonl")
-        )
-        return ReplicaStorage(wal, pid, directory=config.wal_dir)
-    return ReplicaStorage(MemoryWAL(), pid)

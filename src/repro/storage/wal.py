@@ -9,39 +9,26 @@ recovery forensics (how contested a slot was), but replay only consumes
 decides: an unfinished instance restarts from view 1 and the pacemaker
 re-walks, which is always safe.
 
-Two backends share one interface:
+:class:`MemoryWAL` is deterministic in-simulation persistence.  The
+Python object plays the role of the disk: it survives a crash (the
+process's volatile state is what a crash wipes) and is erased only by an
+explicit disk-loss fault (:meth:`MemoryWAL.wipe`).
 
-* :class:`MemoryWAL` — deterministic in-simulation persistence.  The
-  Python object plays the role of the disk: it survives a crash (the
-  process's volatile state is what a crash wipes) and is erased only by
-  an explicit disk-loss fault (:meth:`WriteAheadLog.wipe`).
-* :class:`FileWAL` — JSON-lines on a real filesystem, for restarts that
-  outlive the process.  Values round-trip through a small codec
-  (:func:`encode_value` / :func:`decode_value`) because decided values
-  are :class:`~repro.smr.replica.Batch` dataclasses and command tuples,
-  which JSON alone cannot represent.
-
-The log is compacted by :meth:`WriteAheadLog.truncate_upto` once a
+The log is compacted by :meth:`MemoryWAL.truncate_upto` once a
 checkpoint at that slot becomes stable — everything at or below the
 stable slot is covered by the checkpoint and need never be replayed.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, List, Tuple
 
 __all__ = [
     "DECIDE",
     "VIEW_CHANGE",
-    "FileWAL",
     "MemoryWAL",
     "WALRecord",
-    "WriteAheadLog",
-    "decode_value",
-    "encode_value",
 ]
 
 #: Record kinds.
@@ -64,44 +51,8 @@ class WALRecord:
     view: int = 0
 
 
-class WriteAheadLog:
-    """Interface both backends implement."""
-
-    def append(self, record: WALRecord) -> None:
-        raise NotImplementedError
-
-    def records(self) -> Tuple[WALRecord, ...]:
-        """Every retained record, in append order."""
-        raise NotImplementedError
-
-    def truncate_upto(self, slot: int) -> int:
-        """Drop records with ``record.slot <= slot``; returns how many."""
-        raise NotImplementedError
-
-    def wipe(self) -> None:
-        """Erase everything (the disk-loss fault)."""
-        raise NotImplementedError
-
-    # -- shared conveniences --------------------------------------------
-
-    def append_decide(self, slot: int, value: Any) -> None:
-        self.append(WALRecord(kind=DECIDE, slot=slot, value=value))
-
-    def append_view_change(self, slot: int, view: int) -> None:
-        self.append(WALRecord(kind=VIEW_CHANGE, slot=slot, view=view))
-
-    def decides(self) -> Tuple[Tuple[int, Any], ...]:
-        """Retained ``(slot, value)`` decisions, in append order."""
-        return tuple(
-            (r.slot, r.value) for r in self.records() if r.kind == DECIDE
-        )
-
-    def __len__(self) -> int:
-        return len(self.records())
-
-
-class MemoryWAL(WriteAheadLog):
-    """The in-memory backend: a list standing in for a disk."""
+class MemoryWAL:
+    """The write-ahead log: a list standing in for a disk."""
 
     def __init__(self) -> None:
         self._records: List[WALRecord] = []
@@ -113,10 +64,24 @@ class MemoryWAL(WriteAheadLog):
         self._records.append(record)
         self.appended_count += 1
 
+    def append_decide(self, slot: int, value: Any) -> None:
+        self.append(WALRecord(kind=DECIDE, slot=slot, value=value))
+
+    def append_view_change(self, slot: int, view: int) -> None:
+        self.append(WALRecord(kind=VIEW_CHANGE, slot=slot, view=view))
+
     def records(self) -> Tuple[WALRecord, ...]:
+        """Every retained record, in append order."""
         return tuple(self._records)
 
+    def decides(self) -> Tuple[Tuple[int, Any], ...]:
+        """Retained ``(slot, value)`` decisions, in append order."""
+        return tuple(
+            (r.slot, r.value) for r in self.records() if r.kind == DECIDE
+        )
+
     def truncate_upto(self, slot: int) -> int:
+        """Drop records with ``record.slot <= slot``; returns how many."""
         kept = [r for r in self._records if r.slot > slot]
         dropped = len(self._records) - len(kept)
         self._records = kept
@@ -124,138 +89,8 @@ class MemoryWAL(WriteAheadLog):
         return dropped
 
     def wipe(self) -> None:
+        """Erase everything (the disk-loss fault)."""
         self._records.clear()
 
-
-# ----------------------------------------------------------------------
-# Value codec (file backend, checkpoint persistence, catchup wire checks)
-# ----------------------------------------------------------------------
-
-
-def encode_value(value: Any) -> Any:
-    """JSON-safe encoding of a decided value or state snapshot.
-
-    Handles the value types slots decide and state machines snapshot:
-    ``Batch`` (tagged, entries flattened to lists), tuples (tagged so
-    they come back as tuples — commands must hash), lists, dicts (keys
-    encoded as values, so non-string keys survive the JSON round trip
-    with their types intact), and JSON primitives.
-    """
-    from ..smr.replica import Batch  # deferred: smr imports this module
-
-    if isinstance(value, Batch):
-        return {
-            "t": "batch",
-            "entries": [
-                [client, rid, list(command)]
-                for client, rid, command in value.entries
-            ],
-        }
-    if isinstance(value, tuple):
-        return {"t": "tuple", "items": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"t": "list", "items": [encode_value(v) for v in value]}
-    if isinstance(value, dict):
-        return {
-            "t": "dict",
-            "items": [
-                [encode_value(k), encode_value(v)] for k, v in value.items()
-            ],
-        }
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot encode WAL value {value!r}")
-
-
-def decode_value(payload: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    from ..smr.replica import Batch
-
-    if isinstance(payload, dict):
-        if payload.get("t") == "batch":
-            return Batch(
-                entries=tuple(
-                    (client, rid, tuple(command))
-                    for client, rid, command in payload["entries"]
-                )
-            )
-        if payload.get("t") == "tuple":
-            return tuple(decode_value(v) for v in payload["items"])
-        if payload.get("t") == "list":
-            return [decode_value(v) for v in payload["items"]]
-        if payload.get("t") == "dict":
-            return {
-                decode_value(k): decode_value(v) for k, v in payload["items"]
-            }
-        raise ValueError(f"unknown encoded value {payload!r}")
-    return payload
-
-
-def _record_to_wire(record: WALRecord) -> Dict[str, Any]:
-    return {
-        "kind": record.kind,
-        "slot": record.slot,
-        "value": encode_value(record.value),
-        "view": record.view,
-    }
-
-
-def _record_from_wire(payload: Dict[str, Any]) -> WALRecord:
-    return WALRecord(
-        kind=payload["kind"],
-        slot=payload["slot"],
-        value=decode_value(payload.get("value")),
-        view=payload.get("view", 0),
-    )
-
-
-class FileWAL(WriteAheadLog):
-    """JSON-lines file backend: one record per line, flushed per append.
-
-    Truncation rewrites the file (the log is small between checkpoints —
-    that is the point of checkpoints), which keeps the on-disk format a
-    plain greppable stream.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._records: List[WALRecord] = list(self._load())
-
-    def _load(self) -> Iterable[WALRecord]:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield _record_from_wire(json.loads(line))
-
-    def _rewrite(self) -> None:
-        with open(self.path, "w", encoding="utf-8") as fh:
-            for record in self._records:
-                fh.write(json.dumps(_record_to_wire(record)) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def append(self, record: WALRecord) -> None:
-        self._records.append(record)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(_record_to_wire(record)) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def records(self) -> Tuple[WALRecord, ...]:
-        return tuple(self._records)
-
-    def truncate_upto(self, slot: int) -> int:
-        kept = [r for r in self._records if r.slot > slot]
-        dropped = len(self._records) - len(kept)
-        if dropped:
-            self._records = kept
-            self._rewrite()
-        return dropped
-
-    def wipe(self) -> None:
-        self._records.clear()
-        if os.path.exists(self.path):
-            os.remove(self.path)
+    def __len__(self) -> int:
+        return len(self.records())

@@ -172,11 +172,3 @@ class Pacemaker:
             self._enter_view(entry_view)
             if not self._stopped:
                 self._arm()
-
-    # ------------------------------------------------------------------
-    @property
-    def my_wish(self) -> int:
-        return self._my_wish
-
-    def wish_of(self, pid: int) -> Optional[int]:
-        return self._wishes.get(pid)

@@ -6,7 +6,6 @@ from repro.analysis import (
     PROTOCOLS,
     Stats,
     build_protocol,
-    format_markdown_table,
     format_table,
     repeat_latency,
     run_common_case,
@@ -115,11 +114,6 @@ class TestTables:
         lines = text.splitlines()
         assert len(lines) == 4
         assert len(set(len(line.rstrip()) for line in lines[2:])) <= 2
-
-    def test_format_markdown_table(self):
-        text = format_markdown_table(["x", "y"], [[1, 2.5]])
-        assert text.splitlines()[0] == "| x | y |"
-        assert "| 1 | 2.5 |" in text
 
     def test_float_formatting_trims_zeros(self):
         text = format_table(["v"], [[2.0]])

@@ -11,7 +11,6 @@ class TestReplicationConfig:
         assert config.batch_size >= 1
         assert config.pipeline_depth >= 1
         assert config.batch_timeout == 0.0
-        assert "batch=" in config.describe()
 
     @pytest.mark.parametrize(
         "kwargs",

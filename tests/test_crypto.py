@@ -609,10 +609,10 @@ def write_canonical_vectors():
 def test_canonical_vector(name):
     """``canonical_bytes`` and ``payload_size`` against committed literals.
 
-    Signatures, ``state_digest``, ``FileWAL`` records and checkpoint
-    files are all computed over ``canonical_bytes``, and every bandwidth
-    metric over ``payload_size`` — so a change to either output is a
-    wire/disk format change, not a refactor.  If one is intended,
+    Signatures and ``state_digest`` (the digest checkpoint votes and
+    certificates bind) are computed over ``canonical_bytes``, and every
+    bandwidth metric over ``payload_size`` — so a change to either
+    output is a wire format change, not a refactor.  If one is intended,
     regenerate the vectors and review the diff::
 
         PYTHONPATH=src python -c "from tests.test_crypto import \\

@@ -21,7 +21,6 @@ from repro.experiments import (
     all_experiments,
     derive_seed,
     expand_tasks,
-    experiment_ids,
     get_experiment,
     main,
     run_experiment,
@@ -59,18 +58,18 @@ class TestRegistryCompleteness:
         return ids
 
     def test_every_experiments_md_id_is_registered(self):
-        registered = set(experiment_ids())
+        registered = set([spec.id for spec in all_experiments()])
         for exp_id in self.experiments_md_ids():
             assert exp_id in registered, f"{exp_id} listed but not registered"
 
     def test_every_registered_id_is_documented(self):
         documented = set(self.experiments_md_ids())
-        for exp_id in experiment_ids():
+        for exp_id in [spec.id for spec in all_experiments()]:
             assert exp_id in documented, f"{exp_id} registered but not in EXPERIMENTS.md"
 
     def test_registry_covers_e1_to_e21(self):
         # Ids 16 and 20 are retired (see EXPERIMENTS.md) and not reused.
-        assert experiment_ids() == [
+        assert [spec.id for spec in all_experiments()] == [
             f"E{i}" for i in range(1, 22) if i not in (16, 20)
         ]
 
@@ -259,7 +258,7 @@ class TestCLI:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for exp_id in experiment_ids():
+        for exp_id in [spec.id for spec in all_experiments()]:
             assert exp_id in out
 
     def test_describe(self, capsys):

@@ -55,10 +55,6 @@ class TestInitialConfigurations:
         with pytest.raises(ValueError):
             binary_configuration(4, 5)
 
-    def test_with_input(self):
-        config = binary_configuration(4, 0).with_input(2, "z")
-        assert config.inputs == (0, 0, "z", 0)
-
     def test_all_fault_sets(self):
         sets = all_fault_sets(4, 1)
         assert sets == [(0,), (1,), (2,), (3,)]

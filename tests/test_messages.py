@@ -8,7 +8,6 @@ from repro.core.payloads import (
     certack_payload,
     propose_payload,
     vote_payload,
-    wish_payload,
 )
 from repro.crypto.keys import canonical_bytes
 
@@ -38,7 +37,6 @@ class TestPayloadTags:
             vote_payload(None, 1),
             certack_payload("x", 1),
             ack_payload("x", 1),
-            wish_payload(1),
         ]
         encoded = {canonical_bytes(p) for p in payloads}
         assert len(encoded) == len(payloads)

@@ -8,19 +8,6 @@ from repro.lowerbound import (
     binary_configuration,
     suspect_fault_sets,
 )
-from repro.sim.events import Simulator, run_simulation
-
-
-class TestRunSimulationHelper:
-    def test_returns_setup_result(self):
-        def setup(sim):
-            counter = {"fired": 0}
-            sim.schedule(1.0, lambda: counter.update(fired=counter["fired"] + 1))
-            sim.schedule(2.0, lambda: counter.update(fired=counter["fired"] + 1))
-            return counter
-
-        counter = run_simulation(setup, until=1.5)
-        assert counter == {"fired": 1}
 
 
 class TestInfluentialWitnessChecks:
@@ -67,22 +54,6 @@ class TestSuspectSetEdges:
         with pytest.raises(ValueError):
             suspect_fault_sets(suspects=range(5), t=2)
         assert suspect_fault_sets(suspects=range(6), t=2)
-
-
-class TestClusterResult:
-    def test_repr_mentions_state(self):
-        from repro.analysis import build_protocol
-        from repro.sim.runner import Cluster
-        from repro.sim.network import RoundSynchronousDelay
-
-        cluster = Cluster(
-            build_protocol("fbft", f=1),
-            delay_model=RoundSynchronousDelay(1.0),
-        )
-        result = cluster.run_until_decided()
-        text = repr(result)
-        assert "decided=True" in text
-        assert "time=2.0" in text
 
 
 class TestConfigEdges:

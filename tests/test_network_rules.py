@@ -254,14 +254,6 @@ class TestPartitions:
         sim.run()
         assert (5.0, "m") in seen  # the release passed the interceptor again
 
-    def test_partition_status_property(self):
-        sim, net, _ = make_network()
-        assert not net.partitioned
-        net.start_partition([(0, 1)])
-        assert net.partitioned
-        net.heal_partition()
-        assert not net.partitioned
-
 
 class TestCrashRecovery:
     def test_resume_reenables_delivery(self):

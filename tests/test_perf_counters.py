@@ -81,10 +81,34 @@ def test_update_writes_only_two_equal_readings(gate):
 
 def test_update_refuses_a_failing_workload(monkeypatch, tmp_path, capsys):
     fake = tmp_path / "run.py"
-    fake.write_text('print(\'{"correct": false, "metrics": {}}\'); raise SystemExit(1)')
+    fake.write_text(
+        'print("  CHECK FAILED: ledger: other.self_share 0.03 > 0.02")\n'
+        'print(\'{"correct": false, "metrics": {}}\'); raise SystemExit(1)')
     monkeypatch.setattr(perf_counters, "RUN", fake)
     monkeypatch.setattr(perf_counters, "recorder_counters", dict)
     assert perf_counters.main(["--update", str(tmp_path / "out.json")]) == 1
     out = capsys.readouterr().out
     assert "smr_steady --trace 1: run.py exit 1, its own checks FAILED" in out
+    # The child's reasons are forwarded, labelled with the child they came from.
+    assert ("smr_steady --trace 1: CHECK FAILED: ledger: other.self_share "
+            "0.03 > 0.02") in out
     assert not (tmp_path / "out.json").exists()
+
+
+def test_check_names_every_failed_check_of_every_child(monkeypatch, tmp_path, capsys):
+    fake = tmp_path / "run.py"
+    fake.write_text(
+        'print("  CHECK FAILED: ledger: other.self_share 0.03 > 0.02")\n'
+        'print("progress line")\n'
+        'print("  CHECK FAILED: decided 3 of 4 slots")\n'
+        'print(\'{"correct": false, "metrics": {}}\')')  # exit 0, still failed
+    monkeypatch.setattr(perf_counters, "RUN", fake)
+    monkeypatch.setattr(perf_counters, "recorder_counters", dict)
+    assert perf_counters.main(["--check", str(GOLDEN)]) == 1
+    out = capsys.readouterr().out
+    for workload, trace in (("consensus_bound", 0), ("smr_steady", 1)):
+        label = f"{workload} --trace {trace}"
+        assert f"{label}: run.py exit 0, its own checks FAILED" in out
+        assert f"{label}: CHECK FAILED: ledger: other.self_share 0.03 > 0.02" in out
+        assert f"{label}: CHECK FAILED: decided 3 of 4 slots" in out
+    assert "progress line" not in out

@@ -143,16 +143,6 @@ class TestRunBounds:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
 
-    def test_step_executes_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append("a"))
-        sim.schedule(2.0, lambda: fired.append("b"))
-        assert sim.step()
-        assert fired == ["a"]
-        assert sim.step()
-        assert not sim.step()
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for _ in range(5):
@@ -565,11 +555,6 @@ _MIXED_TRACE = [
 ]
 
 
-def _drive_by_step(sim, trace):
-    while sim.step():
-        pass
-
-
 def _drive_by_drain(sim, trace):
     sim.run()
 
@@ -600,8 +585,8 @@ class TestEntriesCarryTheirCall:
 
     @pytest.mark.parametrize(
         "drive",
-        [_drive_by_step, _drive_by_drain, _drive_bounded, _drive_by_predicate],
-        ids=["step", "drain", "run_bounded", "run_pred"],
+        [_drive_by_drain, _drive_bounded, _drive_by_predicate],
+        ids=["drain", "run_bounded", "run_pred"],
     )
     def test_every_loop_runs_the_same_entries_the_same_way(self, drive):
         sim, trace = Simulator(), []

@@ -77,13 +77,6 @@ class TestDecisions:
         trace.record_decision(1, "x", 4.0)
         assert trace.latest_decision_time(pid for pid in (0, 1)) == 4.0
 
-    def test_decided_values_filter(self):
-        trace = TraceRecorder()
-        trace.record_decision(0, "x", 1.0)
-        trace.record_decision(5, "y", 1.0)
-        assert trace.decided_values() == {"x", "y"}
-        assert trace.decided_values((0,)) == {"x"}
-
 
 class TestMessageDelays:
     def test_exact_boundaries(self):

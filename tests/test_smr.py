@@ -78,7 +78,7 @@ class TestHappyPath:
         cluster.start()
         cluster.sim.run_until(lambda: client.all_completed, timeout=200)
         assert client.outcomes[0].result == "OK"
-        assert all(r.slot_commands(0) == (("set", "x", 42),) for r in replicas)
+        assert all(r.decided_value(0).commands == (("set", "x", 42),) for r in replicas)
 
     def test_command_sequence_applied_in_order(self):
         cluster, replicas, (client,) = make_smr(state_machine_cls=AppendLog)
@@ -165,7 +165,7 @@ class TestBatchingPipelining:
         cluster.sim.run_until(lambda: client.all_completed, timeout=500)
         assert client.completed_count == 8
         assert replicas[0].executed_upto == 0  # one slot carried all 8
-        assert len(replicas[0].slot_commands(0)) == 8
+        assert len(replicas[0].decided_value(0).commands) == 8
 
     def test_batching_preserves_submission_order(self):
         cluster, replicas, (client,) = make_smr(
@@ -249,7 +249,7 @@ class TestBatchingPipelining:
         cluster.sim.run(until=10.0)
         # The re-armed flush proposed the batch at the (stale) deadline and
         # the slot decided; pre-fix the commands sat pending forever.
-        assert replica.slot_commands(0) == (("set", "a", 1), ("set", "b", 2))
+        assert replica.decided_value(0).commands == (("set", "a", 1), ("set", "b", 2))
 
     def test_immediate_flush_keeps_seed_latency(self):
         """batch_timeout=0 (default) proposes immediately: 4 delays."""

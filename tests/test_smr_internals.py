@@ -143,26 +143,31 @@ class TestGossipAdoptionDedupe:
         replies_before = self._reply_count(cluster, 4)
         # The request arrives late (e.g. the replica was partitioned).
         replica._handle_request(4, Request(client=4, request_id=7, command=("set", "x", 1)))
-        assert replica.pending_count == 0  # not queued for re-proposal
+        assert not replica._pending  # not queued for re-proposal
         assert replica.state_machine.applied_count == 1  # not applied twice
         cluster.sim.run(until=cluster.sim.now + 5)
         # The late request is answered from the result cache.
         assert self._reply_count(cluster, 4) == replies_before + 1
 
     def test_late_request_after_bare_command_gossip_adoption(self):
-        """Same bug through the legacy bare-command path (no identity in
-        the decided value): dedupe is by command key."""
+        """A bare decided value names no request and applies nothing, so
+        a request for the same command arriving after its gossip adoption
+        is queued, proposed and executed exactly once."""
         cluster, replicas, client = make_cluster()
         cluster.start()
-        replica = replicas[3]
-        replica._handle_slot_decided(0, SlotDecided(slot=0, value=("set", "x", 1)))
-        replica._handle_slot_decided(1, SlotDecided(slot=0, value=("set", "x", 1)))
-        assert replica.state_machine.applied_count == 1
-        replica._handle_request(4, Request(client=4, request_id=9, command=("set", "x", 1)))
-        assert replica.pending_count == 0
-        assert replica.state_machine.applied_count == 1
-        cluster.sim.run(until=cluster.sim.now + 5)
-        assert self._reply_count(cluster, 4) == 1
+        late = Request(client=4, request_id=9, command=("set", "x", 1))
+        for replica in replicas:
+            replica._handle_slot_decided(0, SlotDecided(slot=0, value=late.command))
+            replica._handle_slot_decided(1, SlotDecided(slot=0, value=late.command))
+            assert replica.decided_value(0) == late.command
+            assert replica.state_machine.applied_count == 0
+            replica._handle_request(4, late)
+            assert len(replica._pending) == 1  # queued for proposal
+        cluster.sim.run(until=cluster.sim.now + 50)
+        for replica in replicas:
+            assert replica.applied_keys == [(4, 9)]
+            assert replica.state_machine.applied_count == 1
+        assert self._reply_count(cluster, 4) == len(replicas)
 
     def test_duplicate_batch_decision_executes_once(self):
         """A command re-proposed into a second slot (view-change race)
@@ -237,9 +242,32 @@ class TestGossipAdoptionDedupe:
         for replica in replicas:
             assert replica.applied_keys == [(4, 0)]
 
+    def test_bare_decided_value_applies_nothing(self):
+        """Only a Batch carries commands.  A bare value, which only a
+        Byzantine proposer can get decided, applies nothing on any
+        replica; the late request is then proposed and executed once."""
+        cluster, replicas, client = make_cluster()
+        client.load_workload([("set", "x", 1)])
+        bare = ("set", "x", 1)
+
+        def adopt_everywhere():
+            for replica in replicas:
+                replica._handle_slot_decided(0, SlotDecided(slot=0, value=bare))
+                replica._handle_slot_decided(1, SlotDecided(slot=0, value=bare))
+
+        cluster.start()
+        cluster.sim.schedule(0.5, adopt_everywhere)  # before requests arrive
+        cluster.sim.run_until(lambda: client.all_completed, timeout=2000)
+        assert client.all_completed
+        assert commands_of(bare) == ()
+        for replica in replicas:
+            assert replica.decided_value(0) == bare
+            assert replica.applied_keys == [(4, 0)]
+            assert replica.state_machine.applied_count == 1
+            assert replica.state_machine.snapshot() == {"x": 1}
+
     def test_commands_of_unpacks_values(self):
         assert commands_of(NOOP) == ()
-        assert commands_of(("set", "x", 1)) == (("set", "x", 1),)
         batch = Batch(entries=((1, 0, ("a",)), (2, 1, ("b",))))
         assert commands_of(batch) == (("a",), ("b",))
         assert batch.keys == ((1, 0), (2, 1))

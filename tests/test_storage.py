@@ -7,8 +7,6 @@ retained disks, full state transfer from lost disks, and rejection of
 forged catchup replies.
 """
 
-import pytest
-
 from repro.core.certificates import (
     CheckpointCertificate,
     checkpoint_certificate_valid,
@@ -31,19 +29,17 @@ from repro.smr import (
 from repro.storage import (
     CatchupManager,
     CatchupReply,
+    CatchupRequest,
     Checkpoint,
-    FileWAL,
     MemoryWAL,
     ReplicaStorage,
     WALRecord,
-    make_storage,
     state_digest,
 )
-from repro.storage.checkpoint import checkpoint_from_wire, checkpoint_to_wire
 
 
 # ---------------------------------------------------------------------------
-# WAL backends
+# The write-ahead log
 # ---------------------------------------------------------------------------
 
 
@@ -67,40 +63,20 @@ class TestWAL:
         assert [slot for slot, _ in wal.decides()] == [4, 5]
         assert wal.truncated_count == 4
 
+    def test_truncate_compacts_view_changes_with_their_slot(self):
+        wal = MemoryWAL()
+        wal.append_view_change(0, 2)
+        wal.append_decide(0, "v0")
+        wal.append_view_change(1, 3)
+        assert wal.truncate_upto(0) == 2
+        assert wal.records() == (WALRecord(kind="view-change", slot=1, view=3),)
+        assert wal.decides() == ()
+
     def test_wipe_erases_everything(self):
         wal = MemoryWAL()
         wal.append_decide(0, "v")
         wal.wipe()
         assert len(wal) == 0
-
-    def test_file_backend_round_trips_batches(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
-        wal = FileWAL(path)
-        batch = Batch(entries=((4, 0, ("set", "k", 1)), (4, 1, ("get", "k"))))
-        wal.append_decide(0, batch)
-        wal.append_decide(1, ("noop",))
-        wal.append_view_change(2, 3)
-        reopened = FileWAL(path)
-        assert reopened.records() == wal.records()
-        assert reopened.decides()[0][1] == batch
-        # Tuple-ness survives: commands must stay hashable.
-        assert isinstance(reopened.decides()[0][1].entries[0][2], tuple)
-
-    def test_file_backend_truncate_persists(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
-        wal = FileWAL(path)
-        for slot in range(5):
-            wal.append_decide(slot, f"v{slot}")
-        wal.truncate_upto(2)
-        assert [slot for slot, _ in FileWAL(path).decides()] == [3, 4]
-
-    def test_file_backend_wipe_removes_file(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        wal = FileWAL(str(path))
-        wal.append_decide(0, "v")
-        wal.wipe()
-        assert not path.exists()
-        assert len(FileWAL(str(path))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -112,42 +88,6 @@ class TestCheckpoints:
     def test_state_digest_is_order_insensitive(self):
         assert state_digest({"a": 1, "b": 2}) == state_digest({"b": 2, "a": 1})
         assert state_digest({"a": 1}) != state_digest({"a": 2})
-
-    def test_checkpoint_wire_round_trip(self):
-        registry = KeyRegistry.for_processes(range(4))
-        state = {"k0": "v0", "k1": 7}
-        digest = state_digest(state)
-        signatures = tuple(
-            registry.signer(pid).sign(checkpoint_payload(3, digest))
-            for pid in range(3)
-        )
-        checkpoint = Checkpoint(
-            slot=3,
-            state=state,
-            digest=digest,
-            cert=CheckpointCertificate(slot=3, digest=digest, signatures=signatures),
-        )
-        restored = checkpoint_from_wire(checkpoint_to_wire(checkpoint))
-        assert restored.slot == 3
-        assert restored.state == state
-        assert restored.digest == digest
-        assert restored.cert == checkpoint.cert
-        assert restored.cert.verify(registry, 3)
-
-    def test_checkpoint_wire_preserves_key_types_and_list_states(self):
-        """The codec must be its own inverse: non-string dict keys and
-        list snapshots (AppendLog) survive the JSON round trip, so the
-        certified digest still re-verifies after a file reload."""
-        for state in (
-            {1: "x", ("set", "k"): 2},   # non-string keys
-            [("set", "a", 1), ("del", "a")],  # AppendLog-style snapshot
-        ):
-            checkpoint = Checkpoint(
-                slot=0, state=state, digest=state_digest(state)
-            )
-            restored = checkpoint_from_wire(checkpoint_to_wire(checkpoint))
-            assert restored.state == state
-            assert state_digest(restored.state) == checkpoint.digest
 
     def test_certificate_validation(self):
         registry = KeyRegistry.for_processes(range(4))
@@ -172,7 +112,7 @@ class TestCheckpoints:
         assert not checkpoint_certificate_valid(None, 5, digest, registry, 3)
 
     def test_replica_storage_keeps_checkpoint_and_compacts(self):
-        storage = ReplicaStorage(MemoryWAL(), pid=0)
+        storage = ReplicaStorage()
         for slot in range(6):
             storage.wal.append_decide(slot, f"v{slot}")
         state = {"k": 5}
@@ -186,22 +126,18 @@ class TestCheckpoints:
         assert storage.install_checkpoint(stale) == 0
         assert storage.stable_slot == 3
 
-    def test_file_storage_survives_restart(self, tmp_path):
-        config = DurabilityConfig(wal_backend="file", wal_dir=str(tmp_path))
-        storage = make_storage(config, pid=2)
-        storage.wal.append_decide(0, ("set", "a", 1))
-        state = {"a": 1}
-        storage.install_checkpoint(
-            Checkpoint(slot=0, state=state, digest=state_digest(state))
-        )
-        storage.wal.append_decide(1, ("set", "b", 2))
-        # A brand-new storage over the same directory sees everything.
-        reborn = make_storage(config, pid=2)
-        assert reborn.stable_slot == 0
-        assert reborn.checkpoint.state == state
-        assert reborn.wal.decides() == ((1, ("set", "b", 2)),)
-        reborn.wipe()
-        assert make_storage(config, pid=2).empty
+    def test_replica_storage_wipe_forgets_checkpoint_and_log(self):
+        storage = ReplicaStorage()
+        storage.wal.append_decide(0, "v0")
+        storage.install_checkpoint(Checkpoint(slot=0, state={}, digest=state_digest({})))
+        storage.wal.append_decide(1, "v1")
+        storage.wipe()
+        assert storage.checkpoint is None and storage.stable_slot == -1
+        assert len(storage.wal) == 0
+        # A wiped disk accepts a checkpoint at any slot again.
+        assert storage.install_checkpoint(
+            Checkpoint(slot=0, state={}, digest=state_digest({}))) == 0
+        assert storage.stable_slot == 0
 
 
 class TestStateMachineSnapshots:
@@ -271,7 +207,7 @@ class TestCatchupManager:
 
 
 def build_durable_cluster(
-    n=4, f=1, interval=3, batch_size=2, window=2, clients=1
+    n=4, f=1, interval=3, batch_size=2, window=2, clients=1, signed=True
 ):
     config = ProtocolConfig(n=n, f=f, t=1)
     registry = KeyRegistry.for_processes(range(n))
@@ -281,7 +217,8 @@ def build_durable_cluster(
     replicas = [
         SMRReplica(
             pid, n, f, KVStore(), factory,
-            replication=replication, durability=durability, registry=registry,
+            replication=replication, durability=durability,
+            registry=registry if signed else None,
         )
         for pid in range(n)
     ]
@@ -346,7 +283,6 @@ class TestDurableReplica:
             # Everything at or below the stable checkpoint is compacted.
             assert len(replica._results) <= total - stable + 4
             assert len(replica._results) < total // 2
-            assert not replica._anon_executed
             assert all(s > stable for s in replica._decide_gossip)
             assert len(replica.storage.wal) < 8
 
@@ -381,7 +317,7 @@ class TestDurableReplica:
         victim = replicas[2]
         victim.crash()
         victim.wipe_storage()
-        assert victim.storage.empty
+        assert victim.storage.checkpoint is None and len(victim.storage.wal) == 0
         for i in range(10):
             client.submit(("set", f"lag{i}", i))
         drain(cluster, client, 14)
@@ -460,6 +396,98 @@ class TestDurableReplica:
         assert not victim._checkpoint_acceptable(tampered)
         assert victim._checkpoint_acceptable(real)
 
+    def test_lost_catchup_request_is_retried(self):
+        """The recovering replica's first CatchupRequest never arrives:
+        after ``catchup_retry`` it broadcasts again and finishes."""
+        cluster, replicas, (client,) = build_durable_cluster(interval=100)
+        for i in range(3):
+            client.submit(("set", f"warm{i}", i))
+        drain(cluster, client, 3)
+        victim = replicas[1]
+        victim.crash()
+        for i in range(5):
+            client.submit(("set", f"lag{i}", i))
+        drain(cluster, client, 8)
+        rounds = []
+
+        def hold_first_round(envelope):
+            if isinstance(envelope.payload, CatchupRequest):
+                if envelope.send_time not in rounds:
+                    rounds.append(envelope.send_time)
+                if envelope.send_time == rounds[0]:
+                    return envelope.send_time + 10**6  # past the run: lost
+            return None
+
+        cluster.network.interceptor = hold_first_round
+        recovered_at = cluster.sim.now
+        victim.recover()
+        others = [r for r in replicas if r is not victim]
+        cluster.sim.run_until(
+            lambda: not victim.catchup_active
+            and victim.executed_upto >= max(r.executed_upto for r in others),
+            timeout=10_000,
+        )
+        retry = victim.durability.catchup_retry
+        assert rounds == [recovered_at, recovered_at + retry]
+        assert not victim.catchup_active
+        assert all(victim.log == peer.log for peer in others)
+
+    @staticmethod
+    def _unsigned_recovery():
+        """An unsigned cluster with a stable checkpoint, and a replica that
+        lost its disk and waits for catchup replies; ``reply(c)`` ships ``c``."""
+        cluster, replicas, (client,) = build_durable_cluster(
+            interval=2, signed=False
+        )
+        for i in range(8):
+            client.submit(("set", f"k{i}", i))
+        drain(cluster, client, 8)
+        cluster.sim.run(until=cluster.sim.now + 5.0)
+        real = replicas[0].storage.checkpoint
+        assert real is not None and real.cert is None
+        victim = replicas[3]
+        victim.crash()
+        victim.wipe_storage()
+        victim.recover()
+        assert victim.catchup_active
+
+        def reply(checkpoint):
+            return CatchupReply(
+                low_slot=0, high_slot=real.slot, checkpoint=checkpoint, entries=()
+            )
+
+        return victim, real, reply
+
+    def test_unsigned_checkpoint_needs_f_plus_1_matching_claims(self):
+        """Without a key registry a shipped checkpoint has no certificate:
+        it is installed only once ``f + 1`` repliers claim it."""
+        victim, real, reply = self._unsigned_recovery()
+        victim._handle_catchup_reply(0, reply(real))  # f claims
+        assert victim.stable_checkpoint_slot == -1
+        victim._handle_catchup_reply(2, reply(real))  # f + 1 claims
+        assert victim.stable_checkpoint_slot == real.slot
+        assert state_digest(victim.state_machine.snapshot()) == real.digest
+        assert not victim.catchup_active
+
+    def test_unsigned_checkpoint_claims_count_distinct_repliers(self):
+        victim, real, reply = self._unsigned_recovery()
+        victim._handle_catchup_reply(0, reply(real))
+        victim._handle_catchup_reply(0, reply(real))  # the same replier again
+        assert victim.stable_checkpoint_slot == -1
+        assert victim.catchup_active
+
+    def test_unsigned_checkpoint_must_rehash_to_its_digest(self):
+        """``f + 1`` repliers agree on the digest, but the shipped state
+        is not the state it names: nothing is installed."""
+        victim, real, reply = self._unsigned_recovery()
+        tampered = Checkpoint(slot=real.slot, state={"k0": "evil"}, digest=real.digest)
+        victim._handle_catchup_reply(0, reply(real))
+        victim._handle_catchup_reply(1, reply(tampered))  # f + 1, one tampered
+        assert victim.stable_checkpoint_slot == -1
+        victim._handle_catchup_reply(2, reply(tampered))
+        assert victim.stable_checkpoint_slot == -1
+        assert victim.state_machine.snapshot() != {"k0": "evil"}
+
     def test_legacy_replica_recovery_keeps_old_semantics(self):
         """Without storage, on_recover is a no-op: in-memory state
         survives and nothing is rebuilt (the pre-durability model)."""
@@ -467,7 +495,6 @@ class TestDurableReplica:
         registry = KeyRegistry.for_processes(range(4))
         factory = fbft_instance_factory(config, registry)
         replica = SMRReplica(0, 4, 1, KVStore(), factory)
-        assert not replica.durable
         assert replica.storage is None
         # on_recover without a context would be the bug; with one it is
         # a no-op for legacy replicas.

@@ -99,7 +99,7 @@ class TestAmplification:
         pm = procs[1].pacemaker
         pm.on_wish(2, WishMessage(view=5))
         pm.on_wish(2, WishMessage(view=3))  # stale: lower than before
-        assert pm.wish_of(2) == 5
+        assert pm._wishes[2] == 5
 
 
 class TestStop:

@@ -106,7 +106,7 @@ class TestVoteRecord:
 class TestSignedVote:
     def test_valid_nil_vote(self, config, registry):
         signed = make_signed_vote(registry, config, 3, None, 2)
-        assert signed.is_nil
+        assert signed.vote is None
         assert signed_vote_valid(signed, 2, registry, config)
 
     def test_valid_non_nil_vote(self, config, registry):
