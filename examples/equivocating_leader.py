@@ -40,6 +40,8 @@ def main() -> None:
     ]
     cluster = Cluster([byzantine_leader] + correct,
                       delay_model=SynchronousDelay(1.0))
+    sends = []  # one record per send (the trace itself keeps none)
+    cluster.network.add_send_hook(sends.append)
     result = cluster.run_until_decided(correct_pids=[1, 2, 3], timeout=500)
 
     print("decisions:")
@@ -50,12 +52,12 @@ def main() -> None:
     fast = [d for d in cluster.trace.decisions if d.time <= 2.0]
     print(f"\nfast-path decisions (time <= 2): {[(d.pid, d.value) for d in fast]}")
 
-    votes = [e for e in cluster.trace.sends if isinstance(e.payload, Vote)]
+    votes = sum(len(r.dsts) for r in sends if isinstance(r.payload, Vote))
     reproposals = [
-        e.payload for e in cluster.trace.sends
-        if isinstance(e.payload, Propose) and e.payload.view > 1
+        r.payload for r in sends
+        if isinstance(r.payload, Propose) and r.payload.view > 1
     ]
-    print(f"view-change votes sent: {len(votes)}")
+    print(f"view-change votes sent: {votes}")
     if reproposals:
         p = reproposals[0]
         print(

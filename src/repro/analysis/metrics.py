@@ -7,7 +7,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..sim.network import DelayModel, RoundSynchronousDelay, SynchronousDelay
+from ..sim.network import (
+    DelayModel,
+    FanOut,
+    RoundSynchronousDelay,
+    SynchronousDelay,
+)
 from ..sim.process import Process
 from ..sim.runner import Cluster
 from ..sim.trace import message_delays
@@ -86,6 +91,8 @@ def run_common_case(
     """
     model = delay_model or RoundSynchronousDelay(delta)
     cluster = Cluster(list(processes), delay_model=model)
+    records: List[FanOut] = []
+    cluster.network.add_send_hook(records.append)
     result = cluster.run_until_decided(correct_pids=correct_pids, timeout=timeout)
     delays = None
     if result.decided and isinstance(model, RoundSynchronousDelay):
@@ -94,14 +101,14 @@ def run_common_case(
     if result.decided:
         messages = sum(
             len(record.dsts)
-            for record in cluster.trace.fan_outs
+            for record in records
             if record.send_time <= result.decision_time + 1e-9
         )
     else:
         messages = cluster.trace.message_count()
     by_type: Dict[str, int] = {}
     bytes_sent = 0
-    for record in cluster.trace.fan_outs:
+    for record in records:
         if result.decided and record.send_time > result.decision_time + 1e-9:
             continue
         name = type(record.payload).__name__
@@ -322,6 +329,8 @@ def run_catchup(
     ]
     client = SMRClient(pid=n, replica_pids=range(n), f=f, window=2)
     cluster = Cluster(replicas + [client], delay_model=SynchronousDelay(delta))
+    records: List[FanOut] = []
+    cluster.network.add_send_hook(records.append)
     cluster.start()
 
     for i in range(warmup_requests):
@@ -351,7 +360,7 @@ def run_catchup(
     catchup_time = cluster.sim.now - recovery_start
     catchup_messages = 0
     catchup_bytes = 0
-    for record in cluster.trace.fan_outs:
+    for record in records:
         if record.send_time < recovery_start - 1e-9:
             continue
         if type(record.payload).__name__ in ("CatchupRequest", "CatchupReply"):

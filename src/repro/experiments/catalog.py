@@ -57,6 +57,7 @@ from ..scenarios import SCENARIOS
 from ..scenarios.runner import run_scenarios
 from ..sim.events import Simulator
 from ..sim.network import (
+    FanOut,
     Network,
     RandomDelay,
     RoundSynchronousDelay,
@@ -211,13 +212,15 @@ def e3_driver(params: Dict[str, Any], seed: int) -> TaskResult:
         for pid in config.process_ids
     ]
     cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
+    records: List[FanOut] = []
+    cluster.network.add_send_hook(records.append)
     for pid in range(crashes):
         procs[pid].crash()
     correct = list(range(crashes, n))
     result = cluster.run_until_decided(correct_pids=correct, timeout=2000)
     cert_sizes = [
         len(record.payload.cert.signatures)
-        for record in cluster.trace.fan_outs
+        for record in records
         if isinstance(record.payload, Propose)
         and record.payload.view > 1
         and record.payload.cert is not None
@@ -493,6 +496,8 @@ def e7_driver(params: Dict[str, Any], seed: int) -> TaskResult:
         for pid in config.process_ids
     ]
     cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
+    records: List[FanOut] = []
+    cluster.network.add_send_hook(records.append)
     cluster.start()
     cluster.sim.run(until=3.0)
     for view in range(2, views + 2):
@@ -500,7 +505,7 @@ def e7_driver(params: Dict[str, Any], seed: int) -> TaskResult:
             proc.enter_view(view)
         cluster.sim.run(until=cluster.sim.now + 8.0)
     sizes: Dict[int, Tuple[int, int]] = {}
-    for record in cluster.trace.fan_outs:
+    for record in records:
         payload = record.payload
         if isinstance(payload, Propose) and payload.cert is not None:
             sizes[payload.view] = (

@@ -3,8 +3,8 @@
 Each adapter knows how to turn a :class:`~repro.scenarios.spec.ScenarioSpec`
 into a list of simulated processes (honest instances plus statically
 corrupted ones), which pids the oracles should hold to account, and —
-where the family has transferable artifacts — how to audit certificates
-found in the trace.
+where the family has transferable artifacts — how to audit the
+certificates its processes send.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..core.quorums import (
     min_processes_pbft,
 )
 from ..crypto.keys import KeyRegistry
-from ..sim.network import DelayRule
+from ..sim.network import DelayRule, FanOut
 from ..sim.process import Process
 from ..smr.backends import smr_backend
 from ..smr.client import SMRClient
@@ -53,6 +53,7 @@ from .spec import ByzantineRole, ScenarioError, ScenarioSpec
 __all__ = [
     "ADAPTERS",
     "BuiltScenario",
+    "ProgressCertificateAudit",
     "RelaxedFastQuorumConfig",
     "ScenarioAdapter",
 ]
@@ -160,10 +161,10 @@ class ScenarioAdapter:
             f"behavior {role.behavior!r} needs a protocol-specific forge"
         )
 
-    def certificate_errors(
-        self, built: BuiltScenario, fan_outs: Sequence[Any]
-    ) -> Optional[List[str]]:
-        """Audit certificates in the trace's fan-out records; None = not
+    def certificate_audit(
+        self, built: BuiltScenario
+    ) -> Optional["ProgressCertificateAudit"]:
+        """The send hook that audits this run's certificates; None = not
         applicable."""
         return None
 
@@ -202,6 +203,57 @@ class ScenarioAdapter:
 # ----------------------------------------------------------------------
 # This paper's protocol
 # ----------------------------------------------------------------------
+
+
+class ProgressCertificateAudit:
+    """Send hook: every progress certificate attached to an honest
+    proposal must be well-formed (enough valid confirmation signatures).
+
+    Audits each proposal as it is sent and keeps only the error strings.
+    One proposal is audited once, not per copy: whether it goes out as
+    one fan-out or as the same object sent recipient by recipient.
+    """
+
+    def __init__(
+        self,
+        honest_pids: Sequence[int],
+        registry: KeyRegistry,
+        config: ProtocolConfig,
+    ) -> None:
+        self.errors: List[str] = []
+        self._honest = frozenset(honest_pids)
+        self._registry = registry
+        self._config = config
+        self._last: Tuple[Any, Any] = (None, None)
+
+    def add(self, record: FanOut) -> None:
+        src, payload = record.src, record.payload
+        last_src, last_payload = self._last
+        if payload is last_payload and src == last_src:
+            return
+        self._last = (src, payload)
+        if not isinstance(payload, Propose) or src not in self._honest:
+            return
+        errors = self.errors
+        if payload.view == 1:
+            if payload.cert is not None:
+                errors.append(f"view-1 proposal from {src} carries a certificate")
+            return
+        cert = payload.cert
+        if not isinstance(cert, ProgressCertificate):
+            errors.append(
+                f"honest proposal for view {payload.view} from "
+                f"{src} lacks a progress certificate"
+            )
+            return
+        if not progress_certificate_valid(
+            cert, payload.value, payload.view, self._registry,
+            self._config.cert_quorum,
+        ):
+            errors.append(
+                f"invalid progress certificate on proposal "
+                f"({payload.value!r}, view {payload.view}) from {src}"
+            )
 
 
 class FbftAdapter(ScenarioAdapter):
@@ -299,11 +351,9 @@ class FbftAdapter(ScenarioAdapter):
             extra_script=extra,
         )
 
-    def certificate_errors(
-        self, built: BuiltScenario, fan_outs: Sequence[Any]
-    ) -> Optional[List[str]]:
-        """Every progress certificate attached to an honest proposal must
-        be well-formed (enough valid confirmation signatures)."""
+    def certificate_audit(
+        self, built: BuiltScenario
+    ) -> Optional[ProgressCertificateAudit]:
         config, registry = built.config, built.registry
         if config is None or registry is None:
             return None
@@ -311,38 +361,7 @@ class FbftAdapter(ScenarioAdapter):
             built.process_by_pid(built.honest_pids[0]), "cert_scheme", "bounded"
         ) != "bounded":
             return None  # the naive scheme has its own validator
-        honest = set(built.honest_pids)
-        errors: List[str] = []
-        # One proposal is audited once, not per copy: whether it went out
-        # as one fan-out or as the same object sent recipient by recipient.
-        src = payload = None
-        for record in fan_outs:
-            if record.payload is payload and record.src == src:
-                continue
-            src, payload = record.src, record.payload
-            if not isinstance(payload, Propose) or src not in honest:
-                continue
-            if payload.view == 1:
-                if payload.cert is not None:
-                    errors.append(
-                        f"view-1 proposal from {src} carries a certificate"
-                    )
-                continue
-            cert = payload.cert
-            if not isinstance(cert, ProgressCertificate):
-                errors.append(
-                    f"honest proposal for view {payload.view} from "
-                    f"{src} lacks a progress certificate"
-                )
-                continue
-            if not progress_certificate_valid(
-                cert, payload.value, payload.view, registry, config.cert_quorum
-            ):
-                errors.append(
-                    f"invalid progress certificate on proposal "
-                    f"({payload.value!r}, view {payload.view}) from {src}"
-                )
-        return errors
+        return ProgressCertificateAudit(built.honest_pids, registry, config)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Invariant oracles: what must hold of a finished scenario run.
 
-Oracles are evaluated *post hoc* from the recorded trace, so they are
+Oracles are evaluated *post hoc* from the finished run, so they are
 protocol-independent wherever possible and delegate to the adapter where
 they are not (certificate audits).  Each returns an
 :class:`InvariantVerdict` with ``passed`` being ``True``, ``False`` or
 ``None`` (not applicable to this spec/protocol) — a scenario "passes"
 when no oracle returns ``False``.
+
+What they need of the sends is tallied as the sends pass:
+:func:`attach_audits` subscribes the quorum tally and the adapter's
+certificate audit to the network's send hook before the run, and they
+keep sender sets and error strings, not records.
 """
 
 from __future__ import annotations
@@ -13,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..sim.network import FanOut, Network
 from ..sim.process import MESSAGE_FACTS
 from ..sim.runner import Cluster
 from ..sim.trace import message_delays
-from .adapters import BuiltScenario
+from .adapters import BuiltScenario, ProgressCertificateAudit
 from .spec import Recover, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -24,6 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "InvariantVerdict",
+    "QuorumTally",
+    "SendAudits",
+    "attach_audits",
     "decisions_of",
     "durable_rejoin_sets",
     "evaluate_invariants",
@@ -99,42 +108,76 @@ def decisions_of(cluster: Cluster, pids) -> Dict[int, Any]:
 # The oracles
 # ----------------------------------------------------------------------
 
-def _quorum_shortfall(built: BuiltScenario, cluster: Cluster) -> Optional[float]:
-    """Votes-short-of-quorum for the closest incomplete tally.
+class QuorumTally:
+    """Send hook: distinct senders per ``(type, view, value)`` of every
+    payload whose message-table row names a quorum attribute of the
+    protocol's config (acks, votes, commits).
 
-    Scans the trace for payloads whose message-table row names a quorum
-    attribute of the protocol's config (acks, votes, commits), tallies
-    distinct senders per ``(type, view, value)``, and returns the
-    smallest shortfall among tallies that never reached their quorum —
-    the graded "one more equivocation and this would have been a second
-    decision" signal.  ``None`` when every tally completed (or none
-    exists): the run never approached the edge.
+    :meth:`shortfall` is the graded "one more equivocation and this would
+    have been a second decision" signal.
     """
-    config = built.config
-    if config is None:
-        return None
-    tallies: Dict[Tuple[type, Any, str], Tuple[set, int]] = {}
-    # A fan-out is one vote by one sender, however many it reached.
-    for record in cluster.trace.fan_outs:
+
+    def __init__(self, config: Any) -> None:
+        self._config = config
+        self._tallies: Dict[Tuple[type, Any, str], Tuple[set, int]] = {}
+
+    def add(self, record: FanOut) -> None:
+        # A fan-out is one vote by one sender, however many it reached.
         payload = record.payload
         facts = MESSAGE_FACTS.get(type(payload))
         if facts is None or facts.quorum is None:
-            continue
-        threshold = getattr(config, facts.quorum, None)
+            return
+        threshold = getattr(self._config, facts.quorum, None)
         if threshold is None:
-            continue
+            return
         view = getattr(payload, facts.view)
         key = (type(payload), view, repr(getattr(payload, "value", None)))
-        senders, _ = tallies.setdefault(key, (set(), threshold))
+        senders, _ = self._tallies.setdefault(key, (set(), threshold))
         senders.add(record.src)
-    shortfalls = [
-        threshold - len(senders)
-        for senders, threshold in tallies.values()
-        if len(senders) < threshold
-    ]
-    if not shortfalls:
-        return None
-    return float(min(shortfalls))
+
+    def shortfall(self) -> Optional[float]:
+        """Votes short of quorum for the closest incomplete tally;
+        ``None`` when every tally completed (or none exists): the run
+        never approached the edge."""
+        shortfalls = [
+            threshold - len(senders)
+            for senders, threshold in self._tallies.values()
+            if len(senders) < threshold
+        ]
+        if not shortfalls:
+            return None
+        return float(min(shortfalls))
+
+
+@dataclass(frozen=True)
+class SendAudits:
+    """The oracles' send-hook subscribers for one run; ``None`` where the
+    run has nothing to audit."""
+
+    quorums: Optional[QuorumTally] = None
+    certificates: Optional[ProgressCertificateAudit] = None
+
+
+def attach_audits(built: BuiltScenario, network: Network) -> SendAudits:
+    """Subscribe what the oracles need of the sends to ``network``; call
+    before the run.
+
+    A consensus run gets a :class:`QuorumTally` (the agreement oracle's
+    margin) when its config names quorums, and its adapter's certificate
+    audit if it has one.  An SMR run gets neither — its agreement is
+    judged slot by slot from the replicas' logs — so it keeps nothing
+    per send.
+    """
+    if built.mode == "smr":
+        return SendAudits()
+    quorums = None
+    if built.config is not None:
+        quorums = QuorumTally(built.config)
+        network.add_send_hook(quorums.add)
+    certificates = built.adapter.certificate_audit(built)
+    if certificates is not None:
+        network.add_send_hook(certificates.add)
+    return SendAudits(quorums, certificates)
 
 
 def check_agreement(
@@ -142,6 +185,7 @@ def check_agreement(
     built: BuiltScenario,
     cluster: Cluster,
     safety_violation: Optional[str],
+    quorums: Optional[QuorumTally],
 ) -> InvariantVerdict:
     """No two honest processes decide differently (ever, in any view)."""
     if safety_violation is not None:
@@ -157,7 +201,7 @@ def check_agreement(
         )
     return InvariantVerdict(
         "agreement", True, f"{len(decided)} honest decisions, all equal",
-        margin=_quorum_shortfall(built, cluster),
+        margin=None if quorums is None else quorums.shortfall(),
     )
 
 
@@ -293,16 +337,17 @@ def check_catchup_consistency(
 
 
 def check_certificates(
-    spec: ScenarioSpec, built: BuiltScenario, cluster: Cluster
+    audit: Optional[ProgressCertificateAudit],
 ) -> InvariantVerdict:
-    """Adapter-specific audit of transferable artifacts in the trace."""
-    errors = built.adapter.certificate_errors(built, cluster.trace.fan_outs)
-    if errors is None:
+    """Adapter-specific audit of transferable artifacts in the sends."""
+    if audit is None:
         return InvariantVerdict(
             "certificates", None, "protocol has no transferable certificates"
         )
-    if errors:
-        return InvariantVerdict("certificates", False, "; ".join(errors[:3]))
+    if audit.errors:
+        return InvariantVerdict(
+            "certificates", False, "; ".join(audit.errors[:3])
+        )
     return InvariantVerdict("certificates", True, "all traced certificates valid")
 
 
@@ -456,17 +501,19 @@ def evaluate_invariants(
     spec: ScenarioSpec,
     built: BuiltScenario,
     cluster: Cluster,
+    audits: SendAudits,
     decided: bool,
     decision_time: Optional[float],
     safety_violation: Optional[str],
 ) -> Tuple[InvariantVerdict, ...]:
-    """Run every oracle; order is stable (agreement first)."""
+    """Run every oracle; order is stable (agreement first).  ``audits``
+    is what :func:`attach_audits` subscribed before the run."""
     return (
-        check_agreement(spec, built, cluster, safety_violation),
+        check_agreement(spec, built, cluster, safety_violation, audits.quorums),
         check_validity(spec, built, cluster),
         check_no_duplicate_execution(spec, built, cluster),
         check_catchup_consistency(spec, built, cluster),
-        check_certificates(spec, built, cluster),
+        check_certificates(audits.certificates),
         check_fast_path(spec, built, cluster, decided, decision_time),
         check_liveness(spec, built, cluster, decided, decision_time, safety_violation),
         check_leader_rotation(spec, built, cluster),

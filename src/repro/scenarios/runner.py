@@ -20,6 +20,7 @@ from .adapters import ADAPTERS, BuiltScenario
 from .coverage import collect_coverage
 from .invariants import (
     InvariantVerdict,
+    attach_audits,
     decisions_of,
     durable_rejoin_sets,
     evaluate_invariants,
@@ -268,6 +269,7 @@ def run_scenario(
     if subscribers:
         cluster.observe(subscribers, built.honest_pids)
     _schedule_faults(spec, built, cluster)
+    audits = attach_audits(built, cluster.network)
 
     decided = False
     decision_value: Any = None
@@ -331,7 +333,7 @@ def run_scenario(
         steps = message_delays(decision_time, spec.delay.delta)
 
     verdicts = evaluate_invariants(
-        spec, built, cluster, decided, decision_time, safety_violation
+        spec, built, cluster, audits, decided, decision_time, safety_violation
     )
     messages_by_type = cluster.trace.messages_by_type()
     coverage = collect_coverage(

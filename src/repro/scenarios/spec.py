@@ -77,6 +77,11 @@ class DelaySpec:
             )
         if self.delta <= 0:
             raise ScenarioError("delta must be > 0")
+        if self.kind == "random" and not 0 <= self.min_delay <= self.max_delay:
+            raise ScenarioError(
+                f"random delay needs 0 <= min_delay <= max_delay, got "
+                f"min_delay={self.min_delay!r}, max_delay={self.max_delay!r}"
+            )
 
     def build(self) -> DelayModel:
         if self.kind == "synchronous":

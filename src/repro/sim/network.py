@@ -38,10 +38,10 @@ is the **fan-out**: one payload from one source to ``k`` recipients.
 fan-out over the cached sorted pid tuple, and both go through the one
 send path, ``_send_general``, which leaves one :class:`FanOut` behind:
 ``(src, dsts, payload, send_time, deliver_times, size)``, ``dsts`` and
-``deliver_times`` parallel.  That record is what the send hooks (the
-trace recorder) keep and what the digest, the post-run oracles and the
-byte metrics read; :meth:`FanOut.envelopes` expands it to one
-:class:`Envelope` per recipient for whoever wants that view.
+``deliver_times`` parallel.  The send hooks see that record as it is
+sent — the trace recorder hashes and counts it, the scenario runner's
+audits tally it — and the network keeps none: a reader that wants the
+records of a run appends them from a hook of its own.
 
 Done **once per fan-out**: the destination check, the payload's size
 (memoized by object identity — per node of the walk, so a value embedded
@@ -211,9 +211,9 @@ class Envelope(NamedTuple):
 
     What a delay rule, the interceptor, the partition and the tracer see
     of a send — one per recipient, built only while one of them is
-    active — and what :meth:`FanOut.envelopes` expands a record into.  A
-    ``NamedTuple`` rather than a dataclass: C-level tuple construction is
-    several times cheaper than a frozen dataclass ``__init__``.
+    active.  A ``NamedTuple`` rather than a dataclass: C-level tuple
+    construction is several times cheaper than a frozen dataclass
+    ``__init__``.
     """
 
     src: ProcessId
@@ -234,13 +234,12 @@ class FanOut(NamedTuple):
     """The record of one send: ``payload`` from ``src`` to each of
     ``dsts``, delivered at the parallel ``deliver_times``.
 
-    The send hooks (the trace recorder) keep it, so everything the
-    digest and the byte metrics need — endpoints, times and the
-    accounted ``size`` of *one* copy — is read back from it after the
-    run, never recomputed from the payload.  ``deliver_times`` are as
-    decided at send time: a message held by a partition is delivered
-    later than its record says.  Neither sequence is mutated once the
-    record exists.
+    Each send hook is called with it, so everything the digest and the
+    byte metrics need — endpoints, times and the accounted ``size`` of
+    *one* copy — is read from it, never recomputed from the payload.
+    ``deliver_times`` are as decided at send time: a message held by a
+    partition is delivered later than its record says.  Neither sequence
+    is mutated once the record exists.
     """
 
     src: ProcessId
@@ -249,15 +248,6 @@ class FanOut(NamedTuple):
     send_time: float
     deliver_times: Tuple[float, ...]
     size: int
-
-    def envelopes(self) -> List[Envelope]:
-        """The per-recipient view: what ``len(dsts)`` separate sends
-        would have put in transit (unstamped)."""
-        src, dsts, payload, send_time, deliver_times, size = self
-        return [
-            Envelope(src, dst, payload, send_time, at, size)
-            for dst, at in zip(dsts, deliver_times)
-        ]
 
 
 _deliver_time_of = attrgetter("deliver_time")
@@ -460,12 +450,13 @@ class Network:
         return pids
 
     def add_send_hook(self, hook: Callable[[FanOut], None]) -> None:
-        """Observe every send (one client: the trace recorder that
-        feeds the digest).
+        """Observe every send: the trace recorder that feeds the digest,
+        the scenario runner's audits, and any reader that wants the
+        records (``network.add_send_hook(records.append)``).
 
         ``hook`` is called once per fan-out — one :meth:`send` or one
-        :meth:`broadcast` — with its :class:`FanOut`.  A fan-out with no
-        recipients calls no hook.
+        :meth:`broadcast` — with its :class:`FanOut`, hooks in the order
+        they were added.  A fan-out with no recipients calls no hook.
         """
         self._send_hooks.append(hook)
 

@@ -4,16 +4,20 @@ The paper's headline metric is *common-case latency measured in message
 delays*.  With the round-synchronous delay model every hop costs exactly
 ``DELTA``, so a decision at time ``k * DELTA`` is a ``k``-step decision.
 :func:`message_delays` performs that conversion; :class:`TraceRecorder`
-captures the raw material.
+captures the raw material: every decision, and per payload type how many
+messages were sent.  Sends are not kept — the recorder hashes each one
+into the trace digest's stream as it is sent and counts it, so what a
+run holds does not grow with the number of messages it sends.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set
 
-from .network import Envelope, FanOut, Network, ProcessId
+from .network import FanOut, Network, ProcessId
 
 __all__ = [
     "Decision",
@@ -39,24 +43,25 @@ class Decision:
 class TraceRecorder:
     """Records message sends and decisions for later analysis.
 
-    ``fan_outs`` holds the network's own records, in send order: one
-    :class:`~repro.sim.network.FanOut` per ``send`` / ``broadcast``,
-    carrying the size the network accounted for one copy — so
-    ``sum(len(r.dsts) * r.size for r in fan_outs) ==
-    network.stats.bytes_sent`` and the trace digest formats that size
-    rather than sizing payloads again.  The digest and the post-run
-    oracles read these records; :attr:`sends` expands them to one
-    envelope per recipient for whoever wants that view.
-
     The recorder is the network's send hook (see
-    :meth:`Network.add_send_hook`): a broadcast to ``k`` recipients costs
-    it one ``append`` and one count bump.  Decisions are recorded one by
-    one; a caller waiting for a set of processes to decide
-    (:meth:`await_decisions`) is handed a set that shrinks as they do.
+    :meth:`Network.add_send_hook`) and keeps nothing per send: each
+    :class:`~repro.sim.network.FanOut` is counted into the per-type
+    histogram and hashed into :attr:`send_hash` — one
+    ``s|src|dst|type|size|send_time|deliver_time`` line per recipient,
+    ``size`` being what the network accounted for one copy — and then
+    dropped.  :func:`~repro.sim.digest.trace_digest` finalizes a copy of
+    that hash, so a long run costs the same memory as a short one.  A
+    reader that needs whole records attaches its own hook (for example
+    ``network.add_send_hook(records.append)``) before the run.
+
+    Decisions are recorded one by one; a caller waiting for a set of
+    processes to decide (:meth:`await_decisions`) is handed a set that
+    shrinks as they do.
     """
 
     def __init__(self, network: Optional[Network] = None) -> None:
-        self.fan_outs: List[FanOut] = []
+        #: SHA-256 over the send lines so far, in send order.
+        self.send_hash = hashlib.sha256()
         self.decisions: List[Decision] = []
         self._decided_by: Dict[ProcessId, Decision] = {}
         self._type_counts: Dict[str, int] = {}
@@ -64,20 +69,45 @@ class TraceRecorder:
         #: decided yet; :meth:`record_decision` shrinks it.
         self._awaited: Set[ProcessId] = set()
         if network is not None:
-            network.add_send_hook(self._record_send)
+            network.add_send_hook(self.record_send)
 
-    def _record_send(self, record: FanOut) -> None:
-        """The network's send hook: one call per fan-out (one payload)."""
-        self.fan_outs.append(record)
-        name = type(record.payload).__name__
+    def record_send(self, record: FanOut) -> None:
+        """The network's send hook: one call per fan-out (one payload),
+        one chunk of send lines hashed per call."""
+        src, dsts, payload, send_time, deliver_times, size = record
+        k = len(dsts)
+        if not k:
+            return  # no recipient, no line (the network hooks none)
+        name = type(payload).__name__
         counts = self._type_counts
-        counts[name] = counts.get(name, 0) + len(record.dsts)
-
-    @property
-    def sends(self) -> List[Envelope]:
-        """One envelope per recipient of every recorded fan-out, in send
-        order — a view built on each read, not what the run keeps."""
-        return [env for record in self.fan_outs for env in record.envelopes()]
+        counts[name] = counts.get(name, 0) + k
+        if k == 1:  # most sends: a request, a reply, a vote to the leader
+            self.send_hash.update(
+                f"s|{src}|{dsts[0]}|{name}|{size}|{send_time!r}"
+                f"|{deliver_times[0]!r}\n".encode()
+            )
+            return
+        head = f"s|{src}|"
+        at = deliver_times[0]
+        if (
+            deliver_times.count(at) == k
+            and at
+            and len(set(map(type, deliver_times))) == 1
+        ):
+            # One delivery time (every fixed-delay or round-synchronous
+            # send): the lines differ only in ``dst``, so one ``repr``
+            # and one join format them all.  Equal floats, or equal ints,
+            # have one ``repr`` — except ``0.0`` and ``-0.0``, hence the
+            # nonzero ``at``; ``2`` and ``2.0`` differ in type.
+            end = f"|{name}|{size}|{send_time!r}|{at!r}\n"
+            chunk = head + (end + head).join(map(str, dsts)) + end
+        else:
+            tail = f"|{name}|{size}|{send_time!r}|"
+            lines: List[str] = []
+            for dst, when in zip(dsts, deliver_times):
+                lines.append(f"{head}{dst}{tail}{when!r}\n")
+            chunk = "".join(lines)
+        self.send_hash.update(chunk.encode())
 
     # ------------------------------------------------------------------
     # Decision bookkeeping
@@ -147,7 +177,7 @@ class TraceRecorder:
     # ------------------------------------------------------------------
 
     def message_count(self) -> int:
-        """Messages sent: the recipients of every recorded fan-out."""
+        """Messages sent: the recipients of every fan-out seen."""
         return sum(self._type_counts.values())
 
     def messages_by_type(self) -> Dict[str, int]:

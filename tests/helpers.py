@@ -11,7 +11,13 @@ from repro.core.generalized import GeneralizedFBFTProcess
 from repro.core.payloads import certack_payload, propose_payload, vote_payload
 from repro.core.votes import SignedVote, VoteRecord
 from repro.crypto.keys import KeyRegistry
-from repro.sim.network import RoundSynchronousDelay, SynchronousDelay
+from repro.sim.network import (
+    Envelope,
+    FanOut,
+    Network,
+    RoundSynchronousDelay,
+    SynchronousDelay,
+)
 from repro.sim.runner import Cluster
 
 
@@ -49,6 +55,26 @@ def build_cluster(
         RoundSynchronousDelay(delta) if round_synchronous else SynchronousDelay(delta)
     )
     return Cluster(processes, delay_model=model)
+
+
+def envelopes_of(record: FanOut) -> List[Envelope]:
+    """The per-recipient view of one send record: what ``len(dsts)``
+    separate sends would have put in transit (unstamped)."""
+    src, dsts, payload, send_time, deliver_times, size = record
+    return [
+        Envelope(src, dst, payload, send_time, at, size)
+        for dst, at in zip(dsts, deliver_times)
+    ]
+
+
+def record_sends(network: Network) -> List[Envelope]:
+    """Hook ``network`` and return the list the hook fills: the
+    :func:`envelopes_of` every send from now on.  The trace keeps no
+    records, so a test that reads the sends attaches this before the
+    run."""
+    sends: List[Envelope] = []
+    network.add_send_hook(lambda record: sends.extend(envelopes_of(record)))
+    return sends
 
 
 def make_progress_cert(

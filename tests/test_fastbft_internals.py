@@ -10,7 +10,13 @@ from repro.core.messages import CertAck, CertRequest, Propose, Vote
 from repro.sim.network import SynchronousDelay
 from repro.sim.runner import Cluster
 
-from helpers import build_cluster, make_config, make_registry, make_vote_set
+from helpers import (
+    build_cluster,
+    make_config,
+    make_registry,
+    make_vote_set,
+    record_sends,
+)
 
 
 class TestFutureMessageBuffering:
@@ -18,6 +24,7 @@ class TestFutureMessageBuffering:
         config = make_config(n=4, f=1)
         registry = make_registry(config)
         cluster = build_cluster(config, registry=registry, round_synchronous=False)
+        sends = record_sends(cluster.network)
         cluster.start()
         proc = cluster.process(2)
         # A valid view-2 CertRequest arrives before process 2 enters view 2.
@@ -25,12 +32,12 @@ class TestFutureMessageBuffering:
         request = CertRequest(value="z", view=2, votes=tuple(votes.values()))
         proc._dispatch(1, request)
         certacks = [
-            e for e in cluster.trace.sends if isinstance(e.payload, CertAck)
+            e for e in sends if isinstance(e.payload, CertAck)
         ]
         assert not certacks  # buffered, not processed
         proc.enter_view(2)
         certacks = [
-            e for e in cluster.trace.sends if isinstance(e.payload, CertAck)
+            e for e in sends if isinstance(e.payload, CertAck)
         ]
         assert len(certacks) == 1  # replayed on entry
 
@@ -67,20 +74,21 @@ class TestLeaderStateMachine:
             config, registry=registry, round_synchronous=False,
             pacemaker_enabled=False,
         )
+        sends = record_sends(cluster.network)
         cluster.start()
         leader = cluster.process(1)
         for pid in config.process_ids:
             cluster.process(pid).enter_view(2)
-        return cluster, leader, registry, config
+        return cluster, leader, registry, config, sends
 
     def test_leader_runs_selection_once_quorum_reached(self):
-        cluster, leader, registry, config = self._leader_in_view2()
+        cluster, leader, registry, config, _ = self._leader_in_view2()
         cluster.sim.run(until=cluster.sim.now + 2)
         assert leader._lead_certreq_sent
         assert leader._lead_selected == leader.input_value  # all-nil votes
 
     def test_certack_for_wrong_value_ignored(self):
-        cluster, leader, registry, config = self._leader_in_view2()
+        cluster, leader, registry, config, _ = self._leader_in_view2()
         cluster.sim.run(until=cluster.sim.now + 2)
         forge = ByzantineForge(3, registry, config)
         leader._handle_certack(3, forge.cert_ack("WRONG", 2))
@@ -89,7 +97,7 @@ class TestLeaderStateMachine:
     def test_certack_with_mismatched_signer_ignored(self):
         from repro.crypto.keys import Signature
 
-        cluster, leader, registry, config = self._leader_in_view2()
+        cluster, leader, registry, config, _ = self._leader_in_view2()
         cluster.sim.run(until=cluster.sim.now + 2)
         forge = ByzantineForge(3, registry, config)
         good = forge.cert_ack(leader._lead_selected, 2)
@@ -101,10 +109,10 @@ class TestLeaderStateMachine:
         assert 2 not in leader._lead_certacks
 
     def test_leader_proposes_exactly_once_per_view(self):
-        cluster, leader, registry, config = self._leader_in_view2()
+        cluster, leader, registry, config, sends = self._leader_in_view2()
         cluster.sim.run(until=cluster.sim.now + 10)
         proposals = [
-            e for e in cluster.trace.sends
+            e for e in sends
             if isinstance(e.payload, Propose) and e.src == 1
         ]
         views = [p.payload.view for p in proposals]

@@ -5,7 +5,7 @@ import pytest
 from repro.core.certificates import ProgressCertificate
 from repro.core.messages import CertAck, CertRequest, Propose, Vote
 
-from helpers import build_cluster, make_config
+from helpers import build_cluster, make_config, record_sends
 
 
 class TestCrashedLeader:
@@ -63,34 +63,35 @@ class TestCrashedLeader:
 class TestViewChangeMechanics:
     def _run_view_change(self, config, crash_leader=True):
         cluster = build_cluster(config, round_synchronous=False)
+        sends = record_sends(cluster.network)
         if crash_leader:
             cluster.process(0).crash()
         correct = [p for p in config.process_ids if p != 0 or not crash_leader]
         result = cluster.run_until_decided(correct_pids=correct, timeout=500)
-        return cluster, result
+        return cluster, result, sends
 
     def test_votes_sent_to_new_leader_only(self):
         config = make_config(n=4, f=1)
-        cluster, _ = self._run_view_change(config)
+        _, _, sends = self._run_view_change(config)
         vote_envs = [
-            env for env in cluster.trace.sends if isinstance(env.payload, Vote)
+            env for env in sends if isinstance(env.payload, Vote)
         ]
         assert vote_envs, "view change must produce votes"
         assert all(env.dst == 1 for env in vote_envs)  # leader(2) is pid 1
 
     def test_certificate_round_happens(self):
         config = make_config(n=4, f=1)
-        cluster, _ = self._run_view_change(config)
+        cluster, _, _ = self._run_view_change(config)
         kinds = cluster.trace.messages_by_type()
         assert kinds.get("CertRequest", 0) >= 1
         assert kinds.get("CertAck", 0) >= config.cert_quorum
 
     def test_new_proposal_carries_valid_certificate(self):
         config = make_config(n=4, f=1)
-        cluster, result = self._run_view_change(config)
+        cluster, _, sends = self._run_view_change(config)
         proposals = [
             env.payload
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, Propose) and env.payload.view >= 2
         ]
         assert proposals
@@ -103,13 +104,14 @@ class TestViewChangeMechanics:
     def test_certificate_size_is_f_plus_1(self):
         config = make_config(n=9, f=2)
         cluster = build_cluster(config, round_synchronous=False)
+        sends = record_sends(cluster.network)
         cluster.process(0).crash()
         result = cluster.run_until_decided(
             correct_pids=range(1, 9), timeout=500
         )
         proposals = [
             env.payload
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, Propose) and env.payload.view >= 2
         ]
         for proposal in proposals:
@@ -119,6 +121,7 @@ class TestViewChangeMechanics:
         """A process that acked in view 1 must vote for that value."""
         config = make_config(n=4, f=1)
         cluster = build_cluster(config, round_synchronous=False)
+        sends = record_sends(cluster.network)
         result = cluster.run_until_decided(timeout=50)  # view-1 fast path
         value = result.decision_value
         proc = cluster.process(2)
@@ -127,7 +130,7 @@ class TestViewChangeMechanics:
         proc.enter_view(2)
         vote_envs = [
             env
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, Vote) and env.src == 2
         ]
         assert vote_envs
@@ -176,6 +179,7 @@ class TestLeaderSide:
         config = make_config(n=4, f=1)
         registry = make_registry(config)
         cluster = build_cluster(config, registry=registry, round_synchronous=False)
+        sends = record_sends(cluster.network)
         cluster.start()
         certifier = cluster.process(2)
         certifier.enter_view(2)
@@ -187,7 +191,7 @@ class TestLeaderSide:
         certifier._handle_certreq(1, bad_request)
         certacks = [
             env
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, CertAck)
         ]
         assert not certacks
@@ -198,6 +202,7 @@ class TestLeaderSide:
         config = make_config(n=4, f=1)
         registry = make_registry(config)
         cluster = build_cluster(config, registry=registry, round_synchronous=False)
+        sends = record_sends(cluster.network)
         cluster.start()
         certifier = cluster.process(2)
         certifier.enter_view(2)
@@ -205,7 +210,7 @@ class TestLeaderSide:
         good_request = CertRequest(value="x", view=2, votes=tuple(votes.values()))
         certifier._handle_certreq(1, good_request)
         certacks = [
-            env for env in cluster.trace.sends if isinstance(env.payload, CertAck)
+            env for env in sends if isinstance(env.payload, CertAck)
         ]
         assert len(certacks) == 1
         assert certacks[0].dst == 1
@@ -217,6 +222,7 @@ class TestLeaderSide:
         config = make_config(n=4, f=1)
         registry = make_registry(config)
         cluster = build_cluster(config, registry=registry, round_synchronous=False)
+        sends = record_sends(cluster.network)
         cluster.start()
         certifier = cluster.process(2)
         certifier.enter_view(2)
@@ -226,7 +232,7 @@ class TestLeaderSide:
             1, CertRequest(value="x", view=2, votes=duplicated)
         )
         certacks = [
-            env for env in cluster.trace.sends if isinstance(env.payload, CertAck)
+            env for env in sends if isinstance(env.payload, CertAck)
         ]
         assert not certacks
 
@@ -236,6 +242,7 @@ class TestLeaderSide:
         config = make_config(n=4, f=1)
         registry = make_registry(config)
         cluster = build_cluster(config, registry=registry, round_synchronous=False)
+        sends = record_sends(cluster.network)
         cluster.start()
         certifier = cluster.process(2)
         certifier.enter_view(2)
@@ -244,6 +251,6 @@ class TestLeaderSide:
             1, CertRequest(value="x", view=2, votes=tuple(votes.values()))
         )
         certacks = [
-            env for env in cluster.trace.sends if isinstance(env.payload, CertAck)
+            env for env in sends if isinstance(env.payload, CertAck)
         ]
         assert not certacks

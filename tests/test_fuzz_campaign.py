@@ -706,6 +706,18 @@ class TestCli:
         spec_path.write_text(json.dumps(generate_scenario(1).to_dict()))
         assert fuzz_main(["replay", "--spec", str(spec_path)]) == 0
 
+    def test_replay_spec_with_bad_delay_bounds_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        data = generate_scenario(1).to_dict()
+        data["delay"] = dict(
+            data["delay"], kind="random", min_delay=2.0, max_delay=1.0
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        assert fuzz_main(["replay", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: random delay needs")
+
     def test_replay_ambiguous_prefix_fails(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
         _grown_corpus(6).save(str(corpus_path))

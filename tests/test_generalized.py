@@ -8,7 +8,7 @@ from repro.core.messages import AckSig, Commit
 from repro.sim.network import RoundSynchronousDelay, SynchronousDelay
 from repro.sim.runner import Cluster
 
-from helpers import make_config, make_registry
+from helpers import make_config, make_registry, record_sends
 
 
 def build_generalized(config, registry, silent=(), inputs=None):
@@ -73,10 +73,11 @@ class TestSlowPath:
         config = make_config(n=7, f=2, t=1)
         registry = make_registry(config)
         cluster = build_generalized(config, registry, silent={5, 6})
+        sends = record_sends(cluster.network)
         cluster.run_until_decided(correct_pids=range(5), timeout=50)
         commits = [
             env.payload
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, Commit)
         ]
         assert commits
@@ -186,6 +187,7 @@ class TestGeneralizedViewChange:
         config = make_config(n=7, f=2, t=1)
         registry = make_registry(config)
         cluster = build_generalized(config, registry, silent={5, 6})
+        sends = record_sends(cluster.network)
         cluster.run_until_decided(correct_pids=range(5), timeout=50)
         proc = cluster.process(2)
         proc.enter_view(2)
@@ -193,7 +195,7 @@ class TestGeneralizedViewChange:
 
         votes = [
             env.payload
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, Vote) and env.src == 2
         ]
         assert votes

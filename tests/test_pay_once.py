@@ -11,8 +11,8 @@ fact is established — ``FanOut.size`` at send time,
 on the first visit to the object (``IdentityMemo``) — and the replica's
 own "which slots are in flight / decided but not executed" questions are
 answered from state kept where it changes instead of scans of the whole
-log.  The transport, the trace recorder, the digest and the post-run
-oracles in turn treat one payload going to ``k`` recipients as one
+log.  The transport, the trace recorder, the digest and the oracles'
+audits in turn treat one payload going to ``k`` recipients as one
 fan-out with one record — no ``Envelope`` per recipient unless a rule,
 interceptor, partition or tracer looks at it — and ``run_until_decided``
 waits on a shrinking set.  These tests hold those seams to
@@ -56,6 +56,8 @@ from repro.sim.trace import TraceRecorder
 from repro.smr import NOOP, SMRClient
 from repro.smr.replica import Batch, Reply, SMRReplica
 
+from helpers import envelopes_of
+
 from test_smr import make_smr
 
 SMR_SCENARIOS = sorted(
@@ -65,17 +67,22 @@ SMR_SCENARIOS = sorted(
 
 @pytest.fixture
 def run_observed(monkeypatch):
-    """``run_scenario`` that also hands back the ``Cluster`` it ran."""
-    clusters = []
+    """``run_scenario`` that also hands back the ``Cluster`` it ran; a
+    ``records`` list passed in is filled with the run's send records."""
+    clusters, hooked = [], []
 
     def capture(*args, **kwargs):
         clusters.append(Cluster(*args, **kwargs))
+        if hooked:
+            clusters[-1].network.add_send_hook(hooked.pop().append)
         return clusters[-1]
 
     monkeypatch.setattr(runner, "Cluster", capture)
 
-    def run(scenario, **observers):
+    def run(scenario, records=None, **observers):
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
+        if records is not None:
+            hooked.append(records)
         result = runner.run_scenario(spec, **observers)
         return result, clusters.pop()
 
@@ -87,17 +94,19 @@ def finished_run():
     """One plain run per canonical scenario, made on first request and
     shared by the sweeps that only *read* a finished run (a sweep that
     instruments the run itself keeps its own, through ``run_observed``):
-    ``name -> (result, cluster, built)``."""
+    ``name -> (result, cluster, built, records)``, ``records`` being
+    every send record of the run."""
     finished = {}
 
     def run(name):
         if name not in finished:
             with pytest.MonkeyPatch.context() as patch:
-                seen = []
+                seen, records = [], []
                 real_cluster, real_eval = Cluster, runner.evaluate_invariants
 
                 def cluster(*args, **kwargs):
                     seen.append(real_cluster(*args, **kwargs))
+                    seen[-1].network.add_send_hook(records.append)
                     return seen[-1]
 
                 def evaluate(spec, built, *rest):
@@ -107,7 +116,7 @@ def finished_run():
                 patch.setattr(runner, "Cluster", cluster)
                 patch.setattr(runner, "evaluate_invariants", evaluate)
                 result = runner.run_scenario(get_scenario(name))
-            finished[name] = (result, *seen)
+            finished[name] = (result, *seen, records)
         return finished[name]
 
     return run
@@ -212,10 +221,12 @@ class TestRecordedSendSize:
         # path; the library's partition scenarios cover held/released
         # sends.
         if observed:
-            result, cluster = run_observed(name, recorder=FlightRecorder())
+            records = []
+            result, cluster = run_observed(
+                name, records=records, recorder=FlightRecorder()
+            )
         else:
-            result, cluster, _ = finished_run(name)
-        records = cluster.trace.fan_outs
+            result, cluster, _, records = finished_run(name)
         stats = cluster.network.stats
         assert sum(len(r.dsts) for r in records) == result.messages_sent
         assert cluster.trace.message_count() == stats.messages_sent
@@ -249,7 +260,7 @@ class TestRecordedSendSize:
         net.start_partition([{0}, {1}])
         payload = ("held", 7)
         sent = net.send(0, 1, payload)
-        assert recorded == [sent] and net.held_messages == tuple(sent.envelopes())
+        assert recorded == [sent] and net.held_messages == tuple(envelopes_of(sent))
         sim.schedule_at(5.0, net.heal_partition)
         sim.run()
         # The record keeps the time decided at the send; the release is
@@ -512,7 +523,7 @@ def _scripted_run(fan_out, model, n, features, script, seed=11):
     """Play ``script`` on a fresh network — each step as one broadcast
     (``fan_out``) or as its sends, one by one — and report everything an
     observer could tell the two apart by, records as their per-recipient
-    ``envelopes()``, plus how many ``Envelope``s the run itself built."""
+    envelopes, plus how many ``Envelope``s the run itself built."""
     sim = Simulator()
     net = Network(
         sim,
@@ -532,6 +543,8 @@ def _scripted_run(fan_out, model, n, features, script, seed=11):
             ),
         )
     trace = TraceRecorder(net)
+    hooked = []
+    net.add_send_hook(hooked.append)
     recorder = FlightRecorder() if "tracer" in features else None
     if recorder is not None:
         net.install_tracer(recorder)
@@ -572,16 +585,16 @@ def _scripted_run(fan_out, model, n, features, script, seed=11):
             network, "Envelope", lambda *fields: built.append(1) or real(*fields)
         )
         sim.run()
-    assert [r for records in returned for r in records if r] == trace.fan_outs
+    assert [r for records in returned for r in records if r] == hooked
     return {
         "returned": [
-            [env for r in records if r for env in r.envelopes()]
+            [env for r in records if r for env in envelopes_of(r)]
             for records in returned
         ],
         "built": len(built),
         "deliveries": deliveries,
         "stats": net.stats,
-        "sends": trace.sends,
+        "sends": [env for r in hooked for env in envelopes_of(r)],
         "count": trace.message_count(),
         "by_type": trace.messages_by_type(),
         "digest": trace_digest(trace, sim, net.stats),
@@ -728,7 +741,7 @@ class TestFanOutEdgeCases:
         record = net.broadcast(0, "split")
         assert world.hooked == [record]  # one call, all five
         assert record.dsts == (0, 1, 2, 3, 4)
-        assert net.held_messages == tuple(record.envelopes()[2:])
+        assert net.held_messages == tuple(envelopes_of(record)[2:])
         assert net.stats.messages_held == 3
         assert net.stats.messages_sent == 5
         assert world.sim.pending_events == 2
@@ -737,13 +750,21 @@ class TestFanOutEdgeCases:
         assert net.stats.messages_held == 3  # a count of holds, not a gauge
 
 
+def _audited_errors(built, records):
+    """What the run's certificate audit reports after seeing ``records``."""
+    audit = built.adapter.certificate_audit(built)
+    for record in records:
+        audit.add(record)
+    return audit.errors
+
+
 class TestOraclesTallyAFanOutOnce:
     FBFT = sorted(n for n, spec in SCENARIOS.items() if spec.protocol == "fbft")
 
     @pytest.fixture
     def audited(self, run_observed, monkeypatch):
-        """Run a scenario; hand back what the certificate audit was given
-        and every certificate it validated."""
+        """Run a scenario; hand back its built scenario, its send records
+        and every certificate the audit validated."""
         from repro.scenarios import adapters
 
         validated, given = [], []
@@ -754,29 +775,29 @@ class TestOraclesTallyAFanOutOnce:
             validated.append(cert)
             return real_valid(cert, *args)
 
-        def evaluate(spec, built, cluster, *rest):
-            given.append((built, cluster))
-            return real_eval(spec, built, cluster, *rest)
+        def evaluate(spec, built, *rest):
+            given.append(built)
+            return real_eval(spec, built, *rest)
 
         monkeypatch.setattr(adapters, "progress_certificate_valid", valid)
         monkeypatch.setattr(runner, "evaluate_invariants", evaluate)
 
         def run(name):
-            result, _ = run_observed(name)
-            built, cluster = given.pop()
-            return result, built, cluster, validated
+            records = []
+            result, _ = run_observed(name, records=records)
+            return result, given.pop(), records, validated
 
         return run
 
     @pytest.mark.parametrize("name", FBFT)
     def test_each_honest_proposal_is_audited_once(self, audited, name):
-        result, built, cluster, validated = audited(name)
+        result, built, records, validated = audited(name)
         (verdict,) = [v for v in result.verdicts if v.name == "certificates"]
         assert verdict.passed and verdict.detail == "all traced certificates valid"
         honest = set(built.honest_pids)
         proposals = [
             record
-            for record in cluster.trace.fan_outs
+            for record in records
             if type(record.payload).__name__ == "Propose"
             and record.payload.view > 1
             and record.src in honest
@@ -788,8 +809,7 @@ class TestOraclesTallyAFanOutOnce:
         assert all(len(record.dsts) == built.config.n for record in proposals)
 
     def test_a_bad_certificate_is_reported_once_not_once_per_copy(self, audited):
-        _, built, cluster, _ = audited("silent-leader")
-        records = cluster.trace.fan_outs
+        _, built, records, _ = audited("silent-leader")
         sent = next(
             r for r in records
             if type(r.payload).__name__ == "Propose" and r.payload.view > 1
@@ -803,7 +823,7 @@ class TestOraclesTallyAFanOutOnce:
         world = _Hooked(built.config.n)
         forged = [world.net.send(sent.src, dst, bare) for dst in sent.dsts]
         assert len(forged) == built.config.n and forged == world.hooked
-        errors = built.adapter.certificate_errors(built, records + forged)
+        errors = _audited_errors(built, records + forged)
         assert errors == [
             f"invalid progress certificate on proposal "
             f"({bare.value!r}, view {bare.view}) from {sent.src}"
@@ -812,36 +832,33 @@ class TestOraclesTallyAFanOutOnce:
         # another proposal.
         other = next(p for p in built.honest_pids if p != sent.src)
         relayed = [record._replace(src=other) for record in forged]
-        assert len(built.adapter.certificate_errors(built, forged + relayed)) == 2
+        assert len(_audited_errors(built, forged + relayed)) == 2
 
     def test_quorum_shortfall_counts_senders_not_payload_objects(self, audited):
-        from types import SimpleNamespace
-
-        from repro.scenarios import invariants
+        from repro.scenarios.invariants import QuorumTally
 
         _, built, _, _ = audited("fast-path-clean")
         quorum = built.config.fast_quorum
         ack = Ack("v", 1)  # one object relayed by every sender but one,
         world = _Hooked(built.config.n)  # recipient by recipient
+        tally = QuorumTally(built.config)
+        world.net.add_send_hook(tally.add)
         for src in range(quorum - 1):
             for dst in range(built.config.n):
                 world.net.send(src, dst, ack)
-        cluster = SimpleNamespace(trace=SimpleNamespace(fan_outs=world.hooked))
-        assert invariants._quorum_shortfall(built, cluster) == 1.0
+        assert tally.shortfall() == 1.0
         world.net.send(quorum - 1, 0, ack)
-        assert invariants._quorum_shortfall(built, cluster) is None
+        assert tally.shortfall() is None
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_quorum_shortfall_equals_a_per_envelope_tally(self, finished_run, name):
-        from repro.scenarios import invariants
-
-        _, cluster, built = finished_run(name)
-        margin = invariants._quorum_shortfall(built, cluster)
-        if built.config is None:
-            assert margin is None
+        result, _, built, records = finished_run(name)
+        (agreement,) = [v for v in result.verdicts if v.name == "agreement"]
+        if built.mode == "smr" or built.config is None:
+            assert agreement.margin is None  # no tally is attached
             return
         tallies = {}
-        for env in cluster.trace.sends:
+        for env in (env for record in records for env in envelopes_of(record)):
             kind = type(env.payload)
             facts = MESSAGE_FACTS.get(kind)
             if facts is None or facts.quorum is None:
@@ -853,7 +870,7 @@ class TestOraclesTallyAFanOutOnce:
             key = (kind, view, repr(getattr(env.payload, "value", None)))
             tallies.setdefault(key, (set(), threshold))[0].add(env.src)
         short = [t - len(s) for s, t in tallies.values() if len(s) < t]
-        assert margin == (float(min(short)) if short else None)
+        assert agreement.margin == (float(min(short)) if short else None)
 
 
 # ---------------------------------------------------------------------------
@@ -861,11 +878,12 @@ class TestOraclesTallyAFanOutOnce:
 # ---------------------------------------------------------------------------
 
 
-def _digest_as_defined(trace, sim, stats):
-    """The digest's written definition: one formatted line per recorded
-    send, per decision, and for the final counters, hashed in order."""
+def _digest_as_defined(records, trace, sim, stats):
+    """The digest's written definition: one formatted line per message of
+    ``records``, per decision, and for the final counters, hashed in
+    order."""
     h = hashlib.sha256()
-    for env in trace.sends:
+    for env in (env for record in records for env in envelopes_of(record)):
         h.update(
             (
                 f"s|{env.src}|{env.dst}|{type(env.payload).__name__}"
@@ -886,9 +904,9 @@ def _digest_as_defined(trace, sim, stats):
     return h.hexdigest()
 
 
-def _assert_digest_as_defined(trace, sim, stats):
+def _assert_digest_as_defined(records, trace, sim, stats):
     digest = trace_digest(trace, sim, stats)
-    assert digest == _digest_as_defined(trace, sim, stats)
+    assert digest == _digest_as_defined(records, trace, sim, stats)
     return digest
 
 
@@ -915,9 +933,9 @@ class TestDigestIsItsDefinition:
         golden = json.loads(
             (Path(__file__).parent / "golden" / "scenario_digests.json").read_text()
         )
-        result, cluster, _ = finished_run(name)
+        result, cluster, _, records = finished_run(name)
         digest = _assert_digest_as_defined(
-            cluster.trace, cluster.sim, cluster.network.stats
+            records, cluster.trace, cluster.sim, cluster.network.stats
         )
         assert digest == result.trace_digest == golden[name]
 
@@ -925,13 +943,14 @@ class TestDigestIsItsDefinition:
     @given(records=st.lists(_records, max_size=12))
     def test_on_hand_built_records(self, records):
         world = _Hooked(1)
-        trace = TraceRecorder()  # no hook: nothing was sent
-        trace.fan_outs.extend(records)
-        _assert_digest_as_defined(trace, world.sim, world.net.stats)
+        trace = TraceRecorder()  # no network: the records are fed by hand
+        for record in records:
+            trace.record_send(record)
+        _assert_digest_as_defined(records, trace, world.sim, world.net.stats)
 
     def test_on_an_empty_trace(self):
         world = _Hooked(1)
-        _assert_digest_as_defined(TraceRecorder(), world.sim, world.net.stats)
+        _assert_digest_as_defined([], TraceRecorder(), world.sim, world.net.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1090,7 @@ class TestQueueEntryIsTheDelivery:
         for pid in range(4):
             net.register(pid, lambda src, payload, pid=pid: got.append((pid, src, payload)))
         payload = Ack("hello", 1)
-        envelopes = net.broadcast(2, payload).envelopes()
+        envelopes = envelopes_of(net.broadcast(2, payload))
         entries = sorted(sim._queue)
         assert [entry[1] for entry in entries] == sorted(
             range(4), key=lambda seq: (envelopes[seq].deliver_time, seq)

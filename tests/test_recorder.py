@@ -20,6 +20,8 @@ from repro.core.messages import Ack, Propose
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.scenarios import runner
+from repro.scenarios.adapters import ProgressCertificateAudit
+from repro.scenarios.invariants import QuorumTally
 from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.sim.runner import Cluster
@@ -327,8 +329,15 @@ class TestObserverSweep:
         sends = sum(1 for e in recorder.events if e.phase == "send")
         assert sends == result.messages_sent > 0
         assert recorder.dropped == 0
-        # The network has one send-hook client and one tracer.
-        assert cluster.network._send_hooks == [cluster.trace._record_send]
+        # The network's send hooks are the trace and the oracles' audits
+        # (none on an SMR run), and it has one tracer: observers add none.
+        trace_hook, *audits = cluster.network._send_hooks
+        assert trace_hook == cluster.trace.record_send
+        assert [type(hook.__self__) for hook in audits] in (
+            [], [QuorumTally], [QuorumTally, ProgressCertificateAudit]
+        )
+        if SCENARIOS[name].protocol.endswith("-smr"):
+            assert not audits
         assert cluster.network._tracer is recorder
         # Nothing was patched: observers listen at hooks, they do not
         # shadow methods on other objects.

@@ -6,6 +6,7 @@ safety bug (relaxed fast quorum) is caught by the agreement oracle.
 """
 
 import json
+import math
 
 import pytest
 
@@ -81,6 +82,21 @@ class TestSpecValidation:
     def test_unknown_delay_kind_rejected(self):
         with pytest.raises(ScenarioError, match="unknown delay kind"):
             DelaySpec(kind="quantum")
+
+    @pytest.mark.parametrize(
+        "bounds", [(2.0, 1.0), (-0.5, 1.0), (math.nan, 1.0)],
+        ids=["min-above-max", "negative-min", "nan-min"],
+    )
+    def test_bad_random_delay_bounds_fail_closed(self, bounds):
+        min_delay, max_delay = bounds
+        with pytest.raises(ScenarioError, match="min_delay <= max_delay"):
+            DelaySpec(kind="random", min_delay=min_delay, max_delay=max_delay)
+        data = get_scenario("fast-path-clean").to_dict()
+        data["delay"] = dict(
+            data["delay"], kind="random", min_delay=min_delay, max_delay=max_delay
+        )
+        with pytest.raises(ScenarioError, match="min_delay <= max_delay"):
+            ScenarioSpec.from_dict(data)
 
     def test_unknown_protocol_option_rejected(self):
         spec = ScenarioSpec(

@@ -417,9 +417,13 @@ class TestSendDeliverTrace:
         assert [tuple(record.dsts) for record in records] == [
             (0,), (1,), (2,), (3,), (0, 2, 3),
         ]
-        assert [tuple(e) for record in records for e in record.envelopes()] == [
-            (0, dst, req, 0.0, at, 20, None) for dst in range(4)
-        ] + [(1, dst, gossip, 0.0, at, 17, None) for dst in (0, 2, 3)]
+        assert [
+            (r.src, dst, r.payload, r.send_time, at, r.size)
+            for r in records
+            for dst, at in zip(r.dsts, r.deliver_times)
+        ] == [
+            (0, dst, req, 0.0, at, 20) for dst in range(4)
+        ] + [(1, dst, gossip, 0.0, at, 17) for dst in (0, 2, 3)]
         assert inboxes == {
             0: [(0, req, at, "float"), (1, gossip, at, "float")],
             1: [(0, req, at, "float")],

@@ -9,6 +9,8 @@ from repro.sim.trace import (
     message_delays,
 )
 
+from helpers import record_sends
+
 
 class TestDecisions:
     def test_record_and_lookup(self):
@@ -121,13 +123,102 @@ class TestMessageAccounting:
         sim = Simulator()
         net = Network(sim)
         trace = TraceRecorder(net)
+        sends = record_sends(net)
         net.register(0, lambda s, p: None)
         net.register(1, lambda s, p: None)
         for payload in ("a", 1, "b", 2.5, "c", (1, 2)):
             net.send(0, 1, payload)
         incremental = trace.messages_by_type()
         rescan = {}
-        for env in trace.sends:
+        for env in sends:
             name = type(env.payload).__name__
             rescan[name] = rescan.get(name, 0) + 1
         assert incremental == rescan
+
+
+class TestTheTraceKeepsNoPerSendState:
+    """Sends are hashed and counted as they pass, never kept: what the
+    trace and the network hold after a run does not grow with its
+    length, and the digest can be read at any point of it."""
+
+    @staticmethod
+    def _held_after_smr_run(monkeypatch, commands):
+        """Bytes allocated in ``sim/trace.py`` and ``sim/network.py`` that
+        a finished ``commands``-long SMR run still holds, its cluster
+        alive."""
+        import gc
+        import tracemalloc
+
+        from repro.scenarios import runner
+        from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
+        from repro.sim.runner import Cluster
+        from repro.smr import SMRClient
+
+        clusters = []
+
+        def capture(*args, **kwargs):
+            clusters.append(Cluster(*args, **kwargs))
+            return clusters[-1]
+
+        monkeypatch.setattr(runner, "Cluster", capture)
+        spec = ScenarioSpec(
+            name=f"smr-{commands}", protocol="fbft-smr", n=4, f=1, t=1,
+            workload=WorkloadSpec(requests_per_client=commands, window=2, seed=3),
+            timeout=100_000.0,
+        )
+        tracemalloc.start()
+        try:
+            result = runner.run_scenario(spec)
+            (cluster,) = clusters
+            # The clients' per-request outcomes keep delivery times the
+            # network allocated: the workload's record, not the trace's.
+            for process in cluster.processes.values():
+                if isinstance(process, SMRClient):
+                    process.outcomes.clear()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert result.ok and result.completed_requests == commands
+        snapshot = snapshot.filter_traces([
+            tracemalloc.Filter(True, "*/repro/sim/trace.py"),
+            tracemalloc.Filter(True, "*/repro/sim/network.py"),
+        ])
+        held = sum(stat.size for stat in snapshot.statistics("filename"))
+        return held, result.messages_sent
+
+    def test_a_longer_run_holds_no_more(self, monkeypatch):
+        short, short_sent = self._held_after_smr_run(monkeypatch, 50)
+        long, long_sent = self._held_after_smr_run(monkeypatch, 200)
+        assert long_sent > 3 * short_sent
+        # A kept record per send would be tens of bytes per message here,
+        # over 10,000 messages; what is left is in-flight sends and counters.
+        assert long <= short + 4096
+
+    @staticmethod
+    def _crashed_leader_run():
+        from repro.sim.digest import cluster_digest
+
+        from helpers import build_cluster, make_config
+
+        cluster = build_cluster(make_config(n=4, f=1), round_synchronous=False)
+        cluster.process(0).crash()  # a view change: sends well past t = 3
+        cluster.start()
+        return cluster, lambda: cluster_digest(cluster)
+
+    def test_the_digest_reads_the_same_twice_mid_run_and_at_the_end(self):
+        cluster, digest = self._crashed_leader_run()
+        cluster.sim.run(until=3.0)
+        middle = digest()
+        assert digest() == middle
+        cluster.sim.run(until=40.0)
+        end = [digest(), digest()]
+
+        halted, halted_digest = self._crashed_leader_run()
+        halted.sim.run(until=3.0)
+        uninterrupted, uninterrupted_digest = self._crashed_leader_run()
+        uninterrupted.sim.run(until=40.0)
+
+        assert middle == halted_digest() != end[0]
+        assert end == [uninterrupted_digest()] * 2
+        assert cluster.trace.message_count() > halted.trace.message_count()

@@ -20,6 +20,8 @@ from repro.smr import (
     fbft_instance_factory,
 )
 
+from helpers import record_sends
+
 
 def make_cluster(n=4, f=1):
     config = ProtocolConfig(n=n, f=f, t=1)
@@ -34,12 +36,13 @@ def make_cluster(n=4, f=1):
 class TestSlotMultiplexing:
     def test_slot_messages_are_scoped(self):
         cluster, replicas, client = make_cluster()
+        sends = record_sends(cluster.network)
         client.load_workload([("set", "a", 1), ("set", "b", 2)])
         cluster.start()
         cluster.sim.run_until(lambda: client.all_completed, timeout=500)
         slots = {
             env.payload.slot
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, SlotMessage)
         }
         assert slots == {0, 1}
@@ -125,35 +128,37 @@ class TestGossipAdoptionDedupe:
     gossip adoption must not be re-proposed and re-executed (the seed
     engine applied it twice and never replied to the late request)."""
 
-    def _reply_count(self, cluster, client_pid):
+    def _reply_count(self, sends, client_pid):
         return sum(
             1
-            for env in cluster.trace.sends
+            for env in sends
             if isinstance(env.payload, Reply) and env.payload.client == client_pid
         )
 
     def test_late_request_after_batch_gossip_adoption(self):
         cluster, replicas, client = make_cluster()
+        sends = record_sends(cluster.network)
         cluster.start()
         replica = replicas[3]
         batch = Batch(entries=((4, 7, ("set", "x", 1)),))
         replica._handle_slot_decided(0, SlotDecided(slot=0, value=batch))
         replica._handle_slot_decided(1, SlotDecided(slot=0, value=batch))
         assert replica.state_machine.applied_count == 1
-        replies_before = self._reply_count(cluster, 4)
+        replies_before = self._reply_count(sends, 4)
         # The request arrives late (e.g. the replica was partitioned).
         replica._handle_request(4, Request(client=4, request_id=7, command=("set", "x", 1)))
         assert not replica._pending  # not queued for re-proposal
         assert replica.state_machine.applied_count == 1  # not applied twice
         cluster.sim.run(until=cluster.sim.now + 5)
         # The late request is answered from the result cache.
-        assert self._reply_count(cluster, 4) == replies_before + 1
+        assert self._reply_count(sends, 4) == replies_before + 1
 
     def test_late_request_after_bare_command_gossip_adoption(self):
         """A bare decided value names no request and applies nothing, so
         a request for the same command arriving after its gossip adoption
         is queued, proposed and executed exactly once."""
         cluster, replicas, client = make_cluster()
+        sends = record_sends(cluster.network)
         cluster.start()
         late = Request(client=4, request_id=9, command=("set", "x", 1))
         for replica in replicas:
@@ -167,7 +172,7 @@ class TestGossipAdoptionDedupe:
         for replica in replicas:
             assert replica.applied_keys == [(4, 9)]
             assert replica.state_machine.applied_count == 1
-        assert self._reply_count(cluster, 4) == len(replicas)
+        assert self._reply_count(sends, 4) == len(replicas)
 
     def test_duplicate_batch_decision_executes_once(self):
         """A command re-proposed into a second slot (view-change race)
@@ -295,11 +300,12 @@ class TestExecution:
 
     def test_retransmitted_request_gets_cached_reply(self):
         cluster, replicas, client = make_cluster()
+        sends = record_sends(cluster.network)
         client.load_workload([("set", "a", 1)])
         cluster.start()
         cluster.sim.run_until(lambda: client.all_completed, timeout=500)
         replies_before = sum(
-            1 for env in cluster.trace.sends if isinstance(env.payload, Reply)
+            1 for env in sends if isinstance(env.payload, Reply)
         )
         # Client retransmits the same request after completion.
         request = Request(client=4, request_id=0, command=("set", "a", 1))
@@ -307,7 +313,7 @@ class TestExecution:
             replica._handle_request(4, request)
         cluster.sim.run(until=cluster.sim.now + 5)
         replies_after = sum(
-            1 for env in cluster.trace.sends if isinstance(env.payload, Reply)
+            1 for env in sends if isinstance(env.payload, Reply)
         )
         assert replies_after > replies_before  # re-replied from cache
 
