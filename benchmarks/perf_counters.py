@@ -25,6 +25,7 @@ import tempfile
 from collections import Counter
 from contextlib import ExitStack
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -77,20 +78,26 @@ def recorder_counters():
 
 
 def measure():
-    """One reading, ``({group: {name: value}}, problems)``: eight run.py
-    children at once, the recorder pairs meanwhile (counts ignore load)."""
+    """One reading, ``({group: {name: value}}, problems)``: the four
+    ``--trace 0`` run.py children at once, the recorder pairs meanwhile
+    (counts ignore load), then the four ``--trace 1`` children one at a
+    time.  A traced child checks a wall-clock share of its own profile
+    (``OTHER_LIMIT`` in ``benchmarks/e2e/ledger.py``), which load from
+    its siblings distorts."""
     declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in declared["workloads"]]
     with tempfile.TemporaryDirectory() as out, ExitStack() as reaped:
-        children = [
-            (workload, trace, reaped.enter_context(subprocess.Popen(
+        def start(workload, trace):
+            return workload, trace, reaped.enter_context(subprocess.Popen(
                 [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
                  "--quick", "--trace", str(trace), "--out", out],
-                stdout=subprocess.PIPE, text=True)))
-            for workload in (w["name"] for w in declared["workloads"])
-            for trace in (0, 1)
-        ]
+                stdout=subprocess.PIPE, text=True))
+
+        untraced = [start(workload, 0) for workload in workloads]
         counters, problems = {"recorder": recorder_counters()}, []
-        for workload, trace, child in children:
+        # Lazy: each traced child starts once the one before it is read.
+        traced = (start(workload, 1) for workload in workloads)
+        for workload, trace, child in chain(untraced, traced):
             lines = child.communicate()[0].strip().splitlines() or [""]
             printed = json.loads(lines[-1]) if lines[-1].startswith("{") else {}
             if child.returncode != 0 or not printed.get("correct"):

@@ -79,8 +79,9 @@ def _honest_views(built: BuiltScenario) -> List[int]:
 
     Consensus processes expose ``view`` (Paxos calls it ``ballot``); SMR
     replicas run one consensus instance per slot, so a replica's view is
-    the maximum over its instances, floored by the leader monitor's view
-    floor when one is attached.
+    the maximum over its instances, decided ones included
+    (:attr:`~repro.smr.replica.SMRReplica.highest_view`), floored by the
+    leader monitor's view floor when one is attached.
     """
     views: List[int] = []
     if built.mode == "smr":
@@ -88,10 +89,7 @@ def _honest_views(built: BuiltScenario) -> List[int]:
         for replica in built.replicas:
             if replica.pid not in honest:
                 continue
-            view = max(
-                (getattr(inst, "view", 1) for inst in replica._instances.values()),
-                default=1,
-            )
+            view = replica.highest_view
             if replica.leader_monitor is not None:
                 view = max(view, replica.leader_monitor.view_floor)
             views.append(int(view))

@@ -120,7 +120,8 @@ class ProcessContext:
         self._timers: Dict[Hashable, Timer] = {}
         self._halted = False
         #: Derived contexts (e.g. per-slot contexts of an SMR replica)
-        #: whose crash fate is tied to this one; see :meth:`adopt`.
+        #: whose crash fate is tied to this one, from :meth:`adopt` until
+        #: :meth:`release`.
         self._children: List["ProcessContext"] = []
         #: Where this process reports its local transitions: the owning
         #: cluster's observer (:meth:`repro.sim.runner.Cluster.observe`),
@@ -142,11 +143,22 @@ class ProcessContext:
         A process that multiplexes sub-machines (each with its own timer
         namespace) must register their contexts here, otherwise a crash
         of the parent would leave the children's timers firing — exactly
-        the crash-model violation :meth:`halt` exists to rule out.
+        the crash-model violation :meth:`halt` exists to rule out.  The
+        tie lasts until :meth:`release`.
         """
         self._children.append(child)
         if self._halted:
             child.halt()
+
+    def release(self, child: "ProcessContext") -> None:
+        """Undo :meth:`adopt`: ``child``'s sub-machine is finished.
+
+        Halt and resume no longer reach ``child``, so the caller must
+        have stopped everything that arms its timers (an SMR replica
+        stops a slot's pacemaker when it adopts the slot's decision).
+        A timer still armed would outlive the crash model.
+        """
+        self._children.remove(child)
 
     def halt(self) -> None:
         """Stop all activity from this process (crash)."""
@@ -164,7 +176,8 @@ class ProcessContext:
         delivered while down and every timer armed before the crash —
         exactly the crash-recovery model scenario schedules need.  Waking
         the process up again (e.g. re-arming its timers) is the caller's
-        business.  Adopted child contexts resume alongside the parent.
+        business.  Adopted child contexts not yet released resume
+        alongside the parent.
         """
         self._halted = False
         for child in self._children:

@@ -149,6 +149,8 @@ class SMRClient(Process):
         senders = votes.setdefault(key, set())
         senders.add(sender)
         if len(senders) >= one_correct(self.f):
+            # A completed request's late replies return above, unread.
+            del self._reply_votes[reply.request_id]
             outcome.completed_at = self.now
             self._completed += 1
             outcome.result = reply.result

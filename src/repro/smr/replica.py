@@ -174,7 +174,10 @@ class _SlotContext(ProcessContext):
     Outgoing payloads are wrapped in :class:`SlotMessage`; timer names are
     prefixed so instances do not trample each other's timers.  The parent
     context adopts each slot context, so a crash of the replica halts the
-    slot's timers too (and recovery resumes them both).
+    slot's timers too (and recovery resumes them both).  It releases the
+    context when the replica drops the instance: once the slot's decision
+    is adopted (its pacemaker stopped first), or when a durable replica
+    rebuilds from storage.
     """
 
     def __init__(self, slot: int, parent: ProcessContext) -> None:
@@ -282,11 +285,13 @@ class SMRReplica(Process):
         interval = durability.checkpoint_interval if durability else 1
         self._checkpoints = CheckpointManager(interval)
         self._catchup = CatchupManager()
+        #: slot -> its consensus instance, for undecided slots only: a
+        #: decided slot's instance can never act again, so adopting the
+        #: decision drops it (see :meth:`_adopt_decision`).
         self._instances: Dict[int, Any] = {}
-        #: How many of ``_instances`` run for a slot not yet decided;
-        #: kept where instances are created and decisions adopted, so the
-        #: pipeline-depth check never scans the (never-pruned) map.
-        self._undecided_instances = 0
+        #: The highest view any dropped instance reached (see
+        #: :attr:`highest_view`).
+        self._retired_view = 1
         self._pending: List[Request] = []
         self._seen_requests: Set[RequestKey] = set()
         self._decided: Dict[int, Any] = {}
@@ -338,7 +343,16 @@ class SMRReplica(Process):
     @property
     def inflight_instances(self) -> int:
         """Consensus instances currently running for undecided slots."""
-        return self._undecided_instances
+        return len(self._instances)
+
+    @property
+    def highest_view(self) -> int:
+        """The highest view any of this replica's instances reached since
+        it started (or last rebuilt from storage), dropped ones included."""
+        return max([
+            self._retired_view,
+            *(getattr(inst, "view", 1) for inst in self._instances.values()),
+        ])
 
     @property
     def stable_checkpoint_slot(self) -> int:
@@ -550,7 +564,6 @@ class SMRReplica(Process):
         if self.storage is not None or self.ctx.observer is not None:
             instance.view_hook = partial(self._on_view_entered, slot)
         self._instances[slot] = instance
-        self._undecided_instances += 1
         mon = self._monitor
         if mon is not None:
             mon.note_slot_opened(slot, self.now)
@@ -594,11 +607,18 @@ class SMRReplica(Process):
         if slot > self._executed_upto:
             self._decided_unexecuted.add(slot)
         self._assigned.pop(slot, None)
-        instance = self._instances.get(slot)
+        self._decide_gossip.pop(slot, None)
+        # A decided slot's instance can never act again (no message is
+        # routed to it): stop its pacemaker, the one thing that arms its
+        # timers, then drop it and release its context.
+        instance = self._instances.pop(slot, None)
         if instance is not None:
-            self._undecided_instances -= 1
             if hasattr(instance, "pacemaker"):
                 instance.pacemaker.stop()
+            view = getattr(instance, "view", 1)
+            if view > self._retired_view:
+                self._retired_view = view
+            self.ctx.release(instance.ctx)
         mon = self._monitor
         if mon is not None:
             latency = mon.note_slot_decided(slot, self.now)
@@ -866,8 +886,10 @@ class SMRReplica(Process):
             emit("demotion", self.pid, None, view)
         for stale in [v for v in self._demotion_votes if v <= view]:
             del self._demotion_votes[stale]
-        for slot, instance in list(self._instances.items()):
-            if slot not in self._decided:
+        for slot in list(self._instances):
+            # Advocating may decide (and so drop) a later slot's instance.
+            instance = self._instances.get(slot)
+            if instance is not None:
                 self._advocate_view(instance, view, slot=slot)
 
     # ------------------------------------------------------------------
@@ -1025,8 +1047,10 @@ class SMRReplica(Process):
 
     def _rebuild_from_storage(self) -> None:
         # -- drop every piece of volatile state
+        for instance in self._instances.values():
+            self.ctx.release(instance.ctx)
         self._instances.clear()
-        self._undecided_instances = 0
+        self._retired_view = 1
         self._pending.clear()
         self._seen_requests.clear()
         self._decided.clear()

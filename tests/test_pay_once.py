@@ -196,11 +196,10 @@ def _replicas(cluster):
 
 
 def _assert_bookkeeping_equals_a_scan(replica):
-    """The replica's tracked slot state against the scanning definitions
-    it replaced (whole ``_instances`` map, whole ``_decided`` log)."""
-    assert replica.inflight_instances == sum(
-        1 for slot in replica._instances if slot not in replica._decided
-    )
+    """The replica's slot bookkeeping: ``_instances`` holds undecided
+    slots only (``inflight_instances`` is its length), and
+    ``_decided_unexecuted`` equals its scan of the whole ``_decided`` log."""
+    assert not replica._instances.keys() & replica._decided.keys()
     assert replica._decided_unexecuted == {
         slot for slot in replica._decided if slot > replica._executed_upto
     }

@@ -25,6 +25,7 @@ from repro.scenarios.invariants import QuorumTally
 from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.sim.runner import Cluster
+from repro.smr.replica import SMRReplica
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "scenario_digests.json"
@@ -308,18 +309,23 @@ def run_observed(monkeypatch):
     return run
 
 
-def _consensus_processes(cluster):
-    """Every process with a view of its own: bare consensus processes
-    and the per-slot instances inside SMR replicas."""
-    for process in cluster.processes.values():
-        yield process
-        yield from getattr(process, "_instances", {}).values()
-
-
 class TestObserverSweep:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_observed_run_is_the_same_run_fully_recorded(self, run_observed, name):
+    def test_observed_run_is_the_same_run_fully_recorded(
+        self, run_observed, monkeypatch, name
+    ):
         golden = json.loads(GOLDEN_PATH.read_text())
+        # Every process with a view of its own: the bare consensus
+        # processes, and every per-slot instance an SMR replica created
+        # (a replica drops each one once its slot is decided).
+        consensus_processes = []
+        create = SMRReplica._create_instance
+
+        def created(replica, slot, input_value):
+            consensus_processes.append(create(replica, slot, input_value))
+            return consensus_processes[-1]
+
+        monkeypatch.setattr(SMRReplica, "_create_instance", created)
         recorder = FlightRecorder()
         result, cluster = run_observed(
             name, metrics=MetricsRegistry(), recorder=recorder
@@ -342,7 +348,7 @@ class TestObserverSweep:
         # Nothing was patched: observers listen at hooks, they do not
         # shadow methods on other objects.
         assert "record_decision" not in vars(cluster.trace)
-        for process in _consensus_processes(cluster):
+        for process in [*cluster.processes.values(), *consensus_processes]:
             assert not {"enter_view", "enter_ballot", "_enter_view"} & set(
                 vars(process)
             )

@@ -202,6 +202,16 @@ class TestChildContexts:
         proc.recover()
         assert not child.halted
 
+    def test_a_released_child_no_longer_shares_the_crash(self):
+        cluster, proc, child = self._parent_and_child()
+        proc.ctx.release(child)
+        assert proc.ctx._children == []
+        proc.crash()
+        assert not child.halted
+        proc.recover()
+        with pytest.raises(ValueError):
+            proc.ctx.release(child)  # released once, not twice
+
     def test_adopting_into_a_halted_parent_halts_the_child(self):
         from repro.sim.process import ProcessContext
 

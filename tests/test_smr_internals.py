@@ -58,12 +58,17 @@ class TestSlotMultiplexing:
         cluster, replicas, client = make_cluster()
         client.load_workload([("set", "a", 1)])
         cluster.start()
-        cluster.sim.run_until(lambda: client.all_completed, timeout=500)
         replica = replicas[1]
+        # Captured while slot 0 is in flight: deciding it drops the instance.
+        cluster.sim.run_until(lambda: 0 in replica._instances, timeout=500)
         instance = replica._instances[0]
         # The slot's context prefixes timer names.
         assert instance.ctx is not replica.ctx
         assert instance.ctx.pid == replica.ctx.pid
+        assert instance.ctx._timers
+        assert all(name.startswith("slot0:") for name in instance.ctx._timers)
+        cluster.sim.run_until(lambda: client.all_completed, timeout=500)
+        assert 0 not in replica._instances
 
     def test_max_slots_guard(self):
         config = ProtocolConfig(n=4, f=1, t=1)
