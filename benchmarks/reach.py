@@ -106,7 +106,6 @@ def entries(tmp):
     lint = ["-m", "repro.lint"]
     yield 0, lint + ["src", "benchmarks", "examples", "--json", f"{tmp}/lint.json"]
     yield 0, lint + ["--list-rules"]
-    yield 0, lint + ["src", "--quiet", "--update-baseline", "--baseline", f"{tmp}/base.json"]
     benches = sorted(str(p) for p in (REPO_ROOT / "benchmarks").glob("bench_e*.py"))
     yield 0, ["-m", "pytest", *benches, "-k", "quick", "-q", "--benchmark-disable",
               "-p", "no:cacheprovider"]

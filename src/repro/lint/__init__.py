@@ -23,9 +23,8 @@ checks:
   write-ahead append, and WAL truncation must follow checkpoint
   persistence.
 
-Run it as ``python -m repro.lint [paths ...] [--json FILE] [--baseline
-FILE] [--update-baseline]``; see :mod:`repro.lint.cli`.  Findings can be
-suppressed inline with ``# lint: ignore[RULE]: justification`` — the
+Run it as ``python -m repro.lint [paths ...] [--json FILE]``; see
+:mod:`repro.lint.cli`.  The one way to silence a finding is inline, with ``# lint: ignore[RULE]: justification`` — the
 justification is mandatory (a bare suppression is itself a finding,
 ``SUP001``), and a suppression that suppresses nothing is flagged too
 (``SUP002``).

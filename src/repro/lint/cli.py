@@ -1,7 +1,6 @@
 """Command-line interface: ``python -m repro.lint``.
 
-Exit codes: 0 = clean (possibly with baselined findings), 1 = findings,
-2 = usage error.
+Exit codes: 0 = clean, 1 = findings, 2 = usage error.
 """
 
 from __future__ import annotations
@@ -12,11 +11,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import save_baseline
 from .engine import run_lint
 from .rules import rule_table
-
-DEFAULT_BASELINE = Path("tests/lint_baseline.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,20 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="FILE",
         help="write a JSON report to FILE ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings",
     )
     parser.add_argument(
         "--list-rules",
@@ -82,32 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    if args.baseline is not None:
-        baseline_path: Optional[Path] = Path(args.baseline)
-    elif DEFAULT_BASELINE.exists():
-        baseline_path = DEFAULT_BASELINE
-    else:
-        baseline_path = None
-
-    if args.update_baseline:
-        if baseline_path is None:
-            print(
-                "error: --update-baseline requires --baseline FILE "
-                f"(or an existing {DEFAULT_BASELINE})",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_lint(paths, baseline_path=None)
-        save_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {baseline_path} with "
-            f"{len({f.baseline_key() for f in result.findings})} entr"
-            f"{'y' if len(result.findings) == 1 else 'ies'} "
-            "(justifications required before they take effect)"
-        )
-        return 0
-
-    result = run_lint(paths, baseline_path=baseline_path)
+    result = run_lint(paths)
 
     if not args.quiet:
         for finding in result.findings:
@@ -116,8 +73,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     summary = (
         f"{result.files_checked} files checked, "
         f"{len(result.findings)} finding(s), "
-        f"{result.suppressed} suppressed, "
-        f"{len(result.baselined)} baselined"
+        f"{result.suppressed} suppressed"
     )
     print(summary if not result.findings else f"FAILED: {summary}")
 

@@ -1,4 +1,4 @@
-"""Lint engine: file discovery, rule dispatch, suppression + baseline."""
+"""Lint engine: file discovery, rule dispatch, suppression."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .base import LintContext
-from .baseline import load_baseline, split_baselined
 from .findings import Finding
 from .modinfo import ModuleInfo, parse_module
 from .quorum_model import DEFINITION_BASENAMES, build_model
@@ -22,7 +21,6 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
 @dataclass
 class LintResult:
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
 
@@ -45,7 +43,6 @@ class LintResult:
             "findings": [f.to_json() for f in sorted(self.findings)],
             "counts": self.counts,
             "suppressed": self.suppressed,
-            "baselined": len(self.baselined),
             "exit_code": self.exit_code,
         }
 
@@ -62,16 +59,12 @@ def discover_files(paths: List[Path], root: Path) -> List[Path]:
     return files
 
 
-def run_lint(
-    paths: List[Path],
-    baseline_path: Optional[Path] = None,
-    root: Optional[Path] = None,
-) -> LintResult:
+def run_lint(paths: List[Path], root: Optional[Path] = None) -> LintResult:
     """Lint ``paths`` (files or directory trees).
 
     ``root`` anchors the relative paths recorded in findings (defaults
-    to the current working directory); keeping them relative makes
-    baselines and JSON output machine-independent.
+    to the current working directory); keeping them relative makes the
+    JSON output machine-independent.
     """
     root = root or Path.cwd()
     result = LintResult()
@@ -107,12 +100,5 @@ def run_lint(
         raw.extend(kept)
         raw.extend(meta)
         result.suppressed += suppressed
-
-    if baseline_path is not None and baseline_path.exists():
-        entries = load_baseline(baseline_path)
-        new, baselined, needs_justification = split_baselined(raw, entries)
-        result.findings = sorted(new + needs_justification)
-        result.baselined = baselined
-    else:
-        result.findings = sorted(raw)
+    result.findings = sorted(raw)
     return result

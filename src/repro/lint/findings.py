@@ -11,9 +11,7 @@ class Finding:
     """One rule violation at a source location.
 
     ``context`` is the dotted lexical context (``Class.method`` or
-    ``<module>``); baselines key on ``(rule, path, context)`` rather than
-    line numbers so unrelated edits above a baselined finding do not
-    invalidate the baseline.
+    ``<module>``).
     """
 
     path: str
@@ -22,9 +20,6 @@ class Finding:
     rule: str
     message: str
     context: str = "<module>"
-
-    def baseline_key(self) -> tuple:
-        return (self.rule, self.path, self.context)
 
     def to_json(self) -> Dict[str, Any]:
         return {

@@ -45,7 +45,7 @@ from ..sim.process import Process
 from ..smr.backends import smr_backend
 from ..smr.client import SMRClient
 from ..smr.kvstore import KVStore
-from ..smr.replica import SMRReplica, fbft_instance_factory
+from ..smr.replica import SMRReplica
 from ..storage.catchup import CatchupReply, CatchupRequest
 from ..storage.checkpoint import Checkpoint, state_digest
 from .spec import ByzantineRole, ScenarioError, ScenarioSpec

@@ -35,16 +35,24 @@ The transport itself is the hottest code in the repository, and the
 protocols it carries are all-to-all, so its unit of work *and of record*
 is the **fan-out**: one payload from one source to ``k`` recipients.
 :meth:`Network.send` is a fan-out of one, :meth:`Network.broadcast` a
-fan-out over the cached sorted pid tuple, and both go through the one
-send path, ``_send_general``, which leaves one :class:`FanOut` behind:
+fan-out over the cached sorted pid tuple or over a declared **group**,
+and both go through the one send path, ``_send_general``, which leaves
+one :class:`FanOut` behind:
 ``(src, dsts, payload, send_time, deliver_times, size)``, ``dsts`` and
 ``deliver_times`` parallel.  The send hooks see that record as it is
 sent — the trace recorder hashes and counts it, the scenario runner's
 audits tally it — and the network keeps none: a reader that wants the
 records of a run appends them from a hook of its own.
 
-Done **once per fan-out**: the destination check, the payload's size
-(memoized by object identity — per node of the walk, so a value embedded
+A group (:meth:`Network.group`) is a sorted pid tuple declared once,
+such as an SMR deployment's replicas, whose broadcasts must not reach
+its clients.  Its members are checked against the registry when it is
+declared, and its ``include_self=False`` tuple per member is built then
+too.  So a group broadcast filters and checks nothing per call.
+
+Done **once per fan-out**: the destination check (skipped for the
+registry's pid tuple and a group's tuples), the payload's size (memoized
+by object identity — per node of the walk, so a value embedded
 in many messages is sized once — through the network's bounded
 :class:`repro._core.IdentityMemo`), the clock read, the single ``_slow``
 flag that stands for all re-timing machinery (rules, interceptor,
@@ -89,6 +97,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -376,6 +385,15 @@ class Network:
         self._group_of: Optional[Dict[ProcessId, int]] = None
         self._held: List[Envelope] = []
         self._pid_cache: Optional[Tuple[ProcessId, ...]] = None
+        #: Declared broadcast groups (:meth:`group`): group -> member ->
+        #: the group without that member.
+        self._groups: Dict[
+            Tuple[ProcessId, ...], Dict[ProcessId, Tuple[ProcessId, ...]]
+        ] = {}
+        #: The groups' destination tuples, checked against the registry
+        #: when declared (and since unregistering nobody), so the send
+        #: path skips them.
+        self._checked: Set[Tuple[ProcessId, ...]] = set()
         #: With a fixed-delay model the per-send model call is replaced by
         #: one float addition (set by the ``delay_model`` setter).
         self._fixed_delay: Optional[float] = None
@@ -439,8 +457,36 @@ class Network:
         self._pid_cache = None
 
     def unregister(self, pid: ProcessId) -> None:
+        """Drop ``pid``'s delivery callback.  Sends to a declared group
+        are checked again until it is declared anew, so one that lost a
+        member raises like any unknown destination."""
         self._handlers.pop(pid, None)
         self._pid_cache = None
+        self._checked.clear()
+
+    def group(self, pids: Iterable[ProcessId]) -> Tuple[ProcessId, ...]:
+        """Declare a broadcast group over ``pids`` and return it: the
+        sorted pid tuple to pass as :meth:`broadcast`'s ``group``.
+
+        Every member must be registered already.  That is checked here,
+        once, so broadcasts to the group skip the per-send destination
+        check.  The group's ``include_self=False`` tuple per member is
+        built here too.
+        """
+        members = tuple(sorted(set(pids)))
+        handlers = self._handlers
+        for pid in members:
+            if pid not in handlers:
+                raise ValueError(f"unknown destination process {pid}")
+        peers = self._groups.get(members)
+        if peers is None:
+            peers = self._groups[members] = {
+                pid: tuple([other for other in members if other != pid])
+                for pid in members
+            }
+        self._checked.add(members)
+        self._checked.update(peers.values())
+        return members
 
     @property
     def process_ids(self) -> Tuple[ProcessId, ...]:
@@ -573,13 +619,28 @@ class Network:
         return self._send_general(src, (dst,), payload)
 
     def broadcast(
-        self, src: ProcessId, payload: Any, include_self: bool = True
+        self,
+        src: ProcessId,
+        payload: Any,
+        include_self: bool = True,
+        group: Optional[Tuple[ProcessId, ...]] = None,
     ) -> Optional[FanOut]:
         """Send ``payload`` from ``src`` to every registered process, in
-        pid order: one fan-out over the cached sorted pid tuple."""
-        dsts = self.process_ids
-        if not include_self:
-            dsts = tuple([dst for dst in dsts if dst != src])
+        pid order: one fan-out over the cached sorted pid tuple.
+
+        With ``group`` (a tuple :meth:`group` returned) the fan-out goes
+        to the group's members instead, over the tuples declared with
+        it: nothing is filtered or checked per call.
+        """
+        if group is None:
+            dsts = self.process_ids
+            if not include_self:
+                dsts = tuple([dst for dst in dsts if dst != src])
+        else:
+            peers = self._groups.get(group)
+            if peers is None:
+                raise ValueError(f"broadcast group {group} is not declared")
+            dsts = group if include_self else peers.get(src, group)
         return self._send_general(src, dsts, payload)
 
     def _send_general(
@@ -595,7 +656,8 @@ class Network:
         delivery time of the fan-out exists, so a bad destination or an
         invalid delay leaves no half-sent broadcast behind.
         """
-        if dsts is not self._pid_cache:  # the cache *is* the registry's keys
+        # The cache *is* the registry's keys; a group was checked once.
+        if dsts is not self._pid_cache and dsts not in self._checked:
             handlers = self._handlers
             for dst in dsts:
                 if dst not in handlers:

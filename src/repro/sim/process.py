@@ -127,6 +127,10 @@ class ProcessContext:
         #: cluster's observer (:meth:`repro.sim.runner.Cluster.observe`),
         #: ``None`` while nobody listens — emit sites test exactly that.
         self.observer: Optional[Observer] = None
+        #: Where :meth:`broadcast` goes: a group declared with
+        #: :meth:`Network.group` (an SMR replica's is the replicas), or
+        #: ``None`` for every registered process.
+        self.group: Optional[Tuple[ProcessId, ...]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -192,7 +196,7 @@ class ProcessContext:
     def broadcast(self, payload: Any, include_self: bool = True) -> None:
         if self._halted:
             return
-        self.network.broadcast(self.pid, payload, include_self=include_self)
+        self.network.broadcast(self.pid, payload, include_self, self.group)
 
     # ------------------------------------------------------------------
     def set_timer(

@@ -2,8 +2,8 @@
 
 A :class:`Cluster` owns one simulator, one network and one trace recorder.
 It accepts fully constructed :class:`~repro.sim.process.Process` objects
-(correct or Byzantine), attaches their contexts, registers their delivery
-handlers, and starts them all at time 0.
+(correct or Byzantine), registers their delivery handlers, attaches their
+contexts, and starts them all at time 0.
 
 Any process that exposes a ``decision_hook`` attribute (all consensus
 processes in this library do, via ``repro.core.protocol.DecidingProcess``)
@@ -76,15 +76,17 @@ class Cluster:
         #: What :meth:`observe` installed (``None``: nobody listens).
         self.observer: Optional[Observer] = None
         self.processes: Dict[ProcessId, Process] = {}
+        # Everyone is registered before anyone is attached, so a process
+        # may declare its broadcast group when it is attached.
+        for proc in processes:
+            self.network.register(proc.pid, proc._dispatch)
         for proc in processes:
             self._add_process(proc)
         self._started = False
 
     # ------------------------------------------------------------------
     def _add_process(self, proc: Process) -> None:
-        ctx = ProcessContext(proc.pid, self.sim, self.network)
-        proc.attach(ctx)
-        self.network.register(proc.pid, proc._dispatch)
+        proc.attach(ProcessContext(proc.pid, self.sim, self.network))
         if hasattr(proc, "decision_hook"):
             proc.decision_hook = partial(self._on_decide, proc)
         self.processes[proc.pid] = proc

@@ -27,9 +27,11 @@ def smr_backend(
 ) -> Tuple[Any, Optional[KeyRegistry], InstanceFactory]:
     """Build ``(config, registry-or-None, per-slot instance factory)``.
 
-    ``fbft`` is this paper's generalized protocol (needs the registry for
-    its signatures); ``pbft`` is the unsigned baseline, so its registry
-    slot is ``None``.
+    ``fbft`` is this paper's protocol: the Section 3 one at ``t = f``,
+    the generalized one of Appendix A at ``t < f`` (see
+    :func:`~repro.smr.replica.fbft_instance_factory`; both need the
+    registry for their signatures); ``pbft`` is the unsigned baseline,
+    so its registry slot is ``None``.
     """
     if backend == "fbft":
         from ..core.config import ProtocolConfig

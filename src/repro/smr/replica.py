@@ -66,6 +66,7 @@ from ..core.config import (
     ProtocolConfig,
     ReplicationConfig,
 )
+from ..core.fastbft import FastBFTProcess, FBFTBase
 from ..core.generalized import GeneralizedFBFTProcess
 from ..core.payloads import checkpoint_payload, demotion_payload
 from ..core.quorums import majority_correct, one_correct
@@ -171,8 +172,9 @@ class SlotDecided:
 class _SlotContext(ProcessContext):
     """Process context adapter that scopes one consensus instance to a slot.
 
-    Outgoing payloads are wrapped in :class:`SlotMessage`; timer names are
-    prefixed so instances do not trample each other's timers.  The parent
+    Outgoing payloads are wrapped in :class:`SlotMessage` and broadcast to
+    the parent's group (the replicas); timer names are prefixed so
+    instances do not trample each other's timers.  The parent
     context adopts each slot context, so a crash of the replica halts the
     slot's timers too (and recovery resumes them both).  It releases the
     context when the replica drops the instance: once the slot's decision
@@ -188,6 +190,7 @@ class _SlotContext(ProcessContext):
         #: cancel timers constantly, and an f-string per call adds up.
         self._timer_prefix = f"slot{slot}:"
         self.observer = parent.observer
+        self.group = parent.group
         parent.adopt(self)
 
     def send(self, dst: int, payload: Any) -> None:
@@ -199,7 +202,7 @@ class _SlotContext(ProcessContext):
         if self.halted or self._parent.halted:
             return
         self.network.broadcast(
-            self.pid, SlotMessage(self._slot, payload), include_self=include_self
+            self.pid, SlotMessage(self._slot, payload), include_self, self.group
         )
 
     def set_timer(self, name: str, delay: float, callback) -> Any:
@@ -221,16 +224,16 @@ def fbft_instance_factory(
     registry: KeyRegistry,
     base_timeout: float = 12.0,
 ) -> InstanceFactory:
-    """Default factory: one generalized-protocol instance per slot."""
+    """Default factory: one instance of this paper's protocol per slot.
 
-    def factory(pid: int, slot: int, input_value: Any) -> GeneralizedFBFTProcess:
-        return GeneralizedFBFTProcess(
-            pid,
-            config,
-            registry,
-            input_value,
-            base_timeout=base_timeout,
-        )
+    At ``t = f`` that is the Section 3 protocol (:class:`FastBFTProcess`,
+    fast path only), as the consensus adapter builds it; at ``t < f`` the
+    generalized protocol of Appendix A, with its signed slow path.
+    """
+    cls = FastBFTProcess if config.is_vanilla else GeneralizedFBFTProcess
+
+    def factory(pid: int, slot: int, input_value: Any) -> FBFTBase:
+        return cls(pid, config, registry, input_value, base_timeout=base_timeout)
 
     return factory
 
@@ -326,6 +329,12 @@ class SMRReplica(Process):
         #: request key -> local arrival time (the monitor's queue-delay
         #: observation; only populated when it is active).
         self._arrival_times: Dict[RequestKey, float] = {}
+
+    def attach(self, ctx: ProcessContext) -> None:
+        """Replicas broadcast to replicas (pids ``0..n-1``) only: a
+        client routes nothing but :class:`Reply`."""
+        super().attach(ctx)
+        ctx.group = ctx.network.group(range(self.n))
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and examples)

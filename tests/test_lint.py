@@ -1,5 +1,5 @@
 """Tests for ``repro.lint`` — fixture-driven per-rule checks, the
-suppression and baseline machinery, JSON schema stability, and the
+suppression machinery, JSON schema stability, and the
 self-application gate (the repo's own tree must lint clean).
 
 Each rule gets at least one failing and one passing fixture, written
@@ -16,19 +16,18 @@ from types import SimpleNamespace
 import pytest
 
 from repro.lint import run_lint
-from repro.lint.baseline import save_baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.rules import RULES_BY_ID
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def lint_tree(tmp_path: Path, files: dict, baseline=None):
+def lint_tree(tmp_path: Path, files: dict):
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source, encoding="utf-8")
-    return run_lint([tmp_path], baseline_path=baseline, root=tmp_path)
+    return run_lint([tmp_path], root=tmp_path)
 
 
 def rules_found(result):
@@ -493,54 +492,6 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip
-# ----------------------------------------------------------------------
-
-class TestBaseline:
-    FILES = {
-        "sim/clock.py": (
-            "import time\n"
-            "def stamp():\n"
-            "    return time.time()\n"
-        ),
-    }
-
-    def test_round_trip(self, tmp_path):
-        result = lint_tree(tmp_path, self.FILES)
-        assert rules_found(result) == ["D101"]
-
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, result.findings)
-        data = json.loads(baseline.read_text())
-        assert data["version"] == 1 and len(data["entries"]) == 1
-
-        # Unjustified entries (the saved TODO) do not take effect.
-        again = run_lint([tmp_path], baseline_path=baseline, root=tmp_path)
-        assert rules_found(again) == ["D101"]
-
-        data["entries"][0]["justification"] = "wall time in report metadata"
-        baseline.write_text(json.dumps(data))
-        silenced = run_lint([tmp_path], baseline_path=baseline, root=tmp_path)
-        assert silenced.findings == []
-        assert len(silenced.baselined) == 1
-        assert silenced.exit_code == 0
-
-    def test_baseline_keys_on_context_not_line(self, tmp_path):
-        result = lint_tree(tmp_path, self.FILES)
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, result.findings)
-        data = json.loads(baseline.read_text())
-        data["entries"][0]["justification"] = "justified"
-        baseline.write_text(json.dumps(data))
-
-        # Shift the finding by two lines; the baseline still matches.
-        shifted = dict(self.FILES)
-        shifted["sim/clock.py"] = "# pad\n# pad\n" + shifted["sim/clock.py"]
-        result = lint_tree(tmp_path, shifted, baseline=baseline)
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # JSON schema + CLI
 # ----------------------------------------------------------------------
 
@@ -552,7 +503,7 @@ class TestJsonAndCli:
         payload = result.to_json()
         assert set(payload) == {
             "version", "tool", "files_checked", "findings", "counts",
-            "suppressed", "baselined", "exit_code",
+            "suppressed", "exit_code",
         }
         assert payload["version"] == 1
         assert payload["tool"] == "repro.lint"
@@ -587,11 +538,6 @@ class TestJsonAndCli:
         for rule_id in RULES_BY_ID:
             assert rule_id in out
 
-    def test_cli_update_baseline_requires_target(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # no default tests/lint_baseline.json
-        (tmp_path / "m.py").write_text("x = 1\n")
-        assert lint_main([str(tmp_path), "--update-baseline"]) == 2
-
 
 # ----------------------------------------------------------------------
 # Self-application: the repo's own tree must lint clean
@@ -601,21 +547,12 @@ class TestSelfApplication:
     def test_repo_tree_is_clean(self):
         result = run_lint(
             [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "examples"],
-            baseline_path=REPO_ROOT / "tests" / "lint_baseline.json",
             root=REPO_ROOT,
         )
         assert result.findings == [], "\n".join(
             f.render() for f in result.findings
         )
         assert result.files_checked > 100
-
-    def test_shipped_baseline_is_tiny_and_justified(self):
-        data = json.loads(
-            (REPO_ROOT / "tests" / "lint_baseline.json").read_text()
-        )
-        assert len(data["entries"]) <= 3
-        for entry in data["entries"]:
-            assert entry["justification"].strip()
 
     def test_reintroduced_violation_is_caught(self, tmp_path):
         # The acceptance check from the issue: a 2f+1 literal in a

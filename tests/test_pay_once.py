@@ -273,6 +273,23 @@ class TestRecordedSendSize:
 # ---------------------------------------------------------------------------
 
 
+#: Visits of a batch per walk of it, at least, by walk and by the
+#: consensus class that decides the slots.  With no fault at n = 4 the
+#: vanilla class visits each batch exactly 2n + 1 = 9 times to size it
+#: (its proposal, n acks, n decision gossips) and twice to encode it (the
+#: proposal signed once, verified once); a crash entry misses the crashed
+#: replica's share, hence 7.  PBFT sizes it 3n + 1 = 13 times (proposal,
+#: prepares and commits carry it) and signs none of it.  The generalized
+#: class (the n = 7, t < f entry) adds the signed ``AckSig`` round.
+VISITS_PER_WALK = {
+    ("payload_size", "FastBFTProcess"): 7,
+    ("canonical_bytes", "FastBFTProcess"): 2,
+    ("payload_size", "GeneralizedFBFTProcess"): 19,
+    ("canonical_bytes", "GeneralizedFBFTProcess"): 13,
+    ("payload_size", "PBFTProcess"): 13,
+}
+
+
 class TestEncodeOnce:
     @pytest.mark.parametrize("name", SMR_SCENARIOS)
     def test_each_batch_is_walked_at_most_once_while_resident(
@@ -280,6 +297,10 @@ class TestEncodeOnce:
     ):
         result, cluster = run_observed(name)
         assert result.ok
+        (consensus,) = {
+            type(replica.instance_factory(replica.pid, 0, NOOP)).__name__
+            for replica in _replicas(cluster)
+        }
         # Every SMR engine ships batches; pbft-smr signs digests of them
         # rather than the batches themselves.
         walked = {
@@ -297,7 +318,7 @@ class TestEncodeOnce:
             walks = list(seen.walks.values())
             # A batch rides in Theta(n) messages and signed payloads of
             # its slot; all but the first visit were lookups.
-            assert seen.visits >= 4 * sum(walks) > 0
+            assert seen.visits >= VISITS_PER_WALK[walk, consensus] * sum(walks) > 0
             # Eviction is the only way back to a walk (the fixture
             # asserts each walk left the batch resident), and a memo
             # that never filled never evicted.

@@ -565,3 +565,118 @@ class TestDelayModelEdgeCases:
         for _ in range(50):
             delay = model.delay(0, 1, 0.0)
             assert 1.0 <= delay <= 30.0
+
+
+class _CountingHandlers(dict):
+    """A registry that counts its membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, pid):
+        self.lookups += 1
+        return super().__contains__(pid)
+
+
+class _EnvelopeLog:
+    """A tracer that wants everything and logs what it is shown."""
+
+    def __init__(self):
+        self.sent, self.delivered = [], []
+
+    def wants(self, payload_type):
+        return True
+
+    def on_send(self, envelope):
+        self.sent.append(envelope)
+        return envelope
+
+    def begin_delivery(self, envelope):
+        self.delivered.append(envelope)
+
+    def end_delivery(self, token):
+        pass
+
+
+class TestBroadcastGroup:
+    def test_an_unknown_member_is_rejected_when_declared(self):
+        sim, net, _ = make_network()
+        with pytest.raises(ValueError, match="unknown destination process 9"):
+            net.group([0, 1, 9])
+        group = net.group([2, 0, 1])
+        assert group == (0, 1, 2) and net.group(range(3)) == group
+        # Declared once: no send to the group tests the registry again.
+        net._handlers = counting = _CountingHandlers(net._handlers)
+        net.broadcast(0, "in", group=group)
+        net.broadcast(0, "in", include_self=False, group=group)
+        assert counting.lookups == 0
+        net._send_general(0, (0, 1, 3), "hand-built")
+        assert counting.lookups == 3
+
+    def test_a_group_losing_a_member_or_never_declared_is_refused(self):
+        sim, net, _ = make_network()
+        group, rest = net.group(range(3)), net.group((0, 2, 3))
+        net.unregister(1)
+        with pytest.raises(ValueError, match="unknown destination process 1"):
+            net.broadcast(0, "x", group=group)
+        with pytest.raises(ValueError, match="unknown destination process 1"):
+            net.broadcast(0, "x", include_self=False, group=group)
+        with pytest.raises(ValueError, match="not declared"):
+            net.broadcast(0, "x", group=(0, 2))
+        assert net.stats.messages_sent == 0
+        assert net.broadcast(0, "y", group=rest).dsts == (0, 2, 3)
+        with pytest.raises(ValueError, match="unknown destination process 1"):
+            net.group(range(3))
+
+    def test_a_group_broadcast_is_atomic(self):
+        class ThirdIsBroken:
+            def delay(self, src, dst, send_time):
+                return math.nan if dst == 2 else 1.0
+
+        sim, net, inboxes = make_network(ThirdIsBroken(), pids=range(6))
+        group = net.group(range(4))
+        hooked = []
+        net.add_send_hook(hooked.append)
+        with pytest.raises(ValueError, match="invalid delay"):
+            net.broadcast(0, "half", group=group)
+        stats = net.stats
+        assert (stats.messages_sent, stats.bytes_sent, stats.messages_held) == (0, 0, 0)
+        assert hooked == [] and sim.pending_events == 0
+
+    def test_include_self_false_excludes_the_sender(self):
+        sim, net, inboxes = make_network(pids=range(6))
+        group = net.group(range(4))
+        first = net.broadcast(1, "a", include_self=False, group=group)
+        again = net.broadcast(1, "b", include_self=False, group=group)
+        assert first.dsts == (0, 2, 3)
+        assert again.dsts is first.dsts  # the tuple declared with the group
+        # A sender outside the group reaches all of it.
+        assert net.broadcast(5, "c", include_self=False, group=group).dsts == group
+        sim.run()
+        assert inboxes[1] == [(5, "c", 1.0)]
+        assert inboxes[4] == [] and inboxes[5] == []
+
+    def test_rules_partitions_and_the_tracer_see_a_whole_network_broadcast(self):
+        from repro.sim.network import DelayRule
+
+        def run(grouped):
+            # The group's members are the whole network of the other run.
+            sim, net, inboxes = make_network(pids=range(6 if grouped else 4))
+            tracer = _EnvelopeLog()
+            net.install_tracer(tracer)
+            records = []
+            net.add_send_hook(records.append)
+            net.set_delay_rule(DelayRule(name="slow-to-3", dst={3}, extra_delay=4.0))
+            net.start_partition([(0, 1), (2, 3)])
+            group = net.group(range(4)) if grouped else None
+            net.broadcast(0, "all", group=group)
+            net.broadcast(2, "others", include_self=False, group=group)
+            held = net.held_messages
+            sim.run()
+            net.heal_partition()
+            sim.run()
+            return (records, held, tracer.sent, tracer.delivered,
+                    {pid: inboxes[pid] for pid in range(4)}, net.stats.messages_sent)
+
+        grouped = run(grouped=True)
+        assert grouped[1] and grouped[3]  # something was held and traced
+        assert grouped == run(grouped=False)

@@ -503,7 +503,8 @@ class TestDurableReplica:
 
         sim = events.Simulator()
         net = network.Network(sim, delay_model=SynchronousDelay(1.0))
-        net.register(0, lambda s, p: None)
+        for pid in range(4):  # the replica group it broadcasts to
+            net.register(pid, lambda s, p: None)
         replica.attach(ProcessContext(0, sim, net))
         replica.crash()
         replica.recover()
