@@ -8,7 +8,7 @@ Appendix-A slow path — parameterized by :class:`ProtocolConfig`.
 ``n >= 5f - 1``, no slow path.  The generalized protocol lives in
 :mod:`repro.core.generalized`.
 
-Message flow (Figure 1):
+Message flow (Figures 1 and 5):
 
 * fast path — ``leader: propose(x, v, sigma, tau)`` → everyone validates,
   adopts the vote, broadcasts ``ack(x, v)``; anyone with ``n - t`` matching
@@ -17,7 +17,12 @@ Message flow (Figure 1):
   ``leader(v)``; the leader collects ``n - f`` valid votes, runs the
   selection algorithm (:mod:`repro.core.selection`), asks everyone to
   certify the outcome (``CertReq`` → ``f + 1`` × ``CertAck``), assembles
-  the bounded progress certificate and proposes.
+  the bounded progress certificate and proposes;
+* slow path (Appendix A, generalized protocol only) — beside each ack a
+  process broadcasts ``AckSig(x, v, phi)``; ``ceil((n + f + 1) / 2)`` of
+  them form a commit certificate ``cc``, broadcast as ``Commit(cc)``
+  (the certificate names ``x`` and ``v``, so the message carries them
+  once); a commit quorum of valid ``Commit`` messages decides.
 
 In :attr:`FBFTBase.MESSAGES`, proposals, votes and the certificate
 round count only in the current view (``enter_view`` replays early
@@ -259,24 +264,22 @@ class FBFTBase(ConsensusProcess):
                 signatures=tuple(sigs[s] for s in sorted(sigs)),
             )
             self._note_commit_cert(cert)
-            self.broadcast(Commit(value=message.value, view=message.view, cert=cert))
+            self.broadcast(Commit(cert=cert))
 
     def _handle_commit(self, sender: int, message: Commit) -> None:
         if not self.slow_path_enabled:
             return
         cert = message.cert
-        if cert.value != message.value or cert.view != message.view:
-            return
         if not commit_certificate_valid(
             cert, self.registry, self.config.commit_quorum
         ):
             return
         self._note_commit_cert(cert)
-        key = (message.value, message.view)
+        key = (cert.value, cert.view)
         senders = self._commit_msgs.setdefault(key, set())
         senders.add(sender)
         if len(senders) >= self.config.commit_quorum:
-            self.decide(message.value)
+            self.decide(cert.value)
 
     def _note_commit_cert(self, cert: CommitCertificate) -> None:
         """Track the latest (highest-view) commit certificate collected."""

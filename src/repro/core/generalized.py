@@ -6,9 +6,10 @@ PBFT-like slow path otherwise:
 
 * fast path — decide on ``n - t`` matching acks;
 * slow path — every ack is accompanied by a signed ``AckSig``;
-  ``ceil((n + f + 1) / 2)`` of them form a commit certificate, which is
-  broadcast in a ``Commit`` message; a commit quorum of valid ``Commit``
-  messages decides.
+  ``ceil((n + f + 1) / 2)`` of them form a commit certificate ``cc``,
+  which is broadcast as ``Commit(cc)`` — the certificate names the value
+  and view, so the message does not repeat them; a commit quorum of
+  valid ``Commit`` messages decides.
 
 With ``t = 1`` this is (to the paper's knowledge, the first) protocol
 with optimal resilience ``n = 3f + 1`` that stays fast in the presence of

@@ -12,7 +12,8 @@ One frozen dataclass per message type from Figures 1a, 1b and 5:
 * :class:`AckSig` — the slow path's signed ack (``sig`` in Figure 5),
   sent alongside :class:`Ack` so signature generation never delays the
   fast path;
-* :class:`Commit` — slow-path commit carrying a commit certificate.
+* :class:`Commit` — slow-path commit: a commit certificate, which names
+  the value and view it commits.
 
 Messages are plain values: hashable, comparable, canonically serializable
 (via ``signing_fields``), and carried verbatim by the simulated network.
@@ -124,13 +125,25 @@ class AckSig:
 
 @dataclass(frozen=True)
 class Commit:
-    """``Commit(x, v, cc)`` — Appendix A.1: broadcast once a commit
-    certificate ``cc`` has been assembled; a commit quorum of these
-    decides ``x`` on the slow path."""
+    """``Commit(cc)`` — Appendix A.1's ``Commit(x, v, cc)``: broadcast once
+    a commit certificate ``cc`` has been assembled; a commit quorum of
+    these decides ``x`` on the slow path.
 
-    value: Any
-    view: int
+    The certificate names ``x`` and ``v``, so the message carries them
+    once: ``value`` and ``view`` read ``cert`` (as :attr:`Vote.view`
+    reads ``signed``), and no ``Commit`` can name a value or view its
+    certificate does not.
+    """
+
     cert: CommitCertificate
 
     def signing_fields(self) -> Tuple[Any, ...]:
-        return (self.value, self.view, self.cert)
+        return (self.cert,)
+
+    @property
+    def value(self) -> Any:
+        return self.cert.value
+
+    @property
+    def view(self) -> int:
+        return self.cert.view

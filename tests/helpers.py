@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from hypothesis import settings
+
 from repro.core.certificates import ProgressCertificate
 from repro.core.config import ProtocolConfig
 from repro.core.fastbft import FastBFTProcess
@@ -19,6 +21,17 @@ from repro.sim.network import (
     SynchronousDelay,
 )
 from repro.sim.runner import Cluster
+
+
+#: ``max_examples`` of the default hypothesis profile (tests/conftest.py).
+TIER1_EXAMPLES = 100
+
+
+def examples(tier1: int) -> int:
+    """``max_examples`` for a ``@given`` test that runs ``tier1`` examples
+    in tier-1: scaled with the loaded profile, so ``explore`` draws ten
+    times as many."""
+    return tier1 * settings.default.max_examples // TIER1_EXAMPLES
 
 
 def make_config(n: int, f: int, t: Optional[int] = None, **kwargs) -> ProtocolConfig:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro._core import MEMO_LIMIT, IdentityMemo, payload_size
 from repro.crypto.keys import KeyRegistry, Signature, canonical_bytes
 
+from helpers import examples
+
 REGISTRY = KeyRegistry.for_processes(range(8))
 
 # Payload values that protocol messages are composed of.
@@ -31,12 +33,12 @@ payloads = st.recursive(
 
 class TestCanonicalBytes:
     @given(payloads)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_deterministic(self, payload):
         assert canonical_bytes(payload) == canonical_bytes(payload)
 
     @given(payloads, payloads)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_injective_on_distinct_values(self, a, b):
         """Different payloads must serialize differently (no collisions),
         modulo the deliberate tuple/list identification."""
@@ -44,7 +46,7 @@ class TestCanonicalBytes:
             assert _normalize(a) == _normalize(b)
 
     @given(st.lists(scalars, max_size=6))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_tuple_list_identified(self, items):
         assert canonical_bytes(items) == canonical_bytes(tuple(items))
 
@@ -67,13 +69,13 @@ def _normalize(value):
 
 class TestSignatures:
     @given(payloads, st.integers(min_value=0, max_value=7))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_sign_verify_round_trip(self, payload, pid):
         sig = REGISTRY.signer(pid).sign(payload)
         assert REGISTRY.verify(sig, payload)
 
     @given(payloads, payloads, st.integers(min_value=0, max_value=7))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_wrong_payload_fails(self, payload, other, pid):
         if _normalize(payload) == _normalize(other):
             return
@@ -85,7 +87,7 @@ class TestSignatures:
         st.integers(min_value=0, max_value=7),
         st.integers(min_value=0, max_value=7),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_signer_swap_fails(self, payload, signer, claimed):
         if signer == claimed:
             return
@@ -153,7 +155,7 @@ class TestIdentityMemo:
         shapes=shapes,
         lookups=st.lists(st.integers(-1, 99), max_size=30),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_equals_the_pure_walk_under_sharing_and_churn(
         self, walk, pool, shapes, lookups
     ):
@@ -183,7 +185,7 @@ class TestIdentityMemo:
         shared=values,
         churn_between=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_mutating_a_list_below_a_seen_node_changes_the_result(
         self, walk, items, extra, wraps, shared, churn_between
     ):
@@ -263,7 +265,7 @@ class TestVerdictMemo:
             max_size=40,
         ),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_equals_a_fresh_registry(self, pool, shapes, ops):
         payloads = []
         for as_node, indices in shapes:

@@ -18,6 +18,8 @@ from repro.lowerbound import (
     run_t_faulty_execution,
 )
 
+from helpers import examples
+
 
 def factory_for(n, f, t):
     config = ProtocolConfig(n=n, f=f, t=t)
@@ -35,7 +37,7 @@ class TestTwoStepInvariants:
         ones=st.integers(min_value=0, max_value=4),
         faulty=st.integers(min_value=0, max_value=3),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_n4_always_two_step_and_valid(self, ones, faulty):
         """For every binary configuration I_0..I_4 and every singleton
         fault set: the execution is two-step, agreement holds (checked
@@ -52,7 +54,7 @@ class TestTwoStepInvariants:
             st.integers(min_value=0, max_value=6), min_size=1, max_size=1
         ),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_generalized_n7_two_step(self, ones, faulty):
         configuration = binary_configuration(7, ones)
         result = run_t_faulty_execution(FACTORY_7, configuration, faulty)
@@ -60,7 +62,7 @@ class TestTwoStepInvariants:
         assert result.consensus_value == configuration.input_of(0)
 
     @given(ones=st.integers(min_value=0, max_value=4))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_weak_validity_lemma_4_3(self, ones):
         """Lemma 4.3: in an all-same-input configuration, every T-faulty
         two-step execution decides that input."""
@@ -80,7 +82,7 @@ class TestTwoStepInvariants:
         faulty=st.integers(min_value=0, max_value=3),
         delta=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_two_step_independent_of_delta(self, ones, faulty, delta):
         """The two-step property is about rounds, not absolute time."""
         configuration = binary_configuration(4, ones)
@@ -93,7 +95,7 @@ class TestTwoStepInvariants:
         ones=st.integers(min_value=0, max_value=4),
         faulty=st.integers(min_value=0, max_value=3),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_executions_deterministic(self, ones, faulty):
         configuration = binary_configuration(4, ones)
         a = run_t_faulty_execution(FACTORY_4, configuration, [faulty])

@@ -21,7 +21,7 @@ from repro.core.generalized import GeneralizedFBFTProcess
 from repro.sim.network import RandomDelay
 from repro.sim.runner import Cluster
 
-from helpers import make_config, make_registry
+from helpers import examples, make_config, make_registry
 
 
 def run_with_crashes(n, f, t, crashed, seed, inputs):
@@ -47,7 +47,7 @@ class TestVanillaProtocol:
         crashed=st.sets(st.integers(min_value=0, max_value=3), max_size=1),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_n4_f1_consistency_and_liveness(self, crashed, seed):
         inputs = {pid: f"v{pid}" for pid in range(4)}
         cluster, correct, result, config = run_with_crashes(
@@ -62,7 +62,7 @@ class TestVanillaProtocol:
         crashed=st.sets(st.integers(min_value=0, max_value=8), max_size=2),
         seed=st.integers(min_value=0, max_value=2_000),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_n9_f2_consistency_and_liveness(self, crashed, seed):
         inputs = {pid: f"v{pid}" for pid in range(9)}
         cluster, correct, result, config = run_with_crashes(
@@ -78,7 +78,7 @@ class TestGeneralizedProtocol:
         crashed=st.sets(st.integers(min_value=0, max_value=6), max_size=2),
         seed=st.integers(min_value=0, max_value=2_000),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_n7_f2_t1_all_fault_patterns(self, crashed, seed):
         inputs = {pid: f"v{pid}" for pid in range(7)}
         cluster, correct, result, config = run_with_crashes(
@@ -95,7 +95,7 @@ class TestEquivocationNeverBreaksConsistency:
         ack_subset=st.sets(st.integers(min_value=1, max_value=3), max_size=3),
         seed=st.integers(min_value=0, max_value=2_000),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_random_equivocation_patterns(self, split, ack_subset, seed):
         """Leader of view 1 equivocates arbitrarily: consistency must hold
         among the 3 correct processes of an n=4, f=1 deployment."""

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent.parent))
 
-from helpers import make_config, make_registry, make_vote_set
+from helpers import examples, make_config, make_registry, make_vote_set
 
 from repro.core.selection import (
     AnyValueSafe,
@@ -45,13 +45,13 @@ def build_votes(assignment):
 
 class TestOutcomeShape:
     @given(assignments)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_always_terminates_with_known_outcome(self, assignment):
         outcome = run_selection(build_votes(assignment), CONFIG)
         assert isinstance(outcome, (Selected, AnyValueSafe, NeedMoreVotes))
 
     @given(assignments)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_deterministic(self, assignment):
         votes = build_votes(assignment)
         assert str(run_selection(votes, CONFIG)) == str(
@@ -59,7 +59,7 @@ class TestOutcomeShape:
         )
 
     @given(assignments)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_selected_value_was_voted(self, assignment):
         votes = build_votes(assignment)
         outcome = run_selection(votes, CONFIG)
@@ -76,7 +76,7 @@ class TestSafetyInvariant:
         st.integers(min_value=7, max_value=8),
         st.sampled_from(["x", "y"]),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_potentially_decided_value_never_lost(self, data, quorum, decided):
         """Model: leader(1) equivocated (it is the only Byzantine voter),
         all other voters are honest.  If v was decided in view 1, a fast
@@ -114,7 +114,7 @@ class TestSafetyInvariant:
             assert outcome.value in possibly_decided
 
     @given(assignments, st.sampled_from(["x", "y", "z"]))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_admits_agrees_with_selection(self, assignment, candidate):
         votes = build_votes(assignment)
         outcome = run_selection(votes, CONFIG)
@@ -129,7 +129,7 @@ class TestSafetyInvariant:
 
 class TestMonotonicity:
     @given(assignments)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_excluded_set_only_contains_leaders(self, assignment):
         votes = build_votes(assignment)
         outcome = run_selection(votes, CONFIG)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro._core import MEMO_LIMIT
-from repro.core.messages import Ack, Propose
+from repro.core.certificates import CommitCertificate
+from repro.core.messages import Ack, Commit, Propose
 from repro.crypto.keys import KeyRegistry, Signature, canonical_bytes
 from repro.sim.network import payload_size
 from repro.smr.replica import Batch
@@ -577,6 +578,14 @@ VECTOR_CORPUS = {
     ),
     "propose": Propose(value="x", view=1, cert=None, tau=_TAU),
     "ack": Ack("x", 1),
+    # The certificate names the value and view; the message holds only it.
+    "commit": Commit(cert=CommitCertificate(
+        value="x", view=2,
+        signatures=(
+            Signature(signer=2, digest=b"\x02" * 32),
+            Signature(signer=1, digest=b"\x01" * 32),
+        ),
+    )),
     "batch": Batch(entries=((4, 0, ("set", "k", 1)), (5, 2, ("get", "k")))),
     # Not canonicalizable (the vector pins the TypeError text), but
     # sized: bytearray by length, _Blob via __dict__, complex via repr.

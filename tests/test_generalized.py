@@ -5,7 +5,7 @@ import pytest
 from repro.byzantine.behaviors import SilentProcess
 from repro.core.generalized import GeneralizedFBFTProcess
 from repro.core.messages import AckSig, Commit
-from repro.sim.network import RoundSynchronousDelay, SynchronousDelay
+from repro.sim.network import RoundSynchronousDelay, SynchronousDelay, payload_size
 from repro.sim.runner import Cluster
 
 from helpers import make_config, make_registry, record_sends
@@ -120,30 +120,35 @@ class TestSlowPath:
         proc = cluster.process(3)
         bad = CommitCertificate(value="evil", view=1, signatures=())
         for sender in range(5):
-            proc._handle_commit(sender, Commit("evil", 1, bad))
+            proc._handle_commit(sender, Commit(bad))
         assert not proc.decided
 
-    def test_mismatched_commit_cert_ignored(self):
+    def test_commit_value_and_view_are_its_certificates(self):
+        """A ``Commit`` carries only its certificate: the value and view it
+        commits are the certificate's, so no message can name others."""
         from repro.core.certificates import CommitCertificate
-        from repro.core.payloads import ack_payload
 
+        cert = CommitCertificate(value="x", view=3, signatures=())
+        commit = Commit(cert)
+        assert (commit.value, commit.view) == ("x", 3)
+        assert commit.signing_fields() == (cert,)
+        with pytest.raises(TypeError):
+            Commit(value="y", view=3, cert=cert)
+
+    def test_commit_accounted_as_its_certificate(self):
+        """Each ``Commit`` copy costs its certificate plus one framing,
+        ``2 + payload_size(cert)`` bytes: the value and view are not sent
+        a second time beside the certificate that names them."""
         config = make_config(n=7, f=2, t=1)
         registry = make_registry(config)
-        cluster = build_generalized(config, registry)
-        cluster.start()
-        proc = cluster.process(3)
-        payload = ack_payload("x", 1)
-        cert = CommitCertificate(
-            value="x",
-            view=1,
-            signatures=tuple(
-                registry.signer(p).sign(payload)
-                for p in range(config.commit_quorum)
-            ),
-        )
-        # Commit message claims value y but carries a cert for x.
-        proc._handle_commit(0, Commit("y", 1, cert))
-        assert not proc.decided
+        cluster = build_generalized(config, registry, silent={5, 6})
+        records = []
+        cluster.network.add_send_hook(records.append)
+        cluster.run_until_decided(correct_pids=range(5), timeout=50)
+        commits = [r for r in records if isinstance(r.payload, Commit)]
+        assert commits
+        for record in commits:
+            assert record.size == 2 + payload_size(record.payload.cert)
 
 
 class TestVanillaEquivalence:

@@ -82,7 +82,7 @@ class TestMessageValues:
             CertRequest(value="x", view=2, votes=(sv,)),
             CertAck(value="x", view=2, phi=phi),
             AckSig(value="x", view=2, phi=asig),
-            Commit(value="x", view=2, cert=cc),
+            Commit(cert=cc),
         ]
         encodings = [canonical_bytes(m) for m in messages]
         assert len(set(encodings)) == len(encodings)

@@ -56,7 +56,7 @@ from repro.sim.trace import TraceRecorder
 from repro.smr import NOOP, SMRClient
 from repro.smr.replica import Batch, Reply, SMRReplica
 
-from helpers import envelopes_of
+from helpers import envelopes_of, examples
 
 from test_smr import make_smr
 
@@ -280,11 +280,12 @@ class TestRecordedSendSize:
 #: proposal signed once, verified once); a crash entry misses the crashed
 #: replica's share, hence 7.  PBFT sizes it 3n + 1 = 13 times (proposal,
 #: prepares and commits carry it) and signs none of it.  The generalized
-#: class (the n = 7, t < f entry) adds the signed ``AckSig`` round.
+#: class (the n = 7, t < f entry) adds the signed ``AckSig`` round and
+#: the ``Commit`` round, whose certificate carries the batch once.
 VISITS_PER_WALK = {
     ("payload_size", "FastBFTProcess"): 7,
     ("canonical_bytes", "FastBFTProcess"): 2,
-    ("payload_size", "GeneralizedFBFTProcess"): 19,
+    ("payload_size", "GeneralizedFBFTProcess"): 15,
     ("canonical_bytes", "GeneralizedFBFTProcess"): 13,
     ("payload_size", "PBFTProcess"): 13,
 }
@@ -657,7 +658,7 @@ class TestFanOutEqualsSends:
         }  # rules and the interceptor: every recipient of every send
         assert run["built"] == looked_at.get(features, run["stats"].messages_sent)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     @given(
         model=st.sampled_from(sorted(DELAY_MODELS)),
         seed=st.integers(0, 2**16),
@@ -959,7 +960,7 @@ class TestDigestIsItsDefinition:
         )
         assert digest == result.trace_digest == golden[name]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(records=st.lists(_records, max_size=12))
     def test_on_hand_built_records(self, records):
         world = _Hooked(1)
