@@ -5,11 +5,10 @@
 One ``cProfile.Profile`` is enabled around each entry point, run in this
 process (``runpy``, its own ``sys.argv``, ``SystemExit`` caught): the
 ``BENCHMARK.json`` workloads at full size, every verb and documented
-flag of the five CLIs, the quick-grid bench tests and every example.  A
-function is reached when its ``(co_filename, co_firstlineno)`` shows up
-in ``profile.getstats()`` (a decorated one starts at its first
-decorator).  Campaigns run on one shard and experiments serially: pool
-workers never report.  FILE (``tests/golden/reach.json``) gives each
+flag of the five CLIs (every experiment's claims at ``--quick`` among
+them) and every example.  A function is reached when its
+``(co_filename, co_firstlineno)`` shows up in ``profile.getstats()`` (a
+decorated one starts at its first decorator).  FILE (``tests/golden/reach.json``) gives each
 unreached function a one-line reason; ``--check`` fails on one without,
 on a justified one that is reached, and on an entry point that exits
 otherwise than listed; ``--update`` keeps the reasons and adds ``""``.
@@ -65,10 +64,8 @@ def entries(tmp):
     exp = ["-m", "repro.experiments"]
     yield 0, exp + ["list"]
     yield 0, exp + ["describe", "E13", "--grid"]
-    yield 0, exp + ["run", "--all", "--quick", "--no-cache", "--json", f"{tmp}/exp"]
-    for extra in ([], ["--verify-serial"], ["--force"]):  # miss, hit, refresh
-        yield 0, exp + ["run", "E1", "--quick", "--filter", "f=2",
-                        "--cache", f"{tmp}/cache", *extra]
+    yield 0, exp + ["run", "--all", "--quick", "--json", f"{tmp}/exp"]
+    yield 0, exp + ["run", "E1", "--quick", "--filter", "f=2"]
     grids = f"{tmp}/exp/BENCH_experiments.json"
     yield 0, exp + ["diff", grids, grids]
     scen = ["-m", "repro.scenarios"]
@@ -79,16 +76,15 @@ def entries(tmp):
     yield 0, scen + ["digest", "--check", "tests/golden/scenario_digests.json"]
     yield 0, scen + ["digest", "--update", f"{tmp}/digests.json"]
     fuzz, corpus = ["-m", "repro.fuzz"], f"{tmp}/corpus.json"
-    yield 0, fuzz + ["campaign", "--shards", "1", "--quiet", "--corpus-out", corpus,
+    yield 0, fuzz + ["campaign", "--quiet", "--corpus-out", corpus,
                      "--json", f"{tmp}/campaign.json"]
-    yield 0, fuzz + ["campaign", "--budget", "16", "--shards", "1", "--corpus-in",
-                     corpus, "--max-seconds", "600", "--metrics-out",
+    yield 0, fuzz + ["campaign", "--budget", "16", "--corpus-in", corpus,
+                     "--max-seconds", "600", "--metrics-out",
                      f"{tmp}/fuzz-metrics.json", "--trace-out", f"{tmp}/fuzz-trace.json"]
     # The optimistic baseline's known agreement violation (ROADMAP item 1):
     # the one campaign that shrinks and dumps, and the dumps postmortem reads.
     yield 1, fuzz + ["campaign", "--protocols", "optimistic", "--budget", "400",
-                     "--start", "1", "--shards", "1", "--quiet",
-                     "--record-out", f"{tmp}/violation"]
+                     "--start", "1", "--quiet", "--record-out", f"{tmp}/violation"]
     key = json.loads(Path(corpus).read_text(encoding="utf-8"))["entries"][0]["key"]
     yield 0, fuzz + ["replay", key, "--corpus", corpus, "--record-out", f"{tmp}/replay",
                      "--metrics-out", f"{tmp}/replay-metrics.json",
@@ -106,9 +102,6 @@ def entries(tmp):
     lint = ["-m", "repro.lint"]
     yield 0, lint + ["src", "benchmarks", "examples", "--json", f"{tmp}/lint.json"]
     yield 0, lint + ["--list-rules"]
-    benches = sorted(str(p) for p in (REPO_ROOT / "benchmarks").glob("bench_e*.py"))
-    yield 0, ["-m", "pytest", *benches, "-k", "quick", "-q", "--benchmark-disable",
-              "-p", "no:cacheprovider"]
     for example in sorted((REPO_ROOT / "examples").glob("*.py")):
         yield 0, [str(example)]
 

@@ -1,13 +1,13 @@
-"""Define a custom out-of-tree experiment and shard it over workers.
+"""Define a custom out-of-tree experiment, with a claim, and run it.
 
 The registry's canonical entries are not special: any
 :class:`repro.experiments.ExperimentSpec` — yours included — runs
-through the same parallel runner, digests, caching and formatting.
-This example measures fbft common-case latency as a function of network
-delay *variance* (something no canonical experiment covers): each grid
-point runs a batch of seeded random-delay clusters, with the seeds
-derived deterministically from the grid point itself, so the sharded run
-is byte-identical to the serial one.
+through the same runner, digests, claims and formatting.  This example
+measures fbft common-case latency as a function of network delay
+*variance* (something no canonical experiment covers): each grid point
+runs a batch of seeded random-delay clusters, with the seeds derived
+deterministically from the grid point itself, so a re-run reproduces
+the rows and the grid digest exactly.
 
 Run:
 
@@ -15,7 +15,13 @@ Run:
 """
 
 from repro.analysis import build_protocol, format_table, repeat_latency
-from repro.experiments import ExperimentSpec, TaskResult, grid, run_experiment
+from repro.experiments import (
+    Claim,
+    ExperimentSpec,
+    TaskResult,
+    grid,
+    run_experiment,
+)
 from repro.sim.network import RandomDelay
 
 
@@ -27,8 +33,8 @@ def latency_vs_variance(params, seed):
         lambda: build_protocol("fbft", f=f),
         runs=runs,
         # Mix the framework-derived seed in: distinct grid points sample
-        # distinct delay sequences, yet every re-run (serial, parallel,
-        # cached) sees the identical ones.
+        # distinct delay sequences, yet every re-run sees the identical
+        # ones.
         delay_model_factory=lambda run: RandomDelay(lo, hi, seed=seed + run),
     )
     return TaskResult(
@@ -45,6 +51,18 @@ def latency_vs_variance(params, seed):
     )
 
 
+def latency_grows_with_spread(result):
+    """The paper's fast path is two message delays; with delays in
+    [1-s, 1+s] the decision tracks the *slowest* of the two hops, so the
+    mean grows with the spread."""
+    rows = result.rows("main")
+    for f in sorted({row[0] for row in rows}):
+        means = [row[3] for row in rows if row[0] == f]
+        if means != sorted(means):
+            return False
+    return True
+
+
 SPEC = ExperimentSpec(
     id="X1",
     name="latency-vs-variance",
@@ -54,30 +72,30 @@ SPEC = ExperimentSpec(
     grid=grid(f=(1, 2), spread=(0.0, 0.25, 0.5, 0.9), runs=(12,)),
     quick_grid=grid(f=(1,), spread=(0.0, 0.5), runs=(6,)),
     columns={"main": ("f", "spread", "runs", "mean", "p95", "max")},
+    claims=(
+        Claim(
+            "mean latency grows with the delay spread at every f",
+            "main",
+            latency_grows_with_spread,
+        ),
+    ),
 )
 
 
 def main() -> int:
-    parallel = run_experiment(SPEC, parallel=2)
+    result = run_experiment(SPEC)
     print(f"{SPEC.id} ({SPEC.name}): {SPEC.title}\n")
-    print(format_table(list(SPEC.columns["main"]), parallel.rows("main")))
+    print(format_table(list(SPEC.columns["main"]), result.rows("main")))
     print(
-        f"\n{parallel.tasks_total} grid points over 2 workers, "
-        f"grid digest {parallel.grid_digest[:16]}"
+        f"\n{result.tasks_total} grid points, "
+        f"grid digest {result.grid_digest[:16]}"
     )
 
-    serial = run_experiment(SPEC, parallel=1)
-    assert serial.grid_digest == parallel.grid_digest, "sharding changed rows!"
-    print("serial re-run reproduced the digest — sharding is transparent")
-
-    # The paper's fast path is two message delays; with delays in
-    # [1-s, 1+s] the decision tracks the *slowest* of the two hops, so
-    # the mean grows with the spread while staying under 2 * (1 + s).
-    rows = parallel.rows("main")
-    for f in (1, 2):
-        means = [row[3] for row in rows if row[0] == f]
-        assert means == sorted(means), "latency should grow with variance"
-    return 0
+    broken = result.broken_claims()
+    for claim, rows in broken:
+        print(f"CLAIM BROKEN: {claim.name}: {rows}")
+    print(f"claims: {len(SPEC.claims) - len(broken)} of {len(SPEC.claims)} hold")
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -80,11 +80,7 @@ def compare_campaigns(
     protocols: Sequence[str] = DEFAULT_FUZZ_PROTOCOLS,
     round_size: int = 8,
 ) -> FuzzComparison:
-    """Run both arms serially over the same budget and seed stream.
-
-    Serial on purpose (``shards=1``): experiment drivers already run in
-    pool workers, which are daemonic and cannot nest process pools.
-    """
+    """Run both arms over the same budget and seed stream."""
     guided = run_campaign(
         CampaignConfig(
             budget=budget,

@@ -5,13 +5,12 @@ produces (:meth:`repro.experiments.ExperimentResult.to_payload` or a
 loaded ``BENCH_*`` schema-2 artifact), so they have no dependency on the
 framework itself — ``diff`` works on artifacts from other machines.
 
-The load-bearing one is :func:`compare_grid_payloads`: the
-serial-vs-parallel gate.  Two runs of the same grid must agree on every
-grid digest (sharded execution is only allowed to be *faster*, never
-*different*); for non-deterministic experiments (wall-clock measurement,
-E21) the digests cover workload identity rather than measured
-values, so the check stays meaningful without ever failing on timing
-noise.
+The load-bearing one is :func:`compare_grid_payloads`, behind
+``experiments diff``: two runs of the same grid (two commits, two
+machines) must agree on every grid digest; for non-deterministic
+experiments (wall-clock measurement, E21) the digests cover workload
+identity rather than measured values, so the check stays meaningful
+without ever failing on timing noise.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ def format_experiment_payload(payload: Mapping[str, Any]) -> str:
         blocks.append(f"{title}\n{table}" if title else table)
     meta = (
         f"tasks={exp.get('tasks_total', '?')}"
-        f" cached={exp.get('tasks_cached', 0)}"
-        f" compute={exp.get('compute_seconds', '?')}s"
-        f" batch-wall={exp.get('wall_seconds', '?')}s"
+        f" wall={exp.get('wall_seconds', '?')}s"
         f" digest={str(exp.get('grid_digest', ''))[:16]}"
     )
     blocks.append(meta)
@@ -133,7 +130,7 @@ def compare_grid_payloads(
     left: Sequence[Mapping[str, Any]],
     right: Sequence[Mapping[str, Any]],
 ) -> GridComparison:
-    """Compare two runs (e.g. serial vs parallel, or two commits).
+    """Compare two runs (e.g. of two commits).
 
     Digest equality is the gate; row-level differences are collected for
     the report when digests disagree.

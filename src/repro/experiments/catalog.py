@@ -1,15 +1,13 @@
 """The canonical E1–E21 registry entries.
 
 Every experiment from EXPERIMENTS.md is one :class:`ExperimentSpec`: a
-parameter grid plus a driver that evaluates a *single* grid point.  The
-drivers are top-level functions of ``(params, seed)`` — pure, picklable
-by reference, and independent of task order — so the parallel runner can
-shard any grid over worker processes and reproduce the serial rows
-byte-for-byte.
-
-The ``benchmarks/bench_e*.py`` scripts are thin pytest wrappers over
-these entries: they call :func:`repro.experiments.run_sections` and
-assert on the rows; all sweep loops live here, once.
+parameter grid, a driver that evaluates a *single* grid point, and the
+claims the rows must bear out — the paper's (4 processes at f = t = 1,
+two fewer than FaB, two message delays on the fast path, …) and the
+reproduction's own.  The drivers are pure functions of ``(params,
+seed)``, independent of task order, so every run of a grid reproduces
+its rows byte-for-byte; ``python -m repro.experiments run`` checks every
+claim of every grid it runs.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ import time
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..analysis import (
+    MIN_GUIDED_BUDGET,
     PROTOCOLS,
     Stats,
     build_protocol,
@@ -67,7 +66,7 @@ from ..sim.runner import Cluster
 from ..sim.trace import message_delays
 from ..smr import KVStore, SMRClient, SMRReplica, fbft_instance_factory
 from .registry import register
-from .spec import ExperimentSpec, TaskResult, grid, jsonify, points
+from .spec import Claim, ExperimentSpec, TaskResult, grid, jsonify, points
 
 # ---------------------------------------------------------------------------
 # Shared builders
@@ -81,6 +80,37 @@ def _build_fbft(n: int, f: int, value: str = "value") -> List[Any]:
         FastBFTProcess(pid, config, registry, value)
         for pid in config.process_ids
     ]
+
+
+# ---------------------------------------------------------------------------
+# Claim helpers
+# ---------------------------------------------------------------------------
+
+
+def _row(result, section: str, *key: Any) -> List[Any]:
+    """The row of ``section`` whose leading cells are ``key``; a missing
+    row raises ``KeyError``, which breaks the claim that looked."""
+    for row in result.rows(section):
+        if tuple(row[: len(key)]) == key:
+            return row
+    raise KeyError(key)
+
+
+def _points(result, section: str = "main") -> List[Dict[str, Any]]:
+    """The grid points of ``section`` that ``result`` ran, grid order."""
+    return [
+        params
+        for params in result.spec.grid_for(result.quick)
+        if params.get("section", "main") == section
+    ]
+
+
+def _one_row_per_point(section: str = "main") -> Claim:
+    return Claim(
+        "one row per grid point",
+        section,
+        lambda result: len(result.rows(section)) == len(_points(result, section)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +150,12 @@ def deployment_t(protocol: str, f: int) -> int:
     return f if PROTOCOLS[protocol].parameterized_by_t else 1
 
 
+#: Names of the families whose fast path is parameterized by ``t``.
+_BY_T = frozenset(
+    spec.name for spec in PROTOCOLS.values() if spec.parameterized_by_t
+)
+
+
 def e1_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     if params["section"] == "table":
         f, t = params["f"], params["t"]
@@ -154,6 +190,24 @@ register(
             "table": ("f", "t", "FBFT (ours)", "FaB", "PBFT", "Paxos(crash)"),
             "deploy": ("protocol", "f", "t", "n", "delays", "decided"),
         },
+        claims=(
+            Claim("one row per (f, t)", "table", lambda r: len(r.rows("table"))
+                  == len({(row[0], row[1]) for row in r.rows("table")})),
+            Claim("f = t = 1: 4 processes (ours) against FaB's 6", "table",
+                  lambda r: _row(r, "table", 1, 1)[2:4] == [4, 6]),
+            Claim("always two processes fewer than FaB", "table",
+                  lambda f, t, ours, fab, *_: fab - ours == 2, each=True),
+            Claim("every minimum deployment decides", "deploy",
+                  lambda *row: row[5], each=True),
+            Claim("PBFT decides in 3 message delays, every other family in 2",
+                  "deploy", lambda name, f, t, n, delays, decided:
+                  delays == (3 if name == "PBFT" else 2), each=True),
+            Claim("the deployment sweep reaches f >= 2", "deploy",
+                  lambda r: any(row[1] > 1 for row in r.rows("deploy"))),
+            Claim("t = f for families with a fast threshold, t = 1 otherwise",
+                  "deploy", lambda name, f, t, *_: t == (f if name in _BY_T else 1),
+                  each=True),
+        ),
     )
 )
 
@@ -194,6 +248,14 @@ register(
         grid=grid(f=(1, 2, 3, 4)),
         quick_grid=grid(f=(1, 2)),
         columns={"main": ("n", "f", "delays", "msgs", "propose", "ack")},
+        claims=(
+            _one_row_per_point(),
+            Claim("the fast path decides in 2 message delays", "main",
+                  lambda n, f, delays, *_: delays == 2, each=True),
+            Claim("n proposes and n^2 acks", "main",
+                  lambda n, f, delays, msgs, proposes, acks:
+                  (proposes, acks) == (n, n * n), each=True),
+        ),
     )
 )
 
@@ -269,6 +331,12 @@ register(
                 "votes", "certacks", "cert size", "f+1",
             )
         },
+        claims=(
+            _one_row_per_point(),
+            Claim("every run decides", "main", lambda *row: row[3], each=True),
+            Claim("the progress certificate has f + 1 signatures in every view",
+                  "main", lambda *row: row[7] == row[8], each=True),
+        ),
     )
 )
 
@@ -349,6 +417,18 @@ register(
                 "f", "t", "n=3f+2t-2", "outcome", "n=3f+2t-1", "outcome",
             ),
         },
+        claims=(
+            Claim("at the bound the fast quorum meets f + t correct votes; "
+                  "below it that or an intersection property fails", "quorums",
+                  lambda f, t, n, meets, qi1, qi2, qi3, overlap, need:
+                  overlap >= need if meets == "yes"
+                  else overlap < need or not (qi1 and qi2 and qi3), each=True),
+            _one_row_per_point("splice"),
+            Claim("the splice attack is harmless at n = 3f + 2t - 1 and "
+                  "forces disagreement one process below", "splice",
+                  lambda f, t, n_below, below, n_at, at:
+                  (below, at) == ("DISAGREEMENT", "safe"), each=True),
+        ),
     )
 )
 
@@ -386,6 +466,10 @@ def e5_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     )
 
 
+def _figure5(n, f, t, faults, delays, path, commits) -> bool:
+    return delays == 3 and commits > 0
+
+
 def _e5_points(configs) -> List[Dict[str, Any]]:
     return [
         {"n": n, "f": f, "t": t, "faults": faults}
@@ -406,6 +490,14 @@ register(
         columns={
             "main": ("n", "f", "t", "faults", "delays", "path", "Commit msgs")
         },
+        claims=(
+            Claim("2 message delays with at most t faults, 3 with more", "main",
+                  lambda n, f, t, faults, delays, *_:
+                  delays == (2 if faults <= t else 3), each=True),
+            Claim("Figure 5 (n = 7, f = 2, t = 1, 2 faults): 3 delays, "
+                  "Commit messages sent", "main",
+                  lambda r: _figure5(*_row(r, "main", 7, 2, 1, 2))),
+        ),
     )
 )
 
@@ -413,6 +505,9 @@ register(
 # ---------------------------------------------------------------------------
 # E6 — common-case latency comparison
 # ---------------------------------------------------------------------------
+
+
+_OURS = PROTOCOLS["fbft"].name
 
 
 def e6_driver(params: Dict[str, Any], seed: int) -> TaskResult:
@@ -474,6 +569,20 @@ register(
             "latency": ("protocol", "n", "delays", "mean", "p50", "p95"),
             "scaling": ("f", "FBFT mean", "PBFT mean"),
         },
+        claims=(
+            Claim("ours, Paxos and FaB decide in 2 message delays, PBFT in 3",
+                  "latency", lambda r: [_row(r, "latency", name)[2] for name in
+                  (_OURS, "Paxos (crash)", "FaB Paxos", "PBFT")] == [2, 2, 2, 3]),
+            Claim("ours has a lower mean latency than PBFT", "latency",
+                  lambda r: _row(r, "latency", _OURS)[3]
+                  < _row(r, "latency", "PBFT")[3]),
+            Claim("ours is within 0.5 of FaB's mean latency, on two fewer "
+                  "processes", "latency",
+                  lambda r: abs(_row(r, "latency", _OURS)[3]
+                                - _row(r, "latency", "FaB Paxos")[3]) < 0.5),
+            Claim("ours has a lower mean latency than PBFT at every f",
+                  "scaling", lambda f, ours, pbft: ours < pbft, each=True),
+        ),
     )
 )
 
@@ -520,6 +629,32 @@ def e7_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     )
 
 
+def _e7_column(result, scheme: str, column: int) -> Dict[int, Any]:
+    """``{view: cell}`` of one certificate scheme's rows."""
+    return {
+        row[1]: row[column] for row in result.rows("certs") if row[0] == scheme
+    }
+
+
+def _e7_bounded_stays_at_f_plus_1(result) -> bool:
+    bounded = _e7_column(result, "bounded", 2)
+    return all(bounded.get(view) == 2 for view in _e7_column(result, "naive", 2))
+
+
+def _e7_naive_grows(result) -> bool:
+    totals = [total for _, total in sorted(_e7_column(result, "naive", 2).items())]
+    return (
+        all(b > a for a, b in zip(totals, totals[1:]))
+        and totals[-1] > totals[0] * len(totals)
+    )
+
+
+def _e7_distinct_grows(result) -> bool:
+    distinct = [d for _, d in sorted(_e7_column(result, "naive", 3).items())]
+    growth = [b - a for a, b in zip(distinct, distinct[1:])]
+    return min(growth) > 0 and max(growth) <= 3 * min(growth) + 3
+
+
 register(
     ExperimentSpec(
         id="E7",
@@ -530,6 +665,16 @@ register(
         grid=grid(scheme=("naive", "bounded"), views=(6,)),
         quick_grid=grid(scheme=("naive", "bounded"), views=(4,)),
         columns={"certs": ("scheme", "view", "total sigs", "distinct sigs")},
+        claims=(
+            Claim("naive certificates over at least 4 views", "certs",
+                  lambda r: len(_e7_column(r, "naive", 2)) >= 4),
+            Claim("bounded certificates stay at f + 1 = 2 signatures in every "
+                  "view", "certs", _e7_bounded_stays_at_f_plus_1),
+            Claim("naive certificates grow strictly and super-linearly",
+                  "certs", _e7_naive_grows),
+            Claim("naive distinct signatures grow strictly, by near-constant "
+                  "steps", "certs", _e7_distinct_grows),
+        ),
     )
 )
 
@@ -621,6 +766,20 @@ register(
             ),
             "failover": ("completed", "surviving log values"),
         },
+        claims=(
+            Claim("fbft and pbft at n = 4 complete every command", "comparison",
+                  lambda r: _row(r, "comparison", "fbft", 4)[3]
+                  == _row(r, "comparison", "pbft", 4)[3]
+                  == _points(r, "comparison")[0]["commands"]),
+            Claim("a command takes 4 message delays on ours, 5 on PBFT",
+                  "comparison", lambda r: [_row(r, "comparison", backend, 4)[4]
+                  for backend in ("fbft", "pbft")] == [4.0, 5.0]),
+            Claim("every replica ends with the same log", "comparison",
+                  lambda *row: row[7], each=True),
+            Claim("after a leader crash all 8 commands complete and the "
+                  "survivors agree on one log", "failover",
+                  lambda r: r.rows("failover") == [[8, 1]]),
+        ),
     )
 )
 
@@ -699,6 +858,20 @@ register(
             "matrix": ("f", "t", "n", "faults", "kind", "delays", "path"),
             "crossover": ("f", "t", "delays by fault count"),
         },
+        claims=(
+            Claim("every cell decides", "matrix",
+                  lambda *row: row[5] is not None, each=True),
+            Claim("non-leader faults: 2 message delays up to t, 3 beyond",
+                  "matrix", lambda f, t, n, faults, kind, delays, path:
+                  kind == "leader" or delays == (2 if faults <= t else 3),
+                  each=True),
+            Claim("a faulty leader costs the view-change timeout (> 3 delays)",
+                  "matrix", lambda f, t, n, faults, kind, delays, path:
+                  kind != "leader" or delays > 3, each=True),
+            Claim("at f = 3, t = 2 the fast/slow boundary sits exactly at t",
+                  "crossover",
+                  lambda r: r.rows("crossover") == [[3, 2, [2, 2, 2, 3]]]),
+        ),
     )
 )
 
@@ -783,6 +956,17 @@ register(
             ),
             "witness": ("pid", "T0", "value0", "T1", "value1", "valid"),
         },
+        claims=(
+            _one_row_per_point("two_step"),
+            Claim("the FBFT protocols are t-two-step in every execution, PBFT "
+                  "in none", "two_step",
+                  lambda name, n, t, executions, two_step, verdict:
+                  (verdict, two_step) == (("YES", executions)
+                  if name.startswith("FBFT") else ("no", 0)), each=True),
+            Claim("Lemma 4.4's witness is valid and is the view-1 leader",
+                  "witness", lambda r: [(row[0], row[5]) for row in
+                  r.rows("witness")] == [(0, True)]),
+        ),
     )
 )
 
@@ -827,6 +1011,17 @@ register(
                 "disjoint-roles bound",
             )
         },
+        claims=(
+            _one_row_per_point(),
+            Claim("the splice attack is harmless with the exclusion trick and "
+                  "forces disagreement without it", "main",
+                  lambda f, t, n, with_trick, without_trick, disjoint:
+                  (with_trick, without_trick) == ("safe", "DISAGREEMENT"),
+                  each=True),
+            Claim("disjoint roles need two more processes (Section 4.4)", "main",
+                  lambda f, t, n, with_trick, without_trick, disjoint:
+                  disjoint == n + 2, each=True),
+        ),
     )
 )
 
@@ -898,6 +1093,23 @@ register(
         ),
         quick_grid=grid(family=("fbft", "pbft"), faults=(0, 1, 2)),
         columns={"main": ("protocol", "n", "faults", "delays")},
+        claims=(
+            Claim("ours is fast through t faults and slow (3 delays) at f",
+                  "main", lambda protocol, n, faults, delays:
+                  protocol != _E12_LABELS["fbft"]
+                  or delays == (2 if faults <= _E12_T else 3), each=True),
+            Claim("FaB is fast with t faults, on two more processes", "main",
+                  lambda protocol, n, faults, delays:
+                  (protocol, faults) != (_E12_LABELS["fab"], _E12_T)
+                  or delays == 2, each=True),
+            Claim("Kursawe-style falls off the fast path at the first fault",
+                  "main", lambda protocol, n, faults, delays:
+                  protocol != _E12_LABELS["optimistic"] or faults > 1
+                  or (delays == 2 if faults == 0 else delays > 2), each=True),
+            Claim("PBFT is never fast (3 delays)", "main",
+                  lambda protocol, n, faults, delays:
+                  protocol != _E12_LABELS["pbft"] or delays == 3, each=True),
+        ),
     )
 )
 
@@ -919,7 +1131,7 @@ def e13_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     n = min_processes_fast_bft(f, f)
     result = run_common_case(_build_fbft(n, f))
     # Wall clock stays out of the rows: every cell here is simulated and
-    # exact, so serial == parallel row-for-row.
+    # exact, so every run gives the same rows.
     row = [
         n, f, result.delays, result.messages,
         round(result.messages / (n * n), 2),
@@ -953,6 +1165,17 @@ register(
             "scale": ("n", "f", "delays", "msgs", "msgs/n^2"),
             "events": ("n", "f", "events"),
         },
+        claims=(
+            _one_row_per_point("scale"),
+            Claim("2 message delays at every n", "scale",
+                  lambda n, f, delays, msgs, ratio: delays == 2, each=True),
+            Claim("messages grow as n proposes + n^2 acks "
+                  "(1.0 <= msgs/n^2 <= 1.3)", "scale",
+                  lambda n, f, delays, msgs, ratio: 1.0 <= ratio <= 1.3,
+                  each=True),
+            Claim("over 300 simulated events at n = 19", "events",
+                  lambda r: [row[2] > 300 for row in r.rows("events")] == [True]),
+        ),
     )
 )
 
@@ -1025,6 +1248,21 @@ register(
             ),
             "fuzz": ("start", "seeds", "ok", "failures"),
         },
+        claims=(
+            Claim("every canonical scenario passes its oracles", "library",
+                  lambda *row: row[2], each=True),
+            Claim("the library pins the headline latencies (steps)", "library",
+                  lambda r: [_row(r, "library", name)[3] for name in (
+                      "fast-path-clean", "crash-quorum-edge", "pbft-clean",
+                      "fab-fast-path", "slow-path-commit",
+                  )] == [2, 2, 3, 2, 3]),
+            Claim("the fuzz chunks run every seed of the grid", "fuzz",
+                  lambda r: sum(row[1] for row in r.rows("fuzz"))
+                  == sum(params["seeds"] for params in _points(r, "fuzz"))),
+            Claim("every fuzz chunk passes with no failures", "fuzz",
+                  lambda start, seeds, ok, failures: ok and failures == 0,
+                  each=True),
+        ),
     )
 )
 
@@ -1058,6 +1296,19 @@ def e15_driver(params: Dict[str, Any], seed: int) -> TaskResult:
             ]
         )
     return TaskResult(rows=[("main", result.row() + [round(result.duration, 1)])])
+
+
+def _e15_beats(fbft: List[Any], pbft: List[Any]) -> bool:
+    return fbft[5] > pbft[5] and fbft[6] < pbft[6]
+
+
+def _e15_batched_log(backend, batch, depth, done, slots, rate, p50, p95, _) -> bool:
+    return 4 * slots <= done and p95 <= 2 * p50
+
+
+def _e15_load(result, batch: int = 8) -> List[float]:
+    """The ``load`` section's ops/t at one batch size, by client count."""
+    return [row[6] for row in result.rows("load") if row[1] == batch]
 
 
 #: (backend, batch_size, pipeline_depth); first row = seed configuration.
@@ -1116,6 +1367,25 @@ register(
                 "ops/t", "p95",
             ),
         },
+        claims=(
+            Claim("every configuration completes the offered load", "main",
+                  lambda r: [row[3] for row in r.rows("main")]
+                  == [p["clients"] * p["requests"] for p in _points(r)]),
+            Claim("batch 8 / depth 4 sustains >= 5x the seed config's ops/t",
+                  "main", lambda r: _row(r, "main", "fbft", 8, 4)[5]
+                  >= 5.0 * _row(r, "main", "fbft", 1, 1)[5]),
+            Claim("at batch 8 / depth 4 fbft beats pbft in ops/t and p50",
+                  "main", lambda r: _e15_beats(_row(r, "main", "fbft", 8, 4),
+                                               _row(r, "main", "pbft", 8, 4))),
+            Claim("at batch 8 / depth 4 the log has at most one slot per 4 "
+                  "commands, and p95 <= 2 x p50", "main",
+                  lambda r: _e15_batched_log(*_row(r, "main", "fbft", 8, 4))),
+            Claim("batched ops/t grows with the offered load", "load",
+                  lambda r: _e15_load(r) == sorted(_e15_load(r))),
+            Claim("batched ops/t beats 5x the seed config's at every load",
+                  "load", lambda r: all(batched > 5 * seed for batched, seed in
+                                        zip(_e15_load(r), _e15_load(r, 1)))),
+        ),
     )
 )
 
@@ -1155,6 +1425,28 @@ def e17_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     )
 
 
+def _e17_bytes_grow_with_lag(result) -> bool:
+    """Rows pair by the *offered* lag (the grid parameter), so the claim
+    holds structurally however batching maps requests to slots; a
+    missing partner breaks it."""
+    lags = sorted({params["lag"] for params in result.spec.grid_for(result.quick)})
+    sent = {(row[0], row[1], row[2]): row[6] for row in result.rows("main")}
+    for interval, disk in {(row[0], row[1]) for row in result.rows("main")}:
+        sizes = [sent[(interval, disk, lag)] for lag in lags]
+        if not all(b > a for a, b in zip(sizes, sizes[1:])):
+            return False
+    return True
+
+
+def _e17_retained_at_most_lost(result) -> bool:
+    sent = {(row[0], row[1], row[2]): row[6] for row in result.rows("main")}
+    return all(
+        size <= sent.get((interval, "lost", lag), size)
+        for (interval, disk, lag), size in sent.items()
+        if disk == "retained"
+    )
+
+
 def _e17_points(intervals, lags, disks) -> List[Dict[str, Any]]:
     return [
         {"interval": interval, "lag": lag, "disk": disk}
@@ -1181,6 +1473,20 @@ register(
                 "wal records", "digest ok",
             )
         },
+        claims=(
+            Claim("every recovery rebuilds the reference state digest", "main",
+                  lambda *row: row[9], each=True),
+            Claim("both disk modes recover", "main",
+                  lambda r: {row[1] for row in r.rows("main")}
+                  == {"lost", "retained"}),
+            Claim("a stable checkpoint bounds the WAL below one interval",
+                  "main", lambda interval, *row: row[7] <= max(interval - 1, 0)
+                  or row[6] == -1, each=True),
+            Claim("catchup bytes grow with the lag at every interval and disk",
+                  "main", _e17_bytes_grow_with_lag),
+            Claim("a retained disk never transfers more than a lost one",
+                  "main", _e17_retained_at_most_lost),
+        ),
     )
 )
 
@@ -1188,6 +1494,23 @@ register(
 # ---------------------------------------------------------------------------
 # E18 — leader-performance monitor: tail latency with vs without
 # ---------------------------------------------------------------------------
+
+
+#: Severities at or below the default demotion threshold (ratio 4 x
+#: min-drain 2 = 8): the throttled slot latency stays within tolerance,
+#: so the monitor must hold its fire and the arms must tie.
+E18_SUB_THRESHOLD = 4.0
+
+
+def _e18_monitor_cuts_the_tail(result) -> bool:
+    p99_off = {
+        (row[0], row[1]): row[7] for row in result.rows("main") if row[2] == "off"
+    }
+    return all(
+        row[8] >= 1 and row[7] < p99_off[(row[0], row[1])]
+        for row in result.rows("main")
+        if row[2] == "on" and row[0] > E18_SUB_THRESHOLD
+    )
 
 
 def e18_driver(params: Dict[str, Any], seed: int) -> TaskResult:
@@ -1236,6 +1559,20 @@ register(
                 "p50", "p95", "p99", "demotions", "view floor",
             )
         },
+        claims=(
+            Claim("both arms run", "main",
+                  lambda r: {row[2] for row in r.rows("main")} == {"on", "off"}),
+            Claim("the unmonitored arm never rotates", "main",
+                  lambda *row: row[2] == "on" or (row[8], row[9]) == (0, 1),
+                  each=True),
+            Claim("the monitor rotates at most twice (view floor <= 3)", "main",
+                  lambda *row: row[2] == "off" or row[9] <= 3, each=True),
+            Claim("at or below the threshold severity the monitor never "
+                  "demotes", "main", lambda *row: row[2] == "off"
+                  or row[0] > E18_SUB_THRESHOLD or row[8] == 0, each=True),
+            Claim("above the threshold the monitor demotes and its p99 beats "
+                  "the unmonitored arm's", "main", _e18_monitor_cuts_the_tail),
+        ),
     )
 )
 
@@ -1245,13 +1582,28 @@ register(
 # ---------------------------------------------------------------------------
 
 
+def _e19_guided_beats_blind(result) -> bool:
+    unique = {(row[0], row[1]): row[4] for row in result.rows("compare")}
+    return all(
+        unique[("guided", budget)] > unique[("blind", budget)]
+        for mode, budget in unique
+        if budget >= MIN_GUIDED_BUDGET
+    )
+
+
+def _e19_monotone(result) -> bool:
+    last: Dict[Tuple[str, int], int] = {}
+    for row in result.rows("trajectory"):
+        if row[4] < last.get((row[0], row[1]), 0):
+            return False
+        last[(row[0], row[1])] = row[4]
+    return True
+
+
 def e19_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     """Guided-vs-blind campaign comparison at one budget.
 
-    Serial by construction (``compare_campaigns`` never shards): this
-    driver already runs inside a pool worker when the runner
-    parallelizes, and daemonic workers cannot nest pools.  The seed
-    stream is pinned by ``start``, so rows are deterministic.
+    The seed stream is pinned by ``start``, so rows are deterministic.
     """
     comparison = compare_campaigns(
         budget=params["budget"], start_seed=params["start"]
@@ -1282,19 +1634,34 @@ register(
                 "corpus", "mutants",
             ),
         },
+        claims=(
+            Claim("both arms run", "compare",
+                  lambda r: {row[0] for row in r.rows("compare")}
+                  == {"guided", "blind"}),
+            Claim("both arms execute their full budget with no oracle "
+                  "failures", "compare", lambda mode, budget, start, executed,
+                  *row: (executed, row[-1]) == (budget, 0), each=True),
+            Claim(f"guided finds strictly more unique signatures than blind at "
+                  f"every budget >= {MIN_GUIDED_BUDGET}", "compare",
+                  _e19_guided_beats_blind),
+            Claim("the discovery curves never regress", "trajectory",
+                  _e19_monotone),
+        ),
     )
 )
 
 
 # ---------------------------------------------------------------------------
-# E21 — observability overhead: flight recorder on vs off (wall clock;
-# never cached)
+# E21 — observability overhead: flight recorder on vs off (wall clock)
 # ---------------------------------------------------------------------------
 
 #: The storm's ``(n, rounds)``.  The quick size is also the one whose
 #: exact recorder-off/on call counts ``benchmarks/perf_counters.py`` pins.
 E21_QUICK_STORM = (12, 200)
 E21_FULL_STORM = (16, 600)
+#: The claimed floor of recorder-on rate / recorder-off rate on the
+#: storm (<= 10% overhead).
+E21_STORM_RECORDER_FLOOR = 0.90
 
 
 def _default_sim_net():
@@ -1353,9 +1720,9 @@ def e21_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     The storm's tuple payloads are ones the recorder does not want, so
     what is timed is the selective tracer's unwanted-payload path: one
     memoized ``wants`` verdict per payload type, then the fast delivery
-    post.  ``benchmarks/bench_e21_obsoverhead.py`` asserts the on/off
-    ratio; what recording *wanted* traffic costs is an exact call count
-    in ``tests/golden/e2e_counters.json``, not a rate.
+    post.  The spec claims the on/off ratio; what recording *wanted*
+    traffic costs is an exact call count in
+    ``tests/golden/e2e_counters.json``, not a rate.
     """
     from .. import _core
 
@@ -1363,9 +1730,12 @@ def e21_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     factory = (
         recorder_sim_net if params["variant"] == "recorder" else _default_sim_net
     )
-    rate = max(broadcast_storm(n, rounds, factory) for _ in range(3))
+    # Best of two passes of three storms: the on/off ratio is the
+    # claimed number, so per-storm noise must not pass for recorder
+    # overhead.
+    rate = max(broadcast_storm(n, rounds, factory) for _ in range(2 * 3))
     # Events/sec are hardware-dependent: the digest covers the workload
-    # identity only, so serial-vs-parallel digest checks stay meaningful.
+    # identity only, so ``diff`` of two runs stays meaningful.
     return TaskResult(
         rows=[
             (
@@ -1385,12 +1755,18 @@ register(
         id="E21",
         name="obsoverhead",
         title="flight-recorder overhead: recorder-on vs recorder-off storm rates",
-        paper_ref="perf due diligence (see benchmarks/bench_e21_obsoverhead.py)",
+        paper_ref="perf due diligence (the network hot path, recorder on vs off)",
         driver=e21_driver,
         grid=grid(variant=("off", "recorder"), quick=(False,)),
         quick_grid=grid(variant=("off", "recorder"), quick=(True,)),
         columns={"main": ("workload", "variant", "backend", "unit", "rate")},
-        cacheable=False,
         deterministic=False,
+        claims=(
+            Claim(f"the broadcast storm sustains >= {E21_STORM_RECORDER_FLOOR}x "
+                  f"its recorder-off rate with a recorder attached", "main",
+                  lambda r: _row(r, "main", "broadcast_storm", "recorder")[4]
+                  >= E21_STORM_RECORDER_FLOOR
+                  * _row(r, "main", "broadcast_storm", "off")[4]),
+        ),
     )
 )

@@ -4,21 +4,17 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments describe E1
-    python -m repro.experiments run E13 E15 --parallel 8 --json out/ --filter f=2
-    python -m repro.experiments run --all --quick --parallel 2 --verify-serial
+    python -m repro.experiments run E13 E15 --json out/ --filter f=2
+    python -m repro.experiments run --all --quick
     python -m repro.experiments diff out/BENCH_experiments.json other.json
 
-``run`` executes registry grids (serially, or sharded over a
-``multiprocessing`` pool with ``--parallel N``), prints one aligned
-table per result section, caches task results by content hash
-(``--no-cache`` / ``--force`` to skip / refresh), and with ``--json
-DIR`` writes one schema-2 ``BENCH_<id>_<name>.json`` artifact per
-experiment plus an aggregated ``BENCH_experiments.json``.
-
-``--verify-serial`` re-runs every deterministic grid serially with the
-cache disabled and compares grid digests against the first (possibly
-parallel, possibly cached) run — the CI gate that sharding and caching
-never change results.
+``run`` executes registry grids one task after another, prints one
+aligned table per result section, and with ``--json DIR`` writes one
+schema-2 ``BENCH_<id>_<name>.json`` artifact per experiment plus an
+aggregated ``BENCH_experiments.json``.  It then checks every claim of
+every experiment it ran and exits 1 when one is broken, naming the
+claim and the rows that break it.  Claims are statements about whole
+grids, so a ``--filter`` run, which covers part of one, checks none.
 
 ``diff`` exits 0 when every grid digest agrees, 1 on a mismatch (a grid
 present on one side only included) and 2 when an input is unreadable,
@@ -36,19 +32,10 @@ from typing import Dict, List, Optional
 from ..analysis.grids import compare_grid_payloads, format_experiment_payload
 from ..analysis.report import format_table
 from .registry import all_experiments, get_experiment
-from .runner import ExperimentError, run_experiments
-from .store import (
-    ResultStore,
-    aggregate_payload,
-    load_grid_payloads,
-    write_experiment_json,
-)
+from .runner import ExperimentError, ExperimentResult, run_experiments
+from .store import aggregate_payload, load_grid_payloads, write_experiment_json
 
 __all__ = ["main"]
-
-#: Default on-disk task cache (next to the working directory, never
-#: committed — see .gitignore).
-DEFAULT_CACHE_DIR = ".experiments-cache"
 
 
 def _parse_filters(pairs: List[str]) -> Dict[str, str]:
@@ -101,15 +88,28 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         )
         for section, columns in info["sections"].items():
             print(f"  section    : {section}: {', '.join(columns)}")
-        print(
-            f"  caching    : {'content-hash cached' if info['cacheable'] else 'never cached (wall clock)'}"
-        )
+        for claim in info["claims"]:
+            print(f"  claim      : {claim}")
         print(f"  repro      : {info['repro']}")
         if args.grid:
             for index, params in enumerate(spec.grid):
                 print(f"    [{index:>3}] {json.dumps(params, sort_keys=True)}")
         print()
     return 0
+
+
+def _check_claims(results: List[ExperimentResult]) -> int:
+    """Print each broken claim with the rows that break it; 1 if any."""
+    checked = broken = 0
+    for result in results:
+        checked += len(result.spec.claims)
+        for claim, rows in result.broken_claims():
+            broken += 1
+            print(f"CLAIM BROKEN {result.spec.id} [{claim.section}]: {claim.name}")
+            for row in rows:
+                print(f"    {row}")
+    print(f"\nclaims: {checked - broken} of {checked} hold")
+    return 1 if broken else 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -122,53 +122,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     filters = _parse_filters(args.filter)
-    store = None
-    if not args.no_cache:
-        store = ResultStore(args.cache)
     try:
-        results = run_experiments(
-            specs,
-            parallel=args.parallel,
-            quick=args.quick,
-            filters=filters,
-            store=store,
-            force=args.force,
-        )
+        results = run_experiments(specs, quick=args.quick, filters=filters)
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
-    exit_code = 0
     for result in results:
         print()
         print(format_experiment_payload(result.to_payload()))
-
-    if args.verify_serial:
-        deterministic = [r.spec for r in results if r.spec.deterministic]
-        serial = run_experiments(
-            deterministic,
-            parallel=1,
-            quick=args.quick,
-            filters=filters,
-            store=None,
-        )
-        comparison = compare_grid_payloads(
-            [r.to_payload() for r in results if r.spec.deterministic],
-            [r.to_payload() for r in serial],
-        )
-        print()
-        print(f"serial-vs-parallel digest check: {comparison.summary()}")
-        if not comparison.ok:
-            exit_code = 1
 
     if args.json:
         out_dir = Path(args.json)
         out_dir.mkdir(parents=True, exist_ok=True)
         for result in results:
             path = out_dir / f"BENCH_{result.spec.id}_{result.spec.name}.json"
-            write_experiment_json(str(path), result, extra_meta={
-                "quick": args.quick, "parallel": args.parallel,
-            })
+            write_experiment_json(str(path), result)
         aggregate = aggregate_payload(results)
         aggregate_path = out_dir / "BENCH_experiments.json"
         aggregate_path.write_text(
@@ -176,7 +145,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
         print(f"\nwrote {len(results)} artifacts + {aggregate_path}")
-    return exit_code
+    if filters:
+        print("\nclaims not checked: --filter runs part of a grid")
+        return 0
+    return _check_claims(results)
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -214,22 +186,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run every registered experiment")
     run.add_argument("--quick", action="store_true",
                      help="use the reduced quick grids")
-    run.add_argument("--parallel", type=int, default=1, metavar="N",
-                     help="shard grids over N worker processes")
     run.add_argument("--filter", action="append", default=[],
                      metavar="KEY=VALUE",
                      help="only grid points matching (repeatable)")
     run.add_argument("--json", metavar="DIR", default="",
                      help="write BENCH_*.json artifacts into DIR")
-    run.add_argument("--cache", metavar="DIR", default=DEFAULT_CACHE_DIR,
-                     help=f"task cache directory (default {DEFAULT_CACHE_DIR})")
-    run.add_argument("--no-cache", action="store_true",
-                     help="disable the task result cache")
-    run.add_argument("--force", action="store_true",
-                     help="re-run tasks even on cache hits")
-    run.add_argument("--verify-serial", action="store_true",
-                     help="re-run deterministic grids serially and gate on "
-                          "digest equality")
 
     diff = sub.add_parser("diff", help="compare two experiment artifacts")
     diff.add_argument("left")

@@ -2,8 +2,7 @@
 
 Specs register at import time via :func:`register`; the canonical
 entries live in :mod:`repro.experiments.catalog`, which this module loads
-lazily so worker processes resolve drivers by experiment id after a bare
-``import repro.experiments.registry``.
+on the first lookup (the catalog imports this module to register).
 """
 
 from __future__ import annotations

@@ -1,31 +1,26 @@
-"""Serial and parallel sharded execution of experiment grids.
+"""Execution of experiment grids, and the check of their claims.
 
 A grid expands into :class:`Task` objects — ``(experiment id, index,
-params, derived seed)`` — that are independent units of work.  The
-parallel path fans tasks from *all* requested experiments out over one
-``multiprocessing`` pool (a single pool amortizes worker start-up across
-experiments); results are re-assembled **in grid order**, so the
-aggregated rows and the grid digest are byte-identical to a serial run.
-That equality is not best-effort: every task's seed and cache key derive
-only from ``(experiment id, params)``, every row is JSON-normalized the
-moment it is produced, and the per-grid digest chains the per-task
-digests in grid order (``--verify-serial`` and the tests enforce it).
+params, derived seed)`` — that run one after another in this process.
+Every task's seed derives only from ``(experiment id, params)``, every
+row is JSON-normalized the moment it is produced, and the per-grid
+digest chains the per-task digests in grid order, so two runs of a
+deterministic grid (on two commits, say) agree digest for digest.
 
-Tasks that hit the result store (same experiment, params and code
-version — :mod:`repro.experiments.store`) are served from cache without
-touching the pool.
+A finished grid is an :class:`ExperimentResult`;
+:meth:`ExperimentResult.broken_claims` checks it against its spec's
+claims.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .registry import get_experiment
-from .spec import ExperimentSpec, TaskResult, derive_seed
+from .spec import Claim, ExperimentSpec, derive_seed
 
 __all__ = [
     "ExperimentError",
@@ -42,21 +37,9 @@ class ExperimentError(RuntimeError):
     """A driver failed; carries the experiment id and grid point."""
 
 
-#: Specs of the currently-running batch, including *unregistered*
-#: out-of-tree specs (see ``examples/experiment_grid.py``).  Fork-started
-#: workers inherit this mapping, so custom specs shard like registered
-#: ones; spawn-started workers fall back to the registry lookup.
-_ACTIVE_SPECS: Dict[str, ExperimentSpec] = {}
-
-
-def _resolve_spec(experiment_id: str) -> ExperimentSpec:
-    spec = _ACTIVE_SPECS.get(experiment_id)
-    return spec if spec is not None else get_experiment(experiment_id)
-
-
 @dataclass(frozen=True)
 class Task:
-    """One grid point of one experiment, ready to execute anywhere."""
+    """One grid point of one experiment, with its derived seed."""
 
     experiment_id: str
     index: int
@@ -100,51 +83,16 @@ def expand_tasks(
     return tasks
 
 
-def execute_task(task: Task) -> TaskResult:
-    """Run one task in this process (used by workers and the serial path)."""
-    spec = _resolve_spec(task.experiment_id)
-    return spec.driver(dict(task.params), task.seed)
-
-
-def _pool_worker(payload):
-    """Top-level worker entry (picklable): re-derive the task, run it.
-
-    ``spec`` is ``None`` for registered experiments (the worker resolves
-    them through the registry) and the pickled spec itself for
-    out-of-tree ones — spawn-started workers have an empty
-    ``_ACTIVE_SPECS``, so unregistered specs must travel with the task.
-    """
-    spec, experiment_id, index, params, seed = payload
-    if spec is not None:
-        _ACTIVE_SPECS[experiment_id] = spec
-    task = Task(experiment_id=experiment_id, index=index, params=params, seed=seed)
-    try:
-        start = time.perf_counter()
-        result = execute_task(task)
-        wall = time.perf_counter() - start
-        return (experiment_id, index, result.to_dict(), wall, None)
-    except Exception:  # noqa: BLE001 - report the real traceback to the parent
-        return (experiment_id, index, None, 0.0, traceback.format_exc())
-
-
 @dataclass
 class ExperimentResult:
     """One experiment's aggregated grid run."""
 
     spec: ExperimentSpec
     quick: bool
-    parallel: int
     tasks_total: int
-    tasks_cached: int
-    #: Wall clock of the whole ``run_experiments`` batch this result came
-    #: from (experiments in a batch share one pool, so a per-experiment
-    #: wall is not separable).
+    #: Wall clock of this experiment's tasks.
     wall_seconds: float
-    #: Summed execution time of *this* experiment's tasks (cache hits
-    #: contribute zero) — the per-experiment number worth trending.
-    compute_seconds: float
-    #: Rows per section, in grid order (the aggregation the old per-script
-    #: sweep loops produced by hand).
+    #: Rows per section, in grid order.
     sections: Dict[str, List[List[Any]]]
     #: Per-task digests in grid order.
     task_digests: List[str] = field(default_factory=list)
@@ -152,7 +100,7 @@ class ExperimentResult:
     @property
     def grid_digest(self) -> str:
         """Chains the per-task digests in grid order: equal digests mean
-        the sharded run reproduced the serial rows exactly."""
+        two runs produced the same rows."""
         h = hashlib.sha256()
         for digest in self.task_digests:
             h.update(digest.encode())
@@ -162,6 +110,16 @@ class ExperimentResult:
     def rows(self, section: str = "main") -> List[List[Any]]:
         return self.sections.get(section, [])
 
+    def broken_claims(self) -> List[Tuple[Claim, List[List[Any]]]]:
+        """Each claim of the spec these rows break, with the rows that
+        break it (empty when every claim holds)."""
+        broken = []
+        for claim in self.spec.claims:
+            rows = claim.broken_rows(self)
+            if rows is not None:
+                broken.append((claim, rows))
+        return broken
+
     def to_payload(self) -> Dict[str, Any]:
         """JSON-safe summary used by artifacts, ``diff`` and the tests."""
         return {
@@ -170,12 +128,9 @@ class ExperimentResult:
             "title": self.spec.title,
             "paper_ref": self.spec.paper_ref,
             "quick": self.quick,
-            "parallel": self.parallel,
             "deterministic": self.spec.deterministic,
             "tasks_total": self.tasks_total,
-            "tasks_cached": self.tasks_cached,
             "wall_seconds": round(self.wall_seconds, 4),
-            "compute_seconds": round(self.compute_seconds, 4),
             "grid_digest": self.grid_digest,
             "sections": {
                 name: {
@@ -187,161 +142,47 @@ class ExperimentResult:
         }
 
 
-def _assemble(
-    spec: ExperimentSpec,
-    tasks: Sequence[Task],
-    outcomes: Mapping[int, TaskResult],
-    cached: int,
-    quick: bool,
-    parallel: int,
-    wall: float,
-    compute: float,
-) -> ExperimentResult:
-    sections: Dict[str, List[List[Any]]] = {name: [] for name in spec.columns}
-    digests: List[str] = []
-    for task in tasks:  # grid order — identical for serial and parallel
-        result = outcomes[task.index]
-        for section, row in result.rows:
-            sections.setdefault(section, []).append(row)
-        digests.append(result.digest)
-    return ExperimentResult(
-        spec=spec,
-        quick=quick,
-        parallel=parallel,
-        tasks_total=len(tasks),
-        tasks_cached=cached,
-        wall_seconds=wall,
-        compute_seconds=compute,
-        sections=sections,
-        task_digests=digests,
-    )
-
-
 def run_experiments(
     specs: Sequence[ExperimentSpec],
-    parallel: int = 1,
     quick: bool = False,
     filters: Optional[Mapping[str, str]] = None,
-    store=None,
-    force: bool = False,
 ) -> List[ExperimentResult]:
-    """Run several experiments' grids, sharing one worker pool.
-
-    ``store`` is a :class:`repro.experiments.store.ResultStore` (or None
-    to disable caching); ``force`` re-runs cached tasks.  Returns one
-    :class:`ExperimentResult` per spec, in the order given.
-    """
-    start = time.perf_counter()
-    _ACTIVE_SPECS.update({spec.id: spec for spec in specs})
-    per_spec: List[Tuple[ExperimentSpec, List[Task]]] = [
-        (spec, expand_tasks(spec, quick=quick, filters=filters))
-        for spec in specs
-    ]
-
-    outcomes: Dict[Tuple[str, int], TaskResult] = {}
-    cached_counts: Dict[str, int] = {spec.id: 0 for spec, _ in per_spec}
-    pending: List[Task] = []
-    for spec, tasks in per_spec:
-        for task in tasks:
-            hit = None
-            if store is not None and spec.cacheable and not force:
-                hit = store.load(task)
-            if hit is not None:
-                outcomes[(spec.id, task.index)] = hit
-                cached_counts[spec.id] += 1
-            else:
-                pending.append(task)
-
-    task_walls: Dict[Tuple[str, int], float] = {}
-    if parallel > 1 and len(pending) > 1:
-        _run_pool(pending, parallel, outcomes, task_walls)
-    else:
-        for task in pending:
-            task_start = time.perf_counter()
-            outcomes[(task.experiment_id, task.index)] = execute_task(task)
-            task_walls[(task.experiment_id, task.index)] = (
-                time.perf_counter() - task_start
-            )
-
-    if store is not None:
-        by_id = {spec.id: spec for spec, _ in per_spec}
-        for task in pending:
-            if by_id[task.experiment_id].cacheable:
-                store.save(task, outcomes[(task.experiment_id, task.index)])
-
-    wall = time.perf_counter() - start
+    """Run several experiments' grids; one :class:`ExperimentResult` per
+    spec, in the order given."""
     results = []
-    for spec, tasks in per_spec:
-        spec_outcomes = {
-            task.index: outcomes[(spec.id, task.index)] for task in tasks
-        }
-        compute = sum(
-            task_walls.get((spec.id, task.index), 0.0) for task in tasks
-        )
+    for spec in specs:
+        start = time.perf_counter()
+        sections: Dict[str, List[List[Any]]] = {name: [] for name in spec.columns}
+        digests: List[str] = []
+        tasks = expand_tasks(spec, quick=quick, filters=filters)
+        for task in tasks:
+            try:
+                outcome = spec.driver(dict(task.params), task.seed)
+            except Exception as error:
+                raise ExperimentError(
+                    f"{spec.id} task {task.index} {dict(task.params)} failed: "
+                    f"{error!r}"
+                ) from error
+            for section, row in outcome.rows:
+                sections.setdefault(section, []).append(row)
+            digests.append(outcome.digest)
         results.append(
-            _assemble(
-                spec, tasks, spec_outcomes, cached_counts[spec.id],
-                quick, parallel, wall, compute,
+            ExperimentResult(
+                spec=spec,
+                quick=quick,
+                tasks_total=len(tasks),
+                wall_seconds=time.perf_counter() - start,
+                sections=sections,
+                task_digests=digests,
             )
         )
     return results
 
 
-def _is_registered(spec_id: str) -> bool:
-    try:
-        get_experiment(spec_id)
-    except KeyError:
-        return False
-    return True
-
-
-def _run_pool(
-    pending: Sequence[Task],
-    parallel: int,
-    outcomes: Dict[Tuple[str, int], TaskResult],
-    task_walls: Dict[Tuple[str, int], float],
-) -> None:
-    import multiprocessing
-
-    # Prefer fork (Linux): workers inherit the imported registry and start
-    # in milliseconds.  Spawn works too — registered specs resolve through
-    # the re-imported catalog, unregistered ones ride along in the payload.
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-    payloads = [
-        (
-            None
-            if _is_registered(task.experiment_id)
-            else _ACTIVE_SPECS[task.experiment_id],
-            task.experiment_id,
-            task.index,
-            dict(task.params),
-            task.seed,
-        )
-        for task in pending
-    ]
-    with context.Pool(processes=parallel) as pool:
-        for exp_id, index, payload, wall, error in pool.imap_unordered(
-            _pool_worker, payloads, chunksize=1
-        ):
-            if error is not None:
-                pool.terminate()
-                raise ExperimentError(
-                    f"{exp_id} task {index} failed in worker:\n{error}"
-                )
-            outcomes[(exp_id, index)] = TaskResult.from_dict(payload)
-            task_walls[(exp_id, index)] = wall
-
-
 def run_experiment(
     spec_or_id,
-    parallel: int = 1,
     quick: bool = False,
     filters: Optional[Mapping[str, str]] = None,
-    store=None,
-    force: bool = False,
 ) -> ExperimentResult:
     """Run a single experiment's grid (see :func:`run_experiments`)."""
     spec = (
@@ -349,7 +190,4 @@ def run_experiment(
         if isinstance(spec_or_id, ExperimentSpec)
         else get_experiment(spec_or_id)
     )
-    return run_experiments(
-        [spec], parallel=parallel, quick=quick, filters=filters,
-        store=store, force=force,
-    )[0]
+    return run_experiments([spec], quick=quick, filters=filters)[0]

@@ -3,17 +3,17 @@
 An :class:`ExperimentSpec` names one experiment of EXPERIMENTS.md: its
 parameter grid, the driver that evaluates a single grid point, the
 output schema (one column list per result section), and where in the
-paper the regenerated numbers come from.  The registry
+paper the regenerated numbers come from, and the claims those numbers
+must bear out (:class:`Claim`).  The registry
 (:mod:`repro.experiments.registry`) holds one spec per experiment id; the
-runner (:mod:`repro.experiments.runner`) shards a spec's grid over a
-worker pool.
+runner (:mod:`repro.experiments.runner`) evaluates a spec's grid point by
+point and checks its claims.
 
 Grid points are plain dicts of JSON-safe values, so a task is fully
 described by ``(experiment id, params)`` — that pair deterministically
-derives the task's seed (:func:`derive_seed`) and its cache key
-(:mod:`repro.experiments.store`), independent of execution order or
-worker placement.  Drivers must therefore be pure functions of
-``(params, seed)``: same inputs, same rows, in any process.
+derives the task's seed (:func:`derive_seed`), independent of execution
+order.  Drivers must therefore be pure functions of ``(params, seed)``:
+same inputs, same rows, on every run.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
+    "Claim",
     "ExperimentSpec",
     "TaskResult",
     "canonical_params",
@@ -38,10 +39,10 @@ __all__ = [
 def jsonify(value: Any) -> Any:
     """Normalize a value to what a JSON round-trip would produce.
 
-    Drivers run in worker processes and their rows travel through the
-    result store as JSON; normalizing *every* row the same way (tuples
-    become lists, dict keys become strings) guarantees that fresh,
-    parallel and cache-served results compare equal cell for cell.
+    Rows are written to and diffed as JSON; normalizing *every* row the
+    same way (tuples become lists, dict keys become strings) makes a
+    fresh result and one read back from an artifact compare equal cell
+    for cell.
     """
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
@@ -62,8 +63,8 @@ def canonical_params(params: Mapping[str, Any]) -> str:
 def derive_seed(experiment_id: str, params: Mapping[str, Any]) -> int:
     """Deterministic per-task seed from ``(experiment id, params)``.
 
-    Independent of task order, shard assignment and ``PYTHONHASHSEED``,
-    so serial and parallel runs hand every driver the identical seed.
+    Independent of task order, filters and ``PYTHONHASHSEED``, so every
+    run hands a driver the identical seed.
     """
     digest = hashlib.sha256(
         f"{experiment_id}|{canonical_params(params)}".encode()
@@ -114,19 +115,38 @@ class TaskResult:
                 json.dumps(self.rows, sort_keys=True).encode()
             ).hexdigest()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"rows": self.rows, "digest": self.digest}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TaskResult":
-        return cls(
-            rows=[(section, row) for section, row in payload["rows"]],
-            digest=payload["digest"],
-        )
-
 
 #: A driver evaluates one grid point: ``driver(params, seed) -> TaskResult``.
 Driver = Callable[[Dict[str, Any], int], TaskResult]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A named statement about one section of an experiment's rows.
+
+    ``holds`` receives the finished
+    :class:`~repro.experiments.runner.ExperimentResult` (its rows and
+    ``quick``); with ``each=True`` it receives one row's cells instead
+    and must hold of every row of ``section``.
+    """
+
+    name: str
+    section: str
+    holds: Callable[..., bool]
+    each: bool = False
+
+    def broken_rows(self, result: Any) -> Optional[List[List[Any]]]:
+        """``None`` when the claim holds, else the rows that break it:
+        the failing rows of an ``each`` claim, every row of the section
+        for the others (also when a row the claim looks up is missing)."""
+        rows = result.rows(self.section)
+        try:
+            if self.each:
+                broken = [row for row in rows if not self.holds(*row)]
+                return broken or None
+            return None if self.holds(result) else rows
+        except (LookupError, TypeError, ArithmeticError):
+            return rows
 
 
 @dataclass(frozen=True)
@@ -141,8 +161,7 @@ class ExperimentSpec:
     title: str
     #: Where the regenerated numbers come from in the paper.
     paper_ref: str
-    #: Evaluates a single grid point.  Must be a top-level function so
-    #: worker processes can resolve it after re-importing the registry.
+    #: Evaluates a single grid point.
     driver: Driver
     #: The full parameter grid, one dict per task.
     grid: Tuple[Dict[str, Any], ...]
@@ -150,12 +169,11 @@ class ExperimentSpec:
     quick_grid: Optional[Tuple[Dict[str, Any], ...]] = None
     #: Column headers per result section.
     columns: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Whether byte-identical re-runs may be served from the result
-    #: store.  Wall-clock experiments (E21) must re-measure every time.
-    cacheable: bool = True
-    #: Whether the driver's digest is stable across runs (everything but
+    #: Whether the driver's rows are stable across runs (everything but
     #: pure wall-clock measurement is).
     deterministic: bool = True
+    #: What the rows must bear out; ``experiments run`` checks every one.
+    claims: Tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", tuple(dict(p) for p in self.grid))
@@ -168,6 +186,7 @@ class ExperimentSpec:
             "columns",
             {str(k): tuple(v) for k, v in dict(self.columns).items()},
         )
+        object.__setattr__(self, "claims", tuple(self.claims))
 
     def grid_for(self, quick: bool) -> Tuple[Dict[str, Any], ...]:
         if quick and self.quick_grid is not None:
@@ -184,7 +203,7 @@ class ExperimentSpec:
             "grid_points": len(self.grid),
             "quick_points": len(self.grid_for(quick=True)),
             "sections": {k: list(v) for k, v in self.columns.items()},
-            "cacheable": self.cacheable,
             "deterministic": self.deterministic,
+            "claims": [claim.name for claim in self.claims],
             "repro": f"python -m repro.experiments run {self.id}",
         }

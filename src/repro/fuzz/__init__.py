@@ -13,9 +13,9 @@
 * :mod:`~repro.fuzz.mutators` — splice/perturb operators over
   :class:`~repro.scenarios.spec.ScenarioSpec`, including plenum-style
   per-payload-type delay-rule stashers;
-* :mod:`~repro.fuzz.campaign` — the round loop: sharded fleet execution
-  with deterministic merge (serial == sharded, byte-identical report
-  digests), dual seed/wall-clock budgets, shrinking of failures.  Guided
+* :mod:`~repro.fuzz.campaign` — the round loop: in-process execution
+  with reproducible report digests, dual seed/wall-clock budgets,
+  shrinking of failures.  Guided
   mode mutates an energy-weighted corpus (the AFL loop over scenarios);
   blind mode (:func:`run_blind`) walks consecutive generator seeds;
 * ``python -m repro.fuzz campaign|replay|corpus`` — the CLI.

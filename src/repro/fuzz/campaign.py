@@ -13,12 +13,10 @@ A campaign is rounds of scenario executions over a shared corpus:
 * **admission** — a run whose coverage signature contains any feature no
   corpus entry covers earns a corpus slot
   (:meth:`~repro.fuzz.corpus.Corpus.consider`);
-* **fleet execution** — each round's batch can be sharded over worker
-  processes; shard outcomes merge back in input order, so a sharded
-  campaign is byte-identical to a serial one (same corpus + seed +
-  budget ⇒ identical report digest);
-* **oracle gate** — failing runs are shrunk to minimal reproducers in
-  the parent (deterministically) and reported; CI fails the campaign on
+* **execution** — each round's batch runs in order, in this process
+  (same corpus + seed + budget ⇒ identical report digest);
+* **oracle gate** — failing runs are shrunk to minimal reproducers
+  (deterministically) and reported; CI fails the campaign on
   any oracle violation.
 
 Budgets are dual: a seed budget (``budget`` executions) and an optional
@@ -61,8 +59,10 @@ class CampaignConfig:
     start_seed: int = 0  #: blind-generator stream start + campaign rng seed
     protocols: Tuple[str, ...] = DEFAULT_FUZZ_PROTOCOLS
     mode: str = "guided"  #: ``"guided"`` (corpus mutation) or ``"blind"``
-    shards: int = 1  #: worker processes per round (1 = in-process)
-    round_size: int = 8  #: executions per round (shard-count independent)
+    #: Accepted and ignored: campaigns run in one process.  Kept because
+    #: ``benchmarks/e2e/workloads.py`` passes ``shards=1``.
+    shards: int = 1
+    round_size: int = 8  #: executions per round
     #: Pure generator draws before mutation kicks in.  Generous on
     #: purpose: fresh draws are cheap novelty early (the generator's
     #: input diversity translates directly to behavior diversity until
@@ -140,7 +140,7 @@ class CampaignReport:
     @property
     def digest(self) -> str:
         """SHA-256 over the canonical report: equal digests mean the
-        campaigns executed identically (serial or sharded alike)."""
+        campaigns executed identically."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -160,13 +160,8 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Fleet execution
-# ----------------------------------------------------------------------
-
-
 def outcome_of(result: ScenarioResult) -> Dict[str, Any]:
-    """The shard-transportable slice of a result the campaign needs."""
+    """The slice of a result the campaign needs."""
     return {
         "ok": result.ok,
         "failures": [str(verdict) for verdict in result.failures],
@@ -174,46 +169,6 @@ def outcome_of(result: ScenarioResult) -> Dict[str, Any]:
         "events": result.events_processed,
         "trace_digest": result.trace_digest,
     }
-
-
-def _run_shard(payload: Tuple[int, List[ScenarioSpec]]):
-    """Worker: run one contiguous slice of the round's batch."""
-    base, specs = payload
-    return base, [outcome_of(run_scenario(spec)) for spec in specs]
-
-
-def _execute(
-    specs: Sequence[ScenarioSpec],
-    shards: int,
-    run: Callable[[ScenarioSpec], ScenarioResult],
-) -> List[Dict[str, Any]]:
-    """Run a batch, optionally sharded; outcomes always in input order.
-
-    Sharding slices the batch contiguously and merges shard outputs by
-    slice offset — the merge is deterministic regardless of which worker
-    finishes first.  A custom ``run`` callable forces the in-process
-    path (it may close over test state that cannot cross a fork).
-    """
-    if shards <= 1 or len(specs) <= 1 or run is not run_scenario:
-        return [outcome_of(run(spec)) for spec in specs]
-    import multiprocessing
-
-    shards = min(shards, len(specs))
-    chunk = (len(specs) + shards - 1) // shards
-    payloads = [
-        (base, list(specs[base:base + chunk]))
-        for base in range(0, len(specs), chunk)
-    ]
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-    merged: List[Optional[Dict[str, Any]]] = [None] * len(specs)
-    with context.Pool(processes=shards) as pool:
-        for base, outcomes in pool.imap_unordered(_run_shard, payloads):
-            for offset, outcome in enumerate(outcomes):
-                merged[base + offset] = outcome
-    return [outcome for outcome in merged if outcome is not None]
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +242,7 @@ def run_campaign(
                 batch.append((f"mutant:{index}/{op_name}", spec))
                 mutated_count += 1
         features_before = len(corpus.feature_counts)
-        outcomes = _execute([spec for _, spec in batch], config.shards, run)
+        outcomes = [outcome_of(run(spec)) for _, spec in batch]
         for (origin, spec), outcome in zip(batch, outcomes):
             features = signature_features(outcome["coverage"])
             key = signature_key(features)
@@ -338,7 +293,6 @@ def run_blind(
     budget: int,
     start_seed: int = 0,
     protocols: Sequence[str] = DEFAULT_FUZZ_PROTOCOLS,
-    shards: int = 1,
     run: Callable[[ScenarioSpec], ScenarioResult] = run_scenario,
 ) -> CampaignReport:
     """The control arm: same budget, fresh generator draws only.
@@ -354,7 +308,6 @@ def run_blind(
             start_seed=start_seed,
             protocols=tuple(protocols),
             mode="blind",
-            shards=shards,
             shrink=False,
         ),
         run=run,

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.fuzz campaign --budget 256 [--shards 2] [--max-seconds 600]
+    python -m repro.fuzz campaign --budget 256 [--max-seconds 600]
         [--corpus-in FILE] [--corpus-out FILE] [--json FILE] [--no-shrink]
         [--metrics-out FILE] [--trace-out FILE] [--record-out DIR]
     python -m repro.fuzz replay KEY --corpus FILE
@@ -18,8 +18,7 @@ reproducer spec file and prints the full result.
 Telemetry: ``--metrics-out`` / ``--trace-out`` attach a shared
 :class:`~repro.obs.metrics.MetricsRegistry` / bounded
 :class:`~repro.obs.recorder.FlightRecorder` across every executed
-schedule (this forces in-process serial execution — observers cannot
-cross a fork); the trace file is that recorder's ring, passing runs
+schedule; the trace file is that recorder's ring, passing runs
 included.  ``--record-out`` replays each failure's original and
 shrunk reproducer under a fresh recorder (replays are deterministic,
 so the record is exact) and dumps both — the pair feeds ``python -m
@@ -93,7 +92,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             if args.protocols
             else DEFAULT_FUZZ_PROTOCOLS
         ),
-        shards=args.shards,
         round_size=args.round_size,
         max_seconds=args.max_seconds,
         shrink=not args.no_shrink,
@@ -110,8 +108,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if observers:
 
         def run(spec):
-            # A custom ``run`` forces the in-process serial path, so the
-            # shared registry/ring observes every executed schedule.
+            # The shared registry/ring observes every executed schedule.
             return run_scenario(spec, **observers)
 
     report = run_campaign(config, corpus=corpus, run=run, on_progress=progress)
@@ -206,10 +203,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--protocols", default="",
         help=f"comma-separated protocol keys (default {','.join(DEFAULT_FUZZ_PROTOCOLS)})",
     )
-    campaign.add_argument("--shards", type=int, default=1,
-                          help="worker processes per round")
     campaign.add_argument("--round-size", type=int, default=8,
-                          help="executions per round (shard-independent)")
+                          help="executions per round")
     campaign.add_argument("--max-seconds", type=float, default=None,
                           help="wall-clock budget; stops at a round boundary")
     campaign.add_argument("--corpus-in", default="",
@@ -225,14 +220,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     campaign.add_argument(
         "--metrics-out", metavar="FILE", default="",
         help="attach one shared MetricsRegistry across every executed "
-             "schedule and write its snapshot here (forces in-process "
-             "serial execution)",
+             "schedule and write its snapshot here",
     )
     campaign.add_argument(
         "--trace-out", metavar="FILE", default="",
         help="attach one shared FlightRecorder across every executed "
-             "schedule and write its ring here, passing runs included "
-             "(forces in-process serial execution)",
+             "schedule and write its ring here, passing runs included",
     )
     campaign.add_argument(
         "--record-out", metavar="DIR", default="",

@@ -2,7 +2,7 @@
 
 Everything here measures *simulated* quantities (event counts, simulated
 latencies), so snapshots are exactly reproducible run over run — unlike
-the wall-clock rates E21 records (``benchmarks/bench_e21_obsoverhead.py``).
+the wall-clock rates experiment E21 records.
 
 Design constraints, in order:
 

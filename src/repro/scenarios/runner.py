@@ -205,9 +205,8 @@ def _schedule_faults(
 def run_scenarios(specs_or_names, on_result=None) -> "list[ScenarioResult]":
     """Batch API: run several scenarios (specs or canonical-library names).
 
-    The experiment framework's workers shard grids of scenario names over
-    processes and call this per shard; the CLI and tests use it for whole
-    sweeps.  ``on_result(result)`` is invoked after each run (progress
+    The experiment framework calls it per grid point (E14); the CLI and
+    tests use it for whole sweeps.  ``on_result(result)`` is invoked after each run (progress
     reporting); results come back in input order.
     """
     from .library import get_scenario

@@ -1,10 +1,9 @@
-"""The experiment framework: registry, sharded runner, store, CLI.
+"""The experiment framework: registry, runner, claims, artifacts, CLI.
 
-Covers the PR 4 acceptance surface: registry completeness against
-EXPERIMENTS.md (and the benchmarks' delegation to registry entries),
-serial-vs-parallel digest equality, content-hash cache hit/invalidation,
-the ``run``/``list``/``describe``/``--filter``/``diff`` CLI paths, and
-the ``BENCH_*.json`` writer/reader pair.
+Covers registry completeness against EXPERIMENTS.md, every registered
+claim holding on the quick grids, a broken claim failing ``run``, the
+``run``/``list``/``describe``/``--filter``/``diff`` CLI paths, and the
+``BENCH_*.json`` writer/reader pair.
 """
 
 import json
@@ -15,8 +14,8 @@ import pytest
 
 from repro.analysis.grids import compare_grid_payloads
 from repro.experiments import (
+    Claim,
     ExperimentSpec,
-    ResultStore,
     TaskResult,
     all_experiments,
     derive_seed,
@@ -26,6 +25,7 @@ from repro.experiments import (
     run_experiment,
     run_experiments,
 )
+from repro.experiments import registry
 from repro.experiments.catalog import (
     broadcast_storm,
     deployment_t,
@@ -37,12 +37,8 @@ from repro.experiments.store import (
     load_bench_json,
     write_bench_json,
 )
-from repro.analysis import PROTOCOLS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-#: Cheap deterministic experiments used for runner-level tests.
-CHEAP = ("E2", "E4", "E11")
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +75,6 @@ class TestRegistryCompleteness:
         with pytest.raises(KeyError):
             get_experiment("E99")
 
-    def test_benchmarks_delegate_to_registry_entries(self):
-        """Every bench_e*.py must fetch its rows from its registry entry
-        (no duplicated sweep loops): it references the conftest
-        ``sections`` helper with its own experiment id."""
-        bench_dir = REPO_ROOT / "benchmarks"
-        scripts = sorted(bench_dir.glob("bench_e*.py"))
-        assert len(scripts) == 19
-        for script in scripts:
-            exp_id = "E" + re.match(r"bench_e(\d+)_", script.name).group(1)
-            text = script.read_text(encoding="utf-8")
-            delegates = re.search(
-                rf"""\bsections\(\s*['"]{exp_id}['"]""", text
-            )
-            assert delegates, f"{script.name} does not delegate to {exp_id}"
-            # The old hand-rolled sweeps built process lists in the
-            # benchmark itself; wrappers must not.
-            assert "Cluster(" not in text, script.name
-
     def test_specs_have_sections_and_grids(self):
         for spec in all_experiments():
             assert spec.grid, spec.id
@@ -129,89 +107,87 @@ class TestTaskIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Serial == parallel
+# Claims
 # ---------------------------------------------------------------------------
 
 
-class TestSerialParallelEquality:
-    def test_digest_and_rows_identical_across_three_experiments(self):
-        serial = run_experiments(
-            [get_experiment(exp_id) for exp_id in CHEAP], parallel=1, quick=True
-        )
-        parallel = run_experiments(
-            [get_experiment(exp_id) for exp_id in CHEAP], parallel=2, quick=True
-        )
-        for s_result, p_result in zip(serial, parallel):
-            assert s_result.grid_digest == p_result.grid_digest, s_result.spec.id
-            assert s_result.sections == p_result.sections, s_result.spec.id
-        comparison = compare_grid_payloads(
-            [r.to_payload() for r in serial],
-            [r.to_payload() for r in parallel],
-        )
-        assert comparison.ok, comparison.summary()
+class TestClaims:
+    def test_every_claim_holds_on_the_quick_grids(self):
+        """Every deterministic experiment at ``--quick`` bears out every
+        claim of its spec (E21's wall-clock claim is checked by CI's
+        full-grid run only)."""
+        specs = [spec for spec in all_experiments() if spec.deterministic]
+        assert [spec.id for spec in all_experiments() if not spec.deterministic] == [
+            "E21"
+        ]
+        broken = [
+            f"{result.spec.id}: {claim.name}: {rows}"
+            for result in run_experiments(specs, quick=True)
+            for claim, rows in result.broken_claims()
+        ]
+        assert broken == []
+        assert all(spec.claims for spec in specs)
 
-    def test_comparison_flags_divergence(self):
-        (result,) = run_experiments([get_experiment("E2")], quick=True)
-        left = result.to_payload()
-        right = json.loads(json.dumps(left))
-        right["grid_digest"] = "0" * 64
-        right["sections"]["main"]["rows"][0][2] = 99
-        comparison = compare_grid_payloads([left], [right])
-        assert not comparison.ok
-        assert "E2" in comparison.digest_mismatches
-        assert comparison.row_diffs["E2"]
+    def test_a_broken_claim_fails_the_run_and_is_named(
+        self, capsys, monkeypatch
+    ):
+        spec = ExperimentSpec(
+            id="X9",
+            name="toy-claims",
+            title="squares",
+            paper_ref="none",
+            driver=_toy_driver,
+            grid=[{"x": x} for x in (1, 2, 3)],
+            columns={"main": ("x", "x^2", "seed%7")},
+            claims=(
+                Claim("squares are positive", "main", lambda x, sq, _: sq > 0,
+                      each=True),
+                Claim("squares stay below 5", "main", lambda x, sq, _: sq < 5,
+                      each=True),
+            ),
+        )
+        all_experiments()  # the catalog is in before the copies are made
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        monkeypatch.setattr(registry, "_ALIASES", dict(registry._ALIASES))
+        registry.register(spec)
+        assert main(["run", "X9"]) == 1
+        out = capsys.readouterr().out
+        assert "CLAIM BROKEN X9 [main]: squares stay below 5" in out
+        assert "[3, 9, " in out.split("squares stay below 5")[1]
+        assert "squares are positive" not in out
+        assert "claims: 1 of 2 hold" in out
+
+    def test_a_claim_that_cannot_find_its_row_is_broken(self):
+        claim = Claim(
+            "needs x = 7", "main", lambda result: result.rows()[6][0] == 7
+        )
+        result = run_experiment(
+            ExperimentSpec(
+                id="X8", name="toy-missing", title="", paper_ref="",
+                driver=_toy_driver, grid=[{"x": 1}], claims=(claim,),
+            )
+        )
+        assert result.broken_claims() == [(claim, result.rows())]
 
 
 # ---------------------------------------------------------------------------
-# Result store: cache hits and invalidation
+# E21: the one wall-clock grid
 # ---------------------------------------------------------------------------
 
 
-class TestResultStore:
-    def test_cache_hit_serves_identical_results(self, tmp_path):
-        store = ResultStore(str(tmp_path), version="v1")
-        first = run_experiment("E2", quick=True, store=store)
-        assert first.tasks_cached == 0
-        second = run_experiment("E2", quick=True, store=store)
-        assert second.tasks_cached == second.tasks_total
-        assert second.grid_digest == first.grid_digest
-        assert second.sections == first.sections
-
-    def test_code_version_change_invalidates(self, tmp_path):
-        store_v1 = ResultStore(str(tmp_path), version="v1")
-        run_experiment("E2", quick=True, store=store_v1)
-        store_v2 = ResultStore(str(tmp_path), version="v2")
-        rerun = run_experiment("E2", quick=True, store=store_v2)
-        assert rerun.tasks_cached == 0
-
-    def test_param_change_is_a_miss(self, tmp_path):
-        store = ResultStore(str(tmp_path), version="v1")
-        run_experiment("E2", quick=True, store=store)
-        full = run_experiment("E2", quick=False, store=store)
-        # Quick grid (f=1,2) is a prefix of the full grid (f=1..4).
-        assert full.tasks_cached == 2
-        assert full.tasks_total == 4
-
-    def test_force_reruns_but_keeps_rows(self, tmp_path):
-        store = ResultStore(str(tmp_path), version="v1")
-        first = run_experiment("E2", quick=True, store=store)
-        forced = run_experiment("E2", quick=True, store=store, force=True)
-        assert forced.tasks_cached == 0
-        assert forced.grid_digest == first.grid_digest
-
-    def test_non_cacheable_specs_never_cache(self, tmp_path):
+class TestE21:
+    def test_the_digest_covers_the_cell_never_the_rate(self):
         # E21, the one wall-clock grid: the storm, recorder off and on.
         spec = get_experiment("E21")
-        assert not spec.cacheable and not spec.deterministic
+        assert not spec.deterministic
         for quick in (False, True):
             assert [p["variant"] for p in spec.grid_for(quick=quick)] == [
                 "off", "recorder",
             ]
-        store = ResultStore(str(tmp_path), version="v1")
         only_off = {"variant": "off"}
-        first = run_experiment(spec, quick=True, store=store, filters=only_off)
-        again = run_experiment(spec, quick=True, store=store, filters=only_off)
-        assert again.tasks_total == 1 and again.tasks_cached == 0
+        first = run_experiment(spec, quick=True, filters=only_off)
+        again = run_experiment(spec, quick=True, filters=only_off)
+        assert again.tasks_total == 1
         ((workload, variant, _backend, unit, rate),) = again.rows("main")
         assert (workload, variant, unit) == ("broadcast_storm", "off", "events/sec")
         assert rate > 0
@@ -237,17 +213,6 @@ class TestE1DeploymentT:
         assert deployment_t("paxos", 4) == 1
         assert deployment_t("optimistic", 2) == 1
 
-    def test_e1_deploy_rows_record_the_t_used(self):
-        result = run_experiment("E1", quick=True, filters={"section": "deploy"})
-        rows = result.rows("deploy")
-        assert rows
-        by_name = {spec.name: spec for spec in PROTOCOLS.values()}
-        assert any(row[1] > 1 for row in rows)
-        for name, f, t, n, delays, decided in rows:
-            assert decided
-            expected_t = f if by_name[name].parameterized_by_t else 1
-            assert t == expected_t, (name, f, t)
-
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -268,24 +233,17 @@ class TestCLI:
         assert "grid" in out
         assert '"f": 1' in out
 
-    def test_run_single_with_filter(self, capsys, tmp_path):
-        code = main(
-            ["run", "E2", "--filter", "f=1", "--cache", str(tmp_path)]
-        )
-        assert code == 0
+    def test_run_single_with_filter(self, capsys):
+        assert main(["run", "E2", "--filter", "f=1"]) == 0
         out = capsys.readouterr().out
         assert "fast-path" in out
         assert "tasks=1" in out
+        # Claims are about whole grids: a part of one checks none.
+        assert "claims not checked" in out
 
     def test_run_writes_artifacts_and_diff_agrees(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
-        code = main(
-            [
-                "run", "E2", "E11", "--quick", "--no-cache",
-                "--json", str(out_dir),
-            ]
-        )
-        assert code == 0
+        assert main(["run", "E2", "E11", "--quick", "--json", str(out_dir)]) == 0
         capsys.readouterr()
         aggregate = out_dir / "BENCH_experiments.json"
         assert aggregate.exists()
@@ -296,11 +254,20 @@ class TestCLI:
         assert main(["diff", str(aggregate), str(aggregate)]) == 0
         assert "agree" in capsys.readouterr().out
 
+    def test_comparison_flags_divergence(self):
+        (result,) = run_experiments([get_experiment("E2")], quick=True)
+        left = result.to_payload()
+        right = json.loads(json.dumps(left))
+        right["grid_digest"] = "0" * 64
+        right["sections"]["main"]["rows"][0][2] = 99
+        comparison = compare_grid_payloads([left], [right])
+        assert not comparison.ok
+        assert "E2" in comparison.digest_mismatches
+        assert comparison.row_diffs["E2"]
+
     def test_diff_detects_mismatch(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
-        assert main(
-            ["run", "E2", "--quick", "--no-cache", "--json", str(out_dir)]
-        ) == 0
+        assert main(["run", "E2", "--quick", "--json", str(out_dir)]) == 0
         aggregate = out_dir / "BENCH_experiments.json"
         payload = json.loads(aggregate.read_text())
         payload["experiments"][0]["grid_digest"] = "f" * 64
@@ -312,7 +279,7 @@ class TestCLI:
 
     def test_diff_of_a_grid_on_one_side_only_is_a_mismatch(self, capsys, tmp_path):
         assert main(
-            ["run", "E2", "E11", "--quick", "--no-cache", "--json", str(tmp_path)]
+            ["run", "E2", "E11", "--quick", "--json", str(tmp_path)]
         ) == 0
         capsys.readouterr()
         both = str(tmp_path / "BENCH_experiments.json")
@@ -323,7 +290,7 @@ class TestCLI:
 
     #: What ``diff`` must refuse: how to make the file, what stderr says.
     NOT_COMPARABLE = {
-        "bench-script-summary": (  # what bench_e18 --output writes
+        "bench-script-summary": (  # a summary record: rows, no grid digest
             lambda path: write_bench_json(
                 str(path), "E18", {"p99_on": 8.0},
                 extra={"experiment": {"id": "E18", "rows": []}},
@@ -361,16 +328,6 @@ class TestCLI:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("diff: ") and said in line and path.name in line
-
-    def test_run_verify_serial_gate(self, capsys, tmp_path):
-        code = main(
-            [
-                "run", "E11", "--quick", "--parallel", "2",
-                "--cache", str(tmp_path), "--verify-serial",
-            ]
-        )
-        assert code == 0
-        assert "serial-vs-parallel digest check: OK" in capsys.readouterr().out
 
     def test_run_without_experiments_errors(self, capsys):
         assert main(["run"]) == 2
