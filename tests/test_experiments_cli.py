@@ -105,6 +105,28 @@ class TestTaskIdentity:
         # Filter keys absent from a grid point exclude the point.
         assert expand_tasks(spec, filters={"nope": "1"}) == []
 
+    def test_digest_and_rows_identical_across_two_runs(self):
+        """Drivers are pure functions of ``(params, seed)``: a second run
+        of the same grids reproduces every row and digest."""
+        specs = [get_experiment(exp_id) for exp_id in ("E2", "E4", "E11")]
+        first = run_experiments(specs, quick=True)
+        second = run_experiments(specs, quick=True)
+        for a, b in zip(first, second):
+            assert a.grid_digest == b.grid_digest, a.spec.id
+            assert a.sections == b.sections, a.spec.id
+        comparison = compare_grid_payloads(
+            [r.to_payload() for r in first], [r.to_payload() for r in second]
+        )
+        assert comparison.ok, comparison.summary()
+
+    def test_a_filtered_run_reproduces_its_rows_of_the_full_grid(self):
+        # The seed of a point does not depend on which others run.
+        full = run_experiment("E2", quick=True)
+        only_f1 = run_experiment("E2", quick=True, filters={"f": "1"})
+        assert only_f1.tasks_total == 1 < full.tasks_total
+        (row,) = only_f1.rows()
+        assert row == full.rows()[0]
+
 
 # ---------------------------------------------------------------------------
 # Claims
@@ -168,6 +190,42 @@ class TestClaims:
             )
         )
         assert result.broken_claims() == [(claim, result.rows())]
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            # A ratio over a zero cell (ArithmeticError).
+            Claim("x over x^2 is below 2", "main",
+                  lambda r: r.rows()[0][0] / r.rows()[0][1] < 2),
+            # A predicate of the wrong arity for the section (TypeError).
+            Claim("x is positive", "main", lambda x: x > 0, each=True),
+        ],
+        ids=["divides-by-zero", "wrong-arity"],
+    )
+    def test_a_claim_that_raises_is_broken_not_a_crash(self, claim):
+        result = run_experiment(
+            ExperimentSpec(
+                id="X7", name="toy-raises", title="", paper_ref="",
+                driver=_toy_driver, grid=[{"x": 0}], claims=(claim,),
+            )
+        )
+        assert result.broken_claims() == [(claim, result.rows())]
+
+    def test_every_claim_names_a_declared_section_once(self):
+        # A claim on an undeclared section would see no rows at all.
+        for spec in all_experiments():
+            names = [claim.name for claim in spec.claims]
+            assert len(names) == len(set(names)), spec.id
+            for claim in spec.claims:
+                assert claim.section in spec.columns, (spec.id, claim.name)
+
+    def test_describe_lists_the_claims(self, capsys):
+        assert main(["describe", "E2"]) == 0
+        out = capsys.readouterr().out
+        claims = get_experiment("E2").claims
+        assert claims
+        for claim in claims:
+            assert f"  claim      : {claim.name}\n" in out
 
 
 # ---------------------------------------------------------------------------
