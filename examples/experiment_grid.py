@@ -7,14 +7,15 @@ measures fbft common-case latency as a function of network delay
 *variance* (something no canonical experiment covers): each grid point
 runs a batch of seeded random-delay clusters, with the seeds derived
 deterministically from the grid point itself, so a re-run reproduces
-the rows and the grid digest exactly.
+the rows and the grid digest exactly.  Each run is a scenario spec, so
+the scenario engine's oracles judge it too.
 
 Run:
 
     PYTHONPATH=src python examples/experiment_grid.py
 """
 
-from repro.analysis import build_protocol, format_table, repeat_latency
+from repro.analysis import Stats, format_table
 from repro.experiments import (
     Claim,
     ExperimentSpec,
@@ -22,21 +23,31 @@ from repro.experiments import (
     grid,
     run_experiment,
 )
-from repro.sim.network import RandomDelay
+from repro.scenarios import ADAPTERS, DelaySpec, ScenarioSpec, run_scenario
 
 
 def latency_vs_variance(params, seed):
     """One grid point: mean latency at one (f, delay spread) setting."""
     f, spread, runs = params["f"], params["spread"], params["runs"]
-    lo, hi = 1.0 - spread, 1.0 + spread
-    stats = repeat_latency(
-        lambda: build_protocol("fbft", f=f),
-        runs=runs,
-        # Mix the framework-derived seed in: distinct grid points sample
-        # distinct delay sequences, yet every re-run sees the identical
-        # ones.
-        delay_model_factory=lambda run: RandomDelay(lo, hi, seed=seed + run),
-    )
+    results = [
+        run_scenario(
+            ScenarioSpec(
+                name=f"fbft-spread-{spread}",
+                n=ADAPTERS["fbft"].min_n(f, f),
+                f=f,
+                # Mix the framework-derived seed in: distinct grid points
+                # sample distinct delay sequences, yet every re-run sees
+                # the identical ones.
+                delay=DelaySpec(
+                    kind="random", min_delay=1.0 - spread,
+                    max_delay=1.0 + spread, seed=seed + run,
+                ),
+                timeout=1_000.0,
+            )
+        )
+        for run in range(runs)
+    ]
+    stats = Stats.from_values([result.decision_time for result in results])
     return TaskResult(
         rows=[
             (
@@ -45,6 +56,7 @@ def latency_vs_variance(params, seed):
                     f, spread, runs,
                     round(stats.mean, 3), round(stats.p95, 3),
                     round(stats.maximum, 3),
+                    all(result.ok for result in results),
                 ],
             )
         ]
@@ -71,12 +83,16 @@ SPEC = ExperimentSpec(
     driver=latency_vs_variance,
     grid=grid(f=(1, 2), spread=(0.0, 0.25, 0.5, 0.9), runs=(12,)),
     quick_grid=grid(f=(1,), spread=(0.0, 0.5), runs=(6,)),
-    columns={"main": ("f", "spread", "runs", "mean", "p95", "max")},
+    columns={"main": ("f", "spread", "runs", "mean", "p95", "max", "oracles ok")},
     claims=(
         Claim(
             "mean latency grows with the delay spread at every f",
             "main",
             latency_grows_with_spread,
+        ),
+        Claim(
+            "every run passes every oracle", "main",
+            lambda *row: row[-1], each=True,
         ),
     ),
 )

@@ -8,24 +8,38 @@ Reproduces the paper's motivating comparison as two tables:
    optimal 3f + 1 of any partially synchronous Byzantine consensus;
 2. measured common-case latency — in lock-step message delays and in
    simulated time under randomized link delays.
+
+Every run goes through the scenario engine, so its oracles (agreement,
+validity, certificates, liveness) judge each one.
 """
 
-from repro.analysis import (
-    PROTOCOLS,
-    build_protocol,
-    format_table,
-    repeat_latency,
-    run_common_case,
-)
-from repro.sim import RandomDelay
+from repro.analysis import Stats, format_table
+from repro.scenarios import ADAPTERS, DelaySpec, ScenarioSpec, run_scenario
+
+NAMES = {
+    "fbft": "FBFT (this paper)",
+    "fab": "FaB Paxos",
+    "pbft": "PBFT",
+    "paxos": "Paxos (crash)",
+}
+
+
+def run_minimal(key: str, delay: DelaySpec):
+    """A minimum f = 1 deployment of ``key``, judged by every oracle."""
+    spec = ScenarioSpec(
+        name=f"{key}-f1", protocol=key, n=ADAPTERS[key].min_n(1, 1), f=1,
+        delay=delay, timeout=1_000.0,
+    )
+    result = run_scenario(spec)
+    assert result.ok, [str(verdict) for verdict in result.failures]
+    return result
 
 
 def resilience_table() -> None:
     rows = []
     for f, t in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (5, 5)]:
         rows.append(
-            [f, t]
-            + [PROTOCOLS[key].min_n(f, t) for key in ("fbft", "fab", "pbft", "paxos")]
+            [f, t] + [ADAPTERS[key].min_n(f, t) for key in NAMES]
         )
     print("Minimum number of processes (fast Byzantine / classic / crash):\n")
     print(
@@ -37,16 +51,17 @@ def resilience_table() -> None:
 
 def latency_table(runs: int = 25) -> None:
     rows = []
-    for key in ("fbft", "fab", "pbft", "paxos"):
-        spec = PROTOCOLS[key]
-        delays = run_common_case(build_protocol(key, f=1)).delays
-        stats = repeat_latency(
-            lambda key=key: build_protocol(key, f=1),
-            runs=runs,
-            delay_model_factory=lambda run: RandomDelay(0.5, 1.5, seed=run),
-        )
+    for key, name in NAMES.items():
+        delays = run_minimal(key, DelaySpec(kind="round")).steps
+        stats = Stats.from_values([
+            run_minimal(
+                key,
+                DelaySpec(kind="random", min_delay=0.5, max_delay=1.5, seed=run),
+            ).decision_time
+            for run in range(runs)
+        ])
         rows.append(
-            [spec.name, spec.min_n(1, 1), delays,
+            [name, ADAPTERS[key].min_n(1, 1), delays,
              round(stats.mean, 3), round(stats.p95, 3)]
         )
     print(

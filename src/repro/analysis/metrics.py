@@ -3,32 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
-from ..sim.network import (
-    DelayModel,
-    FanOut,
-    RoundSynchronousDelay,
-    SynchronousDelay,
-)
-from ..sim.process import Process
+from ..sim.network import FanOut, SynchronousDelay
 from ..sim.runner import Cluster
-from ..sim.trace import message_delays
+from ..smr.backends import smr_backend
 
 __all__ = [
     "Stats",
     "CatchupResult",
-    "CommonCaseResult",
     "MonitorTailResult",
     "ThroughputResult",
     "run_catchup",
-    "run_common_case",
-    "repeat_latency",
     "run_monitor_tail",
     "run_smr_throughput",
-    "smr_instance_factory",
 ]
 
 
@@ -42,9 +32,8 @@ class Stats:
     p95: float
     minimum: float
     maximum: float
-    #: Tail percentile (E18's headline metric); defaulted so that older
-    #: pickled/recorded Stats and positional callers keep working.
-    p99: float = 0.0
+    #: Tail percentile (E18's headline metric).
+    p99: float
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "Stats":
@@ -60,69 +49,6 @@ class Stats:
             maximum=float(array.max()),
             p99=float(np.percentile(array, 99)),
         )
-
-
-@dataclass(frozen=True)
-class CommonCaseResult:
-    """One common-case run: decision latency and message cost."""
-
-    decided: bool
-    value: Any
-    decision_time: Optional[float]
-    delays: Optional[int]
-    messages: int
-    messages_by_type: Dict[str, int]
-    #: Estimated bytes put on the wire up to the decision (the sizes the
-    #: network accounted per send, :attr:`repro.sim.network.FanOut.size`).
-    bytes_sent: int = 0
-
-
-def run_common_case(
-    processes: Sequence[Process],
-    correct_pids: Optional[Iterable[int]] = None,
-    delta: float = 1.0,
-    delay_model: Optional[DelayModel] = None,
-    timeout: float = 1_000.0,
-) -> CommonCaseResult:
-    """Run a cluster until all correct processes decide; report latency.
-
-    With the default round-synchronous delay model, ``delays`` is the
-    decision latency in message delays — the paper's headline metric.
-    """
-    model = delay_model or RoundSynchronousDelay(delta)
-    cluster = Cluster(list(processes), delay_model=model)
-    records: List[FanOut] = []
-    cluster.network.add_send_hook(records.append)
-    result = cluster.run_until_decided(correct_pids=correct_pids, timeout=timeout)
-    delays = None
-    if result.decided and isinstance(model, RoundSynchronousDelay):
-        delays = message_delays(result.decision_time, delta)
-    # Count only messages sent up to the decision (pacemakers keep running).
-    if result.decided:
-        messages = sum(
-            len(record.dsts)
-            for record in records
-            if record.send_time <= result.decision_time + 1e-9
-        )
-    else:
-        messages = cluster.trace.message_count()
-    by_type: Dict[str, int] = {}
-    bytes_sent = 0
-    for record in records:
-        if result.decided and record.send_time > result.decision_time + 1e-9:
-            continue
-        name = type(record.payload).__name__
-        by_type[name] = by_type.get(name, 0) + len(record.dsts)
-        bytes_sent += len(record.dsts) * record.size
-    return CommonCaseResult(
-        decided=result.decided,
-        value=result.decision_value,
-        decision_time=result.decision_time,
-        delays=delays,
-        messages=messages,
-        messages_by_type=by_type,
-        bytes_sent=bytes_sent,
-    )
 
 
 @dataclass(frozen=True)
@@ -161,19 +87,6 @@ class ThroughputResult:
         ]
 
 
-def smr_instance_factory(backend: str, n: int, f: int, t: int = 1,
-                         base_timeout: float = 12.0):
-    """Per-slot consensus factory for an SMR backend (``fbft`` / ``pbft``).
-
-    Thin view over :func:`repro.smr.backends.smr_backend` — the same
-    construction the scenario adapters use, so harness and scenarios
-    always measure the identical engine.
-    """
-    from ..smr.backends import smr_backend
-
-    return smr_backend(backend, n, f, t=t, base_timeout=base_timeout)[2]
-
-
 def run_smr_throughput(
     backend: str = "fbft",
     n: int = 4,
@@ -202,7 +115,7 @@ def run_smr_throughput(
     from ..smr.kvstore import KVStore
     from ..smr.replica import SMRReplica
 
-    factory = smr_instance_factory(backend, n, f, t=t, base_timeout=base_timeout)
+    factory = smr_backend(backend, n, f, t=t, base_timeout=base_timeout)[2]
     replication = ReplicationConfig(
         batch_size=batch_size,
         batch_timeout=batch_timeout,
@@ -309,13 +222,7 @@ def run_catchup(
     from ..smr.replica import SMRReplica
     from ..storage.checkpoint import state_digest
 
-    registry = None
-    if backend == "fbft":
-        from ..smr.backends import smr_backend
-
-        _config, registry, factory = smr_backend(backend, n, f, t=t)
-    else:
-        factory = smr_instance_factory(backend, n, f, t=t)
+    _config, registry, factory = smr_backend(backend, n, f, t=t)
     durability = DurabilityConfig(checkpoint_interval=checkpoint_interval)
     replication = ReplicationConfig(
         batch_size=batch_size, pipeline_depth=pipeline_depth
@@ -438,7 +345,6 @@ def run_monitor_tail(
     """
     from ..core.config import MonitorConfig, ReplicationConfig
     from ..sim.network import DelayRule
-    from ..smr.backends import smr_backend
     from ..smr.client import SMRClient
     from ..smr.kvstore import KVStore
     from ..smr.replica import SMRReplica
@@ -504,26 +410,3 @@ def run_monitor_tail(
         votes_cast=votes,
         view_floor=floor,
     )
-
-
-def repeat_latency(
-    build_processes,
-    runs: int,
-    delay_model_factory,
-    correct_pids: Optional[Iterable[int]] = None,
-    timeout: float = 1_000.0,
-) -> Stats:
-    """Run ``runs`` independent clusters (fresh delay model per run, e.g.
-    different seeds) and summarize the wall-clock decision latency."""
-    times: List[float] = []
-    for run in range(runs):
-        cluster = Cluster(
-            list(build_processes()), delay_model=delay_model_factory(run)
-        )
-        result = cluster.run_until_decided(
-            correct_pids=correct_pids, timeout=timeout
-        )
-        if not result.decided:
-            raise RuntimeError(f"run {run} did not decide within {timeout}")
-        times.append(result.decision_time)
-    return Stats.from_values(times)

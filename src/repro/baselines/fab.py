@@ -12,7 +12,11 @@ decided value when ``n >= 3f + 2t + 1``.
 Simplifications (documented, deliberate): single-shot, and recovery
 reports are not accompanied by transferable proofs; benchmarks exercise
 the failure-free and crash-failure paths.  The quorum arithmetic — the
-thing experiment E1 compares — is exactly FaB's.
+thing experiment E1 compares — is exactly FaB's.  The one decision
+quorum is ``n - t`` and there is no slow path, so this baseline is live
+only with at most ``t`` faults: with ``t < f`` and more than ``t``
+silent processes it never decides (E12's FaB cell at 2 faults; the
+strict-xfail reproducer in ``tests/test_baselines.py``).
 """
 
 from __future__ import annotations

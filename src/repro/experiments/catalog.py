@@ -8,29 +8,36 @@ reproduction's own.  The drivers are pure functions of ``(params,
 seed)``, independent of task order, so every run of a grid reproduces
 its rows byte-for-byte; ``python -m repro.experiments run`` checks every
 claim of every grid it runs.
+
+The single-shot consensus runs of E1, E2, E5, E6, E9, E12 and E13 are
+:class:`~repro.scenarios.spec.ScenarioSpec` runs (:func:`_run`), so
+every one is judged by the scenario oracles and reports its verdicts in
+an ``oracles`` section.  The drivers that still build their own
+clusters, and why:
+
+* E3 reads the ``Propose`` certificate sizes off the send records;
+* E4 and E11 run the splice attack, which a spec cannot express;
+* E7 drives the naive certificate scheme through forced view changes;
+* E10 enumerates executions and fault sets (Lemma 4.4's witness);
+* E8, E15, E17 and E18 are the SMR half: their ``("set", ...)``
+  command streams and phased crash/recover runs are not
+  :class:`~repro.scenarios.spec.WorkloadSpec`'s.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import (
     MIN_GUIDED_BUDGET,
-    PROTOCOLS,
     Stats,
-    build_protocol,
     compare_campaigns,
-    repeat_latency,
     run_catchup,
-    run_common_case,
     run_monitor_tail,
     run_smr_throughput,
 )
-from ..baselines.fab import FaBConfig, FaBProcess
-from ..baselines.optimistic import OptimisticConfig, OptimisticProcess
 from ..baselines.pbft import PBFTConfig, PBFTProcess
-from ..byzantine.behaviors import SilentProcess
 from ..core.config import ProtocolConfig
 from ..core.fastbft import FastBFTProcess
 from ..core.generalized import GeneralizedFBFTProcess
@@ -52,34 +59,73 @@ from ..lowerbound import (
     run_splice_attack,
 )
 from ..fuzz import run_blind
-from ..scenarios import SCENARIOS
-from ..scenarios.runner import run_scenarios
-from ..sim.events import Simulator
-from ..sim.network import (
-    FanOut,
-    Network,
-    RandomDelay,
-    RoundSynchronousDelay,
-    SynchronousDelay,
+from ..scenarios import (
+    ADAPTERS,
+    SCENARIOS,
+    ByzantineRole,
+    DelaySpec,
+    ScenarioResult,
+    ScenarioSpec,
+    run_scenario,
+    run_scenarios,
 )
+from ..sim.events import Simulator
+from ..sim.network import FanOut, Network, SynchronousDelay
 from ..sim.runner import Cluster
-from ..sim.trace import message_delays
 from ..smr import KVStore, SMRClient, SMRReplica, fbft_instance_factory
 from .registry import register
 from .spec import Claim, ExperimentSpec, TaskResult, grid, jsonify, points
 
 # ---------------------------------------------------------------------------
-# Shared builders
+# One deployment path: single-shot consensus through the scenario engine
 # ---------------------------------------------------------------------------
 
+#: Display names of the protocol families, by adapter key, as the E1 and
+#: E6 rows print them (E12 relabels two, see ``_E12_LABELS``).
+_NAMES = {
+    "fbft": "FBFT (this paper)",
+    "fab": "FaB Paxos",
+    "pbft": "PBFT",
+    "paxos": "Paxos (crash)",
+    "optimistic": "Kursawe-style optimistic",
+}
 
-def _build_fbft(n: int, f: int, value: str = "value") -> List[Any]:
-    config = ProtocolConfig(n=n, f=f)
-    registry = KeyRegistry.for_processes(config.process_ids)
-    return [
-        FastBFTProcess(pid, config, registry, value)
-        for pid in config.process_ids
-    ]
+
+def _run(
+    protocol: str,
+    n: int,
+    f: int,
+    t: Optional[int] = None,
+    silent: Sequence[int] = (),
+    delay: str = "round",
+    seed: int = 0,
+    timeout: float = 1_000.0,
+) -> ScenarioResult:
+    """One single-shot run of ``protocol`` under every scenario oracle.
+
+    The ``silent`` pids never take a step.  ``delay`` is a
+    :class:`~repro.scenarios.spec.DelaySpec` kind: ``round``,
+    ``synchronous``, or ``random`` (uniform in [0.5, 1.5], seeded).
+    """
+    spec = ScenarioSpec(
+        name=f"{protocol}-n{n}-f{f}", protocol=protocol, n=n, f=f, t=t,
+        delay=DelaySpec(kind=delay, min_delay=0.5, max_delay=1.5, seed=seed),
+        byzantine=tuple(ByzantineRole(pid) for pid in silent), timeout=timeout,
+    )
+    return run_scenario(spec)
+
+
+def _oracles(result: ScenarioResult, *key: Any) -> Tuple[str, List[Any]]:
+    """One run's ``oracles`` row: its ``key`` cells, then ``"ok"`` or the
+    sorted names of the oracles it failed."""
+    failed = sorted(verdict.name for verdict in result.failures)
+    return ("oracles", [*key, failed or "ok"])
+
+
+_EVERY_RUN_PASSES = Claim(
+    "every run passes every oracle", "oracles",
+    lambda *row: row[-1] == "ok", each=True,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +182,7 @@ def _e1_deploy_points(max_f: int) -> List[Dict[str, Any]]:
     return [
         {"section": "deploy", "f": f, "protocol": key}
         for f in range(1, max_f + 1)
-        for key in PROTOCOLS
+        for key in _NAMES
     ]
 
 
@@ -147,32 +193,28 @@ def deployment_t(protocol: str, f: int) -> int:
     optimistic) — their deployments have no ``t`` knob and the sweep
     must not pretend they were sized for ``t = f``.
     """
-    return f if PROTOCOLS[protocol].parameterized_by_t else 1
+    return f if protocol in _BY_T else 1
 
 
-#: Names of the families whose fast path is parameterized by ``t``.
-_BY_T = frozenset(
-    spec.name for spec in PROTOCOLS.values() if spec.parameterized_by_t
-)
+#: The families whose fast path is parameterized by ``t``.
+_BY_T = ("fbft", "fab")
 
 
 def e1_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     if params["section"] == "table":
         f, t = params["f"], params["t"]
         row = [f, t] + [
-            PROTOCOLS[key].min_n(f, t) for key in ("fbft", "fab", "pbft", "paxos")
+            ADAPTERS[key].min_n(f, t) for key in ("fbft", "fab", "pbft", "paxos")
         ]
         return TaskResult(rows=[("table", row)])
     key, f = params["protocol"], params["f"]
-    spec = PROTOCOLS[key]
-    t = deployment_t(key, f)
-    result = run_common_case(build_protocol(key, f=f, t=t))
+    name, t = _NAMES[key], deployment_t(key, f)
+    n = ADAPTERS[key].min_n(f, t)
+    result = _run(key, n, f, t)
     return TaskResult(
         rows=[
-            (
-                "deploy",
-                [spec.name, f, t, spec.min_n(f, t), result.delays, result.decided],
-            )
+            ("deploy", [name, f, t, n, result.steps, result.decided]),
+            _oracles(result, name, f, t),
         ]
     )
 
@@ -189,6 +231,7 @@ register(
         columns={
             "table": ("f", "t", "FBFT (ours)", "FaB", "PBFT", "Paxos(crash)"),
             "deploy": ("protocol", "f", "t", "n", "delays", "decided"),
+            "oracles": ("protocol", "f", "t", "oracles"),
         },
         claims=(
             Claim("one row per (f, t)", "table", lambda r: len(r.rows("table"))
@@ -205,8 +248,10 @@ register(
             Claim("the deployment sweep reaches f >= 2", "deploy",
                   lambda r: any(row[1] > 1 for row in r.rows("deploy"))),
             Claim("t = f for families with a fast threshold, t = 1 otherwise",
-                  "deploy", lambda name, f, t, *_: t == (f if name in _BY_T else 1),
+                  "deploy", lambda name, f, t, *_:
+                  t == (f if name in {_NAMES[key] for key in _BY_T} else 1),
                   each=True),
+            _EVERY_RUN_PASSES,
         ),
     )
 )
@@ -220,7 +265,7 @@ register(
 def e2_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     f = params["f"]
     n = min_processes_fast_bft(f, f)
-    result = run_common_case(_build_fbft(n, f))
+    result = _run("fbft", n, f)
     return TaskResult(
         rows=[
             (
@@ -228,12 +273,13 @@ def e2_driver(params: Dict[str, Any], seed: int) -> TaskResult:
                 [
                     n,
                     f,
-                    result.delays,
-                    result.messages,
+                    result.steps,
+                    result.messages_sent,
                     result.messages_by_type.get("Propose", 0),
                     result.messages_by_type.get("Ack", 0),
                 ],
-            )
+            ),
+            _oracles(result, n, f),
         ]
     )
 
@@ -247,7 +293,10 @@ register(
         driver=e2_driver,
         grid=grid(f=(1, 2, 3, 4)),
         quick_grid=grid(f=(1, 2)),
-        columns={"main": ("n", "f", "delays", "msgs", "propose", "ack")},
+        columns={
+            "main": ("n", "f", "delays", "msgs", "propose", "ack"),
+            "oracles": ("n", "f", "oracles"),
+        },
         claims=(
             _one_row_per_point(),
             Claim("the fast path decides in 2 message delays", "main",
@@ -255,6 +304,7 @@ register(
             Claim("n proposes and n^2 acks", "main",
                   lambda n, f, delays, msgs, proposes, acks:
                   (proposes, acks) == (n, n * n), each=True),
+            _EVERY_RUN_PASSES,
         ),
     )
 )
@@ -438,31 +488,17 @@ register(
 # ---------------------------------------------------------------------------
 
 
-def _run_with_silent_faults(n: int, f: int, t: int, faults: int) -> Dict[str, Any]:
-    config = ProtocolConfig(n=n, f=f, t=t)
-    registry = KeyRegistry.for_processes(config.process_ids)
-    procs: List[Any] = []
-    for pid in config.process_ids:
-        if pid >= n - faults:
-            procs.append(SilentProcess(pid))
-        else:
-            procs.append(GeneralizedFBFTProcess(pid, config, registry, "v"))
-    cluster = Cluster(procs, delay_model=RoundSynchronousDelay(1.0))
-    correct = list(range(n - faults))
-    result = cluster.run_until_decided(correct_pids=correct, timeout=100)
-    kinds = cluster.trace.messages_by_type()
-    return {
-        "delays": message_delays(result.decision_time, 1.0),
-        "commits": kinds.get("Commit", 0),
-    }
-
-
 def e5_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     n, f, t, faults = params["n"], params["f"], params["t"], params["faults"]
-    r = _run_with_silent_faults(n, f, t, faults)
-    path = "fast" if r["delays"] == 2 else "slow"
+    result = _run("fbft", n, f, t, silent=range(n - faults, n), timeout=100.0)
+    delays = result.steps
+    path = "fast" if delays == 2 else "slow"
+    commits = result.messages_by_type.get("Commit", 0)
     return TaskResult(
-        rows=[("main", [n, f, t, faults, r["delays"], path, r["commits"]])]
+        rows=[
+            ("main", [n, f, t, faults, delays, path, commits]),
+            _oracles(result, n, f, t, faults),
+        ]
     )
 
 
@@ -488,7 +524,8 @@ register(
         grid=_e5_points([(7, 2, 1), (12, 3, 2), (4, 1, 1)]),
         quick_grid=_e5_points([(7, 2, 1), (4, 1, 1)]),
         columns={
-            "main": ("n", "f", "t", "faults", "delays", "path", "Commit msgs")
+            "main": ("n", "f", "t", "faults", "delays", "path", "Commit msgs"),
+            "oracles": ("n", "f", "t", "faults", "oracles"),
         },
         claims=(
             Claim("2 message delays with at most t faults, 3 with more", "main",
@@ -497,6 +534,7 @@ register(
             Claim("Figure 5 (n = 7, f = 2, t = 1, 2 faults): 3 delays, "
                   "Commit messages sent", "main",
                   lambda r: _figure5(*_row(r, "main", 7, 2, 1, 2))),
+            _EVERY_RUN_PASSES,
         ),
     )
 )
@@ -507,42 +545,55 @@ register(
 # ---------------------------------------------------------------------------
 
 
-_OURS = PROTOCOLS["fbft"].name
+_OURS = _NAMES["fbft"]
+
+
+def _e6_latency(
+    section: str, key: str, f: int, runs: int
+) -> Tuple[Stats, List[Tuple[str, List[Any]]]]:
+    """Decision times of ``runs`` seeded random-delay runs of a minimum
+    deployment of ``key`` (t = f), and one ``oracles`` row per run."""
+    n = ADAPTERS[key].min_n(f, f)
+    results = [
+        _run(key, n, f, f, delay="random", seed=run) for run in range(runs)
+    ]
+    stats = Stats.from_values([result.decision_time for result in results])
+    verdicts = [
+        _oracles(result, section, _NAMES[key], f, "random", run)
+        for run, result in enumerate(results)
+    ]
+    return stats, verdicts
 
 
 def e6_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     runs = params["runs"]
     if params["section"] == "latency":
         key = params["protocol"]
-        spec = PROTOCOLS[key]
-        stats = repeat_latency(
-            lambda: build_protocol(key, f=1),
-            runs=runs,
-            delay_model_factory=lambda run: RandomDelay(0.5, 1.5, seed=run),
-        )
-        delays = run_common_case(build_protocol(key, f=1)).delays
+        stats, verdicts = _e6_latency("latency", key, 1, runs)
+        n = ADAPTERS[key].min_n(1, 1)
+        rounds = _run(key, n, 1, 1)
         return TaskResult(
             rows=[
                 (
                     "latency",
                     [
-                        spec.name, spec.min_n(1, 1), delays,
+                        _NAMES[key], n, rounds.steps,
                         round(stats.mean, 3), round(stats.p50, 3),
                         round(stats.p95, 3),
                     ],
-                )
+                ),
+                *verdicts,
+                _oracles(rounds, "latency", _NAMES[key], 1, "round", 0),
             ]
         )
     f = params["f"]
-    row = [f]
+    row: List[Any] = [f]
+    verdicts = []
     for key in ("fbft", "pbft"):
-        stats = repeat_latency(
-            lambda key=key: build_protocol(key, f=f),
-            runs=runs,
-            delay_model_factory=lambda run: RandomDelay(0.5, 1.5, seed=run),
-        )
+        stats, runs_verdicts = _e6_latency("scaling", key, f, runs)
         row.append(round(stats.mean, 3))
-    return TaskResult(rows=[("scaling", row)])
+        verdicts += runs_verdicts
+    return TaskResult(rows=[("scaling", row), *verdicts])
 
 
 def _e6_points(latency_runs: int, scaling_runs: int, scaling_fs) -> List[Dict[str, Any]]:
@@ -568,6 +619,7 @@ register(
         columns={
             "latency": ("protocol", "n", "delays", "mean", "p50", "p95"),
             "scaling": ("f", "FBFT mean", "PBFT mean"),
+            "oracles": ("section", "protocol", "f", "delay", "seed", "oracles"),
         },
         claims=(
             Claim("ours, Paxos and FaB decide in 2 message delays, PBFT in 3",
@@ -582,6 +634,7 @@ register(
                                 - _row(r, "latency", "FaB Paxos")[3]) < 0.5),
             Claim("ours has a lower mean latency than PBFT at every f",
                   "scaling", lambda f, ours, pbft: ours < pbft, each=True),
+            _EVERY_RUN_PASSES,
         ),
     )
 )
@@ -789,44 +842,42 @@ register(
 # ---------------------------------------------------------------------------
 
 
-def _e9_run_cell(f: int, t: int, faults: int, leader_faulty: bool):
-    n = min_processes_fast_bft(f, t)
-    config = ProtocolConfig(n=n, f=f, t=t)
-    registry = KeyRegistry.for_processes(config.process_ids)
-    faulty = set()
-    if leader_faulty and faults > 0:
-        faulty.add(0)
+def _e9_cell(n: int, f: int, t: int, faults: int, leader_faulty: bool):
+    """A run with ``faults`` silent pids: the view-1 leader first if
+    ``leader_faulty``, then the highest pids."""
+    faulty = {0} if leader_faulty and faults > 0 else set()
     while len(faulty) < faults:
         faulty.add(n - 1 - len(faulty))
-    procs: List[Any] = []
-    for pid in config.process_ids:
-        if pid in faulty:
-            procs.append(SilentProcess(pid))
-        else:
-            procs.append(GeneralizedFBFTProcess(pid, config, registry, "v"))
-    cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
-    correct = [pid for pid in config.process_ids if pid not in faulty]
-    result = cluster.run_until_decided(correct_pids=correct, timeout=2000)
-    return n, result.decided, result.decision_time
+    return _run(
+        "fbft", n, f, t, silent=sorted(faulty), delay="synchronous",
+        timeout=2000.0,
+    )
 
 
 def e9_driver(params: Dict[str, Any], seed: int) -> TaskResult:
-    f, t = params["f"], params["t"]
-    if params["section"] == "crossover":
-        boundary = []
+    f, t, section = params["f"], params["t"], params["section"]
+    n = min_processes_fast_bft(f, t)
+    if section == "crossover":
+        boundary, verdicts = [], []
         for faults in range(f + 1):
-            _, decided, decision_time = _e9_run_cell(f, t, faults, False)
-            boundary.append(message_delays(decision_time, 1.0))
-        return TaskResult(rows=[("crossover", [f, t, boundary])])
+            result = _e9_cell(n, f, t, faults, False)
+            boundary.append(result.steps)
+            verdicts.append(_oracles(result, section, f, t, faults, "non-leader"))
+        return TaskResult(rows=[("crossover", [f, t, boundary]), *verdicts])
     faults, leader = params["faults"], params["leader"]
-    n, decided, decision_time = _e9_run_cell(f, t, faults, leader)
-    delays = message_delays(decision_time, 1.0) if decided else None
+    result = _e9_cell(n, f, t, faults, leader)
+    delays = result.steps
     if leader:
         path = "view-change"
     else:
         path = "fast" if delays == 2 else "slow" if delays == 3 else "view-change"
     kind = "leader" if leader else "non-leader"
-    return TaskResult(rows=[("matrix", [f, t, n, faults, kind, delays, path])])
+    return TaskResult(
+        rows=[
+            ("matrix", [f, t, n, faults, kind, delays, path]),
+            _oracles(result, section, f, t, faults, kind),
+        ]
+    )
 
 
 def _e9_points(pairs) -> List[Dict[str, Any]]:
@@ -857,6 +908,7 @@ register(
         columns={
             "matrix": ("f", "t", "n", "faults", "kind", "delays", "path"),
             "crossover": ("f", "t", "delays by fault count"),
+            "oracles": ("section", "f", "t", "faults", "kind", "oracles"),
         },
         claims=(
             Claim("every cell decides", "matrix",
@@ -871,6 +923,7 @@ register(
             Claim("at f = 3, t = 2 the fast/slow boundary sits exactly at t",
                   "crossover",
                   lambda r: r.rows("crossover") == [[3, 2, [2, 2, 2, 3]]]),
+            _EVERY_RUN_PASSES,
         ),
     )
 )
@@ -1033,51 +1086,33 @@ register(
 _E12_F, _E12_T = 2, 1
 
 
-def _e12_build_family(key: str, faults: int):
-    if key == "fbft":
-        config = ProtocolConfig(n=3 * _E12_F + 2 * _E12_T - 1, f=_E12_F, t=_E12_T)
-        registry = KeyRegistry.for_processes(config.process_ids)
-        make = lambda pid: GeneralizedFBFTProcess(pid, config, registry, "v")
-        n = config.n
-    elif key == "fab":
-        config = FaBConfig(n=3 * _E12_F + 2 * _E12_T + 1, f=_E12_F, t=_E12_T)
-        make = lambda pid: FaBProcess(pid, config, "v")
-        n = config.n
-    elif key == "pbft":
-        config = PBFTConfig(n=3 * _E12_F + 1, f=_E12_F)
-        make = lambda pid: PBFTProcess(pid, config, "v")
-        n = config.n
-    else:
-        config = OptimisticConfig(n=3 * _E12_F + 1, f=_E12_F)
-        make = lambda pid: OptimisticProcess(pid, config, "v")
-        n = config.n
-    procs: List[Any] = []
-    for pid in range(n):
-        if pid >= n - faults:
-            procs.append(SilentProcess(pid))
-        else:
-            procs.append(make(pid))
-    return procs, n
-
-
 _E12_LABELS = {
-    "fbft": "FBFT gen (ours)",
-    "fab": "FaB Paxos",
-    "optimistic": "Kursawe-style",
-    "pbft": "PBFT",
+    **_NAMES, "fbft": "FBFT gen (ours)", "optimistic": "Kursawe-style",
 }
 
 
 def e12_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     key, faults = params["family"], params["faults"]
-    procs, n = _e12_build_family(key, faults)
-    cluster = Cluster(procs, delay_model=RoundSynchronousDelay(1.0))
-    correct = range(n - faults)
-    result = cluster.run_until_decided(correct_pids=correct, timeout=200)
-    delays = (
-        message_delays(result.decision_time, 1.0) if result.decided else None
+    n = ADAPTERS[key].min_n(_E12_F, _E12_T)
+    result = _run(
+        key, n, _E12_F, _E12_T, silent=range(n - faults, n), timeout=200.0
     )
-    return TaskResult(rows=[("main", [_E12_LABELS[key], n, faults, delays])])
+    label = _E12_LABELS[key]
+    return TaskResult(
+        rows=[
+            ("main", [label, n, faults, result.steps]),
+            _oracles(result, label, n, faults),
+        ]
+    )
+
+
+def _e12_verdict(protocol: str, n: int, faults: int, verdict: Any) -> bool:
+    """Every run passes every oracle, but FaB with more than t silent
+    followers: its only decision quorum is n - t, it has no slow path,
+    so it never decides and fails exactly the liveness oracle."""
+    if protocol == _E12_LABELS["fab"] and faults > _E12_T:
+        return verdict == ["liveness-after-gst"]
+    return verdict == "ok"
 
 
 register(
@@ -1092,7 +1127,10 @@ register(
             faults=tuple(range(_E12_F + 1)),
         ),
         quick_grid=grid(family=("fbft", "pbft"), faults=(0, 1, 2)),
-        columns={"main": ("protocol", "n", "faults", "delays")},
+        columns={
+            "main": ("protocol", "n", "faults", "delays"),
+            "oracles": ("protocol", "n", "faults", "oracles"),
+        },
         claims=(
             Claim("ours is fast through t faults and slow (3 delays) at f",
                   "main", lambda protocol, n, faults, delays:
@@ -1109,6 +1147,9 @@ register(
             Claim("PBFT is never fast (3 delays)", "main",
                   lambda protocol, n, faults, delays:
                   protocol != _E12_LABELS["pbft"] or delays == 3, each=True),
+            Claim("every run passes every oracle, except FaB with more than t "
+                  "silent followers, which fails exactly liveness-after-gst",
+                  "oracles", _e12_verdict, each=True),
         ),
     )
 )
@@ -1120,23 +1161,24 @@ register(
 
 
 def e13_driver(params: Dict[str, Any], seed: int) -> TaskResult:
-    if params["section"] == "events":
+    section = params["section"]
+    if section == "events":
         n, f = params["n"], params["f"]
-        cluster = Cluster(
-            _build_fbft(n, f), delay_model=RoundSynchronousDelay(1.0)
+        result = _run("fbft", n, f, timeout=10_000.0)
+        return TaskResult(
+            rows=[
+                ("events", [n, f, result.events_processed]),
+                _oracles(result, section, n, f),
+            ]
         )
-        cluster.run_until_decided()
-        return TaskResult(rows=[("events", [n, f, cluster.sim.events_processed])])
     f = params["f"]
     n = min_processes_fast_bft(f, f)
-    result = run_common_case(_build_fbft(n, f))
+    result = _run("fbft", n, f)
     # Wall clock stays out of the rows: every cell here is simulated and
     # exact, so every run gives the same rows.
-    row = [
-        n, f, result.delays, result.messages,
-        round(result.messages / (n * n), 2),
-    ]
-    return TaskResult(rows=[("scale", row)])
+    messages = result.messages_sent
+    row = [n, f, result.steps, messages, round(messages / (n * n), 2)]
+    return TaskResult(rows=[("scale", row), _oracles(result, section, n, f)])
 
 
 def _stable_digest(payload: Any) -> str:
@@ -1164,6 +1206,7 @@ register(
         columns={
             "scale": ("n", "f", "delays", "msgs", "msgs/n^2"),
             "events": ("n", "f", "events"),
+            "oracles": ("section", "n", "f", "oracles"),
         },
         claims=(
             _one_row_per_point("scale"),
@@ -1175,6 +1218,7 @@ register(
                   each=True),
             Claim("over 300 simulated events at n = 19", "events",
                   lambda r: [row[2] > 300 for row in r.rows("events")] == [True]),
+            _EVERY_RUN_PASSES,
         ),
     )
 )
@@ -1730,9 +1774,12 @@ def e21_driver(params: Dict[str, Any], seed: int) -> TaskResult:
     factory = (
         recorder_sim_net if params["variant"] == "recorder" else _default_sim_net
     )
-    # Best of two passes of three storms: the on/off ratio is the
+    # One untimed storm first, so that neither cell is timed cold (the
+    # variants run in grid order, in one process).  Then the best of
+    # two passes of three storms: the on/off ratio is the
     # claimed number, so per-storm noise must not pass for recorder
     # overhead.
+    broadcast_storm(n, rounds, factory)
     rate = max(broadcast_storm(n, rounds, factory) for _ in range(2 * 3))
     # Events/sec are hardware-dependent: the digest covers the workload
     # identity only, so ``diff`` of two runs stays meaningful.

@@ -138,14 +138,15 @@ class Claim:
     def broken_rows(self, result: Any) -> Optional[List[List[Any]]]:
         """``None`` when the claim holds, else the rows that break it:
         the failing rows of an ``each`` claim, every row of the section
-        for the others (also when a row the claim looks up is missing)."""
+        for the others (also when ``holds`` raises, e.g. because a row it
+        looks up is missing)."""
         rows = result.rows(self.section)
         try:
             if self.each:
                 broken = [row for row in rows if not self.holds(*row)]
                 return broken or None
             return None if self.holds(result) else rows
-        except (LookupError, TypeError, ArithmeticError):
+        except Exception:
             return rows
 
 

@@ -176,10 +176,6 @@ class TraceRecorder:
     # Message accounting
     # ------------------------------------------------------------------
 
-    def message_count(self) -> int:
-        """Messages sent: the recipients of every fan-out seen."""
-        return sum(self._type_counts.values())
-
     def messages_by_type(self) -> Dict[str, int]:
         """Histogram of payload class names across all messages sent,
         bumped by the send hook once per fan-out."""

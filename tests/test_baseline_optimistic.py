@@ -141,9 +141,9 @@ class TestViewChange:
         assert result.ok, [str(v) for v in result.failures]
 
 
-class TestComparisonSpec:
-    def test_registered_in_analysis(self):
-        from repro.analysis import PROTOCOLS
+class TestScenarioAdapter:
+    def test_registered_with_the_scenario_engine(self):
+        from repro.scenarios import ADAPTERS
 
-        assert "optimistic" in PROTOCOLS
-        assert PROTOCOLS["optimistic"].min_n(1, 1) == 4
+        assert "optimistic" in ADAPTERS
+        assert ADAPTERS["optimistic"].min_n(1, 1) == 4

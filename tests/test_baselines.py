@@ -6,8 +6,33 @@ from repro.baselines.fab import FaBConfig, FaBProcess
 from repro.baselines.paxos import PaxosConfig, PaxosProcess
 from repro.baselines.pbft import PBFTConfig, PBFTProcess
 from repro.byzantine.behaviors import SilentProcess
+from repro.scenarios import (
+    ADAPTERS,
+    ByzantineRole,
+    DelaySpec,
+    ScenarioSpec,
+    run_scenario,
+)
 from repro.sim.network import RoundSynchronousDelay, SynchronousDelay
 from repro.sim.runner import Cluster
+
+
+def _run_minimal(protocol, f, t=None, silent=(), timeout=1_000.0):
+    """A minimum deployment of ``protocol`` under round-synchronous
+    delays, with the ``silent`` pids never taking a step."""
+    n = ADAPTERS[protocol].min_n(f, f if t is None else t)
+    return run_scenario(
+        ScenarioSpec(
+            name=f"{protocol}-minimal",
+            protocol=protocol,
+            n=n,
+            f=f,
+            t=t,
+            delay=DelaySpec(kind="round"),
+            byzantine=tuple(ByzantineRole(pid) for pid in silent),
+            timeout=timeout,
+        )
+    )
 
 
 class TestPBFT:
@@ -121,6 +146,18 @@ class TestFaB:
         cluster.sim.run(until=cluster.sim.now + 30)
         assert {p.decided_value for p in procs if p.decided} == {"v0"}
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FaB's only decision quorum is n - t and it has no slow "
+        "path, so more than t faults leave it undecided",
+    )
+    @pytest.mark.parametrize(
+        "f, t, silent", [(2, 1, (7, 8)), (3, 1, (10, 11)), (3, 1, (9, 10, 11))]
+    )
+    def test_decides_beyond_t_faults(self, f, t, silent):
+        result = _run_minimal("fab", f, t, silent=silent, timeout=5_000.0)
+        assert result.decided, [str(v) for v in result.failures]
+
     def test_needs_two_more_processes_than_ours(self):
         from repro.core.quorums import min_processes_fab, min_processes_fast_bft
 
@@ -191,18 +228,16 @@ class TestPaxos:
 class TestLatencyComparison:
     def test_paper_motivation_table(self):
         """The gap the paper opens with: Paxos/ours 2 delays, PBFT 3."""
-        from repro.analysis import build_protocol, run_common_case
-
-        delays = {
-            key: run_common_case(build_protocol(key, f=1)).delays
-            for key in ("fbft", "fab", "pbft", "paxos")
+        results = {
+            key: _run_minimal(key, f=1) for key in ("fbft", "fab", "pbft", "paxos")
         }
-        assert delays == {"fbft": 2, "fab": 2, "pbft": 3, "paxos": 2}
+        assert {key: r.steps for key, r in results.items()} == {
+            "fbft": 2, "fab": 2, "pbft": 3, "paxos": 2,
+        }
+        assert all(r.ok for r in results.values())
 
     def test_process_counts_at_f1(self):
-        from repro.analysis import PROTOCOLS
-
-        assert PROTOCOLS["fbft"].min_n(1, 1) == 4
-        assert PROTOCOLS["fab"].min_n(1, 1) == 6
-        assert PROTOCOLS["pbft"].min_n(1, 1) == 4
-        assert PROTOCOLS["paxos"].min_n(1, 1) == 3
+        assert ADAPTERS["fbft"].min_n(1, 1) == 4
+        assert ADAPTERS["fab"].min_n(1, 1) == 6
+        assert ADAPTERS["pbft"].min_n(1, 1) == 4
+        assert ADAPTERS["paxos"].min_n(1, 1) == 3

@@ -17,8 +17,7 @@ import pytest
 
 from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.runner import run_scenario
-from repro.sim import Cluster, cluster_digest
-from repro.sim.network import RoundSynchronousDelay
+from repro.scenarios.spec import DelaySpec, ScenarioSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "scenario_digests.json"
 
@@ -79,15 +78,12 @@ class TestDigestSensitivity:
         assert len(digests) == 3
 
     def test_cluster_digest_tracks_message_timing(self):
-        from repro.analysis import build_protocol
-
         def run_with(delta):
-            cluster = Cluster(
-                build_protocol("fbft", f=1),
-                delay_model=RoundSynchronousDelay(delta),
+            spec = ScenarioSpec(
+                name="fbft-minimal", delay=DelaySpec(kind="round", delta=delta),
+                timeout=500.0,
             )
-            cluster.run_until_decided(timeout=500.0)
-            return cluster_digest(cluster)
+            return run_scenario(spec).trace_digest
 
         assert run_with(1.0) == run_with(1.0)
         assert run_with(1.0) != run_with(2.0)

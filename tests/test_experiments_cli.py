@@ -27,6 +27,8 @@ from repro.experiments import (
 )
 from repro.experiments import registry
 from repro.experiments.catalog import (
+    _oracles,
+    _run,
     broadcast_storm,
     deployment_t,
     recorder_sim_net,
@@ -199,8 +201,12 @@ class TestClaims:
                   lambda r: r.rows()[0][0] / r.rows()[0][1] < 2),
             # A predicate of the wrong arity for the section (TypeError).
             Claim("x is positive", "main", lambda x: x > 0, each=True),
+            # min() over no rows (ValueError), like E7's growth claim
+            # on an empty section.
+            Claim("the smallest negative x is below -1", "main",
+                  lambda r: min(row[0] for row in r.rows() if row[0] < 0) < -1),
         ],
-        ids=["divides-by-zero", "wrong-arity"],
+        ids=["divides-by-zero", "wrong-arity", "min-of-empty-section"],
     )
     def test_a_claim_that_raises_is_broken_not_a_crash(self, claim):
         result = run_experiment(
@@ -270,6 +276,33 @@ class TestE1DeploymentT:
         assert deployment_t("pbft", 3) == 1
         assert deployment_t("paxos", 4) == 1
         assert deployment_t("optimistic", 2) == 1
+
+
+# ---------------------------------------------------------------------------
+# One deployment path: the consensus runs meet the scenario oracles
+# ---------------------------------------------------------------------------
+
+
+class TestOracleVerdicts:
+    #: Runs per quick grid: one per point, E6's seeded runs plus one
+    #: round-synchronous run per protocol, E9's crossover one per fault
+    #: count.
+    QUICK_RUNS = {"E1": 10, "E2": 2, "E5": 5, "E6": 65, "E9": 12, "E12": 6,
+                  "E13": 4}
+
+    @pytest.mark.parametrize("exp_id", sorted(QUICK_RUNS))
+    def test_every_run_reports_one_verdict_row(self, exp_id):
+        result = run_experiment(exp_id, quick=True)
+        assert len(result.rows("oracles")) == self.QUICK_RUNS[exp_id]
+        assert any(claim.section == "oracles" for claim in result.spec.claims)
+
+    def test_a_failed_oracle_is_named_in_the_row(self):
+        # E12's pre-declared cell: FaB beyond t faults never decides.
+        result = _run("fab", 9, 2, 1, silent=(7, 8), timeout=200.0)
+        assert not result.decided
+        assert _oracles(result, "FaB", 2) == (
+            "oracles", ["FaB", 2, ["liveness-after-gst"]],
+        )
 
 
 # ---------------------------------------------------------------------------

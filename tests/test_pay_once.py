@@ -228,7 +228,7 @@ class TestRecordedSendSize:
             result, cluster, _, records = finished_run(name)
         stats = cluster.network.stats
         assert sum(len(r.dsts) for r in records) == result.messages_sent
-        assert cluster.trace.message_count() == stats.messages_sent
+        assert sum(cluster.trace.messages_by_type().values()) == stats.messages_sent
         assert sum(len(r.dsts) * r.size for r in records) == stats.bytes_sent
         assert stats.bytes_sent == result.bytes_sent
         # Payloads are immutable once sent, so the size accounted then is
@@ -616,7 +616,7 @@ def _scripted_run(fan_out, model, n, features, script, seed=11):
         "deliveries": deliveries,
         "stats": net.stats,
         "sends": [env for r in hooked for env in envelopes_of(r)],
-        "count": trace.message_count(),
+        "count": sum(trace.messages_by_type().values()),
         "by_type": trace.messages_by_type(),
         "digest": trace_digest(trace, sim, net.stats),
         "held_at_heal": held_at_heal,
