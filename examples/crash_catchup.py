@@ -3,49 +3,85 @@
 
 The durability subsystem (``repro.storage``) gives every SMR replica a
 write-ahead log and periodic quorum-certified checkpoints.  This example
-walks the whole recovery story by hand:
+walks the whole recovery story, twice:
 
 1. a 4-replica cluster serves a KV workload; replica 3 crashes partway
    through, and the other three keep committing (growing a lag);
-2. replica 3 recovers **with its disk intact**: it restores the stable
-   checkpoint, replays its WAL suffix, and fetches the lag tail from
-   peers via the catchup protocol;
-3. replica 3 crashes again, this time **losing its disk**: recovery
-   starts from nothing and transfers everything — certified checkpoint
-   plus decided suffix — from its peers;
+2. in the first run replica 3 recovers **with its disk intact**: it
+   restores the stable checkpoint, replays its WAL suffix, and fetches
+   the lag tail from peers via the catchup protocol;
+3. in the second it **loses its disk** with the crash: recovery starts
+   from nothing and transfers everything — certified checkpoint plus
+   decided suffix — from its peers;
 4. after each rejoin, its application-state digest must equal a
    never-crashed replica's (the ``catchup-consistency`` oracle's check).
 
-The same story runs as declarative scenarios (``durable-recovery``,
-``lagging-replica-catchup``, ``byzantine-catchup-responder``) and as
-experiment E17 (``python -m repro.experiments run E17``).
+Each run is a :class:`~repro.scenarios.ScenarioSpec` judged by every
+oracle; experiment E17 (``python -m repro.experiments run E17``) sweeps
+the same run over lag depth and checkpoint interval.  The canonical
+scenarios ``durable-recovery``, ``lagging-replica-catchup`` and
+``byzantine-catchup-responder`` tell the story's variants.
 """
 
-from repro.analysis import format_table, run_catchup
-from repro.scenarios import get_scenario, run_scenario
+from repro.analysis import format_table
+from repro.scenarios import (
+    Crash,
+    Recover,
+    ScenarioSpec,
+    WorkloadSpec,
+    get_scenario,
+    run_scenario,
+)
+
+#: Replica 3 comes back once the others have committed the lag without it.
+RECOVER_AT = 44.0
 
 
-def manual_walkthrough() -> None:
+def crash_and_recover(disk: str) -> ScenarioSpec:
+    """A paced client submits 4 commands every 8 time units, 16 in all;
+    replica 3 crashes after the first batch (``disk`` retained or lost)
+    and recovers after the last one has committed."""
+    return ScenarioSpec(
+        name=f"crash-catchup-{disk}",
+        protocol="fbft-smr",
+        n=4, f=1, t=1,
+        workload=WorkloadSpec(
+            requests_per_client=16, rate=8.0, batch_size=4,
+            key_space=1_000_000,
+        ),
+        faults=(Crash(at=7.0, pid=3, disk=disk), Recover(at=RECOVER_AT, pid=3)),
+        protocol_options={
+            "durability": True, "checkpoint_interval": 4,
+            "batch_size": 2, "pipeline_depth": 2,
+        },
+    )
+
+
+def measured_walkthrough() -> None:
     print("Crash / recover one replica, measured (disk retained vs lost):\n")
     rows = []
     for disk in ("retained", "lost"):
-        result = run_catchup(
-            backend="fbft", n=4, f=1,
-            checkpoint_interval=4, warmup_requests=4, lag_requests=12,
-            disk=disk,
+        result = run_scenario(crash_and_recover(disk))
+        assert result.ok, [str(v) for v in result.failures]
+        # The run ends once replica 3 has caught up with its peers.
+        victim = result.replica_state[3]
+        catchup = ("CatchupRequest", "CatchupReply")
+        consistent = next(
+            v for v in result.verdicts if v.name == "catchup-consistency"
         )
         rows.append(
             [
-                disk, result.lag_slots, result.catchup_time,
-                result.catchup_messages, result.catchup_bytes,
-                result.stable_slot, result.wal_records,
-                "EQUAL" if result.digests_equal else "DIVERGED",
+                disk, result.decision_time - RECOVER_AT,
+                sum(result.messages_by_type.get(name, 0) for name in catchup),
+                sum(result.bytes_by_type.get(name, 0) for name in catchup),
+                victim["stable_slot"], victim["wal_records"],
+                "EQUAL" if consistent.passed else "DIVERGED",
             ]
         )
     print(
         format_table(
-            ["disk", "lag slots", "catchup time", "msgs", "bytes",
-             "stable slot", "wal records", "state digest"],
+            ["disk", "catchup time", "msgs", "bytes", "stable slot",
+             "wal records", "state digest"],
             rows,
         )
     )
@@ -53,7 +89,7 @@ def manual_walkthrough() -> None:
 
 
 def scenario_walkthrough() -> None:
-    print("\nThe same story as declarative scenarios with oracles:\n")
+    print("\nIts variants in the canonical scenario library:\n")
     for name in (
         "durable-recovery",
         "lagging-replica-catchup",
@@ -68,7 +104,7 @@ def scenario_walkthrough() -> None:
 
 
 def main() -> None:
-    manual_walkthrough()
+    measured_walkthrough()
     scenario_walkthrough()
     print(
         "\nEvery recovered replica rebuilt the exact state of its peers — "

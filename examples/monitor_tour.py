@@ -10,16 +10,17 @@ Three stops:
    print the tail of its timeline (send -> delivery -> certificate ->
    decide, parent ids threaded through the message envelopes; a parent
    that fell off the ring is marked evicted);
-3. throttle a leader: honest protocol, every message 8 time units late —
+3. throttle a leader: honest protocol, every message 9 time units late —
    no timeout ever fires, so only the leader-performance monitor notices.
-   Compare the latency tail with the monitor on vs off.
+   Run the ``throttling-byzantine-leader`` scenario with the monitor on
+   and off and compare the latency tails (experiment E18 sweeps this).
 
 Run me:
 
     PYTHONPATH=src python examples/monitor_tour.py
 """
 
-from repro.analysis.metrics import run_monitor_tail
+from repro.analysis import Stats
 from repro.obs import FlightRecorder, MetricsRegistry
 from repro.postmortem import FlightDump, render_timeline
 from repro.scenarios import get_scenario
@@ -71,22 +72,35 @@ def stop_three_monitor() -> None:
     print("=" * 72)
     print("3. the performance monitor vs a throttled leader")
     print("=" * 72)
-    off = run_monitor_tail(severity=8.0, monitor_on=False)
-    on = run_monitor_tail(severity=8.0, monitor_on=True)
-    print("leader 0 honest but +8 delay on every message it sends;")
+    on_spec = get_scenario("throttling-byzantine-leader")
+    off_spec = on_spec.with_(
+        name="throttling-byzantine-leader-unmonitored",
+        protocol_options={**on_spec.protocol_options, "monitor": False},
+    )
+    print("leader 0 honest but +9 delay on every message it sends;")
     print("pacemaker timeout 60 — it never fires.\n")
-    for label, result in (("monitor off", off), ("monitor on ", on)):
-        print(
-            f"{label}: p50={result.latency.p50:5.1f} "
-            f"p99={result.latency.p99:5.1f} duration={result.duration:5.1f} "
-            f"demotions={result.demotions} view_floor={result.view_floor}"
+    tails = {}
+    for label, spec in (("monitor off", off_spec), ("monitor on ", on_spec)):
+        result = run_scenario(spec)
+        assert result.ok, [str(v) for v in result.failures]
+        # Each client's first 4 completions land while the monitor is
+        # still sampling: the tail is the steady state after them.
+        tail = tails[label] = Stats.from_values(
+            [latency for client in result.latencies for latency in client[4:]]
         )
-    assert on.latency.p99 < off.latency.p99
+        monitors = result.metrics.get("monitors", {}).values()
+        print(
+            f"{label}: p50={tail.p50:5.1f} p99={tail.p99:5.1f} "
+            f"duration={result.decision_time:5.1f} demotions="
+            f"{sum(m['demotions'] for m in monitors)} view_floor="
+            f"{max([1, *(m['view_floor'] for m in monitors)])}"
+        )
+    off, on = tails["monitor off"].p99, tails["monitor on "].p99
+    assert on < off
     print(
-        "\nwith the monitor on, the replicas gathered 2f+1 signed demotion "
-        "votes,\nrotated leadership to view "
-        f"{on.view_floor} and pulled p99 from {off.latency.p99:.1f} "
-        f"down to {on.latency.p99:.1f}."
+        "\nwith the monitor on, the honest replicas gathered 2f+1 signed "
+        "demotion votes,\nrotated leadership away from replica 0 and pulled "
+        f"p99 from {off:.1f} down to {on:.1f}."
     )
 
 

@@ -10,31 +10,17 @@ from .grids import (
     compare_grid_payloads,
     format_experiment_payload,
 )
-from .metrics import (
-    CatchupResult,
-    MonitorTailResult,
-    Stats,
-    ThroughputResult,
-    run_catchup,
-    run_monitor_tail,
-    run_smr_throughput,
-)
+from .metrics import Stats
 from .report import format_scenario_results, format_table
 
 __all__ = [
-    "CatchupResult",
     "FuzzComparison",
     "GridComparison",
     "MIN_GUIDED_BUDGET",
-    "MonitorTailResult",
     "Stats",
-    "ThroughputResult",
     "compare_campaigns",
     "compare_grid_payloads",
     "format_experiment_payload",
     "format_scenario_results",
     "format_table",
-    "run_catchup",
-    "run_monitor_tail",
-    "run_smr_throughput",
 ]

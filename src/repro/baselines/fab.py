@@ -54,10 +54,6 @@ class FaBConfig:
         return (view - 1) % self.n
 
     @property
-    def process_ids(self) -> tuple:
-        return tuple(range(self.n))
-
-    @property
     def fast_quorum(self) -> int:
         """Acceptances needed to decide: ``n - t``."""
         return self.n - self.t

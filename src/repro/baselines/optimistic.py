@@ -60,10 +60,6 @@ class OptimisticConfig:
         return (view - 1) % self.n
 
     @property
-    def process_ids(self) -> tuple:
-        return tuple(range(self.n))
-
-    @property
     def fast_quorum(self) -> int:
         """The optimistic path needs *every* process: n acks."""
         return self.n

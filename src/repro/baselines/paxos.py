@@ -49,10 +49,6 @@ class PaxosConfig:
         return (ballot - 1) % self.n
 
     @property
-    def process_ids(self) -> tuple:
-        return tuple(range(self.n))
-
-    @property
     def majority(self) -> int:
         return self.n // 2 + 1
 

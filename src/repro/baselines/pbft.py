@@ -53,10 +53,6 @@ class PBFTConfig:
         return (view - 1) % self.n
 
     @property
-    def process_ids(self) -> tuple:
-        return tuple(range(self.n))
-
-    @property
     def prepare_quorum(self) -> int:
         return 2 * self.f + 1
 

@@ -71,6 +71,14 @@ class ScenarioResult:
     #: oracle margins) — the raw material for the coverage-guided
     #: fuzzer's signatures; see :mod:`repro.scenarios.coverage`.
     coverage: Dict[str, Any] = field(default_factory=dict)
+    #: Bytes sent per payload class name (the keys of ``messages_by_type``).
+    bytes_by_type: Dict[str, int] = field(default_factory=dict)
+    #: SMR: one tuple per client, its completed commands' latencies in
+    #: request order.
+    latencies: Tuple[Tuple[float, ...], ...] = ()
+    #: SMR: per honest-code replica pid, ``executed_upto``, the stable
+    #: checkpoint slot and the WAL's record count (0 without storage).
+    replica_state: Dict[int, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -334,7 +342,7 @@ def run_scenario(
     verdicts = evaluate_invariants(
         spec, built, cluster, audits, decided, decision_time, safety_violation
     )
-    messages_by_type = cluster.trace.messages_by_type()
+    messages_by_type, bytes_by_type = cluster.trace.traffic_by_type()
     coverage = collect_coverage(
         spec, built, decided, steps, messages_by_type, verdicts
     )
@@ -382,4 +390,16 @@ def run_scenario(
         trace_digest=cluster_digest(cluster),
         metrics=snapshot,
         coverage=coverage,
+        bytes_by_type=bytes_by_type,
+        latencies=tuple(tuple(c.latencies()) for c in built.clients),
+        replica_state={
+            replica.pid: {
+                "executed_upto": replica.executed_upto,
+                "stable_slot": replica.stable_checkpoint_slot,
+                "wal_records": (
+                    len(replica.storage.wal) if replica.storage is not None else 0
+                ),
+            }
+            for replica in built.replicas
+        },
     )

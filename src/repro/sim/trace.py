@@ -5,9 +5,9 @@ delays*.  With the round-synchronous delay model every hop costs exactly
 ``DELTA``, so a decision at time ``k * DELTA`` is a ``k``-step decision.
 :func:`message_delays` performs that conversion; :class:`TraceRecorder`
 captures the raw material: every decision, and per payload type how many
-messages were sent.  Sends are not kept — the recorder hashes each one
-into the trace digest's stream as it is sent and counts it, so what a
-run holds does not grow with the number of messages it sends.
+messages and bytes were sent.  Sends are not kept — the recorder hashes
+each one into the trace digest's stream as it is sent and counts it, so
+what a run holds does not grow with the number of messages it sends.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .network import FanOut, Network, ProcessId
 
@@ -46,7 +47,7 @@ class TraceRecorder:
     The recorder is the network's send hook (see
     :meth:`Network.add_send_hook`) and keeps nothing per send: each
     :class:`~repro.sim.network.FanOut` is counted into the per-type
-    histogram and hashed into :attr:`send_hash` — one
+    ``[messages, bytes]`` totals and hashed into :attr:`send_hash` — one
     ``s|src|dst|type|size|send_time|deliver_time`` line per recipient,
     ``size`` being what the network accounted for one copy — and then
     dropped.  :func:`~repro.sim.digest.trace_digest` finalizes a copy of
@@ -64,7 +65,8 @@ class TraceRecorder:
         self.send_hash = hashlib.sha256()
         self.decisions: List[Decision] = []
         self._decided_by: Dict[ProcessId, Decision] = {}
-        self._type_counts: Dict[str, int] = {}
+        #: Payload class name -> ``[messages, bytes]`` sent so far.
+        self._type_totals: Dict[str, List[int]] = {}
         #: The pids :meth:`await_decisions` is waiting on that have not
         #: decided yet; :meth:`record_decision` shrinks it.
         self._awaited: Set[ProcessId] = set()
@@ -79,8 +81,13 @@ class TraceRecorder:
         if not k:
             return  # no recipient, no line (the network hooks none)
         name = type(payload).__name__
-        counts = self._type_counts
-        counts[name] = counts.get(name, 0) + k
+        by_type = self._type_totals
+        totals = by_type.get(name)
+        if totals is None:
+            by_type[name] = [k, k * size]
+        else:
+            totals[0] += k
+            totals[1] += k * size
         if k == 1:  # most sends: a request, a reply, a vote to the leader
             self.send_hash.update(
                 f"s|{src}|{dsts[0]}|{name}|{size}|{send_time!r}"
@@ -176,10 +183,19 @@ class TraceRecorder:
     # Message accounting
     # ------------------------------------------------------------------
 
+    def traffic_by_type(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(messages, bytes)`` sent per payload class name, bumped by
+        the send hook once per fan-out; a message's bytes are the size
+        the network accounted for it."""
+        by_type = self._type_totals
+        return (
+            dict(zip(by_type, map(itemgetter(0), by_type.values()))),
+            dict(zip(by_type, map(itemgetter(1), by_type.values()))),
+        )
+
     def messages_by_type(self) -> Dict[str, int]:
-        """Histogram of payload class names across all messages sent,
-        bumped by the send hook once per fan-out."""
-        return dict(self._type_counts)
+        """Histogram of payload class names across all messages sent."""
+        return self.traffic_by_type()[0]
 
 
 def message_delays(decision_time: float, delta: float) -> int:

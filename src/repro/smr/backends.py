@@ -1,8 +1,8 @@
 """Per-slot consensus backends the SMR engine can replicate over.
 
 One construction site for the ``(config, registry, instance_factory)``
-triple, shared by the scenario adapters (``fbft-smr`` / ``pbft-smr``)
-and the throughput harness, so every consumer measures the same engine.
+triple, used by the scenario adapters (``fbft-smr`` / ``pbft-smr``),
+through which every SMR run and experiment deploys.
 """
 
 from __future__ import annotations

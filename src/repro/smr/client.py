@@ -8,8 +8,8 @@ from a correct replica that really executed the command.  Unanswered
 requests are retransmitted with exponential backoff.
 
 Closed-loop clients keep up to ``window`` requests in flight (the knob
-the throughput harness turns to saturate the replicas' batches and
-pipeline); open-loop clients submit everything immediately at start.
+experiment E15 turns to saturate the replicas' batches and pipeline);
+open-loop clients submit everything immediately at start.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from repro.sim.runner import Cluster
 def build(n, f, silent=(), inputs=None, fallback_timeout=4.0):
     config = OptimisticConfig(n=n, f=f, fallback_timeout=fallback_timeout)
     procs = []
-    for pid in config.process_ids:
+    for pid in range(config.n):
         if pid in silent:
             procs.append(SilentProcess(pid))
         else:
@@ -92,7 +92,7 @@ class TestViewChange:
         config = OptimisticConfig(n=4, f=1)
         procs = [
             OptimisticProcess(pid, config, f"v{pid}")
-            for pid in config.process_ids
+            for pid in range(config.n)
         ]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         procs[0].crash()
@@ -104,7 +104,7 @@ class TestViewChange:
         config = OptimisticConfig(n=4, f=1)
         procs = [
             OptimisticProcess(pid, config, f"v{pid}")
-            for pid in config.process_ids
+            for pid in range(config.n)
         ]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         procs[0].crash()

@@ -45,26 +45,26 @@ class TestPBFT:
 
     def test_common_case_three_delays(self):
         config = PBFTConfig(n=4, f=1)
-        procs = [PBFTProcess(p, config, "v") for p in config.process_ids]
+        procs = [PBFTProcess(p, config, "v") for p in range(config.n)]
         result = Cluster(procs, delay_model=RoundSynchronousDelay()).run_until_decided()
         assert result.decision_time == 3.0
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_three_delays_at_any_scale(self, f):
         config = PBFTConfig(n=3 * f + 1, f=f)
-        procs = [PBFTProcess(p, config, "v") for p in config.process_ids]
+        procs = [PBFTProcess(p, config, "v") for p in range(config.n)]
         result = Cluster(procs, delay_model=RoundSynchronousDelay()).run_until_decided()
         assert result.decision_time == 3.0
 
     def test_decides_leader_value(self):
         config = PBFTConfig(n=4, f=1)
-        procs = [PBFTProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [PBFTProcess(p, config, f"v{p}") for p in range(config.n)]
         result = Cluster(procs, delay_model=RoundSynchronousDelay()).run_until_decided()
         assert result.decision_value == "v0"
 
     def test_leader_crash_recovery(self):
         config = PBFTConfig(n=4, f=1)
-        procs = [PBFTProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [PBFTProcess(p, config, f"v{p}") for p in range(config.n)]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         procs[0].crash()
         result = cluster.run_until_decided(correct_pids=[1, 2, 3], timeout=500)
@@ -74,7 +74,7 @@ class TestPBFT:
     def test_prepared_value_survives_view_change(self):
         """If a value prepared in view 1, the next leader re-proposes it."""
         config = PBFTConfig(n=4, f=1)
-        procs = [PBFTProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [PBFTProcess(p, config, f"v{p}") for p in range(config.n)]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         cluster.start()
         cluster.sim.run(until=2.5)  # prepares delivered, commits in flight
@@ -88,7 +88,7 @@ class TestPBFT:
 
     def test_silent_faults_do_not_slow_pbft(self):
         config = PBFTConfig(n=7, f=2)
-        procs = [PBFTProcess(p, config, "v") for p in config.process_ids]
+        procs = [PBFTProcess(p, config, "v") for p in range(config.n)]
         procs[5] = SilentProcess(5)
         procs[6] = SilentProcess(6)
         cluster = Cluster(procs, delay_model=RoundSynchronousDelay())
@@ -111,13 +111,13 @@ class TestFaB:
 
     def test_common_case_two_delays(self):
         config = FaBConfig(n=6, f=1)
-        procs = [FaBProcess(p, config, "v") for p in config.process_ids]
+        procs = [FaBProcess(p, config, "v") for p in range(config.n)]
         result = Cluster(procs, delay_model=RoundSynchronousDelay()).run_until_decided()
         assert result.decision_time == 2.0
 
     def test_fast_with_t_crashes(self):
         config = FaBConfig(n=6, f=1, t=1)
-        procs = [FaBProcess(p, config, "v") for p in config.process_ids]
+        procs = [FaBProcess(p, config, "v") for p in range(config.n)]
         procs[5] = SilentProcess(5)
         cluster = Cluster(procs, delay_model=RoundSynchronousDelay())
         result = cluster.run_until_decided(correct_pids=range(5), timeout=50)
@@ -125,7 +125,7 @@ class TestFaB:
 
     def test_leader_crash_recovery(self):
         config = FaBConfig(n=6, f=1)
-        procs = [FaBProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [FaBProcess(p, config, f"v{p}") for p in range(config.n)]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         procs[0].crash()
         result = cluster.run_until_decided(correct_pids=range(1, 6), timeout=500)
@@ -135,7 +135,7 @@ class TestFaB:
     def test_accepted_value_survives_recovery(self):
         """A fast-decided value must be re-proposed by the next leader."""
         config = FaBConfig(n=6, f=1)
-        procs = [FaBProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [FaBProcess(p, config, f"v{p}") for p in range(config.n)]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         cluster.start()
         cluster.sim.run(until=2.5)
@@ -178,13 +178,13 @@ class TestPaxos:
 
     def test_common_case_two_delays(self):
         config = PaxosConfig(n=3, f=1)
-        procs = [PaxosProcess(p, config, "v") for p in config.process_ids]
+        procs = [PaxosProcess(p, config, "v") for p in range(config.n)]
         result = Cluster(procs, delay_model=RoundSynchronousDelay()).run_until_decided()
         assert result.decision_time == 2.0
 
     def test_leader_crash_recovery(self):
         config = PaxosConfig(n=3, f=1)
-        procs = [PaxosProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [PaxosProcess(p, config, f"v{p}") for p in range(config.n)]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         procs[0].crash()
         result = cluster.run_until_decided(correct_pids=[1, 2], timeout=500)
@@ -193,7 +193,7 @@ class TestPaxos:
 
     def test_accepted_value_survives_ballot_change(self):
         config = PaxosConfig(n=3, f=1)
-        procs = [PaxosProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [PaxosProcess(p, config, f"v{p}") for p in range(config.n)]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         cluster.start()
         cluster.sim.run(until=2.5)  # v0 decided at 2.0
@@ -204,7 +204,7 @@ class TestPaxos:
 
     def test_old_ballot_accept_rejected_after_promise(self):
         config = PaxosConfig(n=3, f=1)
-        procs = [PaxosProcess(p, config, f"v{p}") for p in config.process_ids]
+        procs = [PaxosProcess(p, config, f"v{p}") for p in range(config.n)]
         cluster = Cluster(procs, delay_model=SynchronousDelay(1.0))
         cluster.start()
         from repro.baselines.paxos import PaxosAccept, PaxosPrepare
@@ -217,7 +217,7 @@ class TestPaxos:
 
     def test_crash_minority_still_decides(self):
         config = PaxosConfig(n=5, f=2)
-        procs = [PaxosProcess(p, config, "v") for p in config.process_ids]
+        procs = [PaxosProcess(p, config, "v") for p in range(config.n)]
         procs[3] = SilentProcess(3)
         procs[4] = SilentProcess(4)
         cluster = Cluster(procs, delay_model=RoundSynchronousDelay())

@@ -407,19 +407,6 @@ class TestLeaderMonitor:
 
 
 class TestDemotionIntegration:
-    def test_throttled_leader_is_demoted_and_tail_recovers(self):
-        from repro.analysis.metrics import run_monitor_tail
-
-        on = run_monitor_tail(severity=8.0, monitor_on=True)
-        off = run_monitor_tail(severity=8.0, monitor_on=False)
-        assert on.view_floor == 2
-        assert on.demotions >= 1
-        assert off.demotions == 0 and off.view_floor == 1
-        assert on.latency.p99 < off.latency.p99
-        assert on.duration < off.duration
-        # Both arms completed the identical workload.
-        assert on.completed == off.completed == 40
-
     def test_demotion_votes_are_signed_and_quorum_gated(self):
         from repro.scenarios.library import get_scenario
         from repro.scenarios.runner import run_scenario

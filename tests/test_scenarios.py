@@ -239,6 +239,35 @@ class TestCanonicalLibrary:
         assert result.bytes_sent > 0
         assert result.messages_sent > 0
 
+    def test_smr_result_carries_traffic_latencies_and_replica_state(
+        self, monkeypatch
+    ):
+        spec = get_scenario("durable-recovery")
+        adapter = ADAPTERS[spec.protocol]
+        built = []
+        build = adapter.build
+        monkeypatch.setattr(
+            adapter, "build", lambda spec: built.append(build(spec)) or built[0]
+        )
+        result = run_scenario(spec)
+        assert sum(result.bytes_by_type.values()) == result.bytes_sent
+        assert result.bytes_by_type.keys() == result.messages_by_type.keys()
+        assert result.bytes_by_type["CatchupReply"] > 0
+        (scenario,) = built
+        assert result.latencies == tuple(
+            tuple(client.latencies()) for client in scenario.clients
+        )
+        assert len(result.latencies[0]) == result.total_requests == 12
+        assert result.replica_state == {
+            replica.pid: {
+                "executed_upto": replica.executed_upto,
+                "stable_slot": replica.stable_checkpoint_slot,
+                "wal_records": len(replica.storage.wal),
+            }
+            for replica in scenario.replicas
+        }
+        assert sorted(result.replica_state) == [0, 1, 2, 3]
+
 
 #: The adversarial timing that exposes a relaxed fast quorum at n = 4:
 #: the majority side's acks toward the minority process are stalled, so

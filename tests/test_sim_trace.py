@@ -135,6 +135,29 @@ class TestMessageAccounting:
             rescan[name] = rescan.get(name, 0) + 1
         assert incremental == rescan
 
+    def test_bytes_by_type_count_every_recipient_at_its_accounted_size(self):
+        from repro.sim.events import Simulator
+        from repro.sim.network import Network
+
+        sim = Simulator()
+        net = Network(sim)
+        trace = TraceRecorder(net)
+        sends = record_sends(net)
+        for pid in range(3):
+            net.register(pid, lambda s, p: None)
+        net.send(0, 1, "text")
+        net.broadcast(0, "everyone")
+        net.broadcast(1, (1, 2), include_self=False)
+        messages, sent = trace.traffic_by_type()
+        assert messages == trace.messages_by_type() == {"str": 4, "tuple": 2}
+        assert sent.keys() == messages.keys()
+        assert sum(sent.values()) == net.stats.bytes_sent
+        rescan = {}
+        for env in sends:
+            name = type(env.payload).__name__
+            rescan[name] = rescan.get(name, 0) + env.size
+        assert sent == rescan
+
 
 class TestTheTraceKeepsNoPerSendState:
     """Sends are hashed and counted as they pass, never kept: what the
