@@ -384,17 +384,14 @@ def make_deliver(
     The returned callable is what the network queues, with its
     ``(dst, src, payload)`` arguments beside it in the queue entry, for
     every fast-path send: no envelope, no tracer — look the
-    handler up at delivery time (the destination may have shut down
-    while the message was in flight), count the delivery, hand the
-    payload over.
+    handler up, count the delivery, hand the payload over.  A
+    destination was registered when the message was sent, and a
+    process is never unregistered.
     """
 
     def deliver(dst: int, src: int, payload: Any) -> None:
-        handler = handlers.get(dst)
-        if handler is None:
-            return  # destination shut down after the message was sent
         stats.messages_delivered += 1
-        handler(src, payload)
+        handlers[dst](src, payload)
 
     return deliver
 

@@ -140,8 +140,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = ScenarioSpec.from_dict(json.load(fh))
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                spec = ScenarioSpec.from_dict(json.load(fh))
+        except (OSError, ValueError) as error:  # unreadable, or not JSON
+            raise ScenarioError(f"spec {args.spec}: {error}") from error
     else:
         if not args.key or not args.corpus:
             print("replay: give KEY with --corpus, or --spec FILE", file=sys.stderr)

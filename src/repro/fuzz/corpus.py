@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import ScenarioError, ScenarioSpec
 
 __all__ = ["Corpus", "CorpusEntry"]
 
@@ -73,15 +73,18 @@ class CorpusEntry:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CorpusEntry":
-        return cls(
-            key=data["key"],
-            spec=dict(data["spec"]),
-            features=tuple(data["features"]),
-            origin=data["origin"],
-            ok=bool(data["ok"]),
-            executions=int(data.get("executions", 0)),
-            chosen=int(data.get("chosen", 0)),
-        )
+        try:
+            return cls(
+                key=data["key"],
+                spec=dict(data["spec"]),
+                features=tuple(data["features"]),
+                origin=data["origin"],
+                ok=bool(data["ok"]),
+                executions=int(data.get("executions", 0)),
+                chosen=int(data.get("chosen", 0)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ScenarioError(f"malformed corpus entry: {error!r}") from error
 
 
 @dataclass
@@ -242,8 +245,11 @@ class Corpus:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Corpus":
         corpus = cls()
-        for payload in data.get("entries", ()):
-            corpus._add(CorpusEntry.from_dict(payload))
+        try:
+            for payload in data.get("entries", ()):
+                corpus._add(CorpusEntry.from_dict(payload))
+        except (AttributeError, TypeError) as error:
+            raise ScenarioError(f"malformed corpus: {error!r}") from error
         return corpus
 
     def save(self, path: str) -> None:
@@ -253,5 +259,10 @@ class Corpus:
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The corpus saved at ``path``.  A file that is not one (missing,
+        not JSON, or of another shape) raises ``ScenarioError`` naming it."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (OSError, ScenarioError, ValueError) as error:
+            raise ScenarioError(f"corpus {path}: {error}") from error

@@ -436,23 +436,28 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        payload = dict(data)
-        payload["delay"] = DelaySpec(**payload.get("delay", {}))
-        faults: List[FaultEvent] = []
-        for entry in payload.get("faults", ()):
-            entry = dict(entry)
-            event_cls = _EVENT_TYPES[entry.pop("event")]
-            if "groups" in entry:
-                entry["groups"] = tuple(tuple(g) for g in entry["groups"])
-            faults.append(event_cls(**entry))
-        payload["faults"] = tuple(faults)
-        payload["byzantine"] = tuple(
-            ByzantineRole(**dict(role, values=tuple(role["values"])))
-            for role in payload.get("byzantine", ())
-        )
-        if payload.get("workload") is not None:
-            payload["workload"] = WorkloadSpec(**payload["workload"])
-        return cls(**payload)
+        """The spec :meth:`to_dict` wrote; data of another shape raises
+        :class:`ScenarioError`, as an invalid spec does."""
+        try:
+            payload = dict(data)
+            payload["delay"] = DelaySpec(**payload.get("delay", {}))
+            faults: List[FaultEvent] = []
+            for entry in payload.get("faults", ()):
+                entry = dict(entry)
+                event_cls = _EVENT_TYPES[entry.pop("event")]
+                if "groups" in entry:
+                    entry["groups"] = tuple(tuple(g) for g in entry["groups"])
+                faults.append(event_cls(**entry))
+            payload["faults"] = tuple(faults)
+            payload["byzantine"] = tuple(
+                ByzantineRole(**dict(role, values=tuple(role["values"])))
+                for role in payload.get("byzantine", ())
+            )
+            if payload.get("workload") is not None:
+                payload["workload"] = WorkloadSpec(**payload["workload"])
+            return cls(**payload)
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ScenarioError(f"malformed scenario spec: {error!r}") from error
 
     def with_(self, **changes: Any) -> "ScenarioSpec":
         """A modified copy (``dataclasses.replace`` with a shorter name)."""

@@ -6,9 +6,8 @@ byte-for-byte identical.  :func:`trace_digest` condenses a run —
 every send (endpoints, payload type, accounted size, send and delivery
 times), every decision, and the final event-loop counters — into one
 SHA-256 hex digest.  Two runs of the same scenario must produce the same
-digest; the golden digests recorded against the pre-optimization core
-(``tests/golden/scenario_digests.json``) pin the fast path to the slow
-path's executions forever.
+digest; the golden digests (``tests/golden/scenario_digests.json``) pin
+every later core to the executions they record.
 
 The digest deliberately hashes payload *type names and sizes* rather
 than ``repr`` of payloads: reprs of sets and frozensets depend on
@@ -17,15 +16,28 @@ and times are stable everywhere.  Decision values are hashed via ``repr``
 — decided values in this codebase are strings, tuples and ``Batch``
 dataclasses, all with order-stable reprs.
 
-The size is ``FanOut.size``: the structural size the network charged to
-``NetworkStats.bytes_sent`` per copy when the message was sent, not a
-``payload_size`` walk after the run.
+The byte stream hashed is *defined* as follows.  Integers are
+little-endian, times IEEE 754 float64, and nothing is padded.  In send
+order:
 
-The byte stream hashed is *defined* as one line per message sent,
-``s|src|dst|type|size|send_time|deliver_time``, then one per decision,
-then the counters.  The send lines are hashed *at send*: the
-:class:`~repro.sim.trace.TraceRecorder`'s send hook feeds them, one
-chunk per :class:`~repro.sim.network.FanOut`, into its
+* before a payload type's first send, a **name record**: the tag
+  ``b"n"``, a uint32 length and the type's UTF-8 ``__name__``.  The type
+  gets the next **type index** (0, 1, ... by first send), so a renamed
+  type moves the digest;
+* per message sent, a 45-byte **send row**: the tag ``b"s"``, then
+  ``src`` (int64), the type index (uint32), ``size`` (int64,
+  ``FanOut.size``: what the network charged one copy), ``send_time``
+  (float64), ``dst`` (int64) and ``deliver_time`` (float64).  A fan-out
+  to ``k`` recipients is the ``k`` rows of its ``k`` sends.  A time is
+  packed as a float, so ``2`` and ``2.0`` are one instant and hash
+  alike (``0.0`` and ``-0.0`` differ in their bits, and do not);
+
+then a text line per decision, ``d|pid|value|time\\n`` (``repr`` of
+value and time), and one of counters,
+``e|events_processed|now|messages_sent|messages_delivered\\n``.
+
+The rows are hashed *at send*: the
+:class:`~repro.sim.trace.TraceRecorder`'s send hook feeds them into its
 ``send_hash`` and keeps no record.  :func:`trace_digest` finalizes a
 copy of that hash with the decision and counter lines, so the digest
 can be read any number of times, also mid-run, and a long run holds

@@ -35,7 +35,7 @@ The transport itself is the hottest code in the repository, and the
 protocols it carries are all-to-all, so its unit of work *and of record*
 is the **fan-out**: one payload from one source to ``k`` recipients.
 :meth:`Network.send` is a fan-out of one, :meth:`Network.broadcast` a
-fan-out over the cached sorted pid tuple or over a declared **group**,
+fan-out over a declared **group** (the whole network, by default),
 and both go through the one send path, ``_send_general``, which leaves
 one :class:`FanOut` behind:
 ``(src, dsts, payload, send_time, deliver_times, size)``, ``dsts`` and
@@ -47,12 +47,15 @@ records of a run appends them from a hook of its own.
 A group (:meth:`Network.group`) is a sorted pid tuple declared once,
 such as an SMR deployment's replicas, whose broadcasts must not reach
 its clients.  Its members are checked against the registry when it is
-declared, and its ``include_self=False`` tuple per member is built then
-too.  So a group broadcast filters and checks nothing per call.
+declared, and a member's ``include_self=False`` tuple is built on its
+first such broadcast.  So a group broadcast filters and checks nothing
+per call (a send checks its one destination).  The whole network is
+the group of every registered pid (:attr:`Network.process_ids`),
+declared anew after each registration; a process is never
+unregistered, so a declared group stays valid.
 
-Done **once per fan-out**: the destination check (skipped for the
-registry's pid tuple and a group's tuples), the payload's size (memoized
-by object identity — per node of the walk, so a value embedded
+Done **once per fan-out**: the payload's size (memoized by object
+identity — per node of the walk, so a value embedded
 in many messages is sized once — through the network's bounded
 :class:`repro._core.IdentityMemo`), the clock read, the single ``_slow``
 flag that stands for all re-timing machinery (rules, interceptor,
@@ -75,7 +78,7 @@ built per recipient, re-timed, stamped, held if it crosses the partition
 entry's arguments when the tracer needs it back at delivery), and the
 :class:`FanOut` then carries their final delivery times.  A fan-out is
 therefore indistinguishable from its ``k`` sends in every delivery,
-counter and digest line; it is also atomic — nothing is accounted,
+counter and digest row; it is also atomic — nothing is accounted,
 hooked, held or queued until every delivery time exists, so a bad
 destination or delay cannot leave half a broadcast behind.
 """
@@ -97,7 +100,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -384,16 +386,13 @@ class Network:
         #: are absent (the implicit "everyone else" group).
         self._group_of: Optional[Dict[ProcessId, int]] = None
         self._held: List[Envelope] = []
+        #: The whole network's group, until the next registration.
         self._pid_cache: Optional[Tuple[ProcessId, ...]] = None
         #: Declared broadcast groups (:meth:`group`): group -> member ->
-        #: the group without that member.
+        #: the group without that member, once the member needed it.
         self._groups: Dict[
             Tuple[ProcessId, ...], Dict[ProcessId, Tuple[ProcessId, ...]]
         ] = {}
-        #: The groups' destination tuples, checked against the registry
-        #: when declared (and since unregistering nobody), so the send
-        #: path skips them.
-        self._checked: Set[Tuple[ProcessId, ...]] = set()
         #: With a fixed-delay model the per-send model call is replaced by
         #: one float addition (set by the ``delay_model`` setter).
         self._fixed_delay: Optional[float] = None
@@ -456,43 +455,27 @@ class Network:
         self._handlers[pid] = handler
         self._pid_cache = None
 
-    def unregister(self, pid: ProcessId) -> None:
-        """Drop ``pid``'s delivery callback.  Sends to a declared group
-        are checked again until it is declared anew, so one that lost a
-        member raises like any unknown destination."""
-        self._handlers.pop(pid, None)
-        self._pid_cache = None
-        self._checked.clear()
-
     def group(self, pids: Iterable[ProcessId]) -> Tuple[ProcessId, ...]:
         """Declare a broadcast group over ``pids`` and return it: the
         sorted pid tuple to pass as :meth:`broadcast`'s ``group``.
 
         Every member must be registered already.  That is checked here,
-        once, so broadcasts to the group skip the per-send destination
-        check.  The group's ``include_self=False`` tuple per member is
-        built here too.
+        once, so broadcasts to the group check nothing.
         """
         members = tuple(sorted(set(pids)))
         handlers = self._handlers
         for pid in members:
             if pid not in handlers:
                 raise ValueError(f"unknown destination process {pid}")
-        peers = self._groups.get(members)
-        if peers is None:
-            peers = self._groups[members] = {
-                pid: tuple([other for other in members if other != pid])
-                for pid in members
-            }
-        self._checked.add(members)
-        self._checked.update(peers.values())
+        self._groups.setdefault(members, {})
         return members
 
     @property
     def process_ids(self) -> Tuple[ProcessId, ...]:
+        """Every registered pid, sorted: the whole network's group."""
         pids = self._pid_cache
         if pids is None:
-            pids = self._pid_cache = tuple(sorted(self._handlers))
+            pids = self._pid_cache = self.group(self._handlers)
         return pids
 
     def add_send_hook(self, hook: Callable[[FanOut], None]) -> None:
@@ -616,6 +599,8 @@ class Network:
         self, src: ProcessId, dst: ProcessId, payload: Any
     ) -> Optional[FanOut]:
         """Send ``payload`` from ``src`` to ``dst``; returns the record."""
+        if dst not in self._handlers:
+            raise ValueError(f"unknown destination process {dst}")
         return self._send_general(src, (dst,), payload)
 
     def broadcast(
@@ -625,22 +610,21 @@ class Network:
         include_self: bool = True,
         group: Optional[Tuple[ProcessId, ...]] = None,
     ) -> Optional[FanOut]:
-        """Send ``payload`` from ``src`` to every registered process, in
-        pid order: one fan-out over the cached sorted pid tuple.
-
-        With ``group`` (a tuple :meth:`group` returned) the fan-out goes
-        to the group's members instead, over the tuples declared with
-        it: nothing is filtered or checked per call.
+        """Send ``payload`` from ``src`` to every member of ``group`` (a
+        tuple :meth:`group` returned; by default every registered
+        process), in pid order: one fan-out over the group's tuple, or
+        over ``src``'s tuple of the others, built on its first use.
         """
         if group is None:
-            dsts = self.process_ids
-            if not include_self:
-                dsts = tuple([dst for dst in dsts if dst != src])
-        else:
-            peers = self._groups.get(group)
-            if peers is None:
-                raise ValueError(f"broadcast group {group} is not declared")
-            dsts = group if include_self else peers.get(src, group)
+            group = self.process_ids
+        peers = self._groups.get(group)
+        if peers is None:
+            raise ValueError(f"broadcast group {group} is not declared")
+        dsts = group
+        if not include_self:
+            dsts = peers.get(src)
+            if dsts is None:
+                dsts = peers[src] = tuple([pid for pid in group if pid != src])
         return self._send_general(src, dsts, payload)
 
     def _send_general(
@@ -651,17 +635,13 @@ class Network:
         that is constant across the recipients done once (see the module
         docstring for what is per fan-out and what per recipient).
         Returns the fan-out's record, ``None`` when ``dsts`` is empty.
+        Every pid of ``dsts`` is registered: :meth:`send` checks its one
+        and a group was checked when declared.
 
         Atomic: nothing is accounted, hooked, held or queued until every
-        delivery time of the fan-out exists, so a bad destination or an
-        invalid delay leaves no half-sent broadcast behind.
+        delivery time of the fan-out exists, so an invalid delay leaves
+        no half-sent broadcast behind.
         """
-        # The cache *is* the registry's keys; a group was checked once.
-        if dsts is not self._pid_cache and dsts not in self._checked:
-            handlers = self._handlers
-            for dst in dsts:
-                if dst not in handlers:
-                    raise ValueError(f"unknown destination process {dst}")
         if not dsts:
             return None
         size = self._size_fn(payload)
@@ -764,9 +744,7 @@ class Network:
     # ------------------------------------------------------------------
 
     def _deliver(self, envelope: Envelope) -> None:
-        handler = self._handlers.get(envelope.dst)
-        if handler is None:
-            return  # destination shut down after the message was sent
+        handler = self._handlers[envelope.dst]
         self.stats.messages_delivered += 1
         tracer = self._tracer
         if tracer is None:

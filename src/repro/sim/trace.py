@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
@@ -26,6 +27,14 @@ __all__ = [
     "message_delays",
     "ConsistencyViolation",
 ]
+
+
+#: The digest's records (defined in :mod:`repro.sim.digest`): a name
+#: record's head, and a send row as a fan-out's shared head and the tail
+#: that differs per recipient.
+_NAME_HEAD = struct.Struct("<cI").pack
+_SEND_HEAD = struct.Struct("<cqIqd").pack
+_SEND_TAIL = struct.Struct("<qd").pack
 
 
 class ConsistencyViolation(Exception):
@@ -48,10 +57,11 @@ class TraceRecorder:
     :meth:`Network.add_send_hook`) and keeps nothing per send: each
     :class:`~repro.sim.network.FanOut` is counted into the per-type
     ``[messages, bytes]`` totals and hashed into :attr:`send_hash` — one
-    ``s|src|dst|type|size|send_time|deliver_time`` line per recipient,
-    ``size`` being what the network accounted for one copy — and then
-    dropped.  :func:`~repro.sim.digest.trace_digest` finalizes a copy of
-    that hash, so a long run costs the same memory as a short one.  A
+    fixed-width send row per recipient, after a name record on the first
+    send of a payload type (the byte stream is defined in
+    :mod:`repro.sim.digest`) — and then dropped.
+    :func:`~repro.sim.digest.trace_digest` finalizes a copy of that
+    hash, so a long run costs the same memory as a short one.  A
     reader that needs whole records attaches its own hook (for example
     ``network.add_send_hook(records.append)``) before the run.
 
@@ -61,11 +71,11 @@ class TraceRecorder:
     """
 
     def __init__(self, network: Optional[Network] = None) -> None:
-        #: SHA-256 over the send lines so far, in send order.
+        #: SHA-256 over the name records and send rows so far, in order.
         self.send_hash = hashlib.sha256()
         self.decisions: List[Decision] = []
         self._decided_by: Dict[ProcessId, Decision] = {}
-        #: Payload class name -> ``[messages, bytes]`` sent so far.
+        #: Payload class name -> ``[type index, messages, bytes]`` so far.
         self._type_totals: Dict[str, List[int]] = {}
         #: The pids :meth:`await_decisions` is waiting on that have not
         #: decided yet; :meth:`record_decision` shrinks it.
@@ -75,46 +85,24 @@ class TraceRecorder:
 
     def record_send(self, record: FanOut) -> None:
         """The network's send hook: one call per fan-out (one payload),
-        one chunk of send lines hashed per call."""
+        one send row per recipient hashed per call."""
         src, dsts, payload, send_time, deliver_times, size = record
         k = len(dsts)
         if not k:
-            return  # no recipient, no line (the network hooks none)
+            return  # no recipient, no row (the network hooks none)
         name = type(payload).__name__
         by_type = self._type_totals
         totals = by_type.get(name)
         if totals is None:
-            by_type[name] = [k, k * size]
-        else:
-            totals[0] += k
-            totals[1] += k * size
-        if k == 1:  # most sends: a request, a reply, a vote to the leader
-            self.send_hash.update(
-                f"s|{src}|{dsts[0]}|{name}|{size}|{send_time!r}"
-                f"|{deliver_times[0]!r}\n".encode()
-            )
-            return
-        head = f"s|{src}|"
-        at = deliver_times[0]
-        if (
-            deliver_times.count(at) == k
-            and at
-            and len(set(map(type, deliver_times))) == 1
-        ):
-            # One delivery time (every fixed-delay or round-synchronous
-            # send): the lines differ only in ``dst``, so one ``repr``
-            # and one join format them all.  Equal floats, or equal ints,
-            # have one ``repr`` — except ``0.0`` and ``-0.0``, hence the
-            # nonzero ``at``; ``2`` and ``2.0`` differ in type.
-            end = f"|{name}|{size}|{send_time!r}|{at!r}\n"
-            chunk = head + (end + head).join(map(str, dsts)) + end
-        else:
-            tail = f"|{name}|{size}|{send_time!r}|"
-            lines: List[str] = []
-            for dst, when in zip(dsts, deliver_times):
-                lines.append(f"{head}{dst}{tail}{when!r}\n")
-            chunk = "".join(lines)
-        self.send_hash.update(chunk.encode())
+            totals = by_type[name] = [len(by_type), 0, 0]
+            encoded = name.encode()
+            self.send_hash.update(_NAME_HEAD(b"n", len(encoded)) + encoded)
+        totals[1] += k
+        totals[2] += k * size
+        head = _SEND_HEAD(b"s", src, totals[0], size, send_time)
+        self.send_hash.update(
+            head + head.join(map(_SEND_TAIL, dsts, deliver_times))
+        )
 
     # ------------------------------------------------------------------
     # Decision bookkeeping
@@ -189,8 +177,8 @@ class TraceRecorder:
         the network accounted for it."""
         by_type = self._type_totals
         return (
-            dict(zip(by_type, map(itemgetter(0), by_type.values()))),
             dict(zip(by_type, map(itemgetter(1), by_type.values()))),
+            dict(zip(by_type, map(itemgetter(2), by_type.values()))),
         )
 
     def messages_by_type(self) -> Dict[str, int]:

@@ -43,7 +43,7 @@ from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.generator import _paired_removals
 from repro.fuzz.signature import _count_bucket, _margin_bucket, _small_bucket
 from repro.scenarios import run_scenario
-from repro.scenarios.library import get_scenario
+from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.spec import (
     Crash,
     DelayRuleOff,
@@ -718,6 +718,43 @@ class TestCli:
         spec_path.write_text(json.dumps(data))
         assert fuzz_main(["replay", "--spec", str(spec_path)]) == 2
         assert capsys.readouterr().err.startswith("error: random delay needs")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("corpus", "[]"),
+            ("corpus", '{"entries":[{"x":1}]}'),
+            ("corpus", "not JSON"),
+            ("corpus", None),
+            ("spec", "[1,2]"),
+            ("spec", None),
+        ],
+        ids=["corpus-list", "corpus-entry-without-key", "corpus-not-json",
+             "corpus-missing", "spec-list", "spec-missing"],
+    )
+    def test_a_malformed_file_is_a_usage_error(
+        self, tmp_path, capsys, command, text
+    ):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = (
+            ["corpus", "stats", "--corpus", str(path)]
+            if command == "corpus"
+            else ["replay", "--spec", str(path)]
+        )
+        assert fuzz_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_saved_corpus_and_every_library_spec_load_equal(self, tmp_path):
+        corpus_path = tmp_path / "corpus.json"
+        _grown_corpus(4).save(str(corpus_path))
+        saved = json.loads(corpus_path.read_text())
+        assert Corpus.load(str(corpus_path)).to_dict() == saved
+        for name in SCENARIOS:
+            spec = get_scenario(name)
+            loaded = json.loads(json.dumps(spec.to_dict()))
+            assert ScenarioSpec.from_dict(loaded) == spec
 
     def test_replay_ambiguous_prefix_fails(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"

@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -732,9 +733,10 @@ class TestFanOutEdgeCases:
         with pytest.raises(ValueError, match="unknown destination process 9"):
             world.net.send(0, 9, "lost")
         world.assert_untouched()
-        # Not even the recipients that precede the bad one.
+        # Not even the members that precede the bad one: a group with an
+        # unknown member is refused before anyone could send to it.
         with pytest.raises(ValueError, match="unknown destination process 9"):
-            world.net._send_general(0, (1, 2, 9), "lost")
+            world.net.group((1, 2, 9))
         world.assert_untouched()
 
     def test_an_invalid_delay_mid_fan_out_sends_nothing_at_all(self):
@@ -895,22 +897,31 @@ class TestOraclesTallyAFanOutOnce:
 
 
 # ---------------------------------------------------------------------------
-# Digest once per fan-out: the same bytes as one line per envelope
+# Digest once per fan-out: the same bytes as one row per envelope
 # ---------------------------------------------------------------------------
 
 
 def _digest_as_defined(records, trace, sim, stats):
-    """The digest's written definition: one formatted line per message of
-    ``records``, per decision, and for the final counters, hashed in
-    order."""
+    """The digest's written definition (``repro.sim.digest``): a name
+    record before a payload type's first send, one packed row per message
+    of ``records``, then one text line per decision and one for the final
+    counters, hashed in order."""
     h = hashlib.sha256()
+    index_of = {}
     for env in (env for record in records for env in envelopes_of(record)):
+        name = type(env.payload).__name__
+        if name not in index_of:
+            index_of[name] = len(index_of)
+            encoded = name.encode("utf-8")
+            h.update(b"n" + struct.pack("<I", len(encoded)) + encoded)
         h.update(
-            (
-                f"s|{env.src}|{env.dst}|{type(env.payload).__name__}"
-                f"|{env.size}"
-                f"|{env.send_time!r}|{env.deliver_time!r}\n"
-            ).encode()
+            b"s"
+            + struct.pack("<q", env.src)
+            + struct.pack("<I", index_of[name])
+            + struct.pack("<q", env.size)
+            + struct.pack("<d", env.send_time)
+            + struct.pack("<q", env.dst)
+            + struct.pack("<d", env.deliver_time)
         )
     for decision in trace.decisions:
         h.update(
@@ -931,8 +942,9 @@ def _assert_digest_as_defined(records, trace, sim, stats):
     return digest
 
 
-#: ``0``, ``0.0`` and ``-0.0`` are equal and format differently; so do
-#: ``2`` and ``2.0``.  A record with no recipients is no line at all.
+#: ``0`` and ``0.0`` pack alike, and so do ``2`` and ``2.0``; ``-0.0``,
+#: equal to both zeros, packs differently.  A record with no recipients
+#: is no row at all.
 _TIMES = (0, 0.0, -0.0, 1.5, 2, 2.0)
 
 _records = st.integers(0, 4).flatmap(
@@ -946,6 +958,15 @@ _records = st.integers(0, 4).flatmap(
         size=st.sampled_from((2, 7, 1000)),
     )
 )
+
+
+def _hashed(*records):
+    """The digest of ``records`` fed by hand to a fresh recorder."""
+    world = _Hooked(1)
+    trace = TraceRecorder()
+    for record in records:
+        trace.record_send(record)
+    return trace_digest(trace, world.sim, world.net.stats)
 
 
 class TestDigestIsItsDefinition:
@@ -972,6 +993,22 @@ class TestDigestIsItsDefinition:
     def test_on_an_empty_trace(self):
         world = _Hooked(1)
         _assert_digest_as_defined([], TraceRecorder(), world.sim, world.net.stats)
+
+    def test_renaming_a_payload_class_moves_the_digest(self):
+        class Renamed(Ack):
+            pass
+
+        sends = [FanOut(0, (1, 2), Ack("v", 1), 0.0, (1.0, 1.0), 7)] * 2
+        renamed = [r._replace(payload=Renamed("v", 1)) for r in sends]
+        assert _hashed(*sends) != _hashed(*renamed)
+        Renamed.__name__ = "Ack"  # the same name is the same stream
+        assert _hashed(*sends) == _hashed(*renamed)
+
+    def test_changing_one_delivery_time_moves_the_digest(self):
+        sent = FanOut(0, (1, 2, 3), "ping", 0.0, (1.0, 1.5, 2.0), 6)
+        moved = sent._replace(deliver_times=(1.0, 1.5, 2.25))
+        assert _hashed(sent) != _hashed(moved)
+        assert _hashed(sent) == _hashed(sent._replace(deliver_times=(1, 1.5, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,8 @@ class TestRoundSynchronousDelay:
         assert model.delivery_time(7.0) == 10.0
 
     def test_end_to_end_two_hops(self):
-        sim, net, inboxes = make_network(RoundSynchronousDelay(1.0))
+        sim, net, inboxes = make_network(RoundSynchronousDelay(1.0), pids=[0])
         # Relay: on delivery at 1.0, respond; response arrives at 2.0.
-        net.unregister(1)
         net.register(1, lambda src, payload: net.send(1, 0, "pong"))
         net.send(0, 1, "ping")
         sim.run()
@@ -157,12 +156,12 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.register(0, lambda s, p: None)
 
-    def test_message_to_unregistered_destination_dropped_silently(self):
+    def test_message_to_unregistered_destination_rejected(self):
         sim, net, inboxes = make_network()
-        net.send(0, 1, "x")
-        net.unregister(1)
-        sim.run()  # no exception; message dropped (process shut down)
-        assert inboxes[1] == []
+        with pytest.raises(ValueError, match="unknown destination process 4"):
+            net.send(0, 4, "x")
+        sim.run()
+        assert net.stats.messages_sent == 0 and sim.events_processed == 0
 
     def test_stats_count_sends_and_deliveries(self):
         sim, net, _ = make_network()
@@ -384,7 +383,7 @@ class TestSizeMemoSafety:
 
 
 class TestSendDeliverTrace:
-    """Sends, a broadcast, an unregister and a memo hit with every
+    """Sends, a broadcast, a late registration and a memo hit with every
     observable pinned to literals: envelopes, per-inbox delivery order and
     clock types, stats counters, and the simulator's event count."""
 
@@ -408,14 +407,16 @@ class TestSendDeliverTrace:
         gossip = ("gossip", 2)
         records = [net.send(0, dst, req) for dst in range(4)]
         records.append(net.broadcast(1, gossip, include_self=False))
-        net.unregister(3)
+        inboxes[4] = []
+        net.register(4, lambda src, payload: inboxes[4].append(payload))
+        records.append(net.broadcast(4, gossip, include_self=False))
         net.send(0, 2, req)  # memo hit
         sim.run()
 
         # ("req", "value", 7) is 2 + 4 + 6 + 8 bytes, ("gossip", 2) is
         # 2 + 7 + 8: the accounted size rides on the record.
         assert [tuple(record.dsts) for record in records] == [
-            (0,), (1,), (2,), (3,), (0, 2, 3),
+            (0,), (1,), (2,), (3,), (0, 2, 3), (0, 1, 2, 3),
         ]
         assert [
             (r.src, dst, r.payload, r.send_time, at, r.size)
@@ -423,13 +424,18 @@ class TestSendDeliverTrace:
             for dst, at in zip(r.dsts, r.deliver_times)
         ] == [
             (0, dst, req, 0.0, at, 20) for dst in range(4)
-        ] + [(1, dst, gossip, 0.0, at, 17) for dst in (0, 2, 3)]
+        ] + [(1, dst, gossip, 0.0, at, 17) for dst in (0, 2, 3)] + [
+            (4, dst, gossip, 0.0, at, 17) for dst in range(4)
+        ]
         assert inboxes == {
-            0: [(0, req, at, "float"), (1, gossip, at, "float")],
-            1: [(0, req, at, "float")],
+            0: [(0, req, at, "float"), (1, gossip, at, "float"),
+                (4, gossip, at, "float")],
+            1: [(0, req, at, "float"), (4, gossip, at, "float")],
             2: [(0, req, at, "float"), (1, gossip, at, "float"),
-                (0, req, at, "float")],
-            3: [],  # unregistered while its messages were in flight
+                (4, gossip, at, "float"), (0, req, at, "float")],
+            3: [(0, req, at, "float"), (1, gossip, at, "float"),
+                (4, gossip, at, "float")],
+            4: [],  # registered after the sends it would have seen
         }
         stats = net.stats
         assert (
@@ -438,8 +444,8 @@ class TestSendDeliverTrace:
             stats.bytes_sent,
             stats.size_cache_hits,
             stats.size_cache_misses,
-        ) == (8, 6, 151, 4, 2)
-        assert (sim.events_processed, sim.now) == (8, at)
+        ) == (12, 12, 219, 5, 2)
+        assert (sim.events_processed, sim.now) == (12, at)
 
 
 class TestRegistrationCache:
@@ -450,16 +456,26 @@ class TestRegistrationCache:
         assert net.process_ids is first  # cached tuple, not re-sorted
         net.register(9, lambda s, p: None)
         assert net.process_ids == (0, 1, 2, 3, 9)
-        net.unregister(1)
-        assert net.process_ids == (0, 2, 3, 9)
 
-    def test_broadcast_after_unregister_skips_removed(self):
-        sim, net, inboxes = make_network()
-        net.unregister(2)
-        net.broadcast(0, "x")
+    def test_whole_network_broadcast_reuses_its_peer_tuples(self):
+        sim, net, _ = make_network()
+        first = net.broadcast(1, "x", include_self=False)
+        net._handlers = counting = _CountingHandlers(net._handlers)
+        again = net.broadcast(1, "y", include_self=False)
+        assert first.dsts == (0, 2, 3) and again.dsts is first.dsts
+        assert net.broadcast(1, "z").dsts is net.process_ids
+        assert counting.lookups == 0
+
+    def test_broadcast_after_register_reaches_the_newcomer(self):
+        sim, net, inboxes = make_network(pids=range(3))
+        net.broadcast(0, "x", include_self=False)
+        inboxes[3] = []
+        net.register(3, lambda src, payload: inboxes[3].append((src, payload)))
+        net.broadcast(0, "y", include_self=False)
         sim.run()
-        assert inboxes[2] == []
-        assert inboxes[3] == [(0, "x", 1.0)]
+        assert inboxes[1] == [(0, "x", 1.0), (0, "y", 1.0)]
+        assert inboxes[3] == [(0, "y")]
+        assert inboxes[0] == []
 
 
 class TestDelayModelSwap:
@@ -609,23 +625,15 @@ class TestBroadcastGroup:
         net.broadcast(0, "in", group=group)
         net.broadcast(0, "in", include_self=False, group=group)
         assert counting.lookups == 0
-        net._send_general(0, (0, 1, 3), "hand-built")
-        assert counting.lookups == 3
+        net.send(0, 3, "one")  # a send checks its one destination
+        assert counting.lookups == 1
 
-    def test_a_group_losing_a_member_or_never_declared_is_refused(self):
+    def test_a_group_never_declared_is_refused(self):
         sim, net, _ = make_network()
-        group, rest = net.group(range(3)), net.group((0, 2, 3))
-        net.unregister(1)
-        with pytest.raises(ValueError, match="unknown destination process 1"):
-            net.broadcast(0, "x", group=group)
-        with pytest.raises(ValueError, match="unknown destination process 1"):
-            net.broadcast(0, "x", include_self=False, group=group)
+        net.group(range(3))
         with pytest.raises(ValueError, match="not declared"):
             net.broadcast(0, "x", group=(0, 2))
         assert net.stats.messages_sent == 0
-        assert net.broadcast(0, "y", group=rest).dsts == (0, 2, 3)
-        with pytest.raises(ValueError, match="unknown destination process 1"):
-            net.group(range(3))
 
     def test_a_group_broadcast_is_atomic(self):
         class ThirdIsBroken:
